@@ -22,11 +22,18 @@ weights, which are exact on the resolvable trigonometric band.  The
 hypersingular operator (normal derivative of a double layer on its own curve)
 is reduced to tangential derivatives of the single layer and evaluated with
 the spectral differentiation matrix.
+
+Every dense system is LU-factorized once.  Its conditioning is guarded by
+LAPACK's 1-norm estimate (``dgecon``) computed from those factors, not by a
+separate singular value decomposition.  :func:`solve_forward` takes one
+voltage or a matrix of voltage columns and solves them all against one
+factorization.
 """
 
 from __future__ import annotations
 
 import logging
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -321,7 +328,9 @@ class ForwardSolution:
     """Densities of the simulation ansatz and derived boundary data.
 
     The potential is represented as a factor-2 double layer on the outer
-    boundary plus a factor-1 single layer on the inclusion boundary.
+    boundary plus a factor-1 single layer on the inclusion boundary.  For a
+    matrix of voltage columns the densities are matrices with one column per
+    voltage, and so is every derived quantity.
     """
 
     outer: NystromMesh
@@ -371,6 +380,8 @@ def _forward_blocks(outer, inner, bc, gamma):
         g = np.asarray(gamma, dtype=float)
         if g.shape != (n_i,):
             raise ValueError("gamma must be sampled at the inner mesh nodes")
+        if not np.all(np.isfinite(g)):
+            raise ValueError("gamma must be finite at every inner node")
         if np.any(g < 0):
             raise ValueError("gamma must be nonnegative")
         kmi = double_layer(outer, inner).matrix
@@ -384,39 +395,44 @@ def _forward_blocks(outer, inner, bc, gamma):
     return np.block([[a11, sim], [a21, a22]])
 
 
-def _factorize(a, what):
-    cond = np.linalg.cond(a)
+def _factorize(a, what, limit):
+    """LU factors of ``a`` and LAPACK's 1-norm condition estimate.
+
+    Raises :class:`SingularSystem` when the block is not finite, is exactly
+    singular, or its estimated condition exceeds ``limit``.
+    """
+    anorm = np.linalg.norm(a, 1)
+    lu, cond = None, np.inf
+    if np.isfinite(anorm):
+        with warnings.catch_warnings():
+            # an exactly zero pivot is reported through the estimate below
+            warnings.simplefilter("ignore", la.LinAlgWarning)
+            lu = la.lu_factor(a, check_finite=False)
+        rcond, _ = la.lapack.dgecon(lu[0], anorm, norm="1")
+        if rcond > 0:
+            cond = 1.0 / rcond
     log.debug("%s system condition estimate %.3e", what, cond)
-    if not np.isfinite(cond) or cond > _COND_LIMIT:
+    if not cond <= limit:
         raise SingularSystem(f"{what} system is numerically singular", condition=cond)
-    return la.lu_factor(a), cond
+    return lu, cond
 
 
 def solve_forward(outer, inner, bc, f, gamma=None):
-    """Solve the simulation ansatz for outer voltage ``f`` (node values).
+    """Solve the simulation ansatz for outer voltages ``f`` (node values).
 
-    Imposes the voltage on the outer boundary and either a grounded or an
-    impedance condition (normal into the inclusion) on the inner boundary.
-    Returns a :class:`ForwardSolution`.
+    ``f`` is one voltage of shape ``(outer.n,)`` or ``k`` voltage columns of
+    shape ``(outer.n, k)``; all columns share one factorization.  Imposes the
+    voltage on the outer boundary and either a grounded or an impedance
+    condition (normal into the inclusion) on the inner boundary.  Returns a
+    :class:`ForwardSolution`.
     """
-    a = _forward_blocks(outer, inner, bc, gamma)
-    lu, _ = _factorize(a, "forward")
     f = np.asarray(f, dtype=float)
-    if f.shape != (outer.n,):
+    if f.ndim not in (1, 2) or f.shape[0] != outer.n:
         raise ValueError("voltage must be sampled at the outer mesh nodes")
-    sol = la.lu_solve(lu, np.concatenate([f, np.zeros(inner.n)]))
-    return ForwardSolution(outer, inner, bc, sol[:outer.n], sol[outer.n:])
-
-
-def _flux_matrix(outer, inner, bc, gamma, rhs_columns):
-    """Currents on the outer boundary for a matrix of voltage columns."""
     a = _forward_blocks(outer, inner, bc, gamma)
-    lu, _ = _factorize(a, "forward")
-    rhs = np.concatenate([rhs_columns, np.zeros((inner.n, rhs_columns.shape[1]))])
-    sol = la.lu_solve(lu, rhs)
-    tmm = normal_derivative(outer, outer, of="double_layer").matrix
-    kim = normal_derivative(inner, outer, of="single_layer").matrix
-    return tmm @ sol[:outer.n] + kim @ sol[outer.n:]
+    lu, _ = _factorize(a, "forward", _COND_LIMIT)
+    sol = la.lu_solve(lu, np.concatenate([f, np.zeros((inner.n,) + f.shape[1:])]))
+    return ForwardSolution(outer, inner, bc, sol[:outer.n], sol[outer.n:])
 
 
 def trig_resample(values, new_theta):
@@ -443,7 +459,7 @@ def dtn_matrix(outer, inner, bc, gamma=None, basis="collocation",
     geometry = {"kind": inner.curve.kind, "n": inner.n}
     meta = {"geometry": geometry, "bc": {"kind": bc}, "source": "bie", "role": "lambda0"}
     if basis == "collocation":
-        lam = _flux_matrix(outer, inner, bc, gamma, np.eye(outer.n))
+        lam = solve_forward(outer, inner, bc, np.eye(outer.n), gamma).outer_flux()
         if flux_noise is not None:
             delta, seed = flux_noise
             for j in range(outer.n):
@@ -460,10 +476,10 @@ def dtn_matrix(outer, inner, bc, gamma=None, basis="collocation",
             f"{outer.n} simulation nodes cannot resolve mode {top}; "
             f"need at least {2 * top + 2}")
     orders = np.arange(top + 1)
-    cos_cols = np.cos(np.outer(outer.theta, orders))
-    sin_cols = np.sin(np.outer(outer.theta, orders))
-    flux_cos = _flux_matrix(outer, inner, bc, gamma, cos_cols)
-    flux_sin = _flux_matrix(outer, inner, bc, gamma, sin_cols)
+    angles = np.outer(outer.theta, orders)
+    flux = solve_forward(outer, inner, bc, np.hstack([np.cos(angles), np.sin(angles)]),
+                         gamma).outer_flux()
+    flux_cos, flux_sin = flux[:, :top + 1], flux[:, top + 1:]
     n_eval = len(modes)
     theta_eval = 2.0 * np.pi * np.arange(n_eval) / n_eval
     mat = np.zeros((n_eval, n_eval), dtype=complex)

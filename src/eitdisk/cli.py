@@ -16,7 +16,9 @@ sampling right-hand side.
 from __future__ import annotations
 
 import argparse
+import ast
 import json
+import operator
 import sys
 
 import numpy as np
@@ -29,13 +31,17 @@ from .geometry import BoundaryCurve
 from .io import (config_hash, geometry_from_dict, geometry_to_dict, read_dtn,
                  read_curve, read_indicator, write_curve, write_dtn,
                  write_gamma, write_indicator)
-from .regularization import RegStrategy
+from .regularization import RegStrategy, perturb_vector
 from .sampling import GridSpec, extract_level_set, fit_trig_curve, scan
 
 _GAMMA_NAMESPACE = {
     "sin": np.sin, "cos": np.cos, "tan": np.tan, "exp": np.exp,
     "sqrt": np.sqrt, "abs": np.abs, "pi": np.pi,
 }
+_UNARY = {ast.UAdd: operator.pos, ast.USub: operator.neg}
+_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+           ast.Div: operator.truediv, ast.FloorDiv: operator.floordiv,
+           ast.Mod: operator.mod, ast.Pow: operator.pow}
 
 
 def _load_geometry(spec):
@@ -47,9 +53,39 @@ def _load_geometry(spec):
     return geometry_from_dict(json.loads(text))
 
 
+def _evaluate(node, theta):
+    """Value of a whitelisted expression node: numbers, ``theta``, ``pi``,
+    arithmetic operators and one-argument calls of the namespace functions."""
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        # float64 constants overflow to inf instead of growing without bound
+        return np.float64(node.value)
+    if isinstance(node, ast.Name) and node.id in ("theta", "pi"):
+        return theta if node.id == "theta" else np.pi
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _UNARY:
+        return _UNARY[type(node.op)](_evaluate(node.operand, theta))
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+        return _BINARY[type(node.op)](_evaluate(node.left, theta),
+                                      _evaluate(node.right, theta))
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and callable(_GAMMA_NAMESPACE.get(node.func.id))
+            and len(node.args) == 1 and not node.keywords):
+        return _GAMMA_NAMESPACE[node.func.id](_evaluate(node.args[0], theta))
+    raise ValueError(f"impedance expression may not contain {ast.unparse(node)!r}")
+
+
 def _gamma_values(expr, theta):
-    """Evaluate an impedance expression such as ``2 - sin(theta)**4``."""
-    values = eval(expr, {"__builtins__": {}}, dict(_GAMMA_NAMESPACE, theta=theta))
+    """Evaluate an impedance expression such as ``2 - sin(theta)**4``.
+
+    Only numbers, ``theta``, ``pi``, arithmetic operators and calls of the
+    functions in ``_GAMMA_NAMESPACE`` are accepted; anything else raises
+    :class:`ValueError`.  Non-finite values are rejected by the solver.
+    """
+    try:
+        tree = ast.parse(expr, mode="eval")
+    except SyntaxError as exc:
+        raise ValueError(f"cannot parse impedance expression {expr!r}: {exc.msg}") from None
+    with np.errstate(all="ignore"):
+        values = _evaluate(tree.body, theta)
     values = np.broadcast_to(np.asarray(values, dtype=float), theta.shape).copy()
     if np.any(values < 0):
         raise ValueError("impedance expression must be nonnegative")
@@ -173,22 +209,19 @@ def cmd_impedance(args):
     outer64, inner64 = _meshes(recon_curve, args.nodes, args.nodes)
     system = assemble_completion(outer64, inner64, model_error_factor=model_factor)
 
-    pairs = []
     k_max = (args.pairs + 1) // 2
-    for k in range(1, k_max + 1):
-        for kind, fn in (("cos", np.cos), ("sin", np.sin)):
-            if len(pairs) >= args.pairs:
-                break
-            f_sim = fn(k * outer.theta)
-            sol = bie.solve_forward(outer, inner_true, args.bc, f_sim, gamma_true)
-            flux = sol.outer_flux()
-            g64 = np.real(bie.trig_resample(flux, outer64.theta))
-            if args.noise:
-                from .regularization import perturb_vector
-                g64 = perturb_vector(g64, args.noise, (args.seed, len(pairs)))
-            pairs.append(CauchyPair(fn(k * outer64.theta), g64,
-                                    noise_level=args.noise,
-                                    label=f"{kind}({k}t)"))
+    drives = [(kind, fn, k) for k in range(1, k_max + 1)
+              for kind, fn in (("cos", np.cos), ("sin", np.sin))][:args.pairs]
+    voltages = np.column_stack([fn(k * outer.theta) for _, fn, k in drives])
+    flux = bie.solve_forward(outer, inner_true, args.bc, voltages, gamma_true).outer_flux()
+    pairs = []
+    for j, (kind, fn, k) in enumerate(drives):
+        g64 = np.real(bie.trig_resample(flux[:, j], outer64.theta))
+        if args.noise:
+            g64 = perturb_vector(g64, args.noise, (args.seed, j))
+        pairs.append(CauchyPair(fn(k * outer64.theta), g64,
+                                noise_level=args.noise,
+                                label=f"{kind}({k}t)"))
     reg = _parse_reg(args.reg, args.reg_noise if args.reg_noise is not None else args.noise)
     recon = recover_gamma_averaged(system, pairs, reg, tol_rel=args.mask_tol)
     config = {"command": "impedance", "geometry": geometry_to_dict(true_curve),

@@ -20,12 +20,15 @@ solves the severely ill-posed system ``S u_i = g - R f`` with regularization,
 after which the densities give the interior current and the pointwise
 impedance quotient ``gamma = -(d u0/d nu) / u0`` on the inclusion.
 
-With the literal constant modification the block system keeps a
-one-dimensional gauge null space (densities shifted along ``(|inner| * 1, 1)``
-represent the zero potential) and cannot carry net flux; the factorization
-then projects the gauge direction out and logs the effective condition
-number, but the completion of even-symmetry data degrades.  The monopole
-modification removes both defects and is the default.
+The monopole-modified block is full rank: it is LU-factorized once, and its
+condition is guarded by LAPACK's 1-norm estimate from those factors (see
+:func:`eitdisk.bie._factorize`).  With the literal constant modification the
+block system keeps a one-dimensional gauge null space (densities shifted
+along ``(|inner| * 1, 1)`` represent the zero potential) and cannot carry net
+flux; that variant is decomposed by SVD instead, which projects the gauge
+direction out and logs the effective condition number, but the completion of
+even-symmetry data degrades.  The monopole modification removes both defects
+and is the default.
 """
 
 from __future__ import annotations
@@ -37,7 +40,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as la
 
-from .bie import NystromMesh, double_layer, modified_double_layer, normal_derivative
+from .bie import (NystromMesh, _factorize, double_layer, modified_double_layer,
+                  normal_derivative)
 from .exceptions import (AllMasked, RankDeficientWarning, ResidualTooLarge,
                          SingularSystem)
 from .regularization import (SvdFactorization, expected_noise_norm,
@@ -57,6 +61,8 @@ __all__ = [
 ]
 
 log = logging.getLogger(__name__)
+
+_COND_LIMIT = 1e8
 
 
 @dataclass(frozen=True)
@@ -111,19 +117,20 @@ def assemble_completion(outer, inner, modification="monopole",
     block = np.block([[np.eye(n_m) - kmm, -kim],
                       [kmi, np.eye(n_i) + kii]])
 
-    u, s, vh = np.linalg.svd(block)
-    keep = s > s[0] * 1e-10
-    dropped = int(np.sum(~keep))
-    condition = float(s[0] / s[keep][-1])
-    if dropped:
+    if modification == "constant":
+        # singular by construction: project the gauge direction out
+        u, s, vh = np.linalg.svd(block)
+        keep = s > s[0] * 1e-10
+        condition = float(s[0] / s[keep][-1])
         log.info("trace system: dropped %d gauge direction(s), effective "
-                 "condition %.3e", dropped, condition)
+                 "condition %.3e", int(np.sum(~keep)), condition)
+        if condition > _COND_LIMIT:
+            raise SingularSystem("completion trace system is numerically singular",
+                                 condition=condition)
+        block_inverse = (vh[keep].conj().T / s[keep]) @ u[:, keep].conj().T
     else:
-        log.debug("trace system condition %.3e", condition)
-    if condition > 1e8:
-        raise SingularSystem("completion trace system is numerically singular",
-                             condition=condition)
-    block_inverse = (vh[keep].conj().T / s[keep]) @ u[:, keep].conj().T
+        lu, condition = _factorize(block, "completion trace", _COND_LIMIT)
+        block_inverse = la.lu_solve(lu, np.eye(n_m + n_i))
 
     tmm = normal_derivative(outer, outer, of="double_layer").matrix
     tim = normal_derivative(inner, outer, of="modified_double_layer",

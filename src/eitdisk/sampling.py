@@ -123,23 +123,16 @@ def poisson_rhs(z, op: DtnOperator):
     return poisson_coefficients(z, op.modes)
 
 
-def _operator_svd(op):
-    svd = op.meta.get("_svd")
-    if svd is None or svd.u.shape[0] != op.n:
-        svd = SvdFactorization.from_matrix(op.matrix)
-        op.meta["_svd"] = svd
-    return svd
-
-
 def solve_current_gap(gap: DtnOperator, z, reg: RegStrategy):
     """Regularized solution of the current-gap equation for one point.
 
     Returns the solution vector in the operator's basis together with a
-    diagnostics dict (chosen penalty or kept rank, attained residual).
+    diagnostics dict (chosen penalty or kept rank, attained residual).  The
+    operator is decomposed on every call; :func:`scan` shares one
+    decomposition across a whole grid.
     """
     b = poisson_rhs(z, gap)
-    svd = _operator_svd(gap)
-    return regularized_solve(svd, b, reg)
+    return regularized_solve(SvdFactorization.from_matrix(gap.matrix), b, reg)
 
 
 def _solution_norm(x, gap, norm):
@@ -253,12 +246,12 @@ def scan(gap: DtnOperator, grid: GridSpec, reg: RegStrategy,
         raise ValueError(f"unknown strategy kind {reg.kind!r}")
 
     if norm == "sobolev_half":
-        # norm weighting requires the solution vectors; fall back per point
+        # norm weighting requires the solution vectors; fall back per point,
+        # each against this scan's own (possibly perturbed) decomposition
         w_flat = np.full(len(pts), np.nan)
-        op = gap.with_matrix(matrix)
-        for k, p in enumerate(pts):
-            if inside[k]:
-                w_flat[k] = indicator(op, p, reg, norm="sobolev_half")
+        for k in np.flatnonzero(inside):
+            x, _ = regularized_solve(svd, poisson_rhs(pts[k], gap), reg)
+            w_flat[k] = 1.0 / _solution_norm(x, gap, norm)
     else:
         w_flat = np.full(len(pts), np.nan)
         w_flat[inside] = 1.0 / np.sqrt(xnorm2)

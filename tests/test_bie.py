@@ -3,11 +3,13 @@ import pytest
 
 from eitdisk.annulus import (AnnulusConfig, gap_coefficient,
                              inner_trace_coefficient)
+from eitdisk import bie
 from eitdisk.bie import (NystromMesh, double_layer, dtn_matrix,
                          fundamental_solution, modified_double_layer,
                          normal_derivative, single_layer, solve_forward)
 from eitdisk.dtn import gap_from_lambda0, to_real_trig_basis
-from eitdisk.exceptions import CoincidentPoints, UnsupportedSelfInteraction
+from eitdisk.exceptions import (CoincidentPoints, SingularSystem,
+                                UnsupportedSelfInteraction)
 from eitdisk.geometry import BoundaryCurve
 
 
@@ -287,6 +289,72 @@ class TestForwardSolver:
             errors.append(np.max(np.abs(flux - want_coef * f)))
         assert errors[0] / max(errors[1], 1e-16) > 1e2
         assert errors[1] / max(errors[2], 1e-16) > 1e2
+
+
+    def test_voltage_columns_match_single_solves(self):
+        outer = unit_mesh()
+        inner = NystromMesh(BoundaryCurve.ellipse(0.5, 0.3), 48, "inner")
+        gamma = 2.0 - np.sin(inner.theta) ** 4
+        f = np.column_stack([np.cos(k * outer.theta) for k in range(1, 6)]
+                            + [np.sin(k * outer.theta) for k in range(1, 6)])
+        sol = solve_forward(outer, inner, "impedance", f, gamma)
+        assert sol.phi.shape == (64, 10) and sol.psi.shape == (48, 10)
+        flux, trace = sol.outer_flux(), sol.inner_trace()
+        for j in range(f.shape[1]):
+            one = solve_forward(outer, inner, "impedance", f[:, j], gamma)
+            assert np.max(np.abs(flux[:, j] - one.outer_flux())) < 1e-12
+            assert np.max(np.abs(trace[:, j] - one.inner_trace())) < 1e-12
+
+    def test_voltage_shape_rejected(self):
+        outer, inner = unit_mesh(), inner_circle(32, 0.5)
+        with pytest.raises(ValueError, match="voltage"):
+            solve_forward(outer, inner, "dirichlet", np.ones((32, 2)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_gamma_rejected(self, bad):
+        outer, inner = unit_mesh(), inner_circle(32, 0.5)
+        gamma = np.full(32, 2.0)
+        gamma[5] = bad
+        with pytest.raises(ValueError, match="gamma"):
+            solve_forward(outer, inner, "impedance", np.cos(outer.theta), gamma)
+
+
+class TestFactorization:
+    @staticmethod
+    def readme_block():
+        # the forward block of the README example: 64 outer, 32 inner nodes
+        return bie._forward_blocks(unit_mesh(64), inner_circle(32, 0.5),
+                                   "dirichlet", None)
+
+    def test_condition_estimate_brackets_two_norm_condition(self):
+        a = self.readme_block()
+        _, estimate = bie._factorize(a, "forward", bie._COND_LIMIT)
+        k2 = np.linalg.cond(a)
+        n = a.shape[0]
+        assert k2 / n <= estimate <= n * k2
+
+    @pytest.mark.parametrize("damage", ["repeat_row", "nan_entry"])
+    def test_singular_block_raises_with_condition(self, monkeypatch, damage):
+        real = bie._forward_blocks
+
+        def damaged(*args):
+            a = real(*args)
+            if damage == "repeat_row":
+                a[3] = a[7]
+            else:
+                a[3, 7] = np.nan
+            return a
+
+        monkeypatch.setattr(bie, "_forward_blocks", damaged)
+        outer = unit_mesh(64)
+        with pytest.raises(SingularSystem) as info:
+            solve_forward(outer, inner_circle(32, 0.5), "dirichlet", np.cos(outer.theta))
+        assert not info.value.condition <= bie._COND_LIMIT
+
+    def test_fourier_basis_factorizes_once(self, lu_factor_calls):
+        outer, inner = unit_mesh(64), inner_circle(32, 0.5)
+        dtn_matrix(outer, inner, "dirichlet", basis="fourier", modes=np.arange(-10, 11))
+        assert lu_factor_calls == [(96, 96)]
 
 
 class TestDtnMatrix:

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from eitdisk.cli import main
+from eitdisk.cli import _gamma_values, main
 from eitdisk.io import read_curve, read_dtn, read_indicator
 
 
@@ -106,3 +106,47 @@ def test_verify_passes_and_flipped_sign_fails(capsys):
     assert main(["verify", "--flip-kernel-sign"]) != 0
     out = capsys.readouterr().out
     assert "FAIL" in out
+
+
+THETA = 2 * np.pi * np.arange(32) / 32
+
+
+def test_gamma_expression_values_unchanged():
+    got = _gamma_values("2 - sin(theta)**4", THETA)
+    assert np.array_equal(got, 2 - np.sin(THETA) ** 4)
+
+
+@pytest.mark.parametrize("expr", [
+    '[c.__name__ for c in ().__class__.__base__.__subclasses__()]'
+    '.index("BuiltinImporter")+0*theta',
+    "theta.real",
+    "theta[0] + theta",
+    "(lambda t: t)(theta)",
+    "sin([t for t in theta])",
+    "__import__('os')",
+    "sin(theta, theta)",
+    "pi(theta)",
+    "2 +",
+])
+def test_gamma_expression_whitelist(expr):
+    theta = THETA.copy()
+    with pytest.raises(ValueError):
+        _gamma_values(expr, theta)
+    assert np.array_equal(theta, THETA)
+
+
+@pytest.mark.parametrize("expr", ["sqrt(theta - 3)", "1/(theta-theta)"])
+def test_non_finite_gamma_exits_with_message(tmp_path, circle_file, capfd, expr):
+    rc = main(["forward", "--geometry", circle_file, "--bc", "impedance",
+               "--gamma", expr, "--basis", "collocation:32",
+               "--out", str(tmp_path / "dtn.json")])
+    assert rc == 2
+    err = capfd.readouterr().err
+    assert "gamma" in err and "DLASCL" not in err
+
+
+def test_impedance_factorizes_simulation_and_completion_once(
+        tmp_path, ellipse_file, lu_factor_calls):
+    assert main(["impedance", "--geometry", ellipse_file,
+                 "--out", str(tmp_path / "g.csv")]) == 0
+    assert lu_factor_calls == [(128, 128), (64, 64)]

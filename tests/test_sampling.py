@@ -163,6 +163,17 @@ class TestScan:
         assert contrast(scan(gap, grid, reg)) > contrast(
             scan(gap, grid, reg, noise=(0.05, 1)))
 
+    def test_noisy_sobolev_scan_ignores_earlier_indicator_calls(self):
+        # an indicator call on the clean gap must not leave a decomposition
+        # behind that a later noisy scan of the same gap reuses
+        reg = RegStrategy.tikhonov_discrepancy(0.05)
+        grid = GridSpec.square(9)
+        fresh = scan(colloc_gap(), grid, reg, noise=(0.05, 1), norm="sobolev_half")
+        gap = colloc_gap()
+        indicator(gap, (0.2, 0.0), reg)
+        after = scan(gap, grid, reg, noise=(0.05, 1), norm="sobolev_half")
+        assert np.array_equal(after.values, fresh.values, equal_nan=True)
+
     def test_discrepancy_alpha_columns_match_scalar_path(self):
         gap = colloc_gap()
         reg = RegStrategy.tikhonov_discrepancy(0.03, 1.5)
