@@ -11,8 +11,8 @@ from .annulus import (AnnulusConfig, annulus_potential, disk_potential,
                       gap_operator, inner_flux_coefficient,
                       inner_trace_coefficient, reflection_coefficient,
                       truncation_error)
-from .bie import (ForwardSolution, LayerOperator, NystromMesh, double_layer,
-                  dtn_matrix, fundamental_solution, modified_double_layer,
+from .bie import (ForwardSolution, NystromMesh, double_layer, dtn_matrix,
+                  fundamental_solution, modified_double_layer,
                   normal_derivative, single_layer, solve_forward)
 from .completion import (CauchyPair, CompletionSystem, GammaReconstruction,
                          assemble_completion, complete_cauchy,

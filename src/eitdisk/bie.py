@@ -40,13 +40,12 @@ import numpy as np
 import scipy.linalg as la
 
 from .dtn import DtnOperator
-from .exceptions import CoincidentPoints, SingularSystem, UnsupportedSelfInteraction
+from .exceptions import CoincidentPoints, SingularSystem
 from .geometry import BoundaryCurve
 from .regularization import perturb_vector
 
 __all__ = [
     "NystromMesh",
-    "LayerOperator",
     "fundamental_solution",
     "kress_log_weights",
     "spectral_diff_matrix",
@@ -118,19 +117,6 @@ class NystromMesh:
         return int(winding) == 1
 
 
-@dataclass(frozen=True)
-class LayerOperator:
-    """Dense quadrature matrix of one layer potential, target rows by source columns."""
-
-    kind: str
-    matrix: np.ndarray
-    source: NystromMesh
-    target: object = None
-
-    def __matmul__(self, density):
-        return self.matrix @ density
-
-
 def fundamental_solution(x, y):
     """Free-space kernel ``-log|x-y|/(2 pi)``; raises on coincident points."""
     x = np.asarray(x, dtype=float)
@@ -188,8 +174,7 @@ def double_layer(source, target, factor2=True):
     if tmesh is source:
         idx = np.arange(source.n)
         ker[idx, idx] = -source.curvature / (4.0 * np.pi)
-    mat = fac * ker * source.arc_weights()[None, :]
-    return LayerOperator("double_layer", mat, source, target)
+    return fac * ker * source.arc_weights()[None, :]
 
 
 def modified_double_layer(source, target, modification="monopole", factor2=True):
@@ -221,8 +206,7 @@ def modified_double_layer(source, target, modification="monopole", factor2=True)
         extra = np.log(r)[:, None] * w[None, :]
     else:
         raise ValueError(f"unknown modification {modification!r}")
-    return LayerOperator("modified_double_layer", base.matrix + fac * extra,
-                         source, target)
+    return base + fac * extra
 
 
 def single_layer(source, target):
@@ -237,10 +221,8 @@ def single_layer(source, target):
         r2 = np.einsum("ijk,ijk->ij", d, d)
         if np.any(r2 == 0):
             raise CoincidentPoints("single layer target coincides with a source node")
-        mat = -np.log(r2) / (4.0 * np.pi) * source.arc_weights()[None, :]
-        return LayerOperator("single_layer", mat, source, target)
-    mat = _single_layer_log_split(source) * source.jacobians[None, :]
-    return LayerOperator("single_layer", mat, source, source)
+        return -np.log(r2) / (4.0 * np.pi) * source.arc_weights()[None, :]
+    return _single_layer_log_split(source) * source.jacobians[None, :]
 
 
 def _single_layer_log_split(source):
@@ -258,7 +240,7 @@ def _single_layer_log_split(source):
 
 
 def normal_derivative(source, target, of="double_layer", factor2=None,
-                      modification="monopole", method="auto"):
+                      modification="monopole"):
     """Normal derivative of a layer potential at target-mesh nodes.
 
     The derivative direction is the *target curve's outward* normal.  For
@@ -266,8 +248,7 @@ def normal_derivative(source, target, of="double_layer", factor2=None,
     requests are supported for ``single_layer`` (continuous part only, the
     ``-+ phi/2`` jump is left to the caller) and for the double layers, where
     the hypersingular kernel is reduced to tangential derivatives of the
-    single layer (``method="maue"``); a ``method="direct"`` request for a
-    same-curve double layer raises :class:`UnsupportedSelfInteraction`.
+    single layer (Maue's identity).
     """
     if factor2 is None:
         factor2 = of != "single_layer"
@@ -284,16 +265,12 @@ def normal_derivative(source, target, of="double_layer", factor2=None,
         if same:
             idx = np.arange(source.n)
             ker[idx, idx] = -source.curvature / (4.0 * np.pi)
-        mat = fac * ker * source.arc_weights()[None, :]
-        return LayerOperator("nd_single_layer", mat, source, target)
+        return fac * ker * source.arc_weights()[None, :]
 
     if of not in ("double_layer", "modified_double_layer"):
         raise ValueError(f"unknown layer kind {of!r}")
 
     if same:
-        if method == "direct":
-            raise UnsupportedSelfInteraction(
-                "same-curve hypersingular assembly requires the regularized path")
         mat = fac * _hypersingular_maue(source)
     else:
         d = target.points[:, None, :] - source.points[None, :, :]
@@ -308,7 +285,7 @@ def normal_derivative(source, target, of="double_layer", factor2=None,
         r2 = (target.points**2).sum(axis=1)
         dlog = np.einsum("ik,ik->i", target.points, target.normals) / r2
         mat = mat + fac * dlog[:, None] * source.arc_weights()[None, :]
-    return LayerOperator(f"nd_{of}", mat, source, target)
+    return mat
 
 
 def _hypersingular_maue(source):
@@ -342,38 +319,38 @@ class ForwardSolution:
     def potential(self, points):
         """Evaluate the represented potential at interior points."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        dm = double_layer(self.outer, pts).matrix
-        si = single_layer(self.inner, pts).matrix
+        dm = double_layer(self.outer, pts)
+        si = single_layer(self.inner, pts)
         return dm @ self.phi + si @ self.psi
 
     def outer_flux(self):
         """Current ``d u / d nu`` on the outer boundary (outward normal)."""
-        tmm = normal_derivative(self.outer, self.outer, of="double_layer").matrix
-        kim = normal_derivative(self.inner, self.outer, of="single_layer").matrix
+        tmm = normal_derivative(self.outer, self.outer, of="double_layer")
+        kim = normal_derivative(self.inner, self.outer, of="single_layer")
         return tmm @ self.phi + kim @ self.psi
 
     def inner_trace(self):
         """Potential on the inclusion boundary."""
-        kmi = double_layer(self.outer, self.inner).matrix
-        sii = single_layer(self.inner, self.inner).matrix
+        kmi = double_layer(self.outer, self.inner)
+        sii = single_layer(self.inner, self.inner)
         return kmi @ self.phi + sii @ self.psi
 
     def inner_flux(self):
         """Current on the inclusion boundary with the normal into the inclusion."""
-        tmi = normal_derivative(self.outer, self.inner, of="double_layer").matrix
-        kpii = normal_derivative(self.inner, self.inner, of="single_layer").matrix
+        tmi = normal_derivative(self.outer, self.inner, of="double_layer")
+        kpii = normal_derivative(self.inner, self.inner, of="single_layer")
         half = 0.5 * np.eye(self.inner.n)
         return -(tmi @ self.phi + (kpii - half) @ self.psi)
 
 
 def _forward_blocks(outer, inner, bc, gamma):
     n_m, n_i = outer.n, inner.n
-    kmm = double_layer(outer, outer).matrix
-    sim = single_layer(inner, outer).matrix
+    kmm = double_layer(outer, outer)
+    sim = single_layer(inner, outer)
     a11 = kmm - np.eye(n_m)
     if bc == "dirichlet":
-        a21 = double_layer(outer, inner).matrix
-        a22 = single_layer(inner, inner).matrix
+        a21 = double_layer(outer, inner)
+        a22 = single_layer(inner, inner)
     elif bc == "impedance":
         if gamma is None:
             raise ValueError("impedance condition needs gamma values at inner nodes")
@@ -384,10 +361,10 @@ def _forward_blocks(outer, inner, bc, gamma):
             raise ValueError("gamma must be finite at every inner node")
         if np.any(g < 0):
             raise ValueError("gamma must be nonnegative")
-        kmi = double_layer(outer, inner).matrix
-        sii = single_layer(inner, inner).matrix
-        tmi = normal_derivative(outer, inner, of="double_layer").matrix
-        kpii = normal_derivative(inner, inner, of="single_layer").matrix
+        kmi = double_layer(outer, inner)
+        sii = single_layer(inner, inner)
+        tmi = normal_derivative(outer, inner, of="double_layer")
+        kpii = normal_derivative(inner, inner, of="single_layer")
         a21 = -tmi + g[:, None] * kmi
         a22 = -kpii + 0.5 * np.eye(n_i) + g[:, None] * sii
     else:

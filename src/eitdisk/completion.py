@@ -110,10 +110,10 @@ def assemble_completion(outer, inner, modification="monopole",
     inclusion boundary is itself reconstructed and therefore uncertain.
     """
     n_m, n_i = outer.n, inner.n
-    kmm = double_layer(outer, outer).matrix
-    kim = modified_double_layer(inner, outer, modification).matrix
-    kmi = double_layer(outer, inner).matrix
-    kii = modified_double_layer(inner, inner, modification).matrix
+    kmm = double_layer(outer, outer)
+    kim = modified_double_layer(inner, outer, modification)
+    kmi = double_layer(outer, inner)
+    kii = modified_double_layer(inner, inner, modification)
     block = np.block([[np.eye(n_m) - kmm, -kim],
                       [kmi, np.eye(n_i) + kii]])
 
@@ -132,9 +132,9 @@ def assemble_completion(outer, inner, modification="monopole",
         lu, condition = _factorize(block, "completion trace", _COND_LIMIT)
         block_inverse = la.lu_solve(lu, np.eye(n_m + n_i))
 
-    tmm = normal_derivative(outer, outer, of="double_layer").matrix
+    tmm = normal_derivative(outer, outer, of="double_layer")
     tim = normal_derivative(inner, outer, of="modified_double_layer",
-                            modification=modification).matrix
+                            modification=modification)
     flux_row = np.concatenate([tmm, tim], axis=1)
     composed = flux_row @ block_inverse
     response = -composed[:, :n_m]
@@ -159,18 +159,18 @@ def predicted_current(system, f, inner_trace):
 def interior_potential(system, f, inner_trace, points):
     """Evaluate the completed potential at interior points."""
     phi, psi = _densities(system, f, inner_trace)
-    dm = double_layer(system.outer, np.atleast_2d(points)).matrix
+    dm = double_layer(system.outer, np.atleast_2d(points))
     di = modified_double_layer(system.inner, np.atleast_2d(points),
-                               system.modification).matrix
+                               system.modification)
     return dm @ phi + di @ psi
 
 
 def inner_current(system, phi, psi):
     """Current on the inclusion boundary, normal pointing into the inclusion."""
     inner = system.inner
-    tmi = normal_derivative(system.outer, inner, of="double_layer").matrix
+    tmi = normal_derivative(system.outer, inner, of="double_layer")
     tii = normal_derivative(inner, inner, of="modified_double_layer",
-                            modification=system.modification).matrix
+                            modification=system.modification)
     return -(tmi @ phi + tii @ psi)
 
 
@@ -181,9 +181,11 @@ def complete_cauchy(system, pair, reg, residual_guard=10.0):
     regularization strategy is mandatory.  Noise-tied strategies measure the
     absolute noise against the measured current (its expected perturbation
     magnitude under the uniform model), scaled by the system's model-error
-    factor.  Raises :class:`NoiseDominates` when that level exceeds the data
-    content of the completion equation, and :class:`ResidualTooLarge` when the
-    post-fit residual is inconsistent with the declared noise.
+    factor.  When that level reaches the data content of the completion
+    equation, nothing rises above the noise: the trace and current returned
+    are zero and ``info["noise_dominated"]`` is true.  Raises
+    :class:`ResidualTooLarge` when the post-fit residual (the solve's
+    ``info["residual"]``) is inconsistent with the declared noise.
     """
     f, g = pair.f, pair.g
     if f.shape != (system.outer.n,):
@@ -191,7 +193,7 @@ def complete_cauchy(system, pair, reg, residual_guard=10.0):
     b = g - system.response @ f
 
     delta_abs = None
-    level = pair.noise_level if pair.noise_level else getattr(reg, "noise_level", None)
+    level = pair.noise_level if pair.noise_level else reg.noise_level
     if level:
         delta_abs = system.model_error_factor * expected_noise_norm(g, level)
         if reg.kind in ("tikhonov", "cutoff") and reg.alpha is None and reg.tau is None:
@@ -203,7 +205,7 @@ def complete_cauchy(system, pair, reg, residual_guard=10.0):
     trace, info = regularized_solve(system.svd, b, reg, delta_abs=delta_abs)
 
     if pair.noise_level and delta_abs:
-        residual = float(np.linalg.norm(system.completion @ trace - b))
+        residual = info["residual"]
         if residual > residual_guard * delta_abs:
             raise ResidualTooLarge(
                 f"completion residual {residual:.3e} exceeds "

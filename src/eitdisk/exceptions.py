@@ -21,10 +21,6 @@ class CoincidentPoints(EitDiskError):
     """Kernel evaluation requested at coincident source and target."""
 
 
-class UnsupportedSelfInteraction(EitDiskError):
-    """Requested a singular self-interaction without a regularized scheme."""
-
-
 class SingularSystem(EitDiskError):
     """A dense solve hit a numerically singular matrix."""
 

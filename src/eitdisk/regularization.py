@@ -1,15 +1,26 @@
 """SVD-based regularization and the two noise models used in the experiments.
 
-Tikhonov solutions are evaluated through the singular value decomposition so
-they remain meaningful on rank-deficient systems: the minimizer of
-``|A x - b|^2 + alpha |x|^2`` is ``sum_i s_i/(alpha + s_i^2) (u_i . b) v_i``.
-The penalty weight can be chosen by the Morozov discrepancy principle, i.e.
-as the root of ``|A x_alpha - b| = target``, which is monotone increasing in
-``alpha`` and is bracketed here on ``[1e-14 s1^2, s1^2]``.
+Every regularized solve goes through one column kernel,
+:func:`spectral_filter`: from ``beta = U^H b`` for a block of right-hand sides
+it returns real filter factors ``F``, with solutions ``x = Vh^H (F * beta)``,
+and per column the chosen penalty or kept rank and the residual:
 
-The spectral cutoff alternative keeps the singular triplets with
-``s_i >= tau * s_1`` (or above an absolute, noise-tied threshold) and applies
-the plain pseudoinverse on that subspace.
+- Tikhonov: ``F_i = s_i/(alpha + s_i^2)`` minimizes
+  ``|A x - b|^2 + alpha |x|^2``, also on rank-deficient systems.  ``alpha`` is
+  explicit or chosen per column by the Morozov discrepancy principle, the
+  root of ``|A x_alpha - b| = target``.  That residual increases with
+  ``alpha``, so 60 bisection steps on ``log alpha`` over ``[1e-14 s1^2, s1^2]``
+  resolve it to rounding for all columns at once (Engl, Hanke & Neubauer,
+  1996, ch. 4).
+- Spectral cutoff: ``F_i = 1/s_i`` on the singular triplets with
+  ``s_i >= tau * s_1``, or above an absolute, noise-tied threshold per
+  column, and zero elsewhere.
+- None: the plain inverse ``F_i = 1/s_i`` of a nonsingular system.
+
+:func:`regularized_solve` applies the kernel to one vector or a matrix of
+columns; :func:`tikhonov_solve`, :func:`discrepancy_alpha` and
+:func:`cutoff_solve` are one-strategy calls of it, and the sampling scan runs
+it over blocks of grid points.
 
 Noise models: multiplicative entrywise perturbations ``A (1 + delta E)`` with
 a zero-mean uniform matrix scaled to unit spectral norm, and the vector
@@ -28,6 +39,7 @@ from .exceptions import AllModesCutWarning, NoiseDominates, SingularSystem
 __all__ = [
     "SvdFactorization",
     "RegStrategy",
+    "spectral_filter",
     "tikhonov_solve",
     "discrepancy_alpha",
     "cutoff_solve",
@@ -38,6 +50,8 @@ __all__ = [
 ]
 
 _ALPHA_FLOOR = 1e-14  # bottom of the discrepancy bracket, relative to s1^2
+# halvings of the 1e14-wide log bracket: 57 reach double rounding, 60 leave margin
+_BISECTION_STEPS = 60
 
 
 @dataclass(frozen=True)
@@ -52,12 +66,6 @@ class SvdFactorization:
     def from_matrix(cls, a):
         u, s, vh = np.linalg.svd(np.asarray(a), full_matrices=False)
         return cls(u, s, vh)
-
-    @property
-    def rank(self):
-        if self.s[0] == 0:
-            return 0
-        return int(np.sum(self.s > self.s[0] * np.finfo(float).eps * max(self.u.shape)))
 
     def project(self, b):
         """Coefficients of ``b`` in the left singular basis."""
@@ -112,53 +120,127 @@ class RegStrategy:
         return cls("none")
 
 
+def spectral_filter(s, beta, b2, reg, delta_abs=None):
+    """Filter factors of one strategy for right-hand-side columns.
+
+    ``s`` are the singular values, ``beta = U^H b`` the coefficients of the
+    columns ``b`` (shape ``(k, P)``), ``b2`` their squared norms and
+    ``delta_abs`` the absolute noise per column (default
+    ``reg.noise_level * |b|``).  Returns the real filter ``F``, with solutions
+    ``x = Vh^H (F * beta)``, and per-column arrays ``alpha`` and/or ``rank``
+    and ``residual = |A x - b|``.  A column whose cutoff removes every mode
+    gets rank 0 and a zero filter; the caller warns, once per solve.
+    """
+    beta2 = np.abs(beta)
+    beta2 *= beta2  # in place here and below: few (k, P) buffers live at once
+    b_perp2 = b2 - beta2.sum(axis=0)
+    # below the rounding of that difference the orthogonal part is noise
+    b_perp2 = np.where(b_perp2 > len(s) * np.finfo(float).eps * b2, b_perp2, 0.0)
+    s_col = s[:, None]
+    target = None
+    if reg.kind in ("tikhonov", "cutoff") and reg.alpha is None and reg.tau is None:
+        if delta_abs is None:
+            delta_abs = reg.noise_level * np.sqrt(b2)
+        target = reg.safety * np.broadcast_to(delta_abs, b2.shape)
+    if reg.kind == "tikhonov":
+        if target is None:
+            alpha = np.full(b2.shape, float(reg.alpha))
+        else:
+            alpha = _discrepancy_bisection(s**2, beta2, b_perp2, b2, target**2)
+        comp = alpha + s_col**2  # turned into 1 - s F, the residual's filter
+        filt = s_col / comp
+        np.divide(alpha, comp, out=comp)
+        info = {"alpha": alpha}
+    else:
+        if reg.kind == "cutoff":
+            thr = reg.tau * s[0] if target is None else target
+        elif reg.kind == "none":
+            if not len(s) or s[-1] <= s[0] * 1e-14:
+                raise SingularSystem("unregularized solve of a singular system",
+                                     condition=np.inf)
+            thr = 0.0
+        else:
+            raise ValueError(f"unknown strategy kind {reg.kind!r}")
+        keep = s_col >= np.broadcast_to(thr, b2.shape)
+        filt = keep * np.divide(1.0, s_col, out=np.zeros_like(s_col), where=s_col > 0)
+        comp = 1.0 - keep
+        info = {"rank": keep.sum(axis=0)}
+        if reg.kind == "none":
+            info["alpha"] = np.zeros(b2.shape)
+    comp *= comp
+    comp *= beta2
+    info["residual"] = np.sqrt(comp.sum(axis=0) + b_perp2)
+    return filt, info
+
+
+def _discrepancy_bisection(s2, beta2, b_perp2, b2, t2):
+    """Per-column root of ``|A x_alpha - b|^2 = t2`` on ``[1e-14 s1^2, s1^2]``.
+
+    A column whose target is not reached inside the bracket gets the nearer
+    endpoint.  Raises :class:`NoiseDominates` when a target reaches the data
+    norm, where no fit is meaningful.
+    """
+    if np.any(t2 >= b2):
+        raise NoiseDominates(f"discrepancy target reaches |b| in "
+                             f"{int(np.sum(t2 >= b2))} of {len(b2)} column(s)")
+
+    def res2(alpha):
+        f = s2[:, None] + alpha  # in place from here: one (k, P) buffer per step
+        np.divide(alpha, f, out=f)
+        f *= f
+        return np.einsum("ij,ij->j", f, beta2) + b_perp2
+
+    lo = np.full(len(b2), _ALPHA_FLOOR * s2[0])
+    hi = np.full(len(b2), s2[0])
+    r_lo, r_hi = res2(lo), res2(hi)
+    bracketed = (r_lo < t2) & (r_hi > t2)
+    outside = np.where(r_lo >= t2, lo, hi)
+    for _ in range(_BISECTION_STEPS):
+        mid = np.sqrt(lo * hi)
+        below = res2(mid) < t2
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return np.where(bracketed, np.sqrt(lo * hi), outside)
+
+
+def regularized_solve(svd, b, reg, delta_abs=None):
+    """Solve for one right-hand side ``(n,)`` or columns ``(n, P)``.
+
+    ``delta_abs`` supplies the absolute noise magnitude for noise-tied
+    strategies (scalar or one per column); by default it is
+    ``reg.noise_level * |b|`` per column.  Returns the solution(s) and a
+    diagnostics dict (chosen alpha and/or kept rank, residual ``|A x - b|``),
+    holding scalars for a vector ``b`` and per-column arrays otherwise.
+    Warns :class:`AllModesCutWarning` once when a cutoff removes every mode
+    of some column, whose solution is then zero.
+    """
+    b = np.asarray(b)
+    cols = b.reshape(len(b), -1)
+    beta = svd.project(cols)
+    filt, info = spectral_filter(svd.s, beta, np.sum(np.abs(cols) ** 2, axis=0),
+                                 reg, delta_abs)
+    if "rank" in info and np.any(info["rank"] == 0):
+        warnings.warn("cutoff removed every singular mode", AllModesCutWarning)
+    x = svd.vh.conj().T @ (filt * beta)
+    if b.ndim == 1:
+        return x[:, 0], {k: v[0].item() for k, v in info.items()}
+    return x, info
+
+
 def tikhonov_solve(svd, b, alpha):
     """Penalized least-squares solution through the SVD filter."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    beta = svd.project(b)
-    return svd.vh.conj().T @ (svd.s / (alpha + svd.s**2) * beta)
-
-
-def _residual_profile(svd, b):
-    beta = svd.project(b)
-    beta2 = np.abs(beta) ** 2
-    b_perp2 = max(float(np.linalg.norm(b) ** 2 - beta2.sum()), 0.0)
-    return beta2, b_perp2
+    return regularized_solve(svd, b, RegStrategy.tikhonov(alpha))[0]
 
 
 def discrepancy_alpha(svd, b, delta_abs, safety=1.5):
-    """Penalty weight with residual ``safety * delta_abs``, by bisection.
+    """Penalty weight with residual ``safety * delta_abs``.
 
-    The residual norm ``sqrt(sum (alpha/(alpha+s^2))^2 |u.b|^2 + |b_perp|^2)``
-    increases monotonically with ``alpha``; bisection on ``log alpha`` over
-    ``[1e-14 s1^2, s1^2]`` resolves the root essentially to rounding.  When
-    the target cannot be reached inside the bracket the nearer endpoint is
-    returned.  Raises :class:`NoiseDominates` when the target exceeds the
-    data norm, in which case no fit is meaningful.
+    The nearer bracket endpoint when the target is out of reach; raises
+    :class:`NoiseDominates` when the target reaches ``|b|``.
     """
-    target = safety * delta_abs
-    bnorm = float(np.linalg.norm(b))
-    if target >= bnorm:
-        raise NoiseDominates(f"discrepancy target {target:.3e} >= |b| {bnorm:.3e}")
-    beta2, b_perp2 = _residual_profile(svd, b)
-    s2 = svd.s**2
-
-    def residual(alpha):
-        return np.sqrt(np.sum((alpha / (alpha + s2)) ** 2 * beta2) + b_perp2)
-
-    lo, hi = _ALPHA_FLOOR * s2[0], s2[0]
-    if residual(lo) >= target:
-        return lo
-    if residual(hi) <= target:
-        return hi
-    for _ in range(80):
-        mid = np.sqrt(lo * hi)
-        if residual(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    return np.sqrt(lo * hi)
+    _, info = regularized_solve(svd, b, RegStrategy("tikhonov", safety=safety),
+                                delta_abs=delta_abs)
+    return info["alpha"]
 
 
 def cutoff_solve(svd, b, tau_rel=None, tau_abs=None):
@@ -169,53 +251,8 @@ def cutoff_solve(svd, b, tau_rel=None, tau_abs=None):
     """
     if (tau_rel is None) == (tau_abs is None):
         raise ValueError("pass exactly one of tau_rel, tau_abs")
-    thr = tau_abs if tau_abs is not None else tau_rel * svd.s[0]
-    keep = svd.s >= thr
-    if not keep.any():
-        warnings.warn("cutoff removed every singular mode", AllModesCutWarning)
-        return np.zeros(svd.vh.shape[1], dtype=np.result_type(svd.vh, b))
-    beta = svd.u[:, keep].conj().T @ np.asarray(b)
-    return svd.vh[keep].conj().T @ (beta / svd.s[keep])
-
-
-def regularized_solve(svd, b, reg, delta_abs=None):
-    """Dispatch a right-hand side through the chosen strategy.
-
-    ``delta_abs`` supplies the absolute noise magnitude for noise-tied
-    strategies; by default it is ``reg.noise_level * |b|``.  Returns the
-    solution and a diagnostics dict (chosen alpha or kept rank, residual).
-    """
-    b = np.asarray(b)
-    if reg.kind == "none":
-        smin = svd.s[-1] if len(svd.s) else 0.0
-        if smin <= svd.s[0] * 1e-14:
-            raise SingularSystem("unregularized solve of a singular system",
-                                 condition=np.inf)
-        x = svd.vh.conj().T @ (svd.project(b) / svd.s)
-        info = {"alpha": 0.0, "rank": len(svd.s)}
-    elif reg.kind == "tikhonov":
-        if reg.alpha is not None:
-            alpha = reg.alpha
-        else:
-            if delta_abs is None:
-                delta_abs = reg.noise_level * float(np.linalg.norm(b))
-            alpha = discrepancy_alpha(svd, b, delta_abs, reg.safety)
-        x = tikhonov_solve(svd, b, alpha)
-        info = {"alpha": float(alpha)}
-    elif reg.kind == "cutoff":
-        if reg.tau is not None:
-            x = cutoff_solve(svd, b, tau_rel=reg.tau)
-            info = {"rank": int(np.sum(svd.s >= reg.tau * svd.s[0]))}
-        else:
-            if delta_abs is None:
-                delta_abs = reg.noise_level * float(np.linalg.norm(b))
-            thr = reg.safety * delta_abs
-            x = cutoff_solve(svd, b, tau_abs=thr)
-            info = {"rank": int(np.sum(svd.s >= thr))}
-    else:
-        raise ValueError(f"unknown strategy kind {reg.kind!r}")
-    info["residual"] = float(np.linalg.norm((svd.u * svd.s) @ (svd.vh @ x) - b))
-    return x, info
+    reg = RegStrategy("cutoff", tau=tau_rel, safety=1.0)
+    return regularized_solve(svd, b, reg, delta_abs=tau_abs)[0]
 
 
 def perturb_matrix(a, delta, seed):

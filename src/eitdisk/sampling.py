@@ -14,6 +14,12 @@ only when ``z`` lies inside the inclusion, so the reciprocal solution norm
 drops sharply outside it.  This module solves the regularized equation over a
 grid, extracts a level set of ``W`` by marching squares, and fits the level
 set with a trigonometric-polynomial curve.
+
+A scan decomposes the (possibly perturbed) operator once and sends the
+unmasked points through :func:`eitdisk.regularization.spectral_filter` in
+blocks of ``_CHUNK`` columns.  The l2 norm comes from the real filter and
+``|U^H b|^2``; the ``sobolev_half`` norm weights the Fourier coefficients of
+the solution block.  :func:`indicator` does the same for one point.
 """
 
 from __future__ import annotations
@@ -25,10 +31,10 @@ import numpy as np
 
 from .dtn import DtnOperator
 from .exceptions import (AllModesCutWarning, DegenerateFit, NoContour,
-                         SingularSystem, TooCloseToBoundary)
+                         TooCloseToBoundary)
 from .geometry import BoundaryCurve
 from .regularization import (RegStrategy, SvdFactorization, perturb_matrix,
-                             regularized_solve)
+                             regularized_solve, spectral_filter)
 
 __all__ = [
     "RADIUS_MASK",
@@ -46,6 +52,8 @@ __all__ = [
 
 # points with |z| beyond this radius are never sampled (near-singular data)
 RADIUS_MASK = 0.9
+# grid points per kernel call: keeps each (modes x points) work array to a few MB
+_CHUNK = 8192
 
 
 @dataclass(frozen=True)
@@ -104,23 +112,25 @@ def poisson_kernel(z, theta):
     return (1.0 - r**2) / (2.0 * np.pi * (r**2 + 1.0 - 2.0 * r * np.cos(theta - tz)))
 
 
-def poisson_coefficients(z, modes):
-    """Fourier coefficients ``|z|^|n| exp(-i n theta_z) / (2 pi)``."""
-    z = np.asarray(z, dtype=float)
-    r = float(np.hypot(z[0], z[1]))
-    tz = float(np.arctan2(z[1], z[0]))
-    modes = np.asarray(modes, dtype=int)
-    return r ** np.abs(modes) * np.exp(-1j * modes * tz) / (2.0 * np.pi)
-
-
 def poisson_rhs(z, op: DtnOperator):
     """Right-hand side of the current-gap equation in the operator's basis."""
     z = np.asarray(z, dtype=float)
     if np.hypot(z[0], z[1]) > RADIUS_MASK:
         raise TooCloseToBoundary(f"|z| > {RADIUS_MASK} is not sampled")
-    if op.basis == "collocation":
-        return poisson_kernel(z, op.nodes)
-    return poisson_coefficients(z, op.modes)
+    return _rhs_columns(op, z[None, :])[:, 0]
+
+
+def _rhs_columns(gap, pts):
+    """Right-hand sides for points of shape ``(P, 2)``, one column per point."""
+    r = np.hypot(pts[:, 0], pts[:, 1])
+    tz = np.arctan2(pts[:, 1], pts[:, 0])
+    if gap.basis == "collocation":
+        theta = gap.nodes
+        return (1.0 - r**2)[None, :] / (
+            2.0 * np.pi * (r**2 + 1.0 - 2.0 * r[None, :] * np.cos(theta[:, None] - tz[None, :])))
+    modes = gap.modes
+    return (r[None, :] ** np.abs(modes)[:, None]
+            * np.exp(-1j * np.outer(modes, tz)) / (2.0 * np.pi))
 
 
 def solve_current_gap(gap: DtnOperator, z, reg: RegStrategy):
@@ -135,62 +145,51 @@ def solve_current_gap(gap: DtnOperator, z, reg: RegStrategy):
     return regularized_solve(SvdFactorization.from_matrix(gap.matrix), b, reg)
 
 
-def _solution_norm(x, gap, norm):
+def _solution_norms(svd, filt, beta, gap, norm):
+    """Norms of the solutions ``Vh^H (filt * beta)``, one per column."""
     if norm == "l2":
-        return float(np.linalg.norm(x))
+        return np.sqrt(np.einsum("ij,ij,ij->j", filt, filt, np.abs(beta) ** 2))
     if norm != "sobolev_half":
         raise ValueError(f"unknown norm {norm!r}")
+    x = svd.vh.conj().T @ (filt * beta)
     if gap.basis == "fourier":
         modes = gap.modes
-        coeffs = x
     else:
-        n = gap.n
-        coeffs = np.fft.fft(x) / n
-        modes = np.fft.fftfreq(n, 1.0 / n).astype(int)
+        x = np.fft.fft(x, axis=0) / gap.n
+        modes = np.fft.fftfreq(gap.n, 1.0 / gap.n)
     w = (1.0 + modes.astype(float) ** 2) ** 0.5
-    return float(np.sqrt(np.sum(w * np.abs(coeffs) ** 2)))
+    return np.sqrt(w @ np.abs(x) ** 2)
+
+
+def _indicator_values(svd, gap, pts, reg, norm):
+    """Indicator at points ``(P, 2)``, evaluated in blocks of ``_CHUNK`` columns.
+
+    A point whose cutoff removes every mode has a zero solution and gets NaN;
+    one :class:`AllModesCutWarning` reports any such point.
+    """
+    values = np.empty(len(pts))
+    for start in range(0, len(pts), _CHUNK):
+        b = _rhs_columns(gap, pts[start:start + _CHUNK])
+        beta, b2 = svd.project(b), np.sum(np.abs(b) ** 2, axis=0)
+        del b  # only its projection and norm are needed from here on
+        filt, _ = spectral_filter(svd.s, beta, b2, reg)
+        xnorm = _solution_norms(svd, filt, beta, gap, norm)
+        values[start:start + _CHUNK] = np.divide(1.0, xnorm, out=np.full_like(xnorm, np.nan),
+                                                 where=xnorm > 0)
+    if np.isnan(values).any():
+        warnings.warn("cutoff removed every singular mode", AllModesCutWarning)
+    return values
 
 
 def indicator(gap: DtnOperator, z, reg: RegStrategy, norm="l2"):
-    """Reciprocal norm of the regularized current-gap solution at ``z``."""
-    x, _ = solve_current_gap(gap, z, reg)
-    return 1.0 / _solution_norm(x, gap, norm)
+    """Reciprocal norm of the regularized current-gap solution at ``z``.
 
-
-def _rhs_columns(gap, pts):
-    if gap.basis == "collocation":
-        theta = gap.nodes
-        r = np.hypot(pts[:, 0], pts[:, 1])
-        tz = np.arctan2(pts[:, 1], pts[:, 0])
-        return (1.0 - r**2)[None, :] / (
-            2.0 * np.pi * (r**2 + 1.0 - 2.0 * r[None, :] * np.cos(theta[:, None] - tz[None, :])))
-    modes = gap.modes
-    r = np.hypot(pts[:, 0], pts[:, 1])
-    tz = np.arctan2(pts[:, 1], pts[:, 0])
-    return (r[None, :] ** np.abs(modes)[:, None]
-            * np.exp(-1j * np.outer(modes, tz)) / (2.0 * np.pi))
-
-
-def _discrepancy_alpha_columns(s, beta2, b_perp2, targets):
-    """Vectorized bisection of the discrepancy equation over rhs columns."""
-    t2 = targets**2
-    lo = np.full(beta2.shape[1], 1e-14 * s[0] ** 2)
-    hi = np.full(beta2.shape[1], s[0] ** 2)
-
-    def res2(alpha):
-        f = alpha[None, :] / (alpha[None, :] + (s**2)[:, None])
-        return np.einsum("ij,ij->j", f**2, beta2) + b_perp2
-
-    r_lo, r_hi = res2(lo), res2(hi)
-    bracket = (r_lo < t2) & (r_hi > t2)
-    alpha = np.where(r_lo >= t2, lo, hi)
-    lo_b, hi_b = lo.copy(), hi.copy()
-    for _ in range(60):
-        mid = np.sqrt(lo_b * hi_b)
-        inside = res2(mid) < t2
-        lo_b = np.where(inside, mid, lo_b)
-        hi_b = np.where(inside, hi_b, mid)
-    return np.where(bracket, np.sqrt(lo_b * hi_b), alpha)
+    NaN (with :class:`AllModesCutWarning`) when the cutoff removes every mode.
+    """
+    poisson_rhs(z, gap)  # rejects points outside the sampling mask
+    svd = SvdFactorization.from_matrix(gap.matrix)
+    return float(_indicator_values(svd, gap, np.asarray(z, dtype=float)[None, :],
+                                   reg, norm)[0])
 
 
 def scan(gap: DtnOperator, grid: GridSpec, reg: RegStrategy,
@@ -200,7 +199,9 @@ def scan(gap: DtnOperator, grid: GridSpec, reg: RegStrategy,
     Optional ``noise=(delta, seed)`` perturbs the operator matrix once (the
     entrywise multiplicative model) before the shared decomposition; every
     point then reuses that decomposition, so a fixed seed reproduces the scan
-    exactly.
+    exactly.  The points go through the regularization kernel in blocks of
+    ``_CHUNK`` columns, so memory stays bounded on fine grids, and the result
+    does not depend on how the grid splits into blocks.
     """
     matrix = gap.matrix
     meta = dict(gap.meta)
@@ -212,49 +213,8 @@ def scan(gap: DtnOperator, grid: GridSpec, reg: RegStrategy,
 
     pts = grid.points()
     inside = np.hypot(pts[:, 0], pts[:, 1]) <= RADIUS_MASK
-    b_cols = _rhs_columns(gap, pts[inside])
-    beta = svd.u.conj().T @ b_cols
-    beta2 = np.abs(beta) ** 2
-    bnorm2 = np.sum(np.abs(b_cols) ** 2, axis=0)
-    b_perp2 = np.maximum(bnorm2 - beta2.sum(axis=0), 0.0)
-    s = svd.s
-
-    if reg.kind == "tikhonov":
-        if reg.alpha is not None:
-            alphas = np.full(beta2.shape[1], reg.alpha)
-        else:
-            targets = reg.safety * reg.noise_level * np.sqrt(bnorm2)
-            alphas = _discrepancy_alpha_columns(s, beta2, b_perp2, targets)
-        filt = (s[:, None] / (alphas[None, :] + (s**2)[:, None])) ** 2
-        xnorm2 = np.einsum("ij,ij->j", filt, beta2)
-    elif reg.kind == "cutoff":
-        if reg.tau is not None:
-            keep = s >= reg.tau * s[0]
-        else:
-            raise ValueError("grid scans need an explicit relative cutoff")
-        if keep.any():
-            xnorm2 = np.einsum("i,ij->j", 1.0 / s[keep] ** 2, beta2[keep])
-        else:
-            warnings.warn("cutoff removed every singular mode", AllModesCutWarning)
-            xnorm2 = np.full(beta2.shape[1], np.nan)
-    elif reg.kind == "none":
-        if s[-1] <= s[0] * 1e-14:
-            raise SingularSystem("unregularized scan of a singular operator",
-                                 condition=np.inf)
-        xnorm2 = np.einsum("i,ij->j", 1.0 / s**2, beta2)
-    else:
-        raise ValueError(f"unknown strategy kind {reg.kind!r}")
-
-    if norm == "sobolev_half":
-        # norm weighting requires the solution vectors; fall back per point,
-        # each against this scan's own (possibly perturbed) decomposition
-        w_flat = np.full(len(pts), np.nan)
-        for k in np.flatnonzero(inside):
-            x, _ = regularized_solve(svd, poisson_rhs(pts[k], gap), reg)
-            w_flat[k] = 1.0 / _solution_norm(x, gap, norm)
-    else:
-        w_flat = np.full(len(pts), np.nan)
-        w_flat[inside] = 1.0 / np.sqrt(xnorm2)
+    w_flat = np.full(len(pts), np.nan)
+    w_flat[inside] = _indicator_values(svd, gap, pts[inside], reg, norm)
     values = w_flat.reshape(grid.ny, grid.nx)
     return IndicatorGrid(grid, values, inside.reshape(grid.ny, grid.nx), meta)
 

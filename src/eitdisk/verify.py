@@ -77,9 +77,9 @@ def suite_gauss(flip_sign=False):
     mesh = bie.NystromMesh(BoundaryCurve.circle(radius=1.0), 64, "outer")
     ones = np.ones(64)
     sign = -1.0 if flip_sign else 1.0
-    inside = sign * (bie.double_layer(mesh, np.array([[0.2, 0.1]])).matrix @ ones)
-    outside = sign * (bie.double_layer(mesh, np.array([[5.0, 1.0]])).matrix @ ones)
-    on_curve = sign * (bie.double_layer(mesh, mesh).matrix @ ones)
+    inside = sign * (bie.double_layer(mesh, np.array([[0.2, 0.1]])) @ ones)
+    outside = sign * (bie.double_layer(mesh, np.array([[5.0, 1.0]])) @ ones)
+    on_curve = sign * (bie.double_layer(mesh, mesh) @ ones)
     worst = max(float(abs(inside[0] + 2.0)), float(abs(outside[0])),
                 float(np.max(np.abs(on_curve + 1.0))))
     return SuiteResult("gauss identities", worst < 1e-10, worst, 1e-10)

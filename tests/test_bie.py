@@ -8,8 +8,7 @@ from eitdisk.bie import (NystromMesh, double_layer, dtn_matrix,
                          fundamental_solution, modified_double_layer,
                          normal_derivative, single_layer, solve_forward)
 from eitdisk.dtn import gap_from_lambda0, to_real_trig_basis
-from eitdisk.exceptions import (CoincidentPoints, SingularSystem,
-                                UnsupportedSelfInteraction)
+from eitdisk.exceptions import CoincidentPoints, SingularSystem
 from eitdisk.geometry import BoundaryCurve
 
 
@@ -43,12 +42,12 @@ class TestFundamentalSolution:
 class TestDoubleLayer:
     def test_gauss_identity_inside(self):
         mesh = unit_mesh()
-        val = double_layer(mesh, np.array([[0.3, 0.1]])).matrix @ np.ones(64)
+        val = double_layer(mesh, np.array([[0.3, 0.1]])) @ np.ones(64)
         assert abs(val[0] + 2.0) < 1e-12
 
     def test_gauss_identity_outside(self):
         mesh = inner_circle(64, 0.5)
-        val = double_layer(mesh, np.array([[10.0, 0.0]])).matrix @ np.ones(64)
+        val = double_layer(mesh, np.array([[10.0, 0.0]])) @ np.ones(64)
         assert abs(val[0]) < 1e-12
 
     def test_gauss_identity_on_curve(self):
@@ -59,13 +58,13 @@ class TestDoubleLayer:
                  (BoundaryCurve.cardioid(), 256)]
         for curve, n in cases:
             mesh = NystromMesh(curve, n, "inner")
-            row_sums = double_layer(mesh, mesh).matrix @ np.ones(n)
+            row_sums = double_layer(mesh, mesh) @ np.ones(n)
             assert np.max(np.abs(row_sums + 1.0)) < 1e-10
 
     def test_entries_match_kernel(self):
         src = inner_circle(32, 0.5)
         tgt = unit_mesh(16)
-        mat = double_layer(src, tgt).matrix
+        mat = double_layer(src, tgt)
         rng = np.random.Generator(np.random.Philox(2))
         for _ in range(5):
             i = int(rng.integers(16))
@@ -82,7 +81,7 @@ class TestModifiedDoubleLayer:
         # modification contributes 2 * length = 2 pi for radius one half
         mesh = inner_circle(64, 0.5)
         val = modified_double_layer(mesh, np.array([[0.8, 0.0]]),
-                                    "constant").matrix @ np.ones(64)
+                                    "constant") @ np.ones(64)
         assert abs(val[0] - 2 * np.pi) < 1e-12
 
     def test_difference_is_constant_in_x(self):
@@ -90,8 +89,8 @@ class TestModifiedDoubleLayer:
         rng = np.random.Generator(np.random.Philox(3))
         psi = rng.normal(size=64)
         pts = np.array([[0.8, 0.0], [0.0, 0.9], [-0.6, 0.3]])
-        plain = double_layer(mesh, pts).matrix @ psi
-        modc = modified_double_layer(mesh, pts, "constant").matrix @ psi
+        plain = double_layer(mesh, pts) @ psi
+        modc = modified_double_layer(mesh, pts, "constant") @ psi
         diff = modc - plain
         assert np.max(np.abs(diff - diff[0])) < 1e-13
         assert abs(diff[0] - 2 * psi.sum() * mesh.jacobians[0] * mesh.weight) < 1e-12
@@ -101,16 +100,16 @@ class TestModifiedDoubleLayer:
         t = mesh.theta
         psi = np.cos(3 * t)
         pts = np.array([[0.7, 0.2]])
-        plain = double_layer(mesh, pts).matrix @ psi
+        plain = double_layer(mesh, pts) @ psi
         for modification in ("constant", "monopole"):
-            mod = modified_double_layer(mesh, pts, modification).matrix @ psi
+            mod = modified_double_layer(mesh, pts, modification) @ psi
             assert abs(mod[0] - plain[0]) < 1e-12
 
     def test_monopole_vanishes_on_unit_circle(self):
         src = inner_circle(32, 0.4)
         tgt = unit_mesh(32)
-        plain = double_layer(src, tgt).matrix
-        mono = modified_double_layer(src, tgt, "monopole").matrix
+        plain = double_layer(src, tgt)
+        mono = modified_double_layer(src, tgt, "monopole")
         assert np.max(np.abs(plain - mono)) < 1e-14
 
     def test_requires_origin_inside(self):
@@ -123,12 +122,12 @@ class TestModifiedDoubleLayer:
 class TestSingleLayer:
     def test_constant_density_at_center_unit(self):
         mesh = unit_mesh()
-        val = single_layer(mesh, np.array([[0.0, 0.0]])).matrix @ np.ones(64)
+        val = single_layer(mesh, np.array([[0.0, 0.0]])) @ np.ones(64)
         assert abs(val[0]) < 1e-13
 
     def test_constant_density_at_center_half(self):
         mesh = inner_circle(64, 0.5)
-        val = single_layer(mesh, np.array([[0.0, 0.0]])).matrix @ np.ones(64)
+        val = single_layer(mesh, np.array([[0.0, 0.0]])) @ np.ones(64)
         assert abs(val[0] - (-0.5 * np.log(0.5))) < 1e-13
         assert abs(-0.5 * np.log(0.5) - 0.34657359027997264) < 1e-15
 
@@ -136,7 +135,7 @@ class TestSingleLayer:
         # S[cos(k s)] = (rho / 2k) cos(k t) on a circle of radius rho
         mesh = inner_circle(64, 0.5)
         t = mesh.theta
-        s = single_layer(mesh, mesh).matrix
+        s = single_layer(mesh, mesh)
         for k in range(1, 5):
             got = s @ np.cos(k * t)
             want = 0.5 / (2 * k) * np.cos(k * t)
@@ -149,13 +148,13 @@ class TestNormalDerivative:
         # gradient on the other boundary vanishes
         src = inner_circle(64, 0.5)
         tgt = unit_mesh(64)
-        val = normal_derivative(src, tgt, of="double_layer").matrix @ np.ones(64)
+        val = normal_derivative(src, tgt, of="double_layer") @ np.ones(64)
         assert np.max(np.abs(val)) < 1e-12
 
     def test_single_layer_entries(self):
         src = inner_circle(32, 0.5)
         tgt = unit_mesh(16)
-        mat = normal_derivative(src, tgt, of="single_layer").matrix
+        mat = normal_derivative(src, tgt, of="single_layer")
         rng = np.random.Generator(np.random.Philox(4))
         for _ in range(5):
             i = int(rng.integers(16))
@@ -170,28 +169,23 @@ class TestNormalDerivative:
         # multiplies cos(k t) by -k
         mesh = unit_mesh(64)
         t = mesh.theta
-        mat = normal_derivative(mesh, mesh, of="double_layer").matrix
+        mat = normal_derivative(mesh, mesh, of="double_layer")
         for k in range(1, 5):
             got = mat @ np.cos(k * t)
             assert np.max(np.abs(got + k * np.cos(k * t))) < 1e-6
 
     def test_hypersingular_annihilates_constants(self):
         mesh = NystromMesh(BoundaryCurve.ellipse(0.5, 0.3), 64, "inner")
-        mat = normal_derivative(mesh, mesh, of="double_layer").matrix
+        mat = normal_derivative(mesh, mesh, of="double_layer")
         assert np.max(np.abs(mat @ np.ones(64))) < 1e-10
-
-    def test_direct_self_raises(self):
-        mesh = unit_mesh(32)
-        with pytest.raises(UnsupportedSelfInteraction):
-            normal_derivative(mesh, mesh, of="double_layer", method="direct")
 
     def test_modified_equals_plain_constant_variant(self):
         # the constant modification is x-independent, so its derivative is zero
         src = inner_circle(32, 0.5)
         tgt = unit_mesh(32)
-        plain = normal_derivative(src, tgt, of="double_layer").matrix
+        plain = normal_derivative(src, tgt, of="double_layer")
         modc = normal_derivative(src, tgt, of="modified_double_layer",
-                                 modification="constant").matrix
+                                 modification="constant")
         assert np.array_equal(plain, modc)
 
     def test_monopole_flux_on_unit_circle(self):
@@ -199,9 +193,9 @@ class TestNormalDerivative:
         # 2 * (integral of psi) to every flux value there
         src = inner_circle(32, 0.5)
         tgt = unit_mesh(32)
-        plain = normal_derivative(src, tgt, of="double_layer").matrix
+        plain = normal_derivative(src, tgt, of="double_layer")
         mono = normal_derivative(src, tgt, of="modified_double_layer",
-                                 modification="monopole").matrix
+                                 modification="monopole")
         psi = np.ones(32)
         diff = (mono - plain) @ psi
         want = 2.0 * np.sum(src.arc_weights())
@@ -310,7 +304,7 @@ class TestForwardSolver:
         with pytest.raises(ValueError, match="voltage"):
             solve_forward(outer, inner, "dirichlet", np.ones((32, 2)))
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
     def test_non_finite_gamma_rejected(self, bad):
         outer, inner = unit_mesh(), inner_circle(32, 0.5)
         gamma = np.full(32, 2.0)

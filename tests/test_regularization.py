@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -143,6 +145,93 @@ class TestRegularizedSolve:
         assert info["alpha"] == 1e-2
         x, info = regularized_solve(svd, b, RegStrategy.spectral_cutoff(0.5))
         assert np.allclose(x, cutoff_solve(svd, b, tau_rel=0.5))
+
+
+STRATEGIES = [
+    RegStrategy.none(),
+    RegStrategy.tikhonov(1e-3),
+    RegStrategy.tikhonov_discrepancy(0.1),
+    RegStrategy.spectral_cutoff(0.2),
+    RegStrategy.cutoff_by_noise(0.05),
+]
+
+
+def decaying_system(n, p, seed, complex_rhs=False):
+    """Matrix with singular values spread over six decades, and p columns."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    q1, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    q2, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    a = (q1 * np.logspace(0, -6, n)) @ q2
+    b = rng.normal(size=(n, p))
+    if complex_rhs:
+        b = b + 1j * rng.normal(size=(n, p))
+    return a, b
+
+
+class TestBatchedKernel:
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(1, 6), st.sampled_from(STRATEGIES),
+           st.booleans())
+    def test_columns_match_vector_solves(self, seed, p, reg, complex_rhs):
+        a, b = decaying_system(9, p, seed, complex_rhs)
+        svd = SvdFactorization.from_matrix(a)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", AllModesCutWarning)
+            x, info = regularized_solve(svd, b, reg)
+            for j in range(p):
+                xj, info_j = regularized_solve(svd, b[:, j], reg)
+                scale = max(1.0, np.linalg.norm(xj))
+                assert np.linalg.norm(x[:, j] - xj) <= 1e-12 * scale
+                for key, value in info_j.items():
+                    assert abs(info[key][j] - value) <= 1e-12 * max(1.0, abs(value))
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(0, 10**6), st.sampled_from(STRATEGIES), st.booleans())
+    def test_residual_is_attained_residual(self, seed, reg, complex_rhs):
+        a, b = decaying_system(8, 4, seed, complex_rhs)
+        svd = SvdFactorization.from_matrix(a)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", AllModesCutWarning)
+            x, info = regularized_solve(svd, b, reg)
+        direct = np.linalg.norm(a @ x - b, axis=0)
+        # the direct product carries rounding of order eps |A| |x|
+        tol = 1e-12 * (np.linalg.norm(b, axis=0) + svd.s[0] * np.linalg.norm(x, axis=0))
+        assert np.all(np.abs(info["residual"] - direct) <= tol)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 10**6))
+    def test_discrepancy_residual_monotone_in_alpha(self, seed):
+        a, b = decaying_system(10, 1, seed)
+        svd = SvdFactorization.from_matrix(a)
+        res = [regularized_solve(svd, b[:, 0], RegStrategy.tikhonov(al))[1]["residual"]
+               for al in np.logspace(-14, 1, 40)]
+        assert np.all(np.diff(res) >= -1e-14 * np.linalg.norm(b))
+
+    def test_discrepancy_targets_per_column(self):
+        a, b = decaying_system(10, 5, 3)
+        svd = SvdFactorization.from_matrix(a)
+        delta = np.linalg.norm(b, axis=0) * np.array([0.5, 0.2, 0.05, 0.01, 0.3])
+        x, info = regularized_solve(svd, b, RegStrategy("tikhonov", safety=1.0),
+                                    delta_abs=delta)
+        assert np.allclose(info["residual"], delta, rtol=1e-8, atol=0)
+        assert np.allclose(np.linalg.norm(a @ x - b, axis=0), delta, rtol=1e-8, atol=0)
+
+    def test_cut_column_is_zero_with_one_warning(self):
+        svd = SvdFactorization.from_matrix(np.diag([1.0, 0.1]))
+        b = np.array([[1.0, 100.0], [1.0, 100.0]])
+        with pytest.warns(AllModesCutWarning) as caught:
+            x, info = regularized_solve(svd, b, RegStrategy("cutoff", safety=1.0),
+                                        delta_abs=np.array([0.5, 5.0]))
+        assert len(caught) == 1
+        assert np.array_equal(info["rank"], [1, 0])
+        assert np.allclose(x[:, 0], [1.0, 0.0]) and np.all(x[:, 1] == 0)
+
+    def test_noise_dominated_column_raises(self):
+        svd = SvdFactorization.from_matrix(np.eye(3))
+        b = np.ones((3, 2))
+        with pytest.raises(NoiseDominates):
+            regularized_solve(svd, b, RegStrategy("tikhonov", safety=1.0),
+                              delta_abs=np.array([0.1, 2.0]))
 
 
 class TestNoiseModels:

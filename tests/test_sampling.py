@@ -1,9 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from eitdisk import sampling
 from eitdisk.annulus import AnnulusConfig, gap_operator
-from eitdisk.exceptions import (DegenerateFit, NoContour, SingularSystem,
-                                TooCloseToBoundary)
+from eitdisk.exceptions import (AllModesCutWarning, DegenerateFit, NoContour,
+                                SingularSystem, TooCloseToBoundary)
 from eitdisk.geometry import fourier_analyze
 from eitdisk.regularization import RegStrategy
 from eitdisk.sampling import (GridSpec, IndicatorGrid, extract_level_set,
@@ -181,6 +186,87 @@ class TestScan:
         out = scan(gap, grid, reg)
         for (i, j), z in [((0, 0), (0.15, -0.1)), ((1, 1), (0.3, 0.25))]:
             assert abs(out.values[i, j] - indicator(gap, z, reg)) < 1e-9
+
+
+def basis_gap(basis):
+    if basis == "collocation":
+        return colloc_gap()
+    return gap_operator(DIRICHLET, basis="fourier")
+
+
+SCAN_STRATEGIES = {
+    "none": RegStrategy.none(),
+    "tikhonov": RegStrategy.tikhonov(1e-6),
+    "discrepancy": RegStrategy.tikhonov_discrepancy(0.03),
+    "cutoff": RegStrategy.spectral_cutoff(1e-3),
+    "cutoff_by_noise": RegStrategy.cutoff_by_noise(0.3),
+}
+
+
+class TestScanMatchesIndicator:
+    @pytest.mark.parametrize("basis", ["collocation", "fourier"])
+    @pytest.mark.parametrize("norm", ["l2", "sobolev_half"])
+    @pytest.mark.parametrize("name", sorted(SCAN_STRATEGIES))
+    @settings(max_examples=3, deadline=None)
+    @given(x0=st.floats(-0.9, 0.3), y0=st.floats(-0.9, 0.3))
+    def test_every_strategy_norm_and_basis(self, basis, norm, name, x0, y0):
+        gap = basis_gap(basis)
+        reg = SCAN_STRATEGIES[name]
+        grid = GridSpec(4, 3, x0, x0 + 0.6, y0, y0 + 0.6)
+        if name == "none" and basis == "collocation":
+            # the band-limited collocation gap is singular
+            with pytest.raises(SingularSystem):
+                scan(gap, grid, reg, norm=norm)
+            return
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", AllModesCutWarning)
+            out = scan(gap, grid, reg, norm=norm)
+            for z, w, inside in zip(grid.points(), out.values.ravel(), out.mask.ravel()):
+                if not inside:
+                    continue
+                want = indicator(gap, z, reg, norm=norm)
+                if np.isnan(want):
+                    assert np.isnan(w)
+                else:
+                    assert abs(w - want) <= 1e-9 * want
+
+    def test_unknown_norm_rejected(self):
+        with pytest.raises(ValueError, match="norm"):
+            scan(colloc_gap(), GridSpec.square(5), RegStrategy.tikhonov(1e-6),
+                 norm="bogus")
+
+    def test_indicator_all_modes_cut_is_nan(self):
+        with pytest.warns(AllModesCutWarning) as caught:
+            w = indicator(colloc_gap(), (0.7, 0.0), RegStrategy.cutoff_by_noise(0.9))
+        assert np.isnan(w)
+        assert len(caught) == 1
+
+    def test_noise_tied_cutoff_scan_cuts_some_points_once(self):
+        # the noise-tied threshold grows with |b|, so only some points lose
+        # every mode; the scan reports them as NaN with a single warning
+        gap = colloc_gap()
+        reg = RegStrategy.cutoff_by_noise(0.3)
+        with pytest.warns(AllModesCutWarning) as caught:
+            out = scan(gap, GridSpec.square(9), reg)
+        assert len(caught) == 1
+        cut = np.isnan(out.values) & out.mask
+        assert 0 < cut.sum() < out.mask.sum()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", AllModesCutWarning)
+            for z, w in zip(out.spec.points()[cut.ravel()], out.values[cut]):
+                assert np.isnan(indicator(gap, z, reg)) and np.isnan(w)
+
+    @pytest.mark.parametrize("norm", ["l2", "sobolev_half"])
+    def test_chunked_scan_matches_one_piece(self, monkeypatch, norm):
+        gap = colloc_gap()
+        reg = RegStrategy.tikhonov_discrepancy(0.05)
+        grid = GridSpec.square(15)
+        whole = scan(gap, grid, reg, noise=(0.05, 3), norm=norm)
+        monkeypatch.setattr(sampling, "_CHUNK", 16)
+        assert whole.mask.sum() > 4 * sampling._CHUNK
+        pieces = scan(gap, grid, reg, noise=(0.05, 3), norm=norm)
+        assert np.allclose(pieces.values, whole.values, rtol=1e-12, atol=0,
+                           equal_nan=True)
 
 
 class TestLevelSet:
