@@ -158,13 +158,12 @@ def _target_geometry(target):
     return np.atleast_2d(np.asarray(target, dtype=float)), None
 
 
-def double_layer(source, target, factor2=True):
-    """Double-layer matrix ``fac * int phi(y) dPhi/dnu(y) ds_y`` at targets.
+def double_layer(source, target):
+    """Double-layer matrix ``2 int phi(y) dPhi/dnu(y) ds_y`` at targets.
 
     Source-equals-target assembly fills the diagonal with the continuous
     kernel limit ``-curvature/(4 pi)``.
     """
-    fac = 2.0 if factor2 else 1.0
     pts, tmesh = _target_geometry(target)
     d = pts[:, None, :] - source.points[None, :, :]
     r2 = np.einsum("ijk,ijk->ij", d, d)
@@ -174,39 +173,27 @@ def double_layer(source, target, factor2=True):
     if tmesh is source:
         idx = np.arange(source.n)
         ker[idx, idx] = -source.curvature / (4.0 * np.pi)
-    return fac * ker * source.arc_weights()[None, :]
+    return 2.0 * ker * source.arc_weights()[None, :]
 
 
-def modified_double_layer(source, target, modification="monopole", factor2=True):
+def modified_double_layer(source, target):
     """Double layer plus a rank-one source-monopole term.
 
     The plain double layer over a closed curve annihilates constants from the
-    outside, so the trace operator ``I + K`` is singular.  Adding a monopole
-    kernel restores invertibility.  ``modification="monopole"`` adds
-    ``log|x| * int psi ds`` (the two-dimensional point source at the origin);
-    it vanishes identically on the unit measurement circle and carries the
-    net flux of the represented potential.  ``modification="constant"`` adds
-    the plain constant ``int psi ds`` instead; this variant cannot represent
-    potentials with net flux through the source curve and leaves a
-    one-dimensional null space in the combined trace system, and is kept only
-    for comparison.  The source curve must enclose the origin.
+    outside, so the trace operator ``I + K`` is singular.  The monopole term
+    ``2 log|x| * int psi ds`` (the two-dimensional point source at the
+    origin) restores invertibility: it vanishes identically on the unit
+    measurement circle and carries the net flux of the represented potential
+    through the source curve.  The source curve must enclose the origin.
     """
     if not source.encloses_origin():
         raise ValueError("modified layer requires a source curve enclosing the origin")
-    base = double_layer(source, target, factor2=factor2)
-    fac = 2.0 if factor2 else 1.0
     pts, _ = _target_geometry(target)
-    w = source.arc_weights()
-    if modification == "constant":
-        extra = np.ones(len(pts))[:, None] * w[None, :]
-    elif modification == "monopole":
-        r = np.sqrt((pts**2).sum(axis=1))
-        if np.any(r == 0):
-            raise CoincidentPoints("monopole modification evaluated at the origin")
-        extra = np.log(r)[:, None] * w[None, :]
-    else:
-        raise ValueError(f"unknown modification {modification!r}")
-    return base + fac * extra
+    r = np.sqrt((pts**2).sum(axis=1))
+    if np.any(r == 0):
+        raise CoincidentPoints("monopole modification evaluated at the origin")
+    extra = np.log(r)[:, None] * source.arc_weights()[None, :]
+    return double_layer(source, target) + 2.0 * extra
 
 
 def single_layer(source, target):
@@ -239,8 +226,7 @@ def _single_layer_log_split(source):
     return -(kress_log_weights(n) + source.weight * smooth) / (4.0 * np.pi)
 
 
-def normal_derivative(source, target, of="double_layer", factor2=None,
-                      modification="monopole"):
+def normal_derivative(source, target, of="double_layer"):
     """Normal derivative of a layer potential at target-mesh nodes.
 
     The derivative direction is the *target curve's outward* normal.  For
@@ -248,11 +234,10 @@ def normal_derivative(source, target, of="double_layer", factor2=None,
     requests are supported for ``single_layer`` (continuous part only, the
     ``-+ phi/2`` jump is left to the caller) and for the double layers, where
     the hypersingular kernel is reduced to tangential derivatives of the
-    single layer (Maue's identity).
+    single layer (Maue's identity).  The factors follow the layers: two for
+    the double layers, one for the single layer.
     """
-    if factor2 is None:
-        factor2 = of != "single_layer"
-    fac = 2.0 if factor2 else 1.0
+    fac = 1.0 if of == "single_layer" else 2.0
     if not isinstance(target, NystromMesh):
         raise TypeError("normal derivatives are assembled on a target mesh")
     same = target is source
@@ -280,7 +265,7 @@ def normal_derivative(source, target, of="double_layer", factor2=None,
         dny = np.einsum("ijk,jk->ij", d, source.normals)
         ker = (nn / r2 - 2.0 * dnx * dny / r2**2) / (2.0 * np.pi)
         mat = fac * ker * source.arc_weights()[None, :]
-    if of == "modified_double_layer" and modification == "monopole":
+    if of == "modified_double_layer":
         # d/dnu(x) log|x| = (x . nu(x)) / |x|^2 at the target nodes
         r2 = (target.points**2).sum(axis=1)
         dlog = np.einsum("ik,ik->i", target.points, target.normals) / r2

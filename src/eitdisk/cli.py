@@ -130,6 +130,7 @@ def _check_inclusion(curve):
 
 
 def _meshes(curve, n_outer, n_inner):
+    _check_inclusion(curve)
     outer = bie.NystromMesh(BoundaryCurve.circle(radius=1.0), n_outer, "outer")
     inner = bie.NystromMesh(curve, n_inner, "inner")
     return outer, inner
@@ -138,7 +139,6 @@ def _meshes(curve, n_outer, n_inner):
 def cmd_forward(args):
     curve = _load_geometry(args.geometry)
     curve.validate()
-    _check_inclusion(curve)
     basis, order = _parse_basis(args.basis)
     config = {"command": "forward", "geometry": geometry_to_dict(curve),
               "bc": args.bc, "gamma": args.gamma, "basis": args.basis,
@@ -195,7 +195,6 @@ def cmd_impedance(args):
     if args.pairs < 1:
         raise ValueError("at least one Cauchy pair is required")
     true_curve = _load_geometry(args.geometry)
-    _check_inclusion(true_curve)
     outer, inner_true = _meshes(true_curve, args.sim_nodes, args.sim_nodes)
     gamma_true = _gamma_values(args.gamma, inner_true.theta)
 

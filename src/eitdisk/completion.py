@@ -16,19 +16,16 @@ two Dirichlet conditions into a block system for the densities,
 with ``f`` the applied voltage and ``u_i`` the unknown inclusion trace.
 Eliminating the densities against the measured current ``g`` on the outer
 boundary yields an affine relation ``g = R f + S u_i``; the completion step
-solves the severely ill-posed system ``S u_i = g - R f`` with regularization,
-after which the densities give the interior current and the pointwise
-impedance quotient ``gamma = -(d u0/d nu) / u0`` on the inclusion.
+solves the severely ill-posed system ``S u_i = g - R f`` with regularization.
+The current on the inclusion is affine in the same data,
+``R_i f + S_i u_i``, and gives the pointwise impedance quotient
+``gamma = -(d u0/d nu) / u0`` on the inclusion.
 
-The monopole-modified block is full rank: it is LU-factorized once, and its
-condition is guarded by LAPACK's 1-norm estimate from those factors (see
-:func:`eitdisk.bie._factorize`).  With the literal constant modification the
-block system keeps a one-dimensional gauge null space (densities shifted
-along ``(|inner| * 1, 1)`` represent the zero potential) and cannot carry net
-flux; that variant is decomposed by SVD instead, which projects the gauge
-direction out and logs the effective condition number, but the completion of
-even-symmetry data degrades.  The monopole modification removes both defects
-and is the default.
+The block is LU-factorized once, and its condition is guarded by LAPACK's
+1-norm estimate from those factors (see :func:`eitdisk.bie._factorize`).  The
+four maps ``R``, ``S``, ``R_i`` and ``S_i`` are the outer flux rows
+``[T_mm T_im~]`` and the inner current rows ``-[T_mi T_ii~]`` composed with
+the block inverse, formed by one transposed solve against those factors.
 """
 
 from __future__ import annotations
@@ -42,8 +39,7 @@ import scipy.linalg as la
 
 from .bie import (NystromMesh, _factorize, double_layer, modified_double_layer,
                   normal_derivative)
-from .exceptions import (AllMasked, RankDeficientWarning, ResidualTooLarge,
-                         SingularSystem)
+from .exceptions import AllMasked, RankDeficientWarning, ResidualTooLarge
 from .regularization import (SvdFactorization, expected_noise_norm,
                              regularized_solve)
 
@@ -90,19 +86,17 @@ class CompletionSystem:
 
     outer: NystromMesh
     inner: NystromMesh
-    block: np.ndarray                  # the trace system
-    block_inverse: np.ndarray          # (pseudo)inverse used for densities
-    flux_row: np.ndarray               # [T_mm  T_im~]
+    lu: tuple = field(repr=False)      # LU factors of the trace system
     response: np.ndarray               # R: current due to f with zero inner trace
     completion: np.ndarray             # S: current due to the inner trace
+    inner_response: np.ndarray         # R_i: inclusion current due to f
+    inner_completion: np.ndarray       # S_i: inclusion current due to the trace
     svd: SvdFactorization = field(repr=False)
     condition: float = 0.0
-    modification: str = "monopole"
     model_error_factor: float = 1.0
 
 
-def assemble_completion(outer, inner, modification="monopole",
-                        model_error_factor=1.0):
+def assemble_completion(outer, inner, model_error_factor=1.0):
     """Build and factorize the completion operators.
 
     ``model_error_factor`` scales the noise level used by noise-tied
@@ -111,43 +105,31 @@ def assemble_completion(outer, inner, modification="monopole",
     """
     n_m, n_i = outer.n, inner.n
     kmm = double_layer(outer, outer)
-    kim = modified_double_layer(inner, outer, modification)
+    kim = modified_double_layer(inner, outer)
     kmi = double_layer(outer, inner)
-    kii = modified_double_layer(inner, inner, modification)
+    kii = modified_double_layer(inner, inner)
     block = np.block([[np.eye(n_m) - kmm, -kim],
                       [kmi, np.eye(n_i) + kii]])
+    lu, condition = _factorize(block, "completion trace", _COND_LIMIT)
 
-    if modification == "constant":
-        # singular by construction: project the gauge direction out
-        u, s, vh = np.linalg.svd(block)
-        keep = s > s[0] * 1e-10
-        condition = float(s[0] / s[keep][-1])
-        log.info("trace system: dropped %d gauge direction(s), effective "
-                 "condition %.3e", int(np.sum(~keep)), condition)
-        if condition > _COND_LIMIT:
-            raise SingularSystem("completion trace system is numerically singular",
-                                 condition=condition)
-        block_inverse = (vh[keep].conj().T / s[keep]) @ u[:, keep].conj().T
-    else:
-        lu, condition = _factorize(block, "completion trace", _COND_LIMIT)
-        block_inverse = la.lu_solve(lu, np.eye(n_m + n_i))
-
-    tmm = normal_derivative(outer, outer, of="double_layer")
-    tim = normal_derivative(inner, outer, of="modified_double_layer",
-                            modification=modification)
-    flux_row = np.concatenate([tmm, tim], axis=1)
-    composed = flux_row @ block_inverse
-    response = -composed[:, :n_m]
-    completion = composed[:, n_m:]
-    return CompletionSystem(outer, inner, block, block_inverse, flux_row,
-                            response, completion,
+    tmm = normal_derivative(outer, outer)
+    tim = normal_derivative(inner, outer, of="modified_double_layer")
+    tmi = normal_derivative(outer, inner)
+    tii = normal_derivative(inner, inner, of="modified_double_layer")
+    rows = np.block([[tmm, tim], [-tmi, -tii]])
+    # rows @ block^-1, as the solve of block^T against rows^T
+    composed = la.lu_solve(lu, rows.T, trans=1).T
+    response, completion = -composed[:n_m, :n_m], composed[:n_m, n_m:]
+    inner_response, inner_completion = -composed[n_m:, :n_m], composed[n_m:, n_m:]
+    return CompletionSystem(outer, inner, lu, response, completion,
+                            inner_response, inner_completion,
                             SvdFactorization.from_matrix(completion),
-                            condition, modification, model_error_factor)
+                            condition, model_error_factor)
 
 
 def _densities(system, f, inner_trace):
     rhs = np.concatenate([-np.asarray(f), np.asarray(inner_trace)])
-    sol = system.block_inverse @ rhs
+    sol = la.lu_solve(system.lu, rhs)
     return sol[:system.outer.n], sol[system.outer.n:]
 
 
@@ -160,18 +142,8 @@ def interior_potential(system, f, inner_trace, points):
     """Evaluate the completed potential at interior points."""
     phi, psi = _densities(system, f, inner_trace)
     dm = double_layer(system.outer, np.atleast_2d(points))
-    di = modified_double_layer(system.inner, np.atleast_2d(points),
-                               system.modification)
+    di = modified_double_layer(system.inner, np.atleast_2d(points))
     return dm @ phi + di @ psi
-
-
-def inner_current(system, phi, psi):
-    """Current on the inclusion boundary, normal pointing into the inclusion."""
-    inner = system.inner
-    tmi = normal_derivative(system.outer, inner, of="double_layer")
-    tii = normal_derivative(inner, inner, of="modified_double_layer",
-                            modification=system.modification)
-    return -(tmi @ phi + tii @ psi)
 
 
 def complete_cauchy(system, pair, reg, residual_guard=10.0):
@@ -185,7 +157,8 @@ def complete_cauchy(system, pair, reg, residual_guard=10.0):
     equation, nothing rises above the noise: the trace and current returned
     are zero and ``info["noise_dominated"]`` is true.  Raises
     :class:`ResidualTooLarge` when the post-fit residual (the solve's
-    ``info["residual"]``) is inconsistent with the declared noise.
+    ``info["residual"]``) is inconsistent with the declared noise.  The
+    current on the inclusion has its normal pointing into the inclusion.
     """
     f, g = pair.f, pair.g
     if f.shape != (system.outer.n,):
@@ -210,8 +183,7 @@ def complete_cauchy(system, pair, reg, residual_guard=10.0):
             raise ResidualTooLarge(
                 f"completion residual {residual:.3e} exceeds "
                 f"{residual_guard} x noise {delta_abs:.3e}")
-    phi, psi = _densities(system, f, trace)
-    current = inner_current(system, phi, psi)
+    current = system.inner_response @ f + system.inner_completion @ trace
     info["noise_dominated"] = False
     return trace, current, info
 

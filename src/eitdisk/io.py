@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import warnings
 
 import numpy as np
 
@@ -103,19 +104,18 @@ def read_dtn(path):
 
 
 def write_indicator(path, grid: IndicatorGrid, config: dict):
-    """CSV of unmasked grid points, one ``x,y,W`` row each."""
-    xs, ys = grid.spec.xs, grid.spec.ys
+    """CSV of unmasked grid points, one ``x,y,W`` row each, in row-major order.
+
+    Lines end in CRLF, the row terminator of the :mod:`csv` module.
+    """
+    x, y = np.meshgrid(grid.spec.xs, grid.spec.ys)
+    rows = np.column_stack([x[grid.mask], y[grid.mask], grid.values[grid.mask]])
     with open(path, "w", newline="") as fh:
         fh.write(f"# config={config_hash(config)} nx={grid.spec.nx} ny={grid.spec.ny}"
                  f" xmin={grid.spec.xmin!r} xmax={grid.spec.xmax!r}"
                  f" ymin={grid.spec.ymin!r} ymax={grid.spec.ymax!r}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y", "W"])
-        for i in range(grid.spec.ny):
-            for j in range(grid.spec.nx):
-                if grid.mask[i, j]:
-                    writer.writerow([f"{xs[j]:.17g}", f"{ys[i]:.17g}",
-                                     f"{grid.values[i, j]:.17g}"])
+        fh.write("x,y,W\r\n")
+        np.savetxt(fh, rows, fmt="%.17g", delimiter=",", newline="\r\n")
 
 
 def read_indicator(path):
@@ -125,16 +125,19 @@ def read_indicator(path):
         if not header.startswith("#"):
             raise ValueError("indicator CSV is missing its metadata line")
         fields = dict(kv.split("=") for kv in header[1:].split())
-        rows = list(csv.reader(fh))
+        with warnings.catch_warnings():
+            # a grid without unmasked points has no rows below the column names
+            warnings.simplefilter("ignore", UserWarning)
+            rows = np.loadtxt(fh, delimiter=",", skiprows=1, usecols=(0, 1, 2), ndmin=2)
     spec = GridSpec(int(fields["nx"]), int(fields["ny"]),
                     float(fields["xmin"]), float(fields["xmax"]),
                     float(fields["ymin"]), float(fields["ymax"]))
     values = np.full((spec.ny, spec.nx), np.nan)
     xs, ys = spec.xs, spec.ys
-    for x, y, w in rows[1:]:
-        j = int(round((float(x) - spec.xmin) / (xs[1] - xs[0])))
-        i = int(round((float(y) - spec.ymin) / (ys[1] - ys[0])))
-        values[i, j] = float(w)
+    # rint rounds half to even, as round() does
+    j = np.rint((rows[:, 0] - spec.xmin) / (xs[1] - xs[0])).astype(int)
+    i = np.rint((rows[:, 1] - spec.ymin) / (ys[1] - ys[0])).astype(int)
+    values[i, j] = rows[:, 2]
     mask = ~np.isnan(values)
     return IndicatorGrid(spec, values, mask, {"config_hash": fields["config"]})
 

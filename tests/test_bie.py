@@ -76,40 +76,20 @@ class TestDoubleLayer:
 
 
 class TestModifiedDoubleLayer:
-    def test_constant_density_outside(self):
-        # plain part vanishes outside by the Gauss identity; the constant
-        # modification contributes 2 * length = 2 pi for radius one half
-        mesh = inner_circle(64, 0.5)
-        val = modified_double_layer(mesh, np.array([[0.8, 0.0]]),
-                                    "constant") @ np.ones(64)
-        assert abs(val[0] - 2 * np.pi) < 1e-12
-
-    def test_difference_is_constant_in_x(self):
-        mesh = inner_circle(64, 0.5)
-        rng = np.random.Generator(np.random.Philox(3))
-        psi = rng.normal(size=64)
-        pts = np.array([[0.8, 0.0], [0.0, 0.9], [-0.6, 0.3]])
-        plain = double_layer(mesh, pts) @ psi
-        modc = modified_double_layer(mesh, pts, "constant") @ psi
-        diff = modc - plain
-        assert np.max(np.abs(diff - diff[0])) < 1e-13
-        assert abs(diff[0] - 2 * psi.sum() * mesh.jacobians[0] * mesh.weight) < 1e-12
-
     def test_zero_mean_density_equals_plain(self):
         mesh = inner_circle(64, 0.5)
         t = mesh.theta
         psi = np.cos(3 * t)
         pts = np.array([[0.7, 0.2]])
         plain = double_layer(mesh, pts) @ psi
-        for modification in ("constant", "monopole"):
-            mod = modified_double_layer(mesh, pts, modification) @ psi
-            assert abs(mod[0] - plain[0]) < 1e-12
+        mod = modified_double_layer(mesh, pts) @ psi
+        assert abs(mod[0] - plain[0]) < 1e-12
 
     def test_monopole_vanishes_on_unit_circle(self):
         src = inner_circle(32, 0.4)
         tgt = unit_mesh(32)
         plain = double_layer(src, tgt)
-        mono = modified_double_layer(src, tgt, "monopole")
+        mono = modified_double_layer(src, tgt)
         assert np.max(np.abs(plain - mono)) < 1e-14
 
     def test_requires_origin_inside(self):
@@ -179,23 +159,13 @@ class TestNormalDerivative:
         mat = normal_derivative(mesh, mesh, of="double_layer")
         assert np.max(np.abs(mat @ np.ones(64))) < 1e-10
 
-    def test_modified_equals_plain_constant_variant(self):
-        # the constant modification is x-independent, so its derivative is zero
-        src = inner_circle(32, 0.5)
-        tgt = unit_mesh(32)
-        plain = normal_derivative(src, tgt, of="double_layer")
-        modc = normal_derivative(src, tgt, of="modified_double_layer",
-                                 modification="constant")
-        assert np.array_equal(plain, modc)
-
     def test_monopole_flux_on_unit_circle(self):
         # d/dnu log|x| = 1 on the unit circle: the monopole term adds
         # 2 * (integral of psi) to every flux value there
         src = inner_circle(32, 0.5)
         tgt = unit_mesh(32)
         plain = normal_derivative(src, tgt, of="double_layer")
-        mono = normal_derivative(src, tgt, of="modified_double_layer",
-                                 modification="monopole")
+        mono = normal_derivative(src, tgt, of="modified_double_layer")
         psi = np.ones(32)
         diff = (mono - plain) @ psi
         want = 2.0 * np.sum(src.arc_weights())

@@ -93,6 +93,17 @@ def test_impedance_exact_geometry_constant_gamma(tmp_path, circle_file):
     assert np.nanmax(np.abs(gamma_avg - 2.0)) < 1e-2
 
 
+def test_impedance_rejects_fitted_curve_outside_unit_circle(tmp_path, ellipse_file, capfd):
+    curve = tmp_path / "curve.json"
+    curve.write_text(json.dumps({"M": 1, "a": [[1.2], [0.0]], "b": [[0.0], [1.2]],
+                                 "smoothing": 0.0}))
+    rc = main(["impedance", "--geometry", ellipse_file, "--curve", str(curve),
+               "--out", str(tmp_path / "g.csv")])
+    assert rc == 2
+    assert "inside the unit measurement circle" in capfd.readouterr().err
+    assert not (tmp_path / "g.csv").exists()
+
+
 def test_impedance_zero_pairs_rejected(tmp_path, ellipse_file):
     rc = main(["impedance", "--geometry", ellipse_file, "--pairs", "0",
                "--out", str(tmp_path / "g.csv")])

@@ -1,5 +1,7 @@
 """Contract tests for file formats and cross-representation identities."""
 
+import csv
+import io
 import json
 
 import numpy as np
@@ -15,7 +17,7 @@ from eitdisk.geometry import BoundaryCurve
 from eitdisk.io import (config_hash, geometry_from_dict, geometry_to_dict,
                         read_dtn, read_indicator, write_dtn, write_indicator)
 from eitdisk.regularization import RegStrategy, SvdFactorization
-from eitdisk.sampling import GridSpec, fit_trig_curve, poisson_kernel, scan
+from eitdisk.sampling import GridSpec, IndicatorGrid, poisson_kernel, scan
 
 
 class TestGeometryRoundTrip:
@@ -72,6 +74,49 @@ class TestIndicatorFile:
         assert np.array_equal(np.isnan(back.values), np.isnan(grid.values))
         finite = ~np.isnan(grid.values)
         assert np.array_equal(back.values[finite], grid.values[finite])
+
+    @staticmethod
+    def csv_writer_rendering(grid, config):
+        """The file as a row-by-row :mod:`csv` writer renders it."""
+        spec = grid.spec
+        buf = io.StringIO(newline="")
+        buf.write(f"# config={config_hash(config)} nx={spec.nx} ny={spec.ny}"
+                  f" xmin={spec.xmin!r} xmax={spec.xmax!r}"
+                  f" ymin={spec.ymin!r} ymax={spec.ymax!r}\n")
+        writer = csv.writer(buf)
+        writer.writerow(["x", "y", "W"])
+        for i in range(spec.ny):
+            for j in range(spec.nx):
+                if grid.mask[i, j]:
+                    writer.writerow([f"{spec.xs[j]:.17g}", f"{spec.ys[i]:.17g}",
+                                     f"{grid.values[i, j]:.17g}"])
+        return buf.getvalue().encode()
+
+    def test_bytes_match_csv_writer_rendering(self, tmp_path):
+        spec = GridSpec(5, 4, -0.9, 0.7, -0.8, 0.6)
+        rng = np.random.Generator(np.random.Philox(7))
+        mask = rng.random((4, 5)) < 0.7
+        values = rng.normal(size=(4, 5)) * 10.0 ** rng.integers(-300, 300, size=(4, 5))
+        values[0, :3] = [np.nan, -0.0, 0.1]
+        mask[0, :3] = True
+        values[~mask] = np.nan
+        grid = IndicatorGrid(spec, values, mask)
+        path = tmp_path / "w.csv"
+        write_indicator(path, grid, {"golden": 1})
+        assert path.read_bytes() == self.csv_writer_rendering(grid, {"golden": 1})
+        back = read_indicator(path)
+        assert np.array_equal(back.values, values, equal_nan=True)
+        assert np.array_equal(back.mask, mask & ~np.isnan(values))
+
+    def test_grid_without_unmasked_points(self, tmp_path):
+        spec = GridSpec(3, 2)
+        grid = IndicatorGrid(spec, np.full((2, 3), np.nan), np.zeros((2, 3), bool))
+        path = tmp_path / "w.csv"
+        write_indicator(path, grid, {})
+        assert path.read_bytes() == self.csv_writer_rendering(grid, {})
+        back = read_indicator(path)
+        assert back.spec == spec
+        assert np.all(np.isnan(back.values)) and not back.mask.any()
 
 
 class TestModeSystemEquivalence:
