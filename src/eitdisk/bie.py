@@ -379,6 +379,16 @@ def _factorize(a, what, limit):
     return lu, cond
 
 
+def _check_inclusion(inner):
+    """Reject an inner curve that reaches the unit measurement circle (256 samples)."""
+    pts = inner.curve.point(inner.curve.nodes(256))
+    top = float(np.hypot(pts[:, 0], pts[:, 1]).max())
+    if top >= 1.0:
+        raise ValueError(
+            f"inclusion reaches radius {top:.3f}; it must stay strictly "
+            "inside the unit measurement circle")
+
+
 def solve_forward(outer, inner, bc, f, gamma=None):
     """Solve the simulation ansatz for outer voltages ``f`` (node values).
 
@@ -386,11 +396,13 @@ def solve_forward(outer, inner, bc, f, gamma=None):
     shape ``(outer.n, k)``; all columns share one factorization.  Imposes the
     voltage on the outer boundary and either a grounded or an impedance
     condition (normal into the inclusion) on the inner boundary.  Returns a
-    :class:`ForwardSolution`.
+    :class:`ForwardSolution`; raises :class:`ValueError` when the inner curve
+    reaches the unit circle.
     """
     f = np.asarray(f, dtype=float)
     if f.ndim not in (1, 2) or f.shape[0] != outer.n:
         raise ValueError("voltage must be sampled at the outer mesh nodes")
+    _check_inclusion(inner)
     a = _forward_blocks(outer, inner, bc, gamma)
     lu, _ = _factorize(a, "forward", _COND_LIMIT)
     sol = la.lu_solve(lu, np.concatenate([f, np.zeros((inner.n,) + f.shape[1:])]))

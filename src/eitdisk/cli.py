@@ -120,17 +120,7 @@ def _parse_reg(text, noise_level):
     raise ValueError(f"unknown regularization {text!r}")
 
 
-def _check_inclusion(curve):
-    pts = curve.point(curve.nodes(256))
-    top = float(np.hypot(pts[:, 0], pts[:, 1]).max())
-    if top >= 1.0:
-        raise ValueError(
-            f"inclusion reaches radius {top:.3f}; it must stay strictly "
-            "inside the unit measurement circle")
-
-
 def _meshes(curve, n_outer, n_inner):
-    _check_inclusion(curve)
     outer = bie.NystromMesh(BoundaryCurve.circle(radius=1.0), n_outer, "outer")
     inner = bie.NystromMesh(curve, n_inner, "inner")
     return outer, inner

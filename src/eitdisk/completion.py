@@ -37,8 +37,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as la
 
-from .bie import (NystromMesh, _factorize, double_layer, modified_double_layer,
-                  normal_derivative)
+from .bie import (NystromMesh, _check_inclusion, _factorize, double_layer,
+                  modified_double_layer, normal_derivative)
 from .exceptions import AllMasked, RankDeficientWarning, ResidualTooLarge
 from .regularization import (SvdFactorization, expected_noise_norm,
                              regularized_solve)
@@ -102,7 +102,9 @@ def assemble_completion(outer, inner, model_error_factor=1.0):
     ``model_error_factor`` scales the noise level used by noise-tied
     regularization inside :func:`complete_cauchy`; set it above one when the
     inclusion boundary is itself reconstructed and therefore uncertain.
+    Raises :class:`ValueError` when the inner curve reaches the unit circle.
     """
+    _check_inclusion(inner)
     n_m, n_i = outer.n, inner.n
     kmm = double_layer(outer, outer)
     kim = modified_double_layer(inner, outer)

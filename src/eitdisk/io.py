@@ -137,8 +137,12 @@ def read_indicator(path):
     # rint rounds half to even, as round() does
     j = np.rint((rows[:, 0] - spec.xmin) / (xs[1] - xs[0])).astype(int)
     i = np.rint((rows[:, 1] - spec.ymin) / (ys[1] - ys[0])).astype(int)
+    if np.any((i < 0) | (i >= spec.ny) | (j < 0) | (j >= spec.nx)):
+        raise ValueError("indicator CSV has a row outside its grid")
     values[i, j] = rows[:, 2]
-    mask = ~np.isnan(values)
+    # the rows present are the mask: an evaluated point may hold NaN
+    mask = np.zeros((spec.ny, spec.nx), dtype=bool)
+    mask[i, j] = True
     return IndicatorGrid(spec, values, mask, {"config_hash": fields["config"]})
 
 

@@ -220,47 +220,47 @@ def scan(gap: DtnOperator, grid: GridSpec, reg: RegStrategy,
 
 
 # ---------------------------------------------------------------------------
-# level-set extraction (marching squares with segment chaining)
+# level-set extraction: marching squares over the crossed cells, then chaining
 # ---------------------------------------------------------------------------
 
 def _cell_segments(values, xs, ys, level):
-    """Yield level-crossing segments as pairs of edge keys with coordinates."""
-    ny, nx = values.shape
+    """Level-crossing segments as pairs of edge keys with coordinates.
+
+    Array operations find the crossed cells: no NaN corner, corners neither all
+    above nor all below ``level``.  Each, in row-major order, interpolates its
+    crossed edges (zero corners count as 1e-300); saddles pair by the corner mean."""
+    corners = np.stack([values[:-1, :-1], values[:-1, 1:], values[1:, 1:], values[1:, :-1]])
+    shifted = corners - level
+    crossed = ~(np.isnan(corners).any(axis=0) | (shifted > 0).all(axis=0)
+                | (shifted < 0).all(axis=0))
     segments = []
-    for i in range(ny - 1):
-        for j in range(nx - 1):
-            corner = np.array([values[i, j], values[i, j + 1],
-                               values[i + 1, j + 1], values[i + 1, j]])
-            if np.any(np.isnan(corner)):
-                continue
-            s = corner - level
-            if np.all(s > 0) or np.all(s < 0):
-                continue
-            xy = [(xs[j], ys[i]), (xs[j + 1], ys[i]),
-                  (xs[j + 1], ys[i + 1]), (xs[j], ys[i + 1])]
-            edge_keys = [("h", i, j), ("v", i, j + 1), ("h", i + 1, j), ("v", i, j)]
-            crossings = []
-            for e, (a, b) in enumerate([(0, 1), (1, 2), (3, 2), (0, 3)]):
-                if s[a] == 0:
-                    s[a] = 1e-300
-                if s[b] == 0:
-                    s[b] = 1e-300
-                if s[a] * s[b] < 0:
-                    t = s[a] / (s[a] - s[b])
-                    xa, ya = xy[a]
-                    xb, yb = xy[b]
-                    crossings.append((edge_keys[e], (xa + t * (xb - xa), ya + t * (yb - ya))))
-            if len(crossings) == 2:
+    for i, j in zip(*(idx.tolist() for idx in np.nonzero(crossed))):
+        s = shifted[:, i, j]
+        xy = [(xs[j], ys[i]), (xs[j + 1], ys[i]),
+              (xs[j + 1], ys[i + 1]), (xs[j], ys[i + 1])]
+        edge_keys = [("h", i, j), ("v", i, j + 1), ("h", i + 1, j), ("v", i, j)]
+        crossings = []
+        for e, (a, b) in enumerate([(0, 1), (1, 2), (3, 2), (0, 3)]):
+            if s[a] == 0:
+                s[a] = 1e-300
+            if s[b] == 0:
+                s[b] = 1e-300
+            if s[a] * s[b] < 0:
+                t = s[a] / (s[a] - s[b])
+                xa, ya = xy[a]
+                xb, yb = xy[b]
+                crossings.append((edge_keys[e], (xa + t * (xb - xa), ya + t * (yb - ya))))
+        if len(crossings) == 2:
+            segments.append((crossings[0], crossings[1]))
+        elif len(crossings) == 4:
+            # saddle cell: pair the crossings by the sign of the center
+            center = s.mean()
+            if (s[0] > 0) == (center > 0):
+                segments.append((crossings[0], crossings[3]))
+                segments.append((crossings[1], crossings[2]))
+            else:
                 segments.append((crossings[0], crossings[1]))
-            elif len(crossings) == 4:
-                # saddle cell: pair the crossings by the sign of the center
-                center = s.mean()
-                if (s[0] > 0) == (center > 0):
-                    segments.append((crossings[0], crossings[3]))
-                    segments.append((crossings[1], crossings[2]))
-                else:
-                    segments.append((crossings[0], crossings[1]))
-                    segments.append((crossings[2], crossings[3]))
+                segments.append((crossings[2], crossings[3]))
     return segments
 
 

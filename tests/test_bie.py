@@ -282,6 +282,13 @@ class TestForwardSolver:
         with pytest.raises(ValueError, match="gamma"):
             solve_forward(outer, inner, "impedance", np.cos(outer.theta), gamma)
 
+    @pytest.mark.parametrize("curve", [BoundaryCurve.circle(radius=1.0),
+                                       BoundaryCurve.ellipse(1.2, 0.3)])
+    def test_inclusion_reaching_unit_circle_rejected(self, curve):
+        outer, inner = unit_mesh(), NystromMesh(curve, 32, "inner")
+        with pytest.raises(ValueError, match="inside the unit measurement circle"):
+            solve_forward(outer, inner, "dirichlet", np.cos(outer.theta))
+
 
 class TestFactorization:
     @staticmethod

@@ -98,6 +98,12 @@ class TestAssembly:
         u_forward = sol.potential(pts)
         assert np.max(np.abs(u_completed - u_forward)) < 1e-6
 
+    @pytest.mark.parametrize("curve", [BoundaryCurve.circle(radius=1.2),
+                                       BoundaryCurve.circle((0.5, 0.0), 0.6)])
+    def test_inclusion_reaching_unit_circle_rejected(self, curve):
+        with pytest.raises(ValueError, match="inside the unit measurement circle"):
+            assemble_completion(outer_mesh(), inner_mesh(curve))
+
 
 class TestCompleteCauchy:
     def test_recovers_trace_noiseless(self):

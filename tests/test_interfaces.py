@@ -106,7 +106,7 @@ class TestIndicatorFile:
         assert path.read_bytes() == self.csv_writer_rendering(grid, {"golden": 1})
         back = read_indicator(path)
         assert np.array_equal(back.values, values, equal_nan=True)
-        assert np.array_equal(back.mask, mask & ~np.isnan(values))
+        assert np.array_equal(back.mask, mask)
 
     def test_grid_without_unmasked_points(self, tmp_path):
         spec = GridSpec(3, 2)
@@ -117,6 +117,18 @@ class TestIndicatorFile:
         back = read_indicator(path)
         assert back.spec == spec
         assert np.all(np.isnan(back.values)) and not back.mask.any()
+
+    @pytest.mark.parametrize("row", ["-1.0,0,1.5", "1.0,0,1.5", "0,-1.2,1.5", "0,1.2,1.5"])
+    def test_row_outside_grid_rejected(self, tmp_path, row):
+        # a negative index would otherwise wrap to the far edge of the grid
+        spec = GridSpec(3, 2, -0.5, 0.5, -0.5, 0.5)
+        grid = IndicatorGrid(spec, np.ones((2, 3)), np.ones((2, 3), bool))
+        path = tmp_path / "w.csv"
+        write_indicator(path, grid, {})
+        with open(path, "a", newline="") as fh:
+            fh.write(row + "\r\n")
+        with pytest.raises(ValueError, match="outside its grid"):
+            read_indicator(path)
 
 
 class TestModeSystemEquivalence:

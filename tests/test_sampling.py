@@ -319,6 +319,99 @@ class TestLevelSet:
         assert np.all(sel[:, 0] > 0)  # the wide right-hand bump wins
 
 
+def per_cell_segments(values, xs, ys, level):
+    """Oracle: marching squares as a Python loop over every cell."""
+    ny, nx = values.shape
+    segments = []
+    for i in range(ny - 1):
+        for j in range(nx - 1):
+            corner = np.array([values[i, j], values[i, j + 1],
+                               values[i + 1, j + 1], values[i + 1, j]])
+            if np.any(np.isnan(corner)):
+                continue
+            s = corner - level
+            if np.all(s > 0) or np.all(s < 0):
+                continue
+            xy = [(xs[j], ys[i]), (xs[j + 1], ys[i]),
+                  (xs[j + 1], ys[i + 1]), (xs[j], ys[i + 1])]
+            edge_keys = [("h", i, j), ("v", i, j + 1), ("h", i + 1, j), ("v", i, j)]
+            crossings = []
+            for e, (a, b) in enumerate([(0, 1), (1, 2), (3, 2), (0, 3)]):
+                if s[a] == 0:
+                    s[a] = 1e-300
+                if s[b] == 0:
+                    s[b] = 1e-300
+                if s[a] * s[b] < 0:
+                    t = s[a] / (s[a] - s[b])
+                    xa, ya = xy[a]
+                    xb, yb = xy[b]
+                    crossings.append((edge_keys[e], (xa + t * (xb - xa), ya + t * (yb - ya))))
+            if len(crossings) == 2:
+                segments.append((crossings[0], crossings[1]))
+            elif len(crossings) == 4:
+                # saddle cell: pair the crossings by the sign of the center
+                center = s.mean()
+                if (s[0] > 0) == (center > 0):
+                    segments.append((crossings[0], crossings[3]))
+                    segments.append((crossings[1], crossings[2]))
+                else:
+                    segments.append((crossings[0], crossings[1]))
+                    segments.append((crossings[2], crossings[3]))
+    return segments
+
+
+# offsets from the level: zero takes the s == 0 path, and 1e-30 against a zero
+# level makes products with the 1e-300 stand-in underflow
+OFFSETS = [np.nan, 0.0, 0.5, -0.5, 1.0, -2.0, 1e-30, -1e-30]
+
+
+@st.composite
+def level_grids(draw):
+    ny, nx = draw(st.integers(2, 15)), draw(st.integers(2, 15))
+    level = draw(st.sampled_from([0.0, 1.0]))
+    offsets = draw(st.lists(st.one_of(st.sampled_from(OFFSETS), st.floats(-3.0, 3.0)),
+                            min_size=ny * nx, max_size=ny * nx))
+    return level + np.reshape(offsets, (ny, nx)), level
+
+
+class TestCellSegments:
+    """The array-operation cell search returns the per-cell loop's segments."""
+
+    @staticmethod
+    def both(values, level):
+        ny, nx = values.shape
+        xs, ys = np.linspace(-0.95, 0.95, nx), np.linspace(-0.9, 0.8, ny)
+        return (sampling._cell_segments(values, xs, ys, level),
+                per_cell_segments(values, xs, ys, level))
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=level_grids())
+    def test_matches_per_cell_loop(self, case):
+        got, want = self.both(*case)
+        # same order, equal keys, coordinates equal under ==
+        assert got == want
+
+    @pytest.mark.parametrize("values, pairs", [
+        # corner mean above the level, like corner 0: 0-3 and 1-2 edges pair up
+        ([[3.0, 0.0], [0.0, 3.0]], [(("h", 0, 0), ("v", 0, 0)), (("v", 0, 1), ("h", 1, 0))]),
+        # corner mean below the level: 0-1 and 2-3 edges pair up
+        ([[1.5, -2.0], [-2.0, 1.5]], [(("h", 0, 0), ("v", 0, 1)), (("h", 1, 0), ("v", 0, 0))]),
+        # corner mean exactly at the level pairs as below it
+        ([[1.5, 0.5], [0.5, 1.5]], [(("h", 0, 0), ("v", 0, 1)), (("h", 1, 0), ("v", 0, 0))]),
+    ])
+    def test_saddle_pairing(self, values, pairs):
+        got, want = self.both(np.array(values), 1.0)
+        assert got == want
+        assert [(a[0], b[0]) for a, b in got] == pairs
+
+    def test_fine_gaussian_contour_matches_per_cell_loop(self, monkeypatch):
+        grid = TestLevelSet.gaussian_grid(n=401)
+        pts = extract_level_set(grid, 0.3)
+        monkeypatch.setattr(sampling, "_cell_segments", per_cell_segments)
+        want = extract_level_set(grid, 0.3)
+        assert pts.tobytes() == want.tobytes()
+
+
 class TestCurveFit:
     def test_exact_circle(self):
         t = np.linspace(0, 2 * np.pi, 40, endpoint=False)
