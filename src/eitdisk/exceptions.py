@@ -30,7 +30,15 @@ class SingularSystem(EitDiskError):
 
 
 class NoiseDominates(EitDiskError):
-    """Discrepancy target exceeds the data norm; nothing to fit."""
+    """Discrepancy target exceeds the data norm; nothing to fit.
+
+    ``columns`` of the ``total`` right-hand sides solved together failed.
+    """
+
+    def __init__(self, columns, total):
+        super().__init__(f"discrepancy target reaches |b| in {columns} of {total} column(s)")
+        self.columns = columns
+        self.total = total
 
 
 class TooCloseToBoundary(EitDiskError):

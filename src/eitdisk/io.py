@@ -106,16 +106,21 @@ def read_dtn(path):
 def write_indicator(path, grid: IndicatorGrid, config: dict):
     """CSV of unmasked grid points, one ``x,y,W`` row each, in row-major order.
 
-    Lines end in CRLF, the row terminator of the :mod:`csv` module.
+    Lines end in CRLF, the row terminator of the :mod:`csv` module.  The
+    coordinates are formatted once per grid line, and each grid row is
+    written as one block.
     """
-    x, y = np.meshgrid(grid.spec.xs, grid.spec.ys)
-    rows = np.column_stack([x[grid.mask], y[grid.mask], grid.values[grid.mask]])
+    xs = ["%.17g" % x for x in grid.spec.xs]
+    ys = ["%.17g" % y for y in grid.spec.ys]
     with open(path, "w", newline="") as fh:
         fh.write(f"# config={config_hash(config)} nx={grid.spec.nx} ny={grid.spec.ny}"
                  f" xmin={grid.spec.xmin!r} xmax={grid.spec.xmax!r}"
                  f" ymin={grid.spec.ymin!r} ymax={grid.spec.ymax!r}\n")
         fh.write("x,y,W\r\n")
-        np.savetxt(fh, rows, fmt="%.17g", delimiter=",", newline="\r\n")
+        for y, mask, values in zip(ys, grid.mask, grid.values):
+            cols = np.flatnonzero(mask).tolist()
+            fh.write("".join("%s,%s,%.17g\r\n" % (xs[j], y, w)
+                             for j, w in zip(cols, values[cols].tolist())))
 
 
 def read_indicator(path):

@@ -1,9 +1,10 @@
 """SVD-based regularization and the two noise models used in the experiments.
 
 Every regularized solve goes through one column kernel,
-:func:`spectral_filter`: from ``beta = U^H b`` for a block of right-hand sides
-it returns real filter factors ``F``, with solutions ``x = Vh^H (F * beta)``,
-and per column the chosen penalty or kept rank and the residual:
+:func:`spectral_filter`: from ``|beta|^2``, where ``beta = U^H b`` for a block
+of right-hand sides, it returns real filter factors ``F``, with solutions
+``x = Vh^H (F * beta)``, and per column the chosen penalty or kept rank and
+the residual:
 
 - Tikhonov: ``F_i = s_i/(alpha + s_i^2)`` minimizes
   ``|A x - b|^2 + alpha |x|^2``, also on rank-deficient systems.  ``alpha`` is
@@ -20,7 +21,9 @@ and per column the chosen penalty or kept rank and the residual:
 :func:`regularized_solve` applies the kernel to one vector or a matrix of
 columns; :func:`tikhonov_solve`, :func:`discrepancy_alpha` and
 :func:`cutoff_solve` are one-strategy calls of it, and the sampling scan runs
-it over blocks of grid points.
+it over column slices of blocks of grid points, on threads.  The kernel is
+elementwise work plus sums over the modes of each column, so a slice of two
+or more adjacent columns of a block filters to the same bits as the block.
 
 Noise models: multiplicative entrywise perturbations ``A (1 + delta E)`` with
 a zero-mean uniform matrix scaled to unit spectral norm, and the vector
@@ -120,19 +123,18 @@ class RegStrategy:
         return cls("none")
 
 
-def spectral_filter(s, beta, b2, reg, delta_abs=None):
+def spectral_filter(s, beta2, b2, reg, delta_abs=None):
     """Filter factors of one strategy for right-hand-side columns.
 
-    ``s`` are the singular values, ``beta = U^H b`` the coefficients of the
-    columns ``b`` (shape ``(k, P)``), ``b2`` their squared norms and
-    ``delta_abs`` the absolute noise per column (default
-    ``reg.noise_level * |b|``).  Returns the real filter ``F``, with solutions
-    ``x = Vh^H (F * beta)``, and per-column arrays ``alpha`` and/or ``rank``
-    and ``residual = |A x - b|``.  A column whose cutoff removes every mode
-    gets rank 0 and a zero filter; the caller warns, once per solve.
+    ``s`` are the singular values, ``beta2 = |U^H b|^2`` the squared
+    coefficients of the columns ``b`` (shape ``(k, P)``; only read), ``b2``
+    their squared norms and ``delta_abs`` the absolute noise per column
+    (default ``reg.noise_level * |b|``).  Returns the real filter ``F``, with
+    solutions ``x = Vh^H (F * beta)``, and per-column arrays ``alpha`` and/or
+    ``rank`` and ``residual = |A x - b|``.  A column whose cutoff removes every
+    mode gets rank 0 and a zero filter; the caller warns, once per solve.
+    It only reads its inputs, so callers may run it on column slices in threads.
     """
-    beta2 = np.abs(beta)
-    beta2 *= beta2  # in place here and below: few (k, P) buffers live at once
     b_perp2 = b2 - beta2.sum(axis=0)
     # below the rounding of that difference the orthogonal part is noise
     b_perp2 = np.where(b_perp2 > len(s) * np.finfo(float).eps * b2, b_perp2, 0.0)
@@ -167,7 +169,7 @@ def spectral_filter(s, beta, b2, reg, delta_abs=None):
         info = {"rank": keep.sum(axis=0)}
         if reg.kind == "none":
             info["alpha"] = np.zeros(b2.shape)
-    comp *= comp
+    comp *= comp  # in place: few (k, P) buffers live at once
     comp *= beta2
     info["residual"] = np.sqrt(comp.sum(axis=0) + b_perp2)
     return filt, info
@@ -181,8 +183,7 @@ def _discrepancy_bisection(s2, beta2, b_perp2, b2, t2):
     norm, where no fit is meaningful.
     """
     if np.any(t2 >= b2):
-        raise NoiseDominates(f"discrepancy target reaches |b| in "
-                             f"{int(np.sum(t2 >= b2))} of {len(b2)} column(s)")
+        raise NoiseDominates(int(np.sum(t2 >= b2)), len(b2))
 
     def res2(alpha):
         f = s2[:, None] + alpha  # in place from here: one (k, P) buffer per step
@@ -217,8 +218,8 @@ def regularized_solve(svd, b, reg, delta_abs=None):
     b = np.asarray(b)
     cols = b.reshape(len(b), -1)
     beta = svd.project(cols)
-    filt, info = spectral_filter(svd.s, beta, np.sum(np.abs(cols) ** 2, axis=0),
-                                 reg, delta_abs)
+    filt, info = spectral_filter(svd.s, np.abs(beta) ** 2,
+                                 np.sum(np.abs(cols) ** 2, axis=0), reg, delta_abs)
     if "rank" in info and np.any(info["rank"] == 0):
         warnings.warn("cutoff removed every singular mode", AllModesCutWarning)
     x = svd.vh.conj().T @ (filt * beta)

@@ -20,18 +20,25 @@ unmasked points through :func:`eitdisk.regularization.spectral_filter` in
 blocks of ``_CHUNK`` columns.  The l2 norm comes from the real filter and
 ``|U^H b|^2``; the ``sobolev_half`` norm weights the Fourier coefficients of
 the solution block.  :func:`indicator` does the same for one point.
+
+The per-point solves are independent and numpy releases the GIL in them, so
+each block is filtered in column slices on one thread per usable CPU, with the
+same bits as on one thread.
 """
 
 from __future__ import annotations
 
+import os
 import warnings
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dtn import DtnOperator
 from .exceptions import (AllModesCutWarning, DegenerateFit, NoContour,
-                         TooCloseToBoundary)
+                         NoiseDominates, TooCloseToBoundary)
 from .geometry import BoundaryCurve
 from .regularization import (RegStrategy, SvdFactorization, perturb_matrix,
                              regularized_solve, spectral_filter)
@@ -52,8 +59,13 @@ __all__ = [
 
 # points with |z| beyond this radius are never sampled (near-singular data)
 RADIUS_MASK = 0.9
-# grid points per kernel call: keeps each (modes x points) work array to a few MB
+# grid points per block: keeps each (modes x points) work array to a few MB.
+# The right-hand sides and their projection round differently in other sizes.
 _CHUNK = 8192
+# fewest columns a thread filters.  numpy sums a contiguous one-column array
+# over its modes pairwise, which rounds unlike a block; narrow views happen not
+# to, but the bits should not rest on that, and tiny slices gain nothing.
+_MIN_SLICE = 16
 
 
 @dataclass(frozen=True)
@@ -145,12 +157,13 @@ def solve_current_gap(gap: DtnOperator, z, reg: RegStrategy):
     return regularized_solve(SvdFactorization.from_matrix(gap.matrix), b, reg)
 
 
-def _solution_norms(svd, filt, beta, gap, norm):
-    """Norms of the solutions ``Vh^H (filt * beta)``, one per column."""
+def _solution_norms(svd, filt, beta2, beta, gap, norm):
+    """Norms of the solutions ``Vh^H (filt * beta)``, one per column.
+
+    The l2 norm needs only ``beta2 = |beta|^2``; ``beta`` may then be None.
+    """
     if norm == "l2":
-        return np.sqrt(np.einsum("ij,ij,ij->j", filt, filt, np.abs(beta) ** 2))
-    if norm != "sobolev_half":
-        raise ValueError(f"unknown norm {norm!r}")
+        return np.sqrt(np.einsum("ij,ij,ij->j", filt, filt, beta2))
     x = svd.vh.conj().T @ (filt * beta)
     if gap.basis == "fourier":
         modes = gap.modes
@@ -161,21 +174,67 @@ def _solution_norms(svd, filt, beta, gap, norm):
     return np.sqrt(w @ np.abs(x) ** 2)
 
 
+def _worker_count(columns):
+    """Threads for ``columns`` points: the CPUs this process may use, capped
+    so that every thread gets at least ``_MIN_SLICE`` columns."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, columns // _MIN_SLICE))
+
+
+def _filter_slice(svd, gap, reg, norm, beta2, b2):
+    """Filter of one column slice, reduced to the solution norms for ``l2``."""
+    filt, _ = spectral_filter(svd.s, beta2, b2, reg)
+    return _solution_norms(svd, filt, beta2, None, gap, norm) if norm == "l2" else filt
+
+
+def _gather(futures, columns):
+    """Slice results in order; :class:`NoiseDominates` counts the whole block."""
+    errors = [f.exception() for f in futures]
+    dominated = [e for e in errors if isinstance(e, NoiseDominates)]
+    if dominated:
+        raise NoiseDominates(sum(e.columns for e in dominated), columns) from dominated[0]
+    return [f.result() for f in futures]
+
+
 def _indicator_values(svd, gap, pts, reg, norm):
     """Indicator at points ``(P, 2)``, evaluated in blocks of ``_CHUNK`` columns.
 
-    A point whose cutoff removes every mode has a zero solution and gets NaN;
-    one :class:`AllModesCutWarning` reports any such point.
+    The calling thread forms each block's right-hand sides, projection and
+    norms, whose rounding depends on the block width.  Worker threads filter
+    one contiguous column slice each and take its l2 norms; the
+    ``sobolev_half`` product stays whole, as BLAS may round a slice
+    differently.  A point whose cutoff removes every mode gets NaN, and one
+    :class:`AllModesCutWarning` reports any such point.
     """
+    if norm not in ("l2", "sobolev_half"):
+        raise ValueError(f"unknown norm {norm!r}")
     values = np.empty(len(pts))
-    for start in range(0, len(pts), _CHUNK):
-        b = _rhs_columns(gap, pts[start:start + _CHUNK])
-        beta, b2 = svd.project(b), np.sum(np.abs(b) ** 2, axis=0)
-        del b  # only its projection and norm are needed from here on
-        filt, _ = spectral_filter(svd.s, beta, b2, reg)
-        xnorm = _solution_norms(svd, filt, beta, gap, norm)
-        values[start:start + _CHUNK] = np.divide(1.0, xnorm, out=np.full_like(xnorm, np.nan),
-                                                 where=xnorm > 0)
+    workers = _worker_count(len(pts))
+    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        for start in range(0, len(pts), _CHUNK):
+            b = _rhs_columns(gap, pts[start:start + _CHUNK])
+            beta, b2 = svd.project(b), np.sum(np.abs(b) ** 2, axis=0)
+            del b  # only its projection and norm are needed from here on
+            beta2 = np.abs(beta) ** 2
+            if norm == "l2":
+                del beta
+            edges = np.linspace(0, len(b2), _worker_count(len(b2)) + 1).astype(int)
+            args = [(svd, gap, reg, norm, beta2[:, a:z], b2[a:z])
+                    for a, z in zip(edges[:-1], edges[1:])]
+            if pool is None:
+                parts = [_filter_slice(*arg) for arg in args]
+            else:
+                parts = _gather([pool.submit(_filter_slice, *arg) for arg in args], len(b2))
+            if norm == "l2":
+                xnorm = np.concatenate(parts)
+            else:
+                xnorm = _solution_norms(svd, np.concatenate(parts, axis=1), beta2, beta,
+                                        gap, norm)
+            values[start:start + len(b2)] = np.divide(1.0, xnorm, where=xnorm > 0,
+                                                      out=np.full_like(xnorm, np.nan))
     if np.isnan(values).any():
         warnings.warn("cutoff removed every singular mode", AllModesCutWarning)
     return values
@@ -200,8 +259,9 @@ def scan(gap: DtnOperator, grid: GridSpec, reg: RegStrategy,
     entrywise multiplicative model) before the shared decomposition; every
     point then reuses that decomposition, so a fixed seed reproduces the scan
     exactly.  The points go through the regularization kernel in blocks of
-    ``_CHUNK`` columns, so memory stays bounded on fine grids, and the result
-    does not depend on how the grid splits into blocks.
+    ``_CHUNK`` columns, so memory stays bounded on fine grids; other block
+    sizes agree to rounding.  Each block is filtered on one thread per usable
+    CPU, and the result is the same bit for bit on any number of CPUs.
     """
     matrix = gap.matrix
     meta = dict(gap.meta)

@@ -99,6 +99,8 @@ class TestIndicatorFile:
         values = rng.normal(size=(4, 5)) * 10.0 ** rng.integers(-300, 300, size=(4, 5))
         values[0, :3] = [np.nan, -0.0, 0.1]
         mask[0, :3] = True
+        mask[1] = False  # a fully masked grid row
+        mask[2] = [False, False, False, True, False]  # a one-point grid row
         values[~mask] = np.nan
         grid = IndicatorGrid(spec, values, mask)
         path = tmp_path / "w.csv"

@@ -229,9 +229,10 @@ class TestBatchedKernel:
     def test_noise_dominated_column_raises(self):
         svd = SvdFactorization.from_matrix(np.eye(3))
         b = np.ones((3, 2))
-        with pytest.raises(NoiseDominates):
+        with pytest.raises(NoiseDominates, match=r"in 1 of 2 column") as caught:
             regularized_solve(svd, b, RegStrategy("tikhonov", safety=1.0),
                               delta_abs=np.array([0.1, 2.0]))
+        assert (caught.value.columns, caught.value.total) == (1, 2)
 
 
 class TestNoiseModels:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from eitdisk import sampling
 from eitdisk.annulus import AnnulusConfig, gap_operator
 from eitdisk.exceptions import (AllModesCutWarning, DegenerateFit, NoContour,
-                                SingularSystem, TooCloseToBoundary)
+                                NoiseDominates, SingularSystem, TooCloseToBoundary)
 from eitdisk.geometry import fourier_analyze
 from eitdisk.regularization import RegStrategy
 from eitdisk.sampling import (GridSpec, IndicatorGrid, extract_level_set,
@@ -267,6 +267,69 @@ class TestScanMatchesIndicator:
         pieces = scan(gap, grid, reg, noise=(0.05, 3), norm=norm)
         assert np.allclose(pieces.values, whole.values, rtol=1e-12, atol=0,
                            equal_nan=True)
+
+
+def use_cpus(monkeypatch, count):
+    """Make the scan see ``count`` usable CPUs."""
+    monkeypatch.setattr(sampling.os, "sched_getaffinity", lambda pid: set(range(count)),
+                        raising=False)
+
+
+class TestScanThreads:
+    @pytest.mark.parametrize("basis", ["collocation", "fourier"])
+    @pytest.mark.parametrize("norm", ["l2", "sobolev_half"])
+    @pytest.mark.parametrize("name", ["discrepancy", "cutoff"])
+    @pytest.mark.parametrize("chunk", [sampling._CHUNK, 100])
+    def test_worker_count_does_not_change_a_bit(self, monkeypatch, basis, norm, name, chunk):
+        gap = basis_gap(basis)
+        reg = SCAN_STRATEGIES[name]
+        grid = GridSpec.square(23)
+        monkeypatch.setattr(sampling, "_CHUNK", chunk)
+        default = scan(gap, grid, reg, noise=(0.05, 5), norm=norm)
+        for cpus in (1, 3):
+            use_cpus(monkeypatch, cpus)
+            assert sampling._worker_count(default.mask.sum()) == cpus
+            out = scan(gap, grid, reg, noise=(0.05, 5), norm=norm)
+            assert np.array_equal(out.values, default.values, equal_nan=True)
+
+    def test_worker_count_follows_usable_cpus(self, monkeypatch):
+        use_cpus(monkeypatch, 3)
+        assert sampling._worker_count(10_000) == 3
+        # each thread gets at least _MIN_SLICE columns; one point gets none
+        assert sampling._worker_count(2 * sampling._MIN_SLICE + 1) == 2
+        assert sampling._worker_count(1) == 1
+        monkeypatch.delattr(sampling.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(sampling.os, "cpu_count", lambda: None)
+        assert sampling._worker_count(10_000) == 1
+
+    def test_noise_dominates_from_worker_has_one_worker_message(self, monkeypatch):
+        gap = colloc_gap()
+        reg = RegStrategy.tikhonov_discrepancy(0.9)  # target 1.35 |b|
+        grid = GridSpec.square(15)
+        use_cpus(monkeypatch, 1)
+        with pytest.raises(NoiseDominates) as single:
+            scan(gap, grid, reg)
+        use_cpus(monkeypatch, 3)
+        with pytest.raises(NoiseDominates) as threaded:
+            scan(gap, grid, reg)
+        assert str(threaded.value) == str(single.value)
+        pts = grid.points()
+        assert threaded.value.total == np.sum(np.hypot(*pts.T) <= sampling.RADIUS_MASK)
+        # raised by one worker's slice, reported for the whole block
+        assert isinstance(threaded.value.__cause__, NoiseDominates)
+        assert threaded.value.__cause__.total < threaded.value.total
+
+    def test_indicator_starts_no_thread(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was started")
+
+        use_cpus(monkeypatch, 4)
+        monkeypatch.setattr(sampling, "ThreadPoolExecutor", no_pool)
+        gap = colloc_gap()
+        reg = RegStrategy.tikhonov_discrepancy(0.05)
+        assert indicator(gap, (0.2, 0.1), reg) > 0
+        with pytest.raises(AssertionError, match="thread pool"):
+            scan(gap, GridSpec.square(15), reg)
 
 
 class TestLevelSet:
