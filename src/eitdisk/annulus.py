@@ -148,7 +148,7 @@ def reflection_coefficient(cfg: AnnulusConfig, n, printed=False):
     return (a - rho * g) / (a + rho * g)
 
 
-def gap_coefficient(cfg: AnnulusConfig, n, printed_sigma0=False):
+def gap_coefficient(cfg: AnnulusConfig, n):
     """Mode-``n`` multiplier of the current difference (healthy minus defective)."""
     rho = cfg.rho
     a = abs(n)
@@ -157,7 +157,7 @@ def gap_coefficient(cfg: AnnulusConfig, n, printed_sigma0=False):
             return 1.0 / np.log(rho)
         return -2.0 * a * rho ** (2 * a) / (1.0 - rho ** (2 * a))
     if n == 0:
-        return reflection_coefficient(cfg, 0, printed=printed_sigma0)
+        return reflection_coefficient(cfg, 0)
     sn = reflection_coefficient(cfg, n)
     return 2.0 * a * sn * rho ** (2 * a) / (1.0 + sn * rho ** (2 * a))
 
@@ -245,8 +245,7 @@ def gap_operator(cfg: AnnulusConfig, basis="collocation", n=64, modes=None):
     diagonal coefficient map over ``modes`` (default symmetric ``-order..order``).
     """
     meta = {"geometry": {"kind": "circle", "center": [0.0, 0.0], "radius": cfg.rho},
-            "bc": {"kind": cfg.bc, "gamma": cfg.gamma},
-            "source": "series", "role": "gap"}
+            "bc": {"kind": cfg.bc, "gamma": cfg.gamma}}
     if basis == "fourier":
         if modes is None:
             modes = np.arange(-cfg.order, cfg.order + 1)

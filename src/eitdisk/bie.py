@@ -68,10 +68,10 @@ _COND_LIMIT = 1e14
 class NystromMesh:
     """Equally spaced quadrature nodes on a boundary curve.
 
-    ``normals`` are the curve-outward unit normals used by every kernel; the
-    ``role`` records whether the curve is the outer measurement boundary or an
-    inner inclusion boundary, and :attr:`physical_normals` flips the sign for
-    inner curves so it always points out of the annular solution region.
+    ``normals`` are the curve-outward unit normals used by every kernel, also
+    on an inclusion, where the annular region's outward normal is their
+    negative.  ``role`` labels the curve as the outer measurement boundary or
+    an inner inclusion boundary.
     """
 
     curve: BoundaryCurve
@@ -92,7 +92,7 @@ class NystromMesh:
         object.__setattr__(self, "theta", t)
         object.__setattr__(self, "points", self.curve.point(t))
         object.__setattr__(self, "jacobians", self.curve.jacobian(t))
-        object.__setattr__(self, "normals", self.curve.normal(t, "outer_boundary"))
+        object.__setattr__(self, "normals", self.curve.normal(t))
         object.__setattr__(self, "curvature", self.curve.curvature(t))
         if np.any(self.jacobians <= 0):
             raise ValueError("mesh Jacobian must be positive at every node")
@@ -100,11 +100,6 @@ class NystromMesh:
     @property
     def weight(self):
         return 2.0 * np.pi / self.n
-
-    @property
-    def physical_normals(self):
-        """Outward normals of the annular region between the two boundaries."""
-        return self.normals if self.role == "outer" else -self.normals
 
     def arc_weights(self):
         """Quadrature weights for integrals against arc length."""
@@ -297,7 +292,6 @@ class ForwardSolution:
 
     outer: NystromMesh
     inner: NystromMesh
-    bc: str
     phi: np.ndarray
     psi: np.ndarray
 
@@ -406,7 +400,7 @@ def solve_forward(outer, inner, bc, f, gamma=None):
     a = _forward_blocks(outer, inner, bc, gamma)
     lu, _ = _factorize(a, "forward", _COND_LIMIT)
     sol = la.lu_solve(lu, np.concatenate([f, np.zeros((inner.n,) + f.shape[1:])]))
-    return ForwardSolution(outer, inner, bc, sol[:outer.n], sol[outer.n:])
+    return ForwardSolution(outer, inner, sol[:outer.n], sol[outer.n:])
 
 
 def trig_resample(values, new_theta):
@@ -431,7 +425,7 @@ def dtn_matrix(outer, inner, bc, gamma=None, basis="collocation",
     to every simulated current column (the measured data) before assembly.
     """
     geometry = {"kind": inner.curve.kind, "n": inner.n}
-    meta = {"geometry": geometry, "bc": {"kind": bc}, "source": "bie", "role": "lambda0"}
+    meta = {"geometry": geometry, "bc": {"kind": bc}}
     if basis == "collocation":
         lam = solve_forward(outer, inner, bc, np.eye(outer.n), gamma).outer_flux()
         if flux_noise is not None:

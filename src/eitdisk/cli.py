@@ -109,13 +109,11 @@ def _parse_reg(text, noise_level):
         if len(parts) == 1:
             return RegStrategy.tikhonov_discrepancy(noise_level)
         if parts[1] == "disc":
-            safety = float(parts[2]) if len(parts) > 2 else 1.5
-            return RegStrategy.tikhonov_discrepancy(noise_level, safety)
+            return RegStrategy.tikhonov_discrepancy(noise_level, *map(float, parts[2:3]))
         return RegStrategy.tikhonov(float(parts[1]))
     if parts[0] == "cutoff":
         if len(parts) > 1 and parts[1] == "noise":
-            safety = float(parts[2]) if len(parts) > 2 else 2.0
-            return RegStrategy.cutoff_by_noise(noise_level, safety)
+            return RegStrategy.cutoff_by_noise(noise_level, *map(float, parts[2:3]))
         return RegStrategy.spectral_cutoff(float(parts[1]))
     raise ValueError(f"unknown regularization {text!r}")
 

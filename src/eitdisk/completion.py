@@ -59,6 +59,8 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 _COND_LIMIT = 1e8
+# a completion residual above this multiple of the declared noise is rejected
+_RESIDUAL_GUARD = 10.0
 
 
 @dataclass(frozen=True)
@@ -68,7 +70,6 @@ class CauchyPair:
     f: np.ndarray
     g: np.ndarray
     noise_level: float = 0.0
-    seed: object = None
     label: str = ""
 
     def __post_init__(self):
@@ -148,7 +149,7 @@ def interior_potential(system, f, inner_trace, points):
     return dm @ phi + di @ psi
 
 
-def complete_cauchy(system, pair, reg, residual_guard=10.0):
+def complete_cauchy(system, pair, reg):
     """Recover the inclusion trace and current from one Cauchy pair.
 
     The completion operator has exponentially decaying singular values, so a
@@ -159,8 +160,9 @@ def complete_cauchy(system, pair, reg, residual_guard=10.0):
     equation, nothing rises above the noise: the trace and current returned
     are zero and ``info["noise_dominated"]`` is true.  Raises
     :class:`ResidualTooLarge` when the post-fit residual (the solve's
-    ``info["residual"]``) is inconsistent with the declared noise.  The
-    current on the inclusion has its normal pointing into the inclusion.
+    ``info["residual"]``) exceeds ``_RESIDUAL_GUARD`` times the declared
+    noise.  The current on the inclusion has its normal pointing into the
+    inclusion.
     """
     f, g = pair.f, pair.g
     if f.shape != (system.outer.n,):
@@ -171,20 +173,19 @@ def complete_cauchy(system, pair, reg, residual_guard=10.0):
     level = pair.noise_level if pair.noise_level else reg.noise_level
     if level:
         delta_abs = system.model_error_factor * expected_noise_norm(g, level)
-        if reg.kind in ("tikhonov", "cutoff") and reg.alpha is None and reg.tau is None:
-            if reg.safety * delta_abs >= np.linalg.norm(b):
-                # nothing in the completion equation rises above the noise
-                # floor; the only defensible trace is zero
-                zero = np.zeros(system.inner.n)
-                return zero, zero.copy(), {"noise_dominated": True}
+        if reg.noise_tied and reg.safety * delta_abs >= np.linalg.norm(b):
+            # nothing in the completion equation rises above the noise
+            # floor; the only defensible trace is zero
+            zero = np.zeros(system.inner.n)
+            return zero, zero.copy(), {"noise_dominated": True}
     trace, info = regularized_solve(system.svd, b, reg, delta_abs=delta_abs)
 
     if pair.noise_level and delta_abs:
         residual = info["residual"]
-        if residual > residual_guard * delta_abs:
+        if residual > _RESIDUAL_GUARD * delta_abs:
             raise ResidualTooLarge(
                 f"completion residual {residual:.3e} exceeds "
-                f"{residual_guard} x noise {delta_abs:.3e}")
+                f"{_RESIDUAL_GUARD} x noise {delta_abs:.3e}")
     current = system.inner_response @ f + system.inner_completion @ trace
     info["noise_dominated"] = False
     return trace, current, info
@@ -223,23 +224,33 @@ def _reconstruction(theta, values):
     return GammaReconstruction(theta, values, avg, spread, counts)
 
 
+def _quotients(theta, traces, currents, tol_rel):
+    """Masked quotients ``-current/trace``, one row per pair, and their average.
+
+    Nodes where ``|trace|`` falls below ``tol_rel`` times the largest trace
+    magnitude over all pairs are masked (the quotient degenerates at zeros of
+    the potential), and so are NaN traces, which mark skipped pairs.
+    """
+    finite = ~np.isnan(traces)
+    top = np.max(np.abs(traces), where=finite, initial=0.0)
+    if top == 0.0:
+        raise AllMasked("every recovered trace is identically zero")
+    keep = finite & (np.abs(np.where(finite, traces, 0.0)) >= tol_rel * top)
+    safe = np.where(keep & (traces != 0.0), traces, 1.0)
+    return _reconstruction(theta, np.where(keep, -currents / safe, np.nan))
+
+
 def recover_gamma_pointwise(trace, current, theta, tol_rel=0.05):
-    """Impedance quotient ``-current/trace`` with a smallness mask.
+    """Impedance quotient ``-current/trace`` of one pair with a smallness mask.
 
     Nodes where ``|trace|`` falls below ``tol_rel`` times its maximum are
-    masked (the quotient degenerates at zeros of the potential).
+    masked; :func:`recover_gamma_averaged` does the same over several pairs.
     """
-    trace = np.asarray(trace, dtype=float)
-    current = np.asarray(current, dtype=float)
-    top = np.abs(trace).max()
-    if top == 0.0:
-        raise AllMasked("trace is identically zero")
-    keep = np.abs(trace) >= tol_rel * top
-    values = np.where(keep, -current / np.where(trace == 0.0, 1.0, trace), np.nan)
-    return _reconstruction(np.asarray(theta), values[None, :])
+    return _quotients(np.asarray(theta), np.asarray(trace, dtype=float)[None, :],
+                      np.asarray(current, dtype=float)[None, :], tol_rel)
 
 
-def recover_gamma_lsq(traces, currents, theta, degree, ridge=0.0):
+def recover_gamma_lsq(traces, currents, theta, degree):
     """Impedance coefficients in a trigonometric basis by pooled least squares.
 
     Minimizes ``sum_pairs sum_nodes |current + gamma(theta) trace|^2`` over
@@ -259,9 +270,6 @@ def recover_gamma_lsq(traces, currents, theta, degree, ridge=0.0):
         rhs.append(-np.asarray(cu))
     a = np.vstack(rows)
     b = np.concatenate(rhs)
-    if ridge > 0:
-        a = np.vstack([a, np.sqrt(ridge) * np.eye(basis.shape[1])])
-        b = np.concatenate([b, np.zeros(basis.shape[1])])
     coef, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
     if rank < basis.shape[1]:
         warnings.warn("impedance basis is rank deficient on these nodes",
@@ -296,13 +304,6 @@ def recover_gamma_averaged(system, pairs, reg, tol_rel=0.05):
             continue
         traces[k] = trace
         currents[k] = current
-    finite = ~np.isnan(traces)
-    if not finite.any():
+    if np.isnan(traces).all():
         raise AllMasked("every pair was rejected as noise-dominated")
-    global_max = np.nanmax(np.abs(traces))
-    if global_max == 0.0:
-        raise AllMasked("every recovered trace is identically zero")
-    keep = finite & (np.abs(np.where(finite, traces, 0.0)) >= tol_rel * global_max)
-    safe = np.where(keep & (traces != 0.0), traces, 1.0)
-    values = np.where(keep, -currents / safe, np.nan)
-    return _reconstruction(system.inner.theta, values)
+    return _quotients(system.inner.theta, traces, currents, tol_rel)

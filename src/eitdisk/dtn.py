@@ -60,8 +60,8 @@ class DtnOperator:
         """Collocation angles ``theta_j = 2 pi j / n`` (collocation basis only)."""
         return 2.0 * np.pi * np.arange(self.n) / self.n
 
-    def with_matrix(self, matrix, **meta):
-        return replace(self, matrix=matrix, meta={**self.meta, **meta})
+    def with_matrix(self, matrix):
+        return replace(self, matrix=matrix, meta=dict(self.meta))
 
 
 def healthy_collocation_matrix(n):
@@ -89,7 +89,7 @@ def gap_from_lambda0(lambda0):
         gap = healthy_collocation_matrix(lambda0.n) - lambda0.matrix
     else:
         gap = healthy_fourier_matrix(lambda0.modes) - lambda0.matrix
-    return lambda0.with_matrix(gap, role="gap")
+    return lambda0.with_matrix(gap)
 
 
 def to_real_trig_basis(op):

@@ -9,11 +9,11 @@ two parameter derivatives, the Jacobian ``|x'(theta)|`` and unit normals.
 
 Normal conventions
 ------------------
-``normal(theta, "outer_boundary")`` points out of the region enclosed by the
-curve; this is the physical current direction on the measurement circle.
-``normal(theta, "inner_boundary")`` points into the enclosed region, which is
-the outward direction for the annular region between the measurement circle
-and an inclusion.
+``normal(theta)`` points out of the region enclosed by the curve, the
+counterclockwise convention every layer kernel uses.  On the measurement
+circle this is the physical current direction; on an inclusion the outward
+direction of the annular region is its negative, and the callers that need
+it flip the sign themselves.
 """
 
 from __future__ import annotations
@@ -155,23 +155,13 @@ class BoundaryCurve:
         v = self.velocity(theta)
         return np.sqrt((v**2).sum(axis=-1))
 
-    def normal(self, theta, convention="outer_boundary"):
-        """Unit normal at ``x(theta)``.
-
-        ``outer_boundary`` points out of the enclosed region; for
-        ``inner_boundary`` the sign flips so the normal points into the
-        enclosed inclusion (outward for the surrounding annulus).
-        """
+    def normal(self, theta):
+        """Unit normal at ``x(theta)``, pointing out of the enclosed region."""
         v = self.velocity(theta)
         j = np.sqrt((v**2).sum(axis=-1))
         if np.any(j < _TANGENT_TOL):
             raise DegenerateTangent("curve tangent below tolerance")
-        n = np.stack([v[..., 1], -v[..., 0]], axis=-1) / j[..., None]
-        if convention == "inner_boundary":
-            return -n
-        if convention != "outer_boundary":
-            raise ValueError(f"unknown normal convention {convention!r}")
-        return n
+        return np.stack([v[..., 1], -v[..., 0]], axis=-1) / j[..., None]
 
     def curvature(self, theta):
         """Signed curvature; positive for counterclockwise convex curves."""

@@ -97,9 +97,9 @@ def read_dtn(path):
     meta = {"geometry": doc.get("geometry"), "bc": doc.get("bc"),
             "config_hash": doc["config_hash"]}
     lam = DtnOperator(doc["basis"], _matrix_from_pairs(doc["lambda0"], doc["complex"]),
-                      modes, dict(meta, role="lambda0"))
+                      modes, meta)
     gap = DtnOperator(doc["basis"], _matrix_from_pairs(doc["gap"], doc["complex"]),
-                      modes, dict(meta, role="gap"))
+                      modes, dict(meta))
     return lam, gap
 
 

@@ -122,6 +122,11 @@ class RegStrategy:
     def none(cls):
         return cls("none")
 
+    @property
+    def noise_tied(self):
+        """Whether the penalty or threshold follows the noise level of the data."""
+        return self.kind in ("tikhonov", "cutoff") and self.alpha is None and self.tau is None
+
 
 def spectral_filter(s, beta2, b2, reg, delta_abs=None):
     """Filter factors of one strategy for right-hand-side columns.
@@ -140,7 +145,7 @@ def spectral_filter(s, beta2, b2, reg, delta_abs=None):
     b_perp2 = np.where(b_perp2 > len(s) * np.finfo(float).eps * b2, b_perp2, 0.0)
     s_col = s[:, None]
     target = None
-    if reg.kind in ("tikhonov", "cutoff") and reg.alpha is None and reg.tau is None:
+    if reg.noise_tied:
         if delta_abs is None:
             delta_abs = reg.noise_level * np.sqrt(b2)
         target = reg.safety * np.broadcast_to(delta_abs, b2.shape)

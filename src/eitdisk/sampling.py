@@ -17,9 +17,10 @@ set with a trigonometric-polynomial curve.
 
 A scan decomposes the (possibly perturbed) operator once and sends the
 unmasked points through :func:`eitdisk.regularization.spectral_filter` in
-blocks of ``_CHUNK`` columns.  The l2 norm comes from the real filter and
-``|U^H b|^2``; the ``sobolev_half`` norm weights the Fourier coefficients of
-the solution block.  :func:`indicator` does the same for one point.
+blocks of ``_CHUNK`` columns.  The norm is the l2 norm of the solution in the
+operator's basis; ``Vh`` is unitary, so it comes from the real filter and
+``|U^H b|^2`` alone, and no solution is formed.  :func:`indicator` does the
+same for one point.
 
 The per-point solves are independent and numpy releases the GIL in them, so
 each block is filtered in column slices on one thread per usable CPU, with the
@@ -84,8 +85,8 @@ class GridSpec:
             raise ValueError("grid resolution must be at least 2 per axis")
 
     @classmethod
-    def square(cls, n=101, half_width=0.95):
-        return cls(n, n, -half_width, half_width, -half_width, half_width)
+    def square(cls, n=101):
+        return cls(n, n)
 
     @property
     def xs(self):
@@ -157,23 +158,6 @@ def solve_current_gap(gap: DtnOperator, z, reg: RegStrategy):
     return regularized_solve(SvdFactorization.from_matrix(gap.matrix), b, reg)
 
 
-def _solution_norms(svd, filt, beta2, beta, gap, norm):
-    """Norms of the solutions ``Vh^H (filt * beta)``, one per column.
-
-    The l2 norm needs only ``beta2 = |beta|^2``; ``beta`` may then be None.
-    """
-    if norm == "l2":
-        return np.sqrt(np.einsum("ij,ij,ij->j", filt, filt, beta2))
-    x = svd.vh.conj().T @ (filt * beta)
-    if gap.basis == "fourier":
-        modes = gap.modes
-    else:
-        x = np.fft.fft(x, axis=0) / gap.n
-        modes = np.fft.fftfreq(gap.n, 1.0 / gap.n)
-    w = (1.0 + modes.astype(float) ** 2) ** 0.5
-    return np.sqrt(w @ np.abs(x) ** 2)
-
-
 def _worker_count(columns):
     """Threads for ``columns`` points: the CPUs this process may use, capped
     so that every thread gets at least ``_MIN_SLICE`` columns."""
@@ -184,10 +168,10 @@ def _worker_count(columns):
     return max(1, min(cpus, columns // _MIN_SLICE))
 
 
-def _filter_slice(svd, gap, reg, norm, beta2, b2):
-    """Filter of one column slice, reduced to the solution norms for ``l2``."""
-    filt, _ = spectral_filter(svd.s, beta2, b2, reg)
-    return _solution_norms(svd, filt, beta2, None, gap, norm) if norm == "l2" else filt
+def _slice_norms(s, reg, beta2, b2):
+    """l2 norms of one column slice's solutions, ``sqrt(sum F^2 |beta|^2)``."""
+    filt, _ = spectral_filter(s, beta2, b2, reg)
+    return np.sqrt(np.einsum("ij,ij,ij->j", filt, filt, beta2))
 
 
 def _gather(futures, columns):
@@ -199,18 +183,15 @@ def _gather(futures, columns):
     return [f.result() for f in futures]
 
 
-def _indicator_values(svd, gap, pts, reg, norm):
+def _indicator_values(svd, gap, pts, reg):
     """Indicator at points ``(P, 2)``, evaluated in blocks of ``_CHUNK`` columns.
 
-    The calling thread forms each block's right-hand sides, projection and
-    norms, whose rounding depends on the block width.  Worker threads filter
-    one contiguous column slice each and take its l2 norms; the
-    ``sobolev_half`` product stays whole, as BLAS may round a slice
-    differently.  A point whose cutoff removes every mode gets NaN, and one
+    The calling thread forms each block's right-hand sides, their projection
+    and squared norms, whose rounding depends on the block width.  Worker
+    threads filter one contiguous column slice each and take its l2 norms.  A
+    point whose cutoff removes every mode gets NaN, and one
     :class:`AllModesCutWarning` reports any such point.
     """
-    if norm not in ("l2", "sobolev_half"):
-        raise ValueError(f"unknown norm {norm!r}")
     values = np.empty(len(pts))
     workers = _worker_count(len(pts))
     with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
@@ -219,20 +200,15 @@ def _indicator_values(svd, gap, pts, reg, norm):
             beta, b2 = svd.project(b), np.sum(np.abs(b) ** 2, axis=0)
             del b  # only its projection and norm are needed from here on
             beta2 = np.abs(beta) ** 2
-            if norm == "l2":
-                del beta
+            del beta  # the l2 norms need only its squared magnitude
             edges = np.linspace(0, len(b2), _worker_count(len(b2)) + 1).astype(int)
-            args = [(svd, gap, reg, norm, beta2[:, a:z], b2[a:z])
+            args = [(svd.s, reg, beta2[:, a:z], b2[a:z])
                     for a, z in zip(edges[:-1], edges[1:])]
             if pool is None:
-                parts = [_filter_slice(*arg) for arg in args]
+                parts = [_slice_norms(*arg) for arg in args]
             else:
-                parts = _gather([pool.submit(_filter_slice, *arg) for arg in args], len(b2))
-            if norm == "l2":
-                xnorm = np.concatenate(parts)
-            else:
-                xnorm = _solution_norms(svd, np.concatenate(parts, axis=1), beta2, beta,
-                                        gap, norm)
+                parts = _gather([pool.submit(_slice_norms, *arg) for arg in args], len(b2))
+            xnorm = np.concatenate(parts)
             values[start:start + len(b2)] = np.divide(1.0, xnorm, where=xnorm > 0,
                                                       out=np.full_like(xnorm, np.nan))
     if np.isnan(values).any():
@@ -240,19 +216,18 @@ def _indicator_values(svd, gap, pts, reg, norm):
     return values
 
 
-def indicator(gap: DtnOperator, z, reg: RegStrategy, norm="l2"):
-    """Reciprocal norm of the regularized current-gap solution at ``z``.
+def indicator(gap: DtnOperator, z, reg: RegStrategy):
+    """Reciprocal l2 norm of the regularized current-gap solution at ``z``.
 
     NaN (with :class:`AllModesCutWarning`) when the cutoff removes every mode.
     """
     poisson_rhs(z, gap)  # rejects points outside the sampling mask
     svd = SvdFactorization.from_matrix(gap.matrix)
-    return float(_indicator_values(svd, gap, np.asarray(z, dtype=float)[None, :],
-                                   reg, norm)[0])
+    return float(_indicator_values(svd, gap, np.asarray(z, dtype=float)[None, :], reg)[0])
 
 
 def scan(gap: DtnOperator, grid: GridSpec, reg: RegStrategy,
-         noise=None, norm="l2") -> IndicatorGrid:
+         noise=None) -> IndicatorGrid:
     """Evaluate the indicator over every unmasked grid point.
 
     Optional ``noise=(delta, seed)`` perturbs the operator matrix once (the
@@ -274,7 +249,7 @@ def scan(gap: DtnOperator, grid: GridSpec, reg: RegStrategy,
     pts = grid.points()
     inside = np.hypot(pts[:, 0], pts[:, 1]) <= RADIUS_MASK
     w_flat = np.full(len(pts), np.nan)
-    w_flat[inside] = _indicator_values(svd, gap, pts[inside], reg, norm)
+    w_flat[inside] = _indicator_values(svd, gap, pts[inside], reg)
     values = w_flat.reshape(grid.ny, grid.nx)
     return IndicatorGrid(grid, values, inside.reshape(grid.ny, grid.nx), meta)
 

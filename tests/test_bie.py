@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eitdisk.annulus import (AnnulusConfig, gap_coefficient,
                              inner_trace_coefficient)
@@ -394,3 +396,25 @@ class TestDtnMatrix:
         b = dtn_matrix(outer, inner, "dirichlet", basis="fourier",
                        modes=np.arange(-5, 6), flux_noise=(0.04, 7))
         assert np.array_equal(a.matrix, b.matrix)
+
+    @settings(max_examples=10, deadline=None)
+    @given(offset=st.floats(0.05, 0.4), angle=st.floats(0.0, 2 * np.pi),
+           radius=st.floats(0.1, 0.35), k=st.integers(1, 31),
+           bc=st.sampled_from(["dirichlet", "impedance"]))
+    def test_rotating_the_inclusion_rolls_the_collocation_map(self, offset, angle,
+                                                              radius, k, bc):
+        # a rotation by 2 pi k / n maps the nodes of both circles onto
+        # themselves, shifted by k, so the node-value map is rolled by k
+        n = 32
+        outer = unit_mesh(n)
+
+        def lam(phi):
+            center = (offset * np.cos(phi), offset * np.sin(phi))
+            inner = NystromMesh(BoundaryCurve.circle(center, radius), n, "inner")
+            gamma = np.full(n, 2.0) if bc == "impedance" else None
+            return dtn_matrix(outer, inner, bc, gamma).matrix
+
+        base = lam(angle)
+        rotated = lam(angle + 2 * np.pi * k / n)
+        rolled = np.roll(base, (k, k), axis=(0, 1))
+        assert np.max(np.abs(rotated - rolled)) <= 1e-12 * np.max(np.abs(base))

@@ -39,28 +39,7 @@ class TestCurveEvaluation:
 class TestNormalsAndJacobian:
     def test_unit_circle_outer_normal(self):
         c = BoundaryCurve.circle(radius=1.0)
-        assert np.allclose(c.normal(0.0, "outer_boundary"), [1.0, 0.0])
-
-    def test_inner_normal_points_inward(self):
-        c = BoundaryCurve.circle(radius=0.5)
-        assert np.allclose(c.normal(0.0, "inner_boundary"), [-1.0, 0.0])
-
-    def test_ellipse_inner_normal(self):
-        c = BoundaryCurve.ellipse(0.5, 0.3)
-        t = np.pi / 4
-        raw = np.array([0.3 * np.cos(t), 0.5 * np.sin(t)])
-        want = -raw / np.linalg.norm(raw)
-        assert np.allclose(c.normal(t, "inner_boundary"), want, atol=1e-14)
-
-    def test_inner_normal_points_toward_centroid(self):
-        # star-shaped test curves: inner normal has negative radial component
-        for c in (BoundaryCurve.circle(radius=0.4), BoundaryCurve.ellipse(0.5, 0.3),
-                  BoundaryCurve.cardioid()):
-            t = c.nodes(64)
-            pts = c.point(t)
-            centroid = pts.mean(axis=0)
-            n = c.normal(t, "inner_boundary")
-            assert np.all(np.einsum("ij,ij->i", n, pts - centroid) < 0)
+        assert np.allclose(c.normal(0.0), [1.0, 0.0])
 
     def test_circle_jacobian_is_radius(self):
         c = BoundaryCurve.circle(radius=0.7)

@@ -112,13 +112,6 @@ class TestIndicator:
         vals = [indicator(gap, (r, 0.0), reg) for r in rs]
         assert np.all(np.diff(vals) <= 1e-12)
 
-    def test_sobolev_norm_option(self):
-        gap = gap_operator(DIRICHLET, basis="fourier")
-        reg = RegStrategy.tikhonov(1e-6)
-        w_l2 = indicator(gap, (0.3, 0.0), reg, norm="l2")
-        w_s = indicator(gap, (0.3, 0.0), reg, norm="sobolev_half")
-        assert 0 < w_s < w_l2  # the +1/2 weights can only grow the norm
-
 
 class TestScan:
     def test_single_cell_grid_matches_indicator(self):
@@ -168,15 +161,15 @@ class TestScan:
         assert contrast(scan(gap, grid, reg)) > contrast(
             scan(gap, grid, reg, noise=(0.05, 1)))
 
-    def test_noisy_sobolev_scan_ignores_earlier_indicator_calls(self):
+    def test_noisy_scan_ignores_earlier_indicator_calls(self):
         # an indicator call on the clean gap must not leave a decomposition
         # behind that a later noisy scan of the same gap reuses
         reg = RegStrategy.tikhonov_discrepancy(0.05)
         grid = GridSpec.square(9)
-        fresh = scan(colloc_gap(), grid, reg, noise=(0.05, 1), norm="sobolev_half")
+        fresh = scan(colloc_gap(), grid, reg, noise=(0.05, 1))
         gap = colloc_gap()
         indicator(gap, (0.2, 0.0), reg)
-        after = scan(gap, grid, reg, noise=(0.05, 1), norm="sobolev_half")
+        after = scan(gap, grid, reg, noise=(0.05, 1))
         assert np.array_equal(after.values, fresh.values, equal_nan=True)
 
     def test_discrepancy_alpha_columns_match_scalar_path(self):
@@ -205,35 +198,29 @@ SCAN_STRATEGIES = {
 
 class TestScanMatchesIndicator:
     @pytest.mark.parametrize("basis", ["collocation", "fourier"])
-    @pytest.mark.parametrize("norm", ["l2", "sobolev_half"])
     @pytest.mark.parametrize("name", sorted(SCAN_STRATEGIES))
     @settings(max_examples=3, deadline=None)
     @given(x0=st.floats(-0.9, 0.3), y0=st.floats(-0.9, 0.3))
-    def test_every_strategy_norm_and_basis(self, basis, norm, name, x0, y0):
+    def test_every_strategy_and_basis(self, basis, name, x0, y0):
         gap = basis_gap(basis)
         reg = SCAN_STRATEGIES[name]
         grid = GridSpec(4, 3, x0, x0 + 0.6, y0, y0 + 0.6)
         if name == "none" and basis == "collocation":
             # the band-limited collocation gap is singular
             with pytest.raises(SingularSystem):
-                scan(gap, grid, reg, norm=norm)
+                scan(gap, grid, reg)
             return
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", AllModesCutWarning)
-            out = scan(gap, grid, reg, norm=norm)
+            out = scan(gap, grid, reg)
             for z, w, inside in zip(grid.points(), out.values.ravel(), out.mask.ravel()):
                 if not inside:
                     continue
-                want = indicator(gap, z, reg, norm=norm)
+                want = indicator(gap, z, reg)
                 if np.isnan(want):
                     assert np.isnan(w)
                 else:
                     assert abs(w - want) <= 1e-9 * want
-
-    def test_unknown_norm_rejected(self):
-        with pytest.raises(ValueError, match="norm"):
-            scan(colloc_gap(), GridSpec.square(5), RegStrategy.tikhonov(1e-6),
-                 norm="bogus")
 
     def test_indicator_all_modes_cut_is_nan(self):
         with pytest.warns(AllModesCutWarning) as caught:
@@ -256,15 +243,14 @@ class TestScanMatchesIndicator:
             for z, w in zip(out.spec.points()[cut.ravel()], out.values[cut]):
                 assert np.isnan(indicator(gap, z, reg)) and np.isnan(w)
 
-    @pytest.mark.parametrize("norm", ["l2", "sobolev_half"])
-    def test_chunked_scan_matches_one_piece(self, monkeypatch, norm):
+    def test_chunked_scan_matches_one_piece(self, monkeypatch):
         gap = colloc_gap()
         reg = RegStrategy.tikhonov_discrepancy(0.05)
         grid = GridSpec.square(15)
-        whole = scan(gap, grid, reg, noise=(0.05, 3), norm=norm)
+        whole = scan(gap, grid, reg, noise=(0.05, 3))
         monkeypatch.setattr(sampling, "_CHUNK", 16)
         assert whole.mask.sum() > 4 * sampling._CHUNK
-        pieces = scan(gap, grid, reg, noise=(0.05, 3), norm=norm)
+        pieces = scan(gap, grid, reg, noise=(0.05, 3))
         assert np.allclose(pieces.values, whole.values, rtol=1e-12, atol=0,
                            equal_nan=True)
 
@@ -277,19 +263,18 @@ def use_cpus(monkeypatch, count):
 
 class TestScanThreads:
     @pytest.mark.parametrize("basis", ["collocation", "fourier"])
-    @pytest.mark.parametrize("norm", ["l2", "sobolev_half"])
     @pytest.mark.parametrize("name", ["discrepancy", "cutoff"])
     @pytest.mark.parametrize("chunk", [sampling._CHUNK, 100])
-    def test_worker_count_does_not_change_a_bit(self, monkeypatch, basis, norm, name, chunk):
+    def test_worker_count_does_not_change_a_bit(self, monkeypatch, basis, name, chunk):
         gap = basis_gap(basis)
         reg = SCAN_STRATEGIES[name]
         grid = GridSpec.square(23)
         monkeypatch.setattr(sampling, "_CHUNK", chunk)
-        default = scan(gap, grid, reg, noise=(0.05, 5), norm=norm)
+        default = scan(gap, grid, reg, noise=(0.05, 5))
         for cpus in (1, 3):
             use_cpus(monkeypatch, cpus)
             assert sampling._worker_count(default.mask.sum()) == cpus
-            out = scan(gap, grid, reg, noise=(0.05, 5), norm=norm)
+            out = scan(gap, grid, reg, noise=(0.05, 5))
             assert np.array_equal(out.values, default.values, equal_nan=True)
 
     def test_worker_count_follows_usable_cpus(self, monkeypatch):
