@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from eitdisk.cli import _gamma_values, main
+from eitdisk.cli import _gamma_values, _parse_reg, main
 from eitdisk.io import read_curve, read_dtn, read_indicator
+from eitdisk.regularization import RegStrategy
 
 
 @pytest.fixture
@@ -161,3 +162,29 @@ def test_impedance_factorizes_simulation_and_completion_once(
     assert main(["impedance", "--geometry", ellipse_file,
                  "--out", str(tmp_path / "g.csv")]) == 0
     assert lu_factor_calls == [(128, 128), (64, 64)]
+
+
+@pytest.mark.parametrize("text, want", [
+    ("none", RegStrategy.none()),
+    ("tikhonov", RegStrategy.tikhonov_discrepancy(0.05)),
+    ("tikhonov:disc", RegStrategy.tikhonov_discrepancy(0.05)),
+    ("tikhonov:disc:3", RegStrategy.tikhonov_discrepancy(0.05, 3.0)),
+    ("tikhonov:1e-6", RegStrategy.tikhonov(1e-6)),
+    ("cutoff:0.01", RegStrategy.spectral_cutoff(0.01)),
+    ("cutoff:noise", RegStrategy.cutoff_by_noise(0.05)),
+    ("cutoff:noise:4", RegStrategy.cutoff_by_noise(0.05, 4.0)),
+])
+def test_parse_reg_takes_safety_defaults_from_the_constructors(text, want):
+    assert _parse_reg(text, 0.05) == want
+
+
+def test_parse_reg_rejects_unknown_strategy():
+    with pytest.raises(ValueError, match="unknown regularization"):
+        _parse_reg("landweber", 0.05)
+
+
+def test_parse_reg_default_safety_factors_unchanged():
+    # the documented --reg defaults: 1.5 for the discrepancy principle,
+    # 2.0 for the noise-tied cutoff
+    assert _parse_reg("tikhonov", 0.05).safety == 1.5
+    assert _parse_reg("cutoff:noise", 0.05).safety == 2.0

@@ -41,6 +41,32 @@ class TestNormalsAndJacobian:
         c = BoundaryCurve.circle(radius=1.0)
         assert np.allclose(c.normal(0.0), [1.0, 0.0])
 
+    def test_ellipse_outer_normal(self):
+        c = BoundaryCurve.ellipse(0.5, 0.3)
+        t = np.pi / 4
+        raw = np.array([0.3 * np.cos(t), 0.5 * np.sin(t)])
+        assert np.allclose(c.normal(t), raw / np.linalg.norm(raw), atol=1e-14)
+
+    @pytest.mark.parametrize("curve", [
+        BoundaryCurve.circle(radius=0.4),
+        BoundaryCurve.circle((0.3, -0.2), 0.25),
+        BoundaryCurve.ellipse(0.5, 0.3),
+        BoundaryCurve.cardioid(),
+    ], ids=["circle", "offcentre_circle", "ellipse", "cardioid"])
+    def test_normal_points_away_from_centroid(self, curve):
+        # star-shaped test curves: the normal has a positive radial component
+        t = curve.nodes(64)
+        pts = curve.point(t)
+        n = curve.normal(t)
+        assert np.all(np.einsum("ij,ij->i", n, pts - pts.mean(axis=0)) > 0)
+
+    def test_normal_is_unit_and_orthogonal_to_the_tangent(self):
+        c = BoundaryCurve.cardioid()
+        t = c.nodes(64)
+        n = c.normal(t)
+        assert np.allclose(np.linalg.norm(n, axis=1), 1.0, atol=1e-14)
+        assert np.allclose(np.einsum("ij,ij->i", n, c.velocity(t)), 0.0, atol=1e-14)
+
     def test_circle_jacobian_is_radius(self):
         c = BoundaryCurve.circle(radius=0.7)
         assert np.allclose(c.jacobian(np.linspace(0, 6, 11)), 0.7)

@@ -147,6 +147,17 @@ class TestRegularizedSolve:
         assert np.allclose(x, cutoff_solve(svd, b, tau_rel=0.5))
 
 
+    @pytest.mark.parametrize("reg, tied", [
+        (RegStrategy.none(), False),
+        (RegStrategy.tikhonov(1e-6), False),
+        (RegStrategy.tikhonov_discrepancy(0.05), True),
+        (RegStrategy.spectral_cutoff(1e-3), False),
+        (RegStrategy.cutoff_by_noise(0.05), True),
+    ], ids=["none", "tikhonov", "discrepancy", "cutoff", "cutoff_by_noise"])
+    def test_noise_tied_marks_the_noise_level_strategies(self, reg, tied):
+        assert reg.noise_tied is tied
+
+
 STRATEGIES = [
     RegStrategy.none(),
     RegStrategy.tikhonov(1e-3),

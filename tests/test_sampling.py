@@ -161,13 +161,14 @@ class TestScan:
         assert contrast(scan(gap, grid, reg)) > contrast(
             scan(gap, grid, reg, noise=(0.05, 1)))
 
-    def test_noisy_scan_ignores_earlier_indicator_calls(self):
+    @pytest.mark.parametrize("basis", ["collocation", "fourier"])
+    def test_noisy_scan_ignores_earlier_indicator_calls(self, basis):
         # an indicator call on the clean gap must not leave a decomposition
         # behind that a later noisy scan of the same gap reuses
         reg = RegStrategy.tikhonov_discrepancy(0.05)
         grid = GridSpec.square(9)
-        fresh = scan(colloc_gap(), grid, reg, noise=(0.05, 1))
-        gap = colloc_gap()
+        fresh = scan(basis_gap(basis), grid, reg, noise=(0.05, 1))
+        gap = basis_gap(basis)
         indicator(gap, (0.2, 0.0), reg)
         after = scan(gap, grid, reg, noise=(0.05, 1))
         assert np.array_equal(after.values, fresh.values, equal_nan=True)
@@ -243,8 +244,9 @@ class TestScanMatchesIndicator:
             for z, w in zip(out.spec.points()[cut.ravel()], out.values[cut]):
                 assert np.isnan(indicator(gap, z, reg)) and np.isnan(w)
 
-    def test_chunked_scan_matches_one_piece(self, monkeypatch):
-        gap = colloc_gap()
+    @pytest.mark.parametrize("basis", ["collocation", "fourier"])
+    def test_chunked_scan_matches_one_piece(self, monkeypatch, basis):
+        gap = basis_gap(basis)
         reg = RegStrategy.tikhonov_discrepancy(0.05)
         grid = GridSpec.square(15)
         whole = scan(gap, grid, reg, noise=(0.05, 3))
@@ -263,7 +265,8 @@ def use_cpus(monkeypatch, count):
 
 class TestScanThreads:
     @pytest.mark.parametrize("basis", ["collocation", "fourier"])
-    @pytest.mark.parametrize("name", ["discrepancy", "cutoff"])
+    # "none" is left out: the band-limited collocation gap is singular
+    @pytest.mark.parametrize("name", ["discrepancy", "cutoff", "tikhonov", "cutoff_by_noise"])
     @pytest.mark.parametrize("chunk", [sampling._CHUNK, 100])
     def test_worker_count_does_not_change_a_bit(self, monkeypatch, basis, name, chunk):
         gap = basis_gap(basis)
