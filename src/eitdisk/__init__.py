@@ -20,8 +20,7 @@ from .completion import (CauchyPair, CompletionSystem, GammaReconstruction,
                          recover_gamma_pointwise)
 from .dtn import (DtnOperator, gap_from_lambda0, healthy_collocation_matrix,
                   healthy_fourier_matrix, to_real_trig_basis)
-from .geometry import (BoundaryCurve, FourierData, fourier_analyze,
-                       fourier_eval, sobolev_half_norm)
+from .geometry import BoundaryCurve, FourierData, fourier_analyze, fourier_eval
 from .regularization import (RegStrategy, SvdFactorization, cutoff_solve,
                              discrepancy_alpha, expected_noise_norm,
                              perturb_matrix, perturb_vector, regularized_solve,

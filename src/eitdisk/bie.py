@@ -404,9 +404,12 @@ def solve_forward(outer, inner, bc, f, gamma=None):
 
 
 def trig_resample(values, new_theta):
-    """Evaluate the trigonometric interpolant of node values at new angles."""
+    """Evaluate the trigonometric interpolant of node values at new angles.
+
+    ``values`` holds one column ``(n,)`` or columns ``(n, P)`` of node values.
+    """
     n = len(values)
-    c = np.fft.fft(values) / n
+    c = np.fft.fft(values, axis=0) / n
     m = np.fft.fftfreq(n, 1.0 / n).astype(int)
     return np.exp(1j * np.outer(new_theta, m)) @ c
 

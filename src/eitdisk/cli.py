@@ -201,9 +201,10 @@ def cmd_impedance(args):
               for kind, fn in (("cos", np.cos), ("sin", np.sin))][:args.pairs]
     voltages = np.column_stack([fn(k * outer.theta) for _, fn, k in drives])
     flux = bie.solve_forward(outer, inner_true, args.bc, voltages, gamma_true).outer_flux()
+    flux64 = np.real(bie.trig_resample(flux, outer64.theta))
     pairs = []
     for j, (kind, fn, k) in enumerate(drives):
-        g64 = np.real(bie.trig_resample(flux[:, j], outer64.theta))
+        g64 = flux64[:, j]
         if args.noise:
             g64 = perturb_vector(g64, args.noise, (args.seed, j))
         pairs.append(CauchyPair(fn(k * outer64.theta), g64,

@@ -29,7 +29,6 @@ __all__ = [
     "FourierData",
     "fourier_analyze",
     "fourier_eval",
-    "sobolev_half_norm",
 ]
 
 _TANGENT_TOL = 1e-12
@@ -279,15 +278,3 @@ def fourier_eval(data, theta):
     phases = np.exp(1j * np.multiply.outer(theta, data.modes))
     return phases @ data.coeffs
 
-
-def sobolev_half_norm(data, sign=+1):
-    """Sobolev norm of index +1/2 or -1/2 from Fourier coefficients.
-
-    Returns ``sqrt(sum (1+n^2)^(sign/2) |c_n|^2)``; the +1/2 norm measures
-    boundary voltages, the -1/2 norm measures currents and residuals of the
-    current-gap equation.
-    """
-    if sign not in (+1, -1):
-        raise ValueError("sign must be +1 or -1")
-    w = (1.0 + data.modes.astype(float) ** 2) ** (0.5 * sign)
-    return float(np.sqrt(np.sum(w * np.abs(data.coeffs) ** 2)))

@@ -94,8 +94,7 @@ def read_dtn(path):
     with open(path) as fh:
         doc = json.load(fh)
     modes = None if doc["modes"] is None else np.asarray(doc["modes"], dtype=int)
-    meta = {"geometry": doc.get("geometry"), "bc": doc.get("bc"),
-            "config_hash": doc["config_hash"]}
+    meta = {"geometry": doc.get("geometry"), "bc": doc.get("bc")}
     lam = DtnOperator(doc["basis"], _matrix_from_pairs(doc["lambda0"], doc["complex"]),
                       modes, meta)
     gap = DtnOperator(doc["basis"], _matrix_from_pairs(doc["gap"], doc["complex"]),
@@ -148,7 +147,7 @@ def read_indicator(path):
     # the rows present are the mask: an evaluated point may hold NaN
     mask = np.zeros((spec.ny, spec.nx), dtype=bool)
     mask[i, j] = True
-    return IndicatorGrid(spec, values, mask, {"config_hash": fields["config"]})
+    return IndicatorGrid(spec, values, mask)
 
 
 def write_curve(path, fitted: FittedCurve, config: dict):

@@ -10,9 +10,9 @@ the residual:
   ``|A x - b|^2 + alpha |x|^2``, also on rank-deficient systems.  ``alpha`` is
   explicit or chosen per column by the Morozov discrepancy principle, the
   root of ``|A x_alpha - b| = target``.  That residual increases with
-  ``alpha``, so 60 bisection steps on ``log alpha`` over ``[1e-14 s1^2, s1^2]``
-  resolve it to rounding for all columns at once (Engl, Hanke & Neubauer,
-  1996, ch. 4).
+  ``alpha``: bisection on ``log alpha`` over ``[1e-14 s1^2, s1^2]`` brackets
+  it, then Newton in ``mu = 1/alpha``, where its square is convex, resolves it
+  to rounding per column (Engl, Hanke & Neubauer, 1996, ch. 4).
 - Spectral cutoff: ``F_i = 1/s_i`` on the singular triplets with
   ``s_i >= tau * s_1``, or above an absolute, noise-tied threshold per
   column, and zero elsewhere.
@@ -53,8 +53,10 @@ __all__ = [
 ]
 
 _ALPHA_FLOOR = 1e-14  # bottom of the discrepancy bracket, relative to s1^2
-# halvings of the 1e14-wide log bracket: 57 reach double rounding, 60 leave margin
-_BISECTION_STEPS = 60
+# halvings of the 1e14-wide log bracket before Newton: each root is then known
+# to a factor 1e14**(1/256) < 1.14, from where Newton takes about six steps
+_COARSE_STEPS = 8
+_NEWTON_STEPS = 30  # cap on the Newton steps of a column
 
 
 @dataclass(frozen=True)
@@ -73,9 +75,6 @@ class SvdFactorization:
     def project(self, b):
         """Coefficients of ``b`` in the left singular basis."""
         return self.u.conj().T @ np.asarray(b)
-
-    def reconstruct(self):
-        return (self.u * self.s) @ self.vh
 
 
 @dataclass(frozen=True)
@@ -153,7 +152,7 @@ def spectral_filter(s, beta2, b2, reg, delta_abs=None):
         if target is None:
             alpha = np.full(b2.shape, float(reg.alpha))
         else:
-            alpha = _discrepancy_bisection(s**2, beta2, b_perp2, b2, target**2)
+            alpha = _discrepancy_root(s_col**2, beta2, b_perp2, b2, target**2)
         comp = alpha + s_col**2  # turned into 1 - s F, the residual's filter
         filt = s_col / comp
         np.divide(alpha, comp, out=comp)
@@ -180,33 +179,48 @@ def spectral_filter(s, beta2, b2, reg, delta_abs=None):
     return filt, info
 
 
-def _discrepancy_bisection(s2, beta2, b_perp2, b2, t2):
+def _discrepancy_root(s2, beta2, b_perp2, b2, t2):
     """Per-column root of ``|A x_alpha - b|^2 = t2`` on ``[1e-14 s1^2, s1^2]``.
 
-    A column whose target is not reached inside the bracket gets the nearer
-    endpoint.  Raises :class:`NoiseDominates` when a target reaches the data
-    norm, where no fit is meaningful.
+    Bisection on ``log alpha`` brackets each root, then Newton in
+    ``mu = 1/alpha`` rises to it from the bracket's upper ``alpha``.  A column
+    stops for good once its step falls to rounding, so its result does not
+    depend on the other columns.  A column whose target is not reached inside
+    the bracket gets the nearer endpoint.  Raises :class:`NoiseDominates` when
+    a target reaches the data norm, where no fit is meaningful.
     """
     if np.any(t2 >= b2):
         raise NoiseDominates(int(np.sum(t2 >= b2)), len(b2))
+    q, w = np.empty(beta2.shape), np.empty(beta2.shape)  # reused by every step
 
-    def res2(alpha):
-        f = s2[:, None] + alpha  # in place from here: one (k, P) buffer per step
-        np.divide(alpha, f, out=f)
-        f *= f
-        return np.einsum("ij,ij->j", f, beta2) + b_perp2
+    def res2(alpha):  # leaves q = alpha / (alpha + s^2) = 1 / (1 + mu s^2)
+        np.add(s2, alpha, out=q)
+        np.divide(alpha, q, out=q)
+        np.multiply(q, q, out=w)
+        return np.einsum("ij,ij->j", w, beta2) + b_perp2
 
-    lo = np.full(len(b2), _ALPHA_FLOOR * s2[0])
-    hi = np.full(len(b2), s2[0])
+    lo = np.full(len(b2), _ALPHA_FLOOR * s2[0, 0])
+    hi = np.full(len(b2), s2[0, 0])
     r_lo, r_hi = res2(lo), res2(hi)
     bracketed = (r_lo < t2) & (r_hi > t2)
     outside = np.where(r_lo >= t2, lo, hi)
-    for _ in range(_BISECTION_STEPS):
+    for _ in range(_COARSE_STEPS):
         mid = np.sqrt(lo * hi)
         below = res2(mid) < t2
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    return np.where(bracketed, np.sqrt(lo * hi), outside)
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    # g(mu) = res2 - t^2 is decreasing and convex, g' = -2 sum q^3 s^2 beta^2
+    mu, active = 1.0 / hi, bracketed
+    for _ in range(_NEWTON_STEPS):
+        if not active.any():
+            break
+        g = res2(1.0 / mu) - t2
+        w *= q
+        w *= s2
+        step = np.divide(g, 2.0 * np.einsum("ij,ij->j", w, beta2),
+                         out=np.zeros_like(g), where=active)
+        active = active & (step > 4.0 * np.finfo(float).eps * mu)
+        mu[active] += step[active]
+    return np.where(bracketed, 1.0 / mu, outside)
 
 
 def regularized_solve(svd, b, reg, delta_abs=None):

@@ -33,7 +33,7 @@ import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -109,7 +109,6 @@ class IndicatorGrid:
     spec: GridSpec
     values: np.ndarray          # shape (ny, nx), NaN outside the mask
     mask: np.ndarray            # True where evaluated
-    meta: dict = field(default_factory=dict)
 
     @property
     def max_value(self):
@@ -239,11 +238,8 @@ def scan(gap: DtnOperator, grid: GridSpec, reg: RegStrategy,
     CPU, and the result is the same bit for bit on any number of CPUs.
     """
     matrix = gap.matrix
-    meta = dict(gap.meta)
     if noise is not None:
-        delta, seed = noise
-        matrix = perturb_matrix(matrix, delta, seed)
-        meta.update(noise_delta=delta, noise_seed=seed)
+        matrix = perturb_matrix(matrix, *noise)
     svd = SvdFactorization.from_matrix(matrix)
 
     pts = grid.points()
@@ -251,7 +247,7 @@ def scan(gap: DtnOperator, grid: GridSpec, reg: RegStrategy,
     w_flat = np.full(len(pts), np.nan)
     w_flat[inside] = _indicator_values(svd, gap, pts[inside], reg)
     values = w_flat.reshape(grid.ny, grid.nx)
-    return IndicatorGrid(grid, values, inside.reshape(grid.ny, grid.nx), meta)
+    return IndicatorGrid(grid, values, inside.reshape(grid.ny, grid.nx))
 
 
 # ---------------------------------------------------------------------------

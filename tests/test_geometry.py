@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from eitdisk.exceptions import InsufficientSamples
 from eitdisk.geometry import (BoundaryCurve, FourierData, fourier_analyze,
-                              fourier_eval, sobolev_half_norm)
+                              fourier_eval)
 
 
 class TestCurveEvaluation:
@@ -154,20 +154,3 @@ class TestFourier:
         assert np.array_equal(d.coeffs, np.conj(d.coeffs[::-1]))
         assert d.is_real(tol=0.0)
 
-
-class TestSobolevNorm:
-    def test_constant(self):
-        d = FourierData.from_dict({0: 1.0}, 2)
-        assert abs(sobolev_half_norm(d, +1) - 1.0) < 1e-15
-
-    def test_first_mode_plus(self):
-        d = FourierData.from_dict({1: 1.0, -1: 1.0}, 2)
-        want = np.sqrt(2 * np.sqrt(2.0))   # 1.6817928305074290
-        assert abs(sobolev_half_norm(d, +1) - want) < 1e-15
-        assert abs(want - 1.6817928305074290) < 1e-15
-
-    def test_first_mode_minus(self):
-        d = FourierData.from_dict({1: 1.0, -1: 1.0}, 2)
-        want = np.sqrt(2 / np.sqrt(2.0))   # 1.1892071150027210
-        assert abs(sobolev_half_norm(d, -1) - want) < 1e-15
-        assert abs(want - 1.1892071150027210) < 1e-15

@@ -197,6 +197,14 @@ class TestTrigResample:
         want = 1.0 + np.cos(3 * new_t) - 0.5 * np.sin(7 * new_t)
         assert np.max(np.abs(got - want)) < 1e-12
 
+    def test_columns_match_single_calls(self):
+        vals = np.random.Generator(np.random.Philox(4)).normal(size=(24, 5))
+        new_t = np.linspace(0.1, 6.0, 11)
+        got = trig_resample(vals, new_t)
+        assert got.shape == (11, 5)
+        for j in range(5):
+            assert np.max(np.abs(got[:, j] - trig_resample(vals[:, j], new_t))) < 1e-12
+
 
 class TestDiagnosticPaths:
     def test_rank_deficient_lsq_warns(self):

@@ -9,7 +9,8 @@ from eitdisk.exceptions import AllModesCutWarning, NoiseDominates, SingularSyste
 from eitdisk.regularization import (RegStrategy, SvdFactorization, cutoff_solve,
                                     discrepancy_alpha, expected_noise_norm,
                                     perturb_matrix, perturb_vector,
-                                    regularized_solve, tikhonov_solve)
+                                    regularized_solve, spectral_filter,
+                                    tikhonov_solve)
 
 
 def random_system(n=8, seed=0):
@@ -23,7 +24,7 @@ class TestSvd:
     def test_reconstruction(self):
         a, _ = random_system(12, 3)
         svd = SvdFactorization.from_matrix(a)
-        err = np.linalg.norm(svd.reconstruct() - a, 2) / np.linalg.norm(a, 2)
+        err = np.linalg.norm((svd.u * svd.s) @ svd.vh - a, 2) / np.linalg.norm(a, 2)
         assert err < 1e-12
 
     def test_ordering(self):
@@ -244,6 +245,138 @@ class TestBatchedKernel:
             regularized_solve(svd, b, RegStrategy("tikhonov", safety=1.0),
                               delta_abs=np.array([0.1, 2.0]))
         assert (caught.value.columns, caught.value.total) == (1, 2)
+
+
+
+def residual2(s, beta2, b2):
+    """``alpha -> |A x_alpha - b|^2`` per column, formed as the kernel forms it."""
+    b_perp2 = b2 - beta2.sum(axis=0)
+    b_perp2 = np.where(b_perp2 > len(s) * np.finfo(float).eps * b2, b_perp2, 0.0)
+    s2 = s[:, None] ** 2
+
+    def res2(alpha):
+        f = alpha / (s2 + alpha)
+        return np.einsum("ij,ij->j", f * f, beta2) + b_perp2
+    return res2
+
+
+def bisection_alpha(s, beta2, b2, t2, steps=60):
+    """Reference discrepancy alpha: bisection on ``log alpha`` per column.
+
+    The bracket is ``[1e-14 s1^2, s1^2]``; a column whose target lies outside
+    gets the nearer endpoint.  60 halvings of the 1e14-wide log bracket resolve
+    each root to double rounding.
+    """
+    res2 = residual2(s, beta2, b2)
+    lo = np.full(len(b2), 1e-14 * s[0] ** 2)
+    hi = np.full(len(b2), s[0] ** 2)
+    bracketed = (res2(lo) < t2) & (res2(hi) > t2)
+    outside = np.where(res2(lo) >= t2, lo, hi)
+    for _ in range(steps):
+        mid = np.sqrt(lo * hi)
+        below = res2(mid) < t2
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    return np.where(bracketed, np.sqrt(lo * hi), outside)
+
+
+def discrepancy_columns(svd, b, targets):
+    """Alpha and attained residual of the kernel for targets per column."""
+    _, info = regularized_solve(svd, b, RegStrategy("tikhonov", safety=1.0),
+                                delta_abs=targets)
+    return info["alpha"], info["residual"]
+
+
+def projected(svd, b):
+    """``|U^H b|^2`` and ``|b|^2`` of columns, as the kernel forms them."""
+    return np.abs(svd.project(b)) ** 2, np.sum(np.abs(b) ** 2, axis=0)
+
+
+class TestDiscrepancyRoot:
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 10**6), st.booleans(),
+           st.lists(st.floats(0.02, 0.45), min_size=2, max_size=6))
+    def test_alpha_matches_bisection(self, seed, complex_rhs, fractions):
+        a, b = decaying_system(10, len(fractions), seed, complex_rhs)
+        svd = SvdFactorization.from_matrix(a)
+        targets = np.array(fractions) * np.linalg.norm(b, axis=0)
+        alpha, residual = discrepancy_columns(svd, b, targets)
+        want = bisection_alpha(svd.s, *projected(svd, b), targets**2)
+        assert np.all(np.abs(alpha - want) <= 1e-13 * want)
+        assert np.all(np.abs(residual - targets) <= 1e-12 * targets)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 10**6), st.booleans())
+    def test_alpha_grows_strictly_with_target(self, seed, complex_rhs):
+        a, b = decaying_system(10, 1, seed, complex_rhs)
+        svd = SvdFactorization.from_matrix(a)
+        fractions = np.geomspace(0.05, 0.4, 7)
+        b = np.repeat(b, len(fractions), axis=1)
+        alpha, _ = discrepancy_columns(svd, b, fractions * np.linalg.norm(b[:, 0]))
+        assert np.all(np.diff(alpha) > 0)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 10**6), st.booleans())
+    def test_targets_out_of_bracket_get_the_endpoints(self, seed, complex_rhs):
+        # a zero singular value keeps the residual above the floor's
+        rng = np.random.Generator(np.random.Philox(seed))
+        s = np.r_[np.logspace(0, -3, 5), 0.0]
+        q1, _ = np.linalg.qr(rng.normal(size=(6, 6)))
+        q2, _ = np.linalg.qr(rng.normal(size=(6, 6)))
+        svd = SvdFactorization.from_matrix((q1 * s) @ q2)
+        b = rng.normal(size=(6, 4))
+        if complex_rhs:
+            b = b + 1j * rng.normal(size=(6, 4))
+        beta2, b2 = projected(svd, b)
+        res2 = residual2(svd.s, beta2, b2)
+        floor, top = 1e-14 * svd.s[0] ** 2, svd.s[0] ** 2
+        r_lo, r_hi = res2(np.full(4, floor)), res2(np.full(4, top))
+        # two targets below the residual at the floor, two between the
+        # residual at s1^2 and |b|
+        t2 = np.r_[r_lo[:2] / 2, (r_hi[2:] + b2[2:]) / 2]
+        alpha, _ = discrepancy_columns(svd, b, np.sqrt(t2))
+        want = bisection_alpha(svd.s, beta2, b2, t2)
+        assert np.array_equal(alpha, [floor, floor, top, top])
+        assert np.array_equal(alpha, want)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 10**6), st.lists(st.booleans(), min_size=1, max_size=8))
+    def test_noise_dominates_counts_columns(self, seed, dominated):
+        dominated = np.array(dominated)
+        a, b = decaying_system(6, len(dominated), seed)
+        svd = SvdFactorization.from_matrix(a)
+        targets = np.linalg.norm(b, axis=0) * np.where(dominated, 1.5, 0.2)
+        if not dominated.any():
+            discrepancy_columns(svd, b, targets)
+            return
+        with pytest.raises(NoiseDominates) as caught:
+            discrepancy_columns(svd, b, targets)
+        assert (caught.value.columns, caught.value.total) == (dominated.sum(), len(dominated))
+
+    @pytest.mark.parametrize("fraction", [0.2, 0.45, 0.6])
+    def test_column_alpha_ignores_its_neighbours(self, fraction):
+        # Columns stop stepping on their own test, so the result of one must not
+        # depend on whether the others stop sooner (targets out of the bracket
+        # take no Newton step) or later (the bracketed targets take up to five
+        # steps here, this column three or four), nor on its place in the block.
+        a, b = decaying_system(10, 1, 2)
+        svd = SvdFactorization.from_matrix(a)
+        beta2, b2 = projected(svd, b)
+        norm = np.sqrt(b2[0])
+        fast = np.full(15, 1e-4 * norm)
+        slow = norm * np.resize([0.2, 0.01, 0.05, 0.02, 0.3], 15)
+
+        def alpha_of_first(neighbours, order=np.arange(16)):
+            targets = np.r_[fraction * norm, neighbours][order]
+            _, info = spectral_filter(svd.s, np.repeat(beta2, 16, axis=1),
+                                      np.repeat(b2, 16),
+                                      RegStrategy("tikhonov", safety=1.0), targets)
+            return info["alpha"][np.argsort(order)[0]]
+
+        alone = alpha_of_first(fast)
+        perm = np.random.Generator(np.random.Philox(7)).permutation(16)
+        assert alpha_of_first(slow) == alone
+        assert alpha_of_first(slow, perm) == alone
+        assert alpha_of_first(fast, perm) == alone
 
 
 class TestNoiseModels:
