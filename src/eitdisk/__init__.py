@@ -21,13 +21,12 @@ from .completion import (CauchyPair, CompletionSystem, GammaReconstruction,
 from .dtn import (DtnOperator, gap_from_lambda0, healthy_collocation_matrix,
                   healthy_fourier_matrix, to_real_trig_basis)
 from .geometry import BoundaryCurve, FourierData, fourier_analyze, fourier_eval
-from .regularization import (RegStrategy, SvdFactorization, cutoff_solve,
-                             discrepancy_alpha, expected_noise_norm,
-                             perturb_matrix, perturb_vector, regularized_solve,
-                             tikhonov_solve)
+from .regularization import (RegStrategy, SvdFactorization, discrepancy_alpha,
+                             expected_noise_norm, perturb_matrix, perturb_vector,
+                             regularized_solve, tikhonov_solve)
 from .sampling import (FittedCurve, GridSpec, IndicatorGrid, extract_level_set,
                        fit_trig_curve, indicator, poisson_kernel, poisson_rhs,
-                       scan, solve_current_gap)
+                       scan)
 
 __version__ = "0.1.0"
 

@@ -244,19 +244,17 @@ def gap_operator(cfg: AnnulusConfig, basis="collocation", n=64, modes=None):
     spaced nodes (a real symmetric circulant); ``basis="fourier"`` returns the
     diagonal coefficient map over ``modes`` (default symmetric ``-order..order``).
     """
-    meta = {"geometry": {"kind": "circle", "center": [0.0, 0.0], "radius": cfg.rho},
-            "bc": {"kind": cfg.bc, "gamma": cfg.gamma}}
     if basis == "fourier":
         if modes is None:
             modes = np.arange(-cfg.order, cfg.order + 1)
         modes = np.asarray(modes, dtype=int)
         mat = np.diag([complex(gap_coefficient(cfg, m)) if abs(m) <= cfg.order else 0.0
                        for m in modes])
-        return DtnOperator("fourier", mat, modes, meta)
+        return DtnOperator("fourier", mat, modes)
     theta = 2.0 * np.pi * np.arange(n) / n
     row = np.full(n, gap_coefficient(cfg, 0))
     for m in range(1, cfg.order + 1):
         row = row + 2.0 * gap_coefficient(cfg, m) * np.cos(m * theta)
     import scipy.linalg as la
 
-    return DtnOperator("collocation", la.toeplitz(row / n), None, meta)
+    return DtnOperator("collocation", la.toeplitz(row / n))

@@ -427,15 +427,13 @@ def dtn_matrix(outer, inner, bc, gamma=None, basis="collocation",
     ``flux_noise=(delta, seed)`` applies the multiplicative vector noise model
     to every simulated current column (the measured data) before assembly.
     """
-    geometry = {"kind": inner.curve.kind, "n": inner.n}
-    meta = {"geometry": geometry, "bc": {"kind": bc}}
     if basis == "collocation":
         lam = solve_forward(outer, inner, bc, np.eye(outer.n), gamma).outer_flux()
         if flux_noise is not None:
             delta, seed = flux_noise
             for j in range(outer.n):
                 lam[:, j] = perturb_vector(lam[:, j], delta, (seed, j))
-        return DtnOperator("collocation", lam, None, meta)
+        return DtnOperator("collocation", lam)
     if basis != "fourier":
         raise ValueError(f"unknown basis {basis!r}")
     if modes is None:
@@ -465,4 +463,4 @@ def dtn_matrix(outer, inner, bc, gamma=None, basis="collocation",
         # coefficient form: discrete transform of the node values
         coef = np.exp(-1j * np.outer(modes, theta_eval)) @ vals / n_eval
         mat[:, j] = coef
-    return DtnOperator("fourier", mat, modes, meta)
+    return DtnOperator("fourier", mat, modes)

@@ -143,7 +143,8 @@ def cmd_forward(args):
     lam = bie.dtn_matrix(outer, inner, args.bc, gamma, basis=basis,
                          modes=modes, flux_noise=noise)
     gap = gap_from_lambda0(lam)
-    write_dtn(args.out, lam, gap, config)
+    write_dtn(args.out, lam, gap, config, {"kind": curve.kind, "n": inner.n},
+              {"kind": args.bc})
     print(f"wrote {args.out} (config {config_hash(config)})")
 
 
@@ -288,7 +289,8 @@ def build_parser():
     p.add_argument("--noise", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--reg", default="cutoff:noise:2")
-    p.add_argument("--reg-noise", type=float, default=None)
+    p.add_argument("--reg-noise", type=float, default=None,
+                   help="noise level assumed by the regularizer (defaults to --noise)")
     p.add_argument("--mask-tol", type=float, default=0.05)
     p.add_argument("--model-error-factor", type=float, default=2.0)
     p.add_argument("--sim-nodes", type=int, default=32)

@@ -48,8 +48,6 @@ __all__ = [
     "CompletionSystem",
     "assemble_completion",
     "complete_cauchy",
-    "predicted_current",
-    "interior_potential",
     "GammaReconstruction",
     "recover_gamma_pointwise",
     "recover_gamma_lsq",
@@ -87,7 +85,6 @@ class CompletionSystem:
 
     outer: NystromMesh
     inner: NystromMesh
-    lu: tuple = field(repr=False)      # LU factors of the trace system
     response: np.ndarray               # R: current due to f with zero inner trace
     completion: np.ndarray             # S: current due to the inner trace
     inner_response: np.ndarray         # R_i: inclusion current due to f
@@ -124,29 +121,10 @@ def assemble_completion(outer, inner, model_error_factor=1.0):
     composed = la.lu_solve(lu, rows.T, trans=1).T
     response, completion = -composed[:n_m, :n_m], composed[:n_m, n_m:]
     inner_response, inner_completion = -composed[n_m:, :n_m], composed[n_m:, n_m:]
-    return CompletionSystem(outer, inner, lu, response, completion,
+    return CompletionSystem(outer, inner, response, completion,
                             inner_response, inner_completion,
                             SvdFactorization.from_matrix(completion),
                             condition, model_error_factor)
-
-
-def _densities(system, f, inner_trace):
-    rhs = np.concatenate([-np.asarray(f), np.asarray(inner_trace)])
-    sol = la.lu_solve(system.lu, rhs)
-    return sol[:system.outer.n], sol[system.outer.n:]
-
-
-def predicted_current(system, f, inner_trace):
-    """Outer current implied by a voltage and an inclusion trace."""
-    return system.response @ np.asarray(f) + system.completion @ np.asarray(inner_trace)
-
-
-def interior_potential(system, f, inner_trace, points):
-    """Evaluate the completed potential at interior points."""
-    phi, psi = _densities(system, f, inner_trace)
-    dm = double_layer(system.outer, np.atleast_2d(points))
-    di = modified_double_layer(system.inner, np.atleast_2d(points))
-    return dm @ phi + di @ psi
 
 
 def complete_cauchy(system, pair, reg):
@@ -155,7 +133,8 @@ def complete_cauchy(system, pair, reg):
     The completion operator has exponentially decaying singular values, so a
     regularization strategy is mandatory.  Noise-tied strategies measure the
     absolute noise against the measured current (its expected perturbation
-    magnitude under the uniform model), scaled by the system's model-error
+    magnitude under the uniform model, at the strategy's noise level or, when
+    the strategy has none, the pair's), scaled by the system's model-error
     factor.  When that level reaches the data content of the completion
     equation, nothing rises above the noise: the trace and current returned
     are zero and ``info["noise_dominated"]`` is true.  Raises
@@ -170,7 +149,7 @@ def complete_cauchy(system, pair, reg):
     b = g - system.response @ f
 
     delta_abs = None
-    level = pair.noise_level if pair.noise_level else reg.noise_level
+    level = reg.noise_level if reg.noise_level is not None else pair.noise_level
     if level:
         delta_abs = system.model_error_factor * expected_noise_norm(g, level)
         if reg.noise_tied and reg.safety * delta_abs >= np.linalg.norm(b):

@@ -16,7 +16,7 @@ even discretization cannot carry its current.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg as la
@@ -32,12 +32,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DtnOperator:
-    """A dense voltage-to-current matrix in a declared basis."""
+    """A dense voltage-to-current matrix in a declared basis; the geometry and
+    boundary condition behind it are arguments of :func:`eitdisk.io.write_dtn`."""
 
     basis: str                       # "collocation" | "fourier"
     matrix: np.ndarray
     modes: np.ndarray | None = None  # mode list for the fourier basis
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         m = np.asarray(self.matrix)
@@ -59,9 +59,6 @@ class DtnOperator:
     def nodes(self):
         """Collocation angles ``theta_j = 2 pi j / n`` (collocation basis only)."""
         return 2.0 * np.pi * np.arange(self.n) / self.n
-
-    def with_matrix(self, matrix):
-        return replace(self, matrix=matrix, meta=dict(self.meta))
 
 
 def healthy_collocation_matrix(n):
@@ -89,7 +86,7 @@ def gap_from_lambda0(lambda0):
         gap = healthy_collocation_matrix(lambda0.n) - lambda0.matrix
     else:
         gap = healthy_fourier_matrix(lambda0.modes) - lambda0.matrix
-    return lambda0.with_matrix(gap)
+    return replace(lambda0, matrix=gap)
 
 
 def to_real_trig_basis(op):

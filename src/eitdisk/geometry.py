@@ -239,10 +239,6 @@ class FourierData:
             return 0.0 + 0.0j
         return self.coeffs[n + self.order]
 
-    def is_real(self, tol=1e-12):
-        """Whether the represented function is real valued (conjugate symmetry)."""
-        return bool(np.all(np.abs(self.coeffs - np.conj(self.coeffs[::-1])) <= tol))
-
 
 def fourier_analyze(samples, order):
     """Fourier coefficients of equally spaced samples.

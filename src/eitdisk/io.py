@@ -72,8 +72,10 @@ def _matrix_from_pairs(rows, is_complex):
     return m if is_complex else m.real
 
 
-def write_dtn(path, lambda0: DtnOperator, gap: DtnOperator, config: dict):
-    """Write the simulated current map and its gap operator as JSON."""
+def write_dtn(path, lambda0: DtnOperator, gap: DtnOperator, config: dict,
+              geometry: dict, bc: dict):
+    """Write the simulated current map and its gap operator as JSON, with the
+    inclusion ``geometry`` and boundary condition ``bc`` they were simulated for."""
     doc = {
         "config_hash": config_hash(config),
         "config": config,
@@ -83,8 +85,8 @@ def write_dtn(path, lambda0: DtnOperator, gap: DtnOperator, config: dict):
         "complex": bool(np.iscomplexobj(lambda0.matrix)),
         "lambda0": _matrix_to_pairs(lambda0.matrix),
         "gap": _matrix_to_pairs(gap.matrix),
-        "geometry": lambda0.meta.get("geometry"),
-        "bc": lambda0.meta.get("bc"),
+        "geometry": geometry,
+        "bc": bc,
     }
     with open(path, "w") as fh:
         json.dump(doc, fh)
@@ -94,12 +96,8 @@ def read_dtn(path):
     with open(path) as fh:
         doc = json.load(fh)
     modes = None if doc["modes"] is None else np.asarray(doc["modes"], dtype=int)
-    meta = {"geometry": doc.get("geometry"), "bc": doc.get("bc")}
-    lam = DtnOperator(doc["basis"], _matrix_from_pairs(doc["lambda0"], doc["complex"]),
-                      modes, meta)
-    gap = DtnOperator(doc["basis"], _matrix_from_pairs(doc["gap"], doc["complex"]),
-                      modes, dict(meta))
-    return lam, gap
+    return tuple(DtnOperator(doc["basis"], _matrix_from_pairs(doc[key], doc["complex"]), modes)
+                 for key in ("lambda0", "gap"))
 
 
 def write_indicator(path, grid: IndicatorGrid, config: dict):

@@ -19,11 +19,11 @@ the residual:
 - None: the plain inverse ``F_i = 1/s_i`` of a nonsingular system.
 
 :func:`regularized_solve` applies the kernel to one vector or a matrix of
-columns; :func:`tikhonov_solve`, :func:`discrepancy_alpha` and
-:func:`cutoff_solve` are one-strategy calls of it, and the sampling scan runs
-it over column slices of blocks of grid points, on threads.  The kernel is
-elementwise work plus sums over the modes of each column, so a slice of two
-or more adjacent columns of a block filters to the same bits as the block.
+columns; :func:`tikhonov_solve` and :func:`discrepancy_alpha` are
+one-strategy calls of it, and the sampling scan runs the kernel over column
+slices of blocks of grid points, on threads.  The kernel is elementwise work
+plus sums over the modes of each column, so a slice of two or more adjacent
+columns of a block filters to the same bits as the block.
 
 Noise models: multiplicative entrywise perturbations ``A (1 + delta E)`` with
 a zero-mean uniform matrix scaled to unit spectral norm, and the vector
@@ -45,7 +45,6 @@ __all__ = [
     "spectral_filter",
     "tikhonov_solve",
     "discrepancy_alpha",
-    "cutoff_solve",
     "regularized_solve",
     "perturb_matrix",
     "perturb_vector",
@@ -261,18 +260,6 @@ def discrepancy_alpha(svd, b, delta_abs, safety=1.5):
     _, info = regularized_solve(svd, b, RegStrategy("tikhonov", safety=safety),
                                 delta_abs=delta_abs)
     return info["alpha"]
-
-
-def cutoff_solve(svd, b, tau_rel=None, tau_abs=None):
-    """Truncated pseudoinverse keeping ``s_i >= tau_rel * s_1`` (or ``tau_abs``).
-
-    Returns the zero vector (with :class:`AllModesCutWarning`) when the
-    threshold removes every mode.
-    """
-    if (tau_rel is None) == (tau_abs is None):
-        raise ValueError("pass exactly one of tau_rel, tau_abs")
-    reg = RegStrategy("cutoff", tau=tau_rel, safety=1.0)
-    return regularized_solve(svd, b, reg, delta_abs=tau_abs)[0]
 
 
 def perturb_matrix(a, delta, seed):

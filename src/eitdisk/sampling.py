@@ -23,8 +23,8 @@ operator's basis; ``Vh`` is unitary, so it comes from the real filter and
 same for one point.
 
 The per-point solves are independent and numpy releases the GIL in them, so
-each block is filtered in column slices on one thread per usable CPU, with the
-same bits as on one thread.
+each block is filtered in column slices on a pool of one thread per usable
+CPU (one thread for a single point), with the same bits as on one thread.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from __future__ import annotations
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +41,7 @@ from .exceptions import (AllModesCutWarning, DegenerateFit, NoContour,
                          NoiseDominates, TooCloseToBoundary)
 from .geometry import BoundaryCurve
 from .regularization import (RegStrategy, SvdFactorization, perturb_matrix,
-                             regularized_solve, spectral_filter)
+                             spectral_filter)
 
 __all__ = [
     "RADIUS_MASK",
@@ -50,7 +49,6 @@ __all__ = [
     "IndicatorGrid",
     "poisson_kernel",
     "poisson_rhs",
-    "solve_current_gap",
     "indicator",
     "scan",
     "extract_level_set",
@@ -145,18 +143,6 @@ def _rhs_columns(gap, pts):
             * np.exp(-1j * np.outer(modes, tz)) / (2.0 * np.pi))
 
 
-def solve_current_gap(gap: DtnOperator, z, reg: RegStrategy):
-    """Regularized solution of the current-gap equation for one point.
-
-    Returns the solution vector in the operator's basis together with a
-    diagnostics dict (chosen penalty or kept rank, attained residual).  The
-    operator is decomposed on every call; :func:`scan` shares one
-    decomposition across a whole grid.
-    """
-    b = poisson_rhs(z, gap)
-    return regularized_solve(SvdFactorization.from_matrix(gap.matrix), b, reg)
-
-
 def _worker_count(columns):
     """Threads for ``columns`` points: the CPUs this process may use, capped
     so that every thread gets at least ``_MIN_SLICE`` columns."""
@@ -192,8 +178,7 @@ def _indicator_values(svd, gap, pts, reg):
     :class:`AllModesCutWarning` reports any such point.
     """
     values = np.empty(len(pts))
-    workers = _worker_count(len(pts))
-    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+    with ThreadPoolExecutor(_worker_count(len(pts))) as pool:
         for start in range(0, len(pts), _CHUNK):
             b = _rhs_columns(gap, pts[start:start + _CHUNK])
             beta, b2 = svd.project(b), np.sum(np.abs(b) ** 2, axis=0)
@@ -203,11 +188,8 @@ def _indicator_values(svd, gap, pts, reg):
             edges = np.linspace(0, len(b2), _worker_count(len(b2)) + 1).astype(int)
             args = [(svd.s, reg, beta2[:, a:z], b2[a:z])
                     for a, z in zip(edges[:-1], edges[1:])]
-            if pool is None:
-                parts = [_slice_norms(*arg) for arg in args]
-            else:
-                parts = _gather([pool.submit(_slice_norms, *arg) for arg in args], len(b2))
-            xnorm = np.concatenate(parts)
+            xnorm = np.concatenate(
+                _gather([pool.submit(_slice_norms, *arg) for arg in args], len(b2)))
             values[start:start + len(b2)] = np.divide(1.0, xnorm, where=xnorm > 0,
                                                       out=np.full_like(xnorm, np.nan))
     if np.isnan(values).any():

@@ -32,6 +32,16 @@ def test_forward_writes_readable_file(tmp_path, circle_file):
     assert np.allclose(gap.matrix @ np.ones(32), 1 / np.log(0.5), atol=1e-6)
 
 
+def test_forward_records_geometry_and_bc(tmp_path, ellipse_file):
+    out = tmp_path / "dtn.json"
+    assert main(["forward", "--geometry", ellipse_file, "--bc", "impedance",
+                 "--basis", "collocation:32", "--inner-nodes", "48",
+                 "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["geometry"] == {"kind": "ellipse", "n": 48}
+    assert doc["bc"] == {"kind": "impedance"}
+
+
 def test_forward_rejects_bad_radius(tmp_path):
     geom = tmp_path / "bad.json"
     geom.write_text(json.dumps({"kind": "circle", "center": [0, 0], "radius": 1.5}))
@@ -92,6 +102,17 @@ def test_impedance_exact_geometry_constant_gamma(tmp_path, circle_file):
     rows = np.genfromtxt(out, delimiter=",", skip_header=2)
     gamma_avg = rows[:, 1]
     assert np.nanmax(np.abs(gamma_avg - 2.0)) < 1e-2
+
+
+def test_impedance_reg_noise_overrides_the_data_noise(tmp_path, ellipse_file, capfd):
+    # --reg-noise sets the level the noise-tied cutoff assumes, also when the
+    # simulated data carry noise of their own
+    args = ["impedance", "--geometry", ellipse_file, "--pairs", "4", "--noise", "0.04",
+            "--reg", "cutoff:noise:2", "--out", str(tmp_path / "g.csv")]
+    assert main(args) == 0
+    capfd.readouterr()
+    assert main(args + ["--reg-noise", "0.5"]) == 2
+    assert "every pair was rejected as noise-dominated" in capfd.readouterr().err
 
 
 def test_impedance_rejects_fitted_curve_outside_unit_circle(tmp_path, ellipse_file, capfd):

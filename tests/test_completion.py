@@ -8,8 +8,7 @@ from eitdisk.annulus import (AnnulusConfig, gap_coefficient,
 from eitdisk.bie import (NystromMesh, double_layer, modified_double_layer,
                          normal_derivative, solve_forward)
 from eitdisk.completion import (CauchyPair, assemble_completion,
-                                complete_cauchy, interior_potential,
-                                predicted_current, recover_gamma_averaged,
+                                complete_cauchy, recover_gamma_averaged,
                                 recover_gamma_lsq, recover_gamma_pointwise)
 from eitdisk.exceptions import AllMasked
 from eitdisk.geometry import BoundaryCurve
@@ -30,6 +29,14 @@ def concentric_system(rho=0.5):
     return assemble_completion(outer_mesh(), inner_mesh(BoundaryCurve.circle(radius=rho)))
 
 
+def trace_block(outer, inner):
+    """The completion's trace system: double-layer densities to the outer
+    voltage (negated) and the inner trace."""
+    return np.block([
+        [np.eye(outer.n) - double_layer(outer, outer), -modified_double_layer(inner, outer)],
+        [double_layer(outer, inner), np.eye(inner.n) + modified_double_layer(inner, inner)]])
+
+
 def annulus_pair(cfg, k, kind=np.cos, n=N):
     """Exact series oracle: outer voltage/current and inner trace/current."""
     t_out = 2 * np.pi * np.arange(n) / n
@@ -46,7 +53,7 @@ class TestAssembly:
         system = concentric_system(0.5)
         for k in (1, 2, 3, 5):
             f, g, trace, _ = annulus_pair(cfg, k)
-            g_pred = predicted_current(system, f, trace)
+            g_pred = system.response @ f + system.completion @ trace
             assert np.max(np.abs(g_pred - g)) < 1e-7, k
 
     def test_inner_current_maps_from_oracle_trace(self):
@@ -63,9 +70,7 @@ class TestAssembly:
         outer = outer_mesh()
         inner = inner_mesh(BoundaryCurve.ellipse(0.5, 0.3))
         system = assemble_completion(outer, inner)
-        block = np.block([
-            [np.eye(N) - double_layer(outer, outer), -modified_double_layer(inner, outer)],
-            [double_layer(outer, inner), np.eye(N) + modified_double_layer(inner, inner)]])
+        block = trace_block(outer, inner)
         rows = np.block([
             [normal_derivative(outer, outer),
              normal_derivative(inner, outer, of="modified_double_layer")],
@@ -89,14 +94,15 @@ class TestAssembly:
         # the completed potential agrees with the simulation representation
         # at interior points once the oracle trace is supplied
         cfg = AnnulusConfig(0.5, "impedance", 2.0)
-        system = concentric_system()
         outer = outer_mesh()
         inner = inner_mesh(BoundaryCurve.circle(radius=0.5))
         k = 2
         f, _, trace, _ = annulus_pair(cfg, k)
         sol = solve_forward(outer, inner, "impedance", f, np.full(N, 2.0))
         pts = np.array([[0.72, 0.1], [-0.2, 0.68], [0.0, -0.8]])
-        u_completed = interior_potential(system, f, trace, pts)
+        densities = np.linalg.solve(trace_block(outer, inner), np.concatenate([-f, trace]))
+        u_completed = (double_layer(outer, pts) @ densities[:N]
+                       + modified_double_layer(inner, pts) @ densities[N:])
         u_forward = sol.potential(pts)
         assert np.max(np.abs(u_completed - u_forward)) < 1e-6
 

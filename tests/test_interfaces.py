@@ -48,7 +48,8 @@ class TestDtnFile:
                          modes=np.arange(-5, 6))
         gap = gap_from_lambda0(lam)
         path = tmp_path / "dtn.json"
-        write_dtn(path, lam, gap, {"dummy": 1})
+        write_dtn(path, lam, gap, {"dummy": 1}, {"kind": "circle", "n": 32},
+                  {"kind": "dirichlet"})
         lam2, gap2 = read_dtn(path)
         assert lam2.basis == "fourier"
         assert np.array_equal(lam2.modes, lam.modes)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eitdisk.exceptions import AllModesCutWarning, NoiseDominates, SingularSystem
-from eitdisk.regularization import (RegStrategy, SvdFactorization, cutoff_solve,
+from eitdisk.regularization import (RegStrategy, SvdFactorization,
                                     discrepancy_alpha, expected_noise_norm,
                                     perturb_matrix, perturb_vector,
                                     regularized_solve, spectral_filter,
@@ -102,31 +102,32 @@ class TestCutoff:
     def test_full_rank_exact_solve(self):
         a, b = random_system(7, 11)
         svd = SvdFactorization.from_matrix(a)
-        x = cutoff_solve(svd, b, tau_rel=1e-12)
+        x = regularized_solve(svd, b, RegStrategy.spectral_cutoff(1e-12))[0]
         assert np.linalg.norm(x - np.linalg.solve(a, b)) < 1e-10
 
     def test_rank_one(self):
         a, b = random_system(7, 12)
         svd = SvdFactorization.from_matrix(a)
-        x = cutoff_solve(svd, b, tau_rel=0.999999)
+        x = regularized_solve(svd, b, RegStrategy.spectral_cutoff(0.999999))[0]
         want = svd.vh[0].conj() * (svd.u[:, 0].conj() @ b) / svd.s[0]
         assert np.allclose(x, want)
 
     def test_diagonal_example(self):
         svd = SvdFactorization.from_matrix(np.diag([1.0, 1e-5]))
-        x = cutoff_solve(svd, np.array([1.0, 1.0]), tau_rel=1e-4)
+        x = regularized_solve(svd, np.array([1.0, 1.0]), RegStrategy.spectral_cutoff(1e-4))[0]
         assert np.allclose(x, [1.0, 0.0])
 
     def test_all_modes_cut_warns_and_zeroes(self):
         svd = SvdFactorization.from_matrix(np.eye(3))
         with pytest.warns(AllModesCutWarning):
-            x = cutoff_solve(svd, np.ones(3), tau_abs=10.0)
+            x, _ = regularized_solve(svd, np.ones(3), RegStrategy("cutoff", safety=1.0),
+                                     delta_abs=10.0)
         assert np.all(x == 0)
 
     def test_agrees_with_tikhonov_in_the_limit(self):
         a, b = random_system(6, 13)
         svd = SvdFactorization.from_matrix(a)
-        x_c = cutoff_solve(svd, b, tau_rel=1e-13)
+        x_c = regularized_solve(svd, b, RegStrategy.spectral_cutoff(1e-13))[0]
         x_t = tikhonov_solve(svd, b, 1e-14)
         assert np.linalg.norm(x_c - x_t) / np.linalg.norm(x_c) < 1e-8
 
@@ -145,7 +146,10 @@ class TestRegularizedSolve:
         assert np.allclose(x, tikhonov_solve(svd, b, 1e-2))
         assert info["alpha"] == 1e-2
         x, info = regularized_solve(svd, b, RegStrategy.spectral_cutoff(0.5))
-        assert np.allclose(x, cutoff_solve(svd, b, tau_rel=0.5))
+        keep = svd.s >= 0.5 * svd.s[0]
+        want = svd.vh[keep].conj().T @ ((svd.u[:, keep].conj().T @ b) / svd.s[keep])
+        assert np.allclose(x, want)
+        assert info["rank"] == keep.sum()
 
 
     @pytest.mark.parametrize("reg, tied", [
