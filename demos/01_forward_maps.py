@@ -10,10 +10,10 @@ import numpy as np
 from eitdisk import (AnnulusConfig, BoundaryCurve, NystromMesh, dtn_matrix,
                      gap_coefficient, gap_from_lambda0, solve_forward)
 
-outer = NystromMesh(BoundaryCurve.circle(radius=1.0), 64, "outer")
+outer = NystromMesh(BoundaryCurve.circle(radius=1.0), 64)
 
 print("== concentric circle, grounded inclusion ==")
-inner = NystromMesh(BoundaryCurve.circle(radius=0.5), 64, "inner")
+inner = NystromMesh(BoundaryCurve.circle(radius=0.5), 64)
 cfg = AnnulusConfig(0.5, "dirichlet")
 for k in (1, 2, 4, 8):
     f = np.cos(k * outer.theta)
@@ -35,7 +35,7 @@ for k in (1, 2, 4):
 print("  note: mode 1 is invisible here because rho * gamma = 1 exactly")
 
 print("== current-gap matrix for an off-family shape ==")
-inner = NystromMesh(BoundaryCurve.ellipse(0.5, 0.3), 32, "inner")
+inner = NystromMesh(BoundaryCurve.ellipse(0.5, 0.3), 32)
 lam = dtn_matrix(outer, inner, "dirichlet", basis="collocation")
 gap = gap_from_lambda0(lam)
 s = np.linalg.svd(gap.matrix, compute_uv=False)

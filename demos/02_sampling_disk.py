@@ -27,7 +27,7 @@ for rho in (0.5, 0.25):
     clean = scan(gap, grid, RegStrategy.tikhonov_discrepancy(0.02, 1.5))
     contour = extract_level_set(clean, threshold_rel=0.2)
     fitted = fit_trig_curve(contour, degree=7)
-    radii = np.hypot(*fitted.to_curve().point(
+    radii = np.hypot(*fitted.point(
         np.linspace(0, 2 * np.pi, 64, endpoint=False)).T)
 
     out = f"indicator_rho{rho}.csv"

@@ -18,12 +18,12 @@ shapes = {
     "cardioid": BoundaryCurve.cardioid(),
 }
 
-outer = NystromMesh(BoundaryCurve.circle(radius=1.0), 64, "outer")
+outer = NystromMesh(BoundaryCurve.circle(radius=1.0), 64)
 grid = GridSpec.square(101)
 reg = RegStrategy.spectral_cutoff(1e-4)
 
 for name, curve in shapes.items():
-    inner = NystromMesh(curve, 64, "inner")
+    inner = NystromMesh(curve, 64)
     gamma = 2.0 - np.sin(inner.theta) ** 4
     lam = dtn_matrix(outer, inner, "impedance", gamma, basis="fourier",
                      modes=np.arange(0, 20), flux_noise=(0.04, 0))

@@ -18,8 +18,8 @@ from eitdisk.regularization import perturb_vector
 from eitdisk.sampling import extract_level_set, fit_trig_curve
 
 NOISE = 0.04
-outer = NystromMesh(BoundaryCurve.circle(radius=1.0), 64, "outer")
-ellipse = NystromMesh(BoundaryCurve.ellipse(0.5, 0.3), 64, "inner")
+outer = NystromMesh(BoundaryCurve.circle(radius=1.0), 64)
+ellipse = NystromMesh(BoundaryCurve.ellipse(0.5, 0.3), 64)
 gamma_true = 2.0 - np.sin(ellipse.theta) ** 4
 
 print("simulating 16 measurement pairs with 4 percent current noise ...")
@@ -39,14 +39,14 @@ recon = recover_gamma_averaged(system, pairs, reg, tol_rel=0.2)
 err = np.linalg.norm(np.where(recon.unmasked(), recon.average - gamma_true, 0.0))
 err /= np.linalg.norm(gamma_true)
 print(f"  relative error {err:.3f}; per-node spread up to "
-      f"{np.nanmax(recon.spread):.2f} over {recon.n_pairs} pairs")
+      f"{np.nanmax(recon.spread):.2f} over {recon.values.shape[0]} pairs")
 write_gamma("gamma_exact_boundary.csv", recon, {"demo": "impedance", "boundary": "exact"})
 
 print("recovering on a boundary reconstructed by the sampling pipeline ...")
 gap = gap_operator(AnnulusConfig(0.5, "dirichlet"), basis="collocation", n=64)
 indicator = scan(gap, GridSpec.square(101), RegStrategy.tikhonov_discrepancy(0.02, 1.5))
 fitted = fit_trig_curve(extract_level_set(indicator, 0.2), degree=7)
-system_fit = assemble_completion(outer, NystromMesh(fitted.to_curve(), 64, "inner"),
+system_fit = assemble_completion(outer, NystromMesh(fitted, 64),
                                  model_error_factor=2.0)
 recon_fit = recover_gamma_averaged(system_fit, pairs, reg, tol_rel=0.2)
 nodes = system_fit.inner.points

@@ -12,8 +12,8 @@ from .annulus import (AnnulusConfig, annulus_potential, disk_potential,
                       inner_trace_coefficient, reflection_coefficient,
                       truncation_error)
 from .bie import (ForwardSolution, NystromMesh, double_layer, dtn_matrix,
-                  fundamental_solution, modified_double_layer,
-                  normal_derivative, single_layer, solve_forward)
+                  modified_double_layer, normal_derivative, single_layer,
+                  solve_forward)
 from .completion import (CauchyPair, CompletionSystem, GammaReconstruction,
                          assemble_completion, complete_cauchy,
                          recover_gamma_averaged, recover_gamma_lsq,
@@ -24,7 +24,7 @@ from .geometry import BoundaryCurve, FourierData, fourier_analyze, fourier_eval
 from .regularization import (RegStrategy, SvdFactorization, discrepancy_alpha,
                              expected_noise_norm, perturb_matrix, perturb_vector,
                              regularized_solve, tikhonov_solve)
-from .sampling import (FittedCurve, GridSpec, IndicatorGrid, extract_level_set,
+from .sampling import (GridSpec, IndicatorGrid, extract_level_set,
                        fit_trig_curve, indicator, poisson_kernel, poisson_rhs,
                        scan)
 

@@ -46,7 +46,6 @@ from .regularization import perturb_vector
 
 __all__ = [
     "NystromMesh",
-    "fundamental_solution",
     "kress_log_weights",
     "spectral_diff_matrix",
     "double_layer",
@@ -68,15 +67,14 @@ _COND_LIMIT = 1e14
 class NystromMesh:
     """Equally spaced quadrature nodes on a boundary curve.
 
-    ``normals`` are the curve-outward unit normals used by every kernel, also
-    on an inclusion, where the annular region's outward normal is their
-    negative.  ``role`` labels the curve as the outer measurement boundary or
-    an inner inclusion boundary.
+    The same mesh type serves the outer measurement circle and an inclusion;
+    which one it is follows from where the caller passes it.  ``normals`` are
+    the curve-outward unit normals used by every kernel, also on an
+    inclusion, where the annular region's outward normal is their negative.
     """
 
     curve: BoundaryCurve
     n: int
-    role: str = "outer"            # "outer" | "inner"
     theta: np.ndarray = field(init=False, repr=False)
     points: np.ndarray = field(init=False, repr=False)
     jacobians: np.ndarray = field(init=False, repr=False)
@@ -86,8 +84,6 @@ class NystromMesh:
     def __post_init__(self):
         if self.n % 2 != 0:
             raise ValueError("node count must be even for the log quadrature")
-        if self.role not in ("outer", "inner"):
-            raise ValueError(f"unknown mesh role {self.role!r}")
         t = self.curve.nodes(self.n)
         object.__setattr__(self, "theta", t)
         object.__setattr__(self, "points", self.curve.point(t))
@@ -110,16 +106,6 @@ class NystromMesh:
         ang = np.arctan2(v[:, 1], v[:, 0])
         winding = np.round(np.sum(np.angle(np.exp(1j * (np.roll(ang, -1) - ang)))) / (2 * np.pi))
         return int(winding) == 1
-
-
-def fundamental_solution(x, y):
-    """Free-space kernel ``-log|x-y|/(2 pi)``; raises on coincident points."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    r = np.sqrt(((x - y) ** 2).sum(axis=-1))
-    if np.any(r == 0):
-        raise CoincidentPoints("fundamental solution evaluated at x == y")
-    return -np.log(r) / (2.0 * np.pi)
 
 
 def kress_log_weights(n):

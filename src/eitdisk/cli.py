@@ -44,13 +44,10 @@ _BINARY = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
            ast.Mod: operator.mod, ast.Pow: operator.pow}
 
 
-def _load_geometry(spec):
-    """Geometry from a JSON file path or an inline JSON object."""
-    text = spec
-    if not spec.lstrip().startswith("{"):
-        with open(spec) as fh:
-            text = fh.read()
-    return geometry_from_dict(json.loads(text))
+def _load_geometry(path):
+    """Geometry from a JSON file."""
+    with open(path) as fh:
+        return geometry_from_dict(json.load(fh))
 
 
 def _evaluate(node, theta):
@@ -102,25 +99,26 @@ def _parse_basis(text):
 
 
 def _parse_reg(text, noise_level):
+    """Strategy of a ``--reg`` value; a noise-tied one needs ``noise_level > 0``."""
     parts = text.split(":")
     if parts[0] == "none":
         return RegStrategy.none()
+    if parts[:2] in (["tikhonov"], ["tikhonov", "disc"], ["cutoff", "noise"]):
+        if noise_level <= 0:
+            raise ValueError(f"--reg {text} needs --noise or --reg-noise above 0")
+        make = (RegStrategy.cutoff_by_noise if parts[0] == "cutoff"
+                else RegStrategy.tikhonov_discrepancy)
+        return make(noise_level, *map(float, parts[2:3]))
     if parts[0] == "tikhonov":
-        if len(parts) == 1:
-            return RegStrategy.tikhonov_discrepancy(noise_level)
-        if parts[1] == "disc":
-            return RegStrategy.tikhonov_discrepancy(noise_level, *map(float, parts[2:3]))
         return RegStrategy.tikhonov(float(parts[1]))
     if parts[0] == "cutoff":
-        if len(parts) > 1 and parts[1] == "noise":
-            return RegStrategy.cutoff_by_noise(noise_level, *map(float, parts[2:3]))
         return RegStrategy.spectral_cutoff(float(parts[1]))
     raise ValueError(f"unknown regularization {text!r}")
 
 
 def _meshes(curve, n_outer, n_inner):
-    outer = bie.NystromMesh(BoundaryCurve.circle(radius=1.0), n_outer, "outer")
-    inner = bie.NystromMesh(curve, n_inner, "inner")
+    outer = bie.NystromMesh(BoundaryCurve.circle(radius=1.0), n_outer)
+    inner = bie.NystromMesh(curve, n_inner)
     return outer, inner
 
 
@@ -133,7 +131,7 @@ def cmd_forward(args):
               "noise": args.noise, "seed": args.seed, "sim_nodes": args.sim_nodes}
     if basis == "fourier":
         n_sim = max(args.sim_nodes, 2 * order + 2)
-        modes = np.arange(0, order + 1) if args.one_sided else np.arange(-order, order + 1)
+        modes = np.arange(-order, order + 1)
     else:
         n_sim = order
         modes = None
@@ -158,11 +156,8 @@ def cmd_sample(args):
               "noise": args.noise, "seed": args.seed, "reg": args.reg,
               "reg_noise": args.reg_noise}
     write_indicator(args.out, result, config)
-    top = result.max_value
-    bottom = float(np.nanmin(result.values))
     print(f"wrote {args.out} (config {config_hash(config)})")
-    print(f"indicator range [{bottom:.6g}, {top:.6g}]; "
-          f"suggested level {args.threshold_rel} * max = {args.threshold_rel * top:.6g}")
+    print(f"indicator range [{float(np.nanmin(result.values)):.6g}, {result.max_value:.6g}]")
 
 
 def cmd_extract(args):
@@ -172,9 +167,8 @@ def cmd_extract(args):
     config = {"command": "extract", "indicator": args.indicator,
               "threshold_rel": args.threshold_rel, "degree": args.degree,
               "smoothing": args.smoothing}
-    write_curve(args.out, fitted, config)
-    radii = np.hypot(*fitted.to_curve().point(np.linspace(0, 2 * np.pi, 64,
-                                                          endpoint=False)).T)
+    write_curve(args.out, fitted, args.smoothing, config)
+    radii = np.hypot(*fitted.point(np.linspace(0, 2 * np.pi, 64, endpoint=False)).T)
     print(f"wrote {args.out} (config {config_hash(config)}); "
           f"{len(points)} contour points, fitted radius "
           f"[{radii.min():.4f}, {radii.max():.4f}]")
@@ -188,8 +182,7 @@ def cmd_impedance(args):
     gamma_true = _gamma_values(args.gamma, inner_true.theta)
 
     if args.curve:
-        fitted = read_curve(args.curve)
-        recon_curve = fitted.to_curve()
+        recon_curve = read_curve(args.curve)
         model_factor = args.model_error_factor
     else:
         recon_curve = true_curve
@@ -242,13 +235,11 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("forward", help="simulate voltage-to-current maps")
-    p.add_argument("--geometry", required=True, help="geometry JSON file or inline object")
+    p.add_argument("--geometry", required=True, help="geometry JSON file")
     p.add_argument("--bc", choices=("dirichlet", "impedance"), default="dirichlet")
     p.add_argument("--gamma", default="2.0", help="impedance expression in theta")
     p.add_argument("--basis", default="collocation:64",
                    help="fourier:N or collocation:n")
-    p.add_argument("--one-sided", action="store_true",
-                   help="use modes 0..N instead of -N..N for the fourier basis")
     p.add_argument("--sim-nodes", type=int, default=32,
                    help="simulation nodes on the measurement circle")
     p.add_argument("--inner-nodes", type=int, default=32)
@@ -267,7 +258,6 @@ def build_parser():
     p.add_argument("--reg", default="tikhonov:disc:1.5")
     p.add_argument("--reg-noise", type=float, default=None,
                    help="noise level assumed by the regularizer (defaults to --noise)")
-    p.add_argument("--threshold-rel", type=float, default=0.2)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sample)
 

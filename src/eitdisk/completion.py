@@ -180,10 +180,6 @@ class GammaReconstruction:
     spread: np.ndarray
     counts: np.ndarray
 
-    @property
-    def n_pairs(self):
-        return self.values.shape[0]
-
     def unmasked(self):
         return ~np.isnan(self.average)
 

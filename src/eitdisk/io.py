@@ -16,7 +16,7 @@ import numpy as np
 
 from .dtn import DtnOperator
 from .geometry import BoundaryCurve
-from .sampling import FittedCurve, GridSpec, IndicatorGrid
+from .sampling import GridSpec, IndicatorGrid
 
 __all__ = [
     "config_hash",
@@ -148,21 +148,21 @@ def read_indicator(path):
     return IndicatorGrid(spec, values, mask)
 
 
-def write_curve(path, fitted: FittedCurve, config: dict):
+def write_curve(path, curve: BoundaryCurve, smoothing: float, config: dict):
+    """JSON of a fitted ``trig`` curve: degree ``M``, rows ``a``, ``b`` and ``smoothing``."""
     doc = {"config_hash": config_hash(config),
-           "M": fitted.degree,
-           "a": fitted.cos_coef.tolist(),
-           "b": fitted.sin_coef.tolist(),
-           "smoothing": fitted.smoothing}
+           "M": curve.cos_coef.shape[1],
+           "a": curve.cos_coef.tolist(),
+           "b": curve.sin_coef.tolist(),
+           "smoothing": smoothing}
     with open(path, "w") as fh:
         json.dump(doc, fh)
 
 
-def read_curve(path) -> FittedCurve:
+def read_curve(path) -> BoundaryCurve:
     with open(path) as fh:
         doc = json.load(fh)
-    return FittedCurve(doc["M"], np.asarray(doc["a"], dtype=float),
-                       np.asarray(doc["b"], dtype=float), doc.get("smoothing", 0.0))
+    return BoundaryCurve.trig(doc["a"], doc["b"])
 
 
 def write_gamma(path, recon, config: dict):

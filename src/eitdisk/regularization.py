@@ -86,6 +86,7 @@ class RegStrategy:
     carries either a relative threshold ``tau`` (measured against the largest
     singular value) or, when ``noise_level`` is set instead, an absolute
     threshold of ``safety`` times the expected noise magnitude of the data.
+    A noise-tied level must be positive: at zero the solve is unregularized.
     """
 
     kind: str
@@ -102,6 +103,8 @@ class RegStrategy:
 
     @classmethod
     def tikhonov_discrepancy(cls, noise_level, safety=1.5):
+        if noise_level <= 0:
+            raise ValueError("a noise-tied strategy needs a positive noise level")
         if safety < 1:
             raise ValueError("safety factor must be >= 1")
         return cls("tikhonov", noise_level=float(noise_level), safety=float(safety))
@@ -114,6 +117,8 @@ class RegStrategy:
 
     @classmethod
     def cutoff_by_noise(cls, noise_level, safety=2.0):
+        if noise_level <= 0:
+            raise ValueError("a noise-tied strategy needs a positive noise level")
         return cls("cutoff", noise_level=float(noise_level), safety=float(safety))
 
     @classmethod

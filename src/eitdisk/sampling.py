@@ -12,8 +12,8 @@ only when ``z`` lies inside the inclusion, so the reciprocal solution norm
     W(z) = 1 / |f_z|
 
 drops sharply outside it.  This module solves the regularized equation over a
-grid, extracts a level set of ``W`` by marching squares, and fits the level
-set with a trigonometric-polynomial curve.
+grid, extracts a level set of ``W`` by marching squares, and fits it with a
+trigonometric-polynomial ``BoundaryCurve``, the curve type every stage takes.
 
 A scan decomposes the (possibly perturbed) operator once and sends the
 unmasked points through :func:`eitdisk.regularization.spectral_filter` in
@@ -52,7 +52,6 @@ __all__ = [
     "indicator",
     "scan",
     "extract_level_set",
-    "FittedCurve",
     "fit_trig_curve",
 ]
 
@@ -339,21 +338,8 @@ def extract_level_set(grid: IndicatorGrid, threshold_rel=0.2):
     return pts[np.argsort(ang)]
 
 
-@dataclass(frozen=True)
-class FittedCurve:
-    """Trigonometric-polynomial fit of an extracted boundary."""
-
-    degree: int
-    cos_coef: np.ndarray      # shape (2, degree)
-    sin_coef: np.ndarray
-    smoothing: float
-
-    def to_curve(self) -> BoundaryCurve:
-        return BoundaryCurve.trig(self.cos_coef, self.sin_coef)
-
-
-def fit_trig_curve(points, degree, smoothing=0.0):
-    """Least-squares trigonometric fit of boundary points.
+def fit_trig_curve(points, degree, smoothing=0.0) -> BoundaryCurve:
+    """Least-squares trigonometric fit of boundary points, as a ``trig`` curve.
 
     Each coordinate is expanded as ``sum_m a_m cos(m t) + b_m sin(m t)`` with
     ``t`` the polar angle of each point (the shape is assumed star-shaped
@@ -380,8 +366,8 @@ def fit_trig_curve(points, degree, smoothing=0.0):
         sol, *_ = np.linalg.lstsq(a_full, rhs, rcond=None)
         cos_coef[p] = sol[:degree]
         sin_coef[p] = sol[degree:]
-    fitted = FittedCurve(degree, cos_coef, sin_coef, smoothing)
-    jac = fitted.to_curve().jacobian(np.linspace(0, 2 * np.pi, 256, endpoint=False))
+    fitted = BoundaryCurve.trig(cos_coef, sin_coef)
+    jac = fitted.jacobian(np.linspace(0, 2 * np.pi, 256, endpoint=False))
     if jac.min() <= max(1e-14, 1e-9 * jac.max()):
         raise DegenerateFit("fitted curve Jacobian vanishes")
     return fitted

@@ -36,9 +36,9 @@ class SuiteResult:
 def suite_forward_oracle(flip_sign=False):
     """Nystrom currents against the concentric-circle series."""
     worst = 0.0
-    outer = bie.NystromMesh(BoundaryCurve.circle(radius=1.0), 64, "outer")
+    outer = bie.NystromMesh(BoundaryCurve.circle(radius=1.0), 64)
     for rho in (0.25, 0.5):
-        inner = bie.NystromMesh(BoundaryCurve.circle(radius=rho), 64, "inner")
+        inner = bie.NystromMesh(BoundaryCurve.circle(radius=rho), 64)
         for bc, gamma in (("dirichlet", None), ("impedance", 0.5), ("impedance", 2.0)):
             cfg = annulus.AnnulusConfig(rho, bc, gamma)
             gvals = None if gamma is None else np.full(64, gamma)
@@ -74,7 +74,7 @@ def suite_tikhonov():
 
 def suite_gauss(flip_sign=False):
     """Interior, exterior and on-curve Gauss identities of the double layer."""
-    mesh = bie.NystromMesh(BoundaryCurve.circle(radius=1.0), 64, "outer")
+    mesh = bie.NystromMesh(BoundaryCurve.circle(radius=1.0), 64)
     ones = np.ones(64)
     sign = -1.0 if flip_sign else 1.0
     inside = sign * (bie.double_layer(mesh, np.array([[0.2, 0.1]])) @ ones)
@@ -101,8 +101,8 @@ def suite_truncation():
 def suite_sigma0():
     """Adjudicate the constant-mode impedance coefficient against the solver."""
     rho, gamma = 0.5, 2.0
-    outer = bie.NystromMesh(BoundaryCurve.circle(radius=1.0), 64, "outer")
-    inner = bie.NystromMesh(BoundaryCurve.circle(radius=rho), 64, "inner")
+    outer = bie.NystromMesh(BoundaryCurve.circle(radius=1.0), 64)
+    inner = bie.NystromMesh(BoundaryCurve.circle(radius=rho), 64)
     sol = bie.solve_forward(outer, inner, "impedance", np.ones(64), np.full(64, gamma))
     gap0 = -float(np.mean(sol.outer_flux()))
     cfg = annulus.AnnulusConfig(rho, "impedance", gamma)

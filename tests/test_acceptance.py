@@ -28,11 +28,11 @@ def report(criterion, text):
 
 
 def outer_mesh(n=64):
-    return NystromMesh(BoundaryCurve.circle(radius=1.0), n, "outer")
+    return NystromMesh(BoundaryCurve.circle(radius=1.0), n)
 
 
 def inner_mesh(curve, n=64):
-    return NystromMesh(curve, n, "inner")
+    return NystromMesh(curve, n)
 
 
 def polar_radius(curve, angles):
@@ -261,7 +261,7 @@ def test_criterion_9_impedance_recovery_paper_experiment():
     clean = scan(gap, GridSpec.square(101), RegStrategy.tikhonov_discrepancy(0.02, 1.5))
     contour = extract_level_set(clean, threshold_rel=0.2)
     fitted = fit_trig_curve(contour, degree=7)
-    system_fit = assemble_completion(outer_mesh(), inner_mesh(fitted.to_curve()),
+    system_fit = assemble_completion(outer_mesh(), inner_mesh(fitted),
                                      model_error_factor=2.0)
     recon_fit = recover_gamma_averaged(system_fit, pairs, reg, tol_rel=0.2)
     nodes = system_fit.inner.points

@@ -7,38 +7,30 @@ from eitdisk.annulus import (AnnulusConfig, gap_coefficient,
                              inner_trace_coefficient)
 from eitdisk import bie
 from eitdisk.bie import (NystromMesh, double_layer, dtn_matrix,
-                         fundamental_solution, modified_double_layer,
-                         normal_derivative, single_layer, solve_forward)
+                         modified_double_layer, normal_derivative,
+                         single_layer, solve_forward)
 from eitdisk.dtn import gap_from_lambda0, to_real_trig_basis
 from eitdisk.exceptions import CoincidentPoints, SingularSystem
 from eitdisk.geometry import BoundaryCurve
 
 
 def unit_mesh(n=64):
-    return NystromMesh(BoundaryCurve.circle(radius=1.0), n, "outer")
+    return NystromMesh(BoundaryCurve.circle(radius=1.0), n)
 
 
 def inner_circle(n, rho):
-    return NystromMesh(BoundaryCurve.circle(radius=rho), n, "inner")
+    return NystromMesh(BoundaryCurve.circle(radius=rho), n)
 
 
-class TestFundamentalSolution:
-    def test_unit_distance(self):
-        assert fundamental_solution([0.0, 0.0], [1.0, 0.0]) == 0.0
-
-    def test_log_inversion(self):
-        d = np.exp(-2 * np.pi)
-        assert abs(fundamental_solution([0.0, 0.0], [d, 0.0]) - 1.0) < 1e-14
-
-    def test_symmetry(self):
-        rng = np.random.Generator(np.random.Philox(1))
-        for _ in range(5):
-            x, y = rng.normal(size=2), rng.normal(size=2)
-            assert fundamental_solution(x, y) == fundamental_solution(y, x)
-
-    def test_coincident(self):
+class TestCoincidentPoints:
+    def test_single_layer_at_a_source_node(self):
+        mesh = inner_circle(32, 0.5)
         with pytest.raises(CoincidentPoints):
-            fundamental_solution([1.0, 2.0], [1.0, 2.0])
+            single_layer(mesh, mesh.points[:1])
+
+    def test_monopole_at_the_origin(self):
+        with pytest.raises(CoincidentPoints):
+            modified_double_layer(inner_circle(32, 0.5), [[0.0, 0.0]])
 
 
 class TestDoubleLayer:
@@ -59,7 +51,7 @@ class TestDoubleLayer:
                  (BoundaryCurve.ellipse(0.5, 0.3), 64),
                  (BoundaryCurve.cardioid(), 256)]
         for curve, n in cases:
-            mesh = NystromMesh(curve, n, "inner")
+            mesh = NystromMesh(curve, n)
             row_sums = double_layer(mesh, mesh) @ np.ones(n)
             assert np.max(np.abs(row_sums + 1.0)) < 1e-10
 
@@ -95,8 +87,7 @@ class TestModifiedDoubleLayer:
         assert np.max(np.abs(plain - mono)) < 1e-14
 
     def test_requires_origin_inside(self):
-        mesh = NystromMesh(BoundaryCurve.circle(center=(2.0, 0.0), radius=0.3),
-                           32, "inner")
+        mesh = NystromMesh(BoundaryCurve.circle(center=(2.0, 0.0), radius=0.3), 32)
         with pytest.raises(ValueError):
             modified_double_layer(mesh, np.array([[0.0, 0.0]]))
 
@@ -157,7 +148,7 @@ class TestNormalDerivative:
             assert np.max(np.abs(got + k * np.cos(k * t))) < 1e-6
 
     def test_hypersingular_annihilates_constants(self):
-        mesh = NystromMesh(BoundaryCurve.ellipse(0.5, 0.3), 64, "inner")
+        mesh = NystromMesh(BoundaryCurve.ellipse(0.5, 0.3), 64)
         mat = normal_derivative(mesh, mesh, of="double_layer")
         assert np.max(np.abs(mat @ np.ones(64))) < 1e-10
 
@@ -236,7 +227,7 @@ class TestForwardSolver:
 
     def test_inner_flux_satisfies_robin(self):
         outer = unit_mesh()
-        inner = NystromMesh(BoundaryCurve.ellipse(0.5, 0.3), 64, "inner")
+        inner = NystromMesh(BoundaryCurve.ellipse(0.5, 0.3), 64)
         gamma = 2.0 - np.sin(inner.theta) ** 4
         sol = solve_forward(outer, inner, "impedance", np.cos(2 * outer.theta),
                             gamma)
@@ -259,7 +250,7 @@ class TestForwardSolver:
 
     def test_voltage_columns_match_single_solves(self):
         outer = unit_mesh()
-        inner = NystromMesh(BoundaryCurve.ellipse(0.5, 0.3), 48, "inner")
+        inner = NystromMesh(BoundaryCurve.ellipse(0.5, 0.3), 48)
         gamma = 2.0 - np.sin(inner.theta) ** 4
         f = np.column_stack([np.cos(k * outer.theta) for k in range(1, 6)]
                             + [np.sin(k * outer.theta) for k in range(1, 6)])
@@ -287,7 +278,7 @@ class TestForwardSolver:
     @pytest.mark.parametrize("curve", [BoundaryCurve.circle(radius=1.0),
                                        BoundaryCurve.ellipse(1.2, 0.3)])
     def test_inclusion_reaching_unit_circle_rejected(self, curve):
-        outer, inner = unit_mesh(), NystromMesh(curve, 32, "inner")
+        outer, inner = unit_mesh(), NystromMesh(curve, 32)
         with pytest.raises(ValueError, match="inside the unit measurement circle"):
             solve_forward(outer, inner, "dirichlet", np.cos(outer.theta))
 
@@ -355,7 +346,7 @@ class TestDtnMatrix:
 
     def test_ellipse_gap_sees_constant(self):
         outer = unit_mesh(64)
-        inner = NystromMesh(BoundaryCurve.ellipse(0.5, 0.3), 32, "inner")
+        inner = NystromMesh(BoundaryCurve.ellipse(0.5, 0.3), 32)
         lam = dtn_matrix(outer, inner, "dirichlet", basis="collocation")
         gap = gap_from_lambda0(lam)
         assert np.linalg.norm(gap.matrix @ np.ones(64)) > 1e-2
@@ -368,7 +359,7 @@ class TestDtnMatrix:
 
     def test_gap_symmetry_real_trig_basis(self):
         outer = unit_mesh(64)
-        inner = NystromMesh(BoundaryCurve.ellipse(0.5, 0.3), 64, "inner")
+        inner = NystromMesh(BoundaryCurve.ellipse(0.5, 0.3), 64)
         gamma = 2.0 - np.sin(inner.theta) ** 4
         lam = dtn_matrix(outer, inner, "impedance", gamma, basis="fourier",
                          modes=np.arange(-19, 20))
@@ -410,7 +401,7 @@ class TestDtnMatrix:
 
         def lam(phi):
             center = (offset * np.cos(phi), offset * np.sin(phi))
-            inner = NystromMesh(BoundaryCurve.circle(center, radius), n, "inner")
+            inner = NystromMesh(BoundaryCurve.circle(center, radius), n)
             gamma = np.full(n, 2.0) if bc == "impedance" else None
             return dtn_matrix(outer, inner, bc, gamma).matrix
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from eitdisk.cli import _gamma_values, _parse_reg, main
-from eitdisk.io import read_curve, read_dtn, read_indicator
+from eitdisk.geometry import BoundaryCurve
+from eitdisk.io import read_curve, read_dtn, read_indicator, write_curve
 from eitdisk.regularization import RegStrategy
 
 
@@ -76,7 +77,7 @@ def test_extract_pipeline(tmp_path, circle_file):
                "--degree", "7", "--out", curve])
     assert rc == 0
     fitted = read_curve(curve)
-    radii = np.hypot(*fitted.to_curve().point(
+    radii = np.hypot(*fitted.point(
         np.linspace(0, 2 * np.pi, 64, endpoint=False)).T)
     assert abs(radii.mean() - 0.5) / 0.5 < 0.15
 
@@ -115,15 +116,66 @@ def test_impedance_reg_noise_overrides_the_data_noise(tmp_path, ellipse_file, ca
     assert "every pair was rejected as noise-dominated" in capfd.readouterr().err
 
 
+# a hand-written fitted curve without a config_hash
+OUTSIDE_CURVE = {"M": 1, "a": [[1.2], [0.0]], "b": [[0.0], [1.2]], "smoothing": 0.0}
+
+
 def test_impedance_rejects_fitted_curve_outside_unit_circle(tmp_path, ellipse_file, capfd):
     curve = tmp_path / "curve.json"
-    curve.write_text(json.dumps({"M": 1, "a": [[1.2], [0.0]], "b": [[0.0], [1.2]],
-                                 "smoothing": 0.0}))
+    curve.write_text(json.dumps(OUTSIDE_CURVE))
     rc = main(["impedance", "--geometry", ellipse_file, "--curve", str(curve),
                "--out", str(tmp_path / "g.csv")])
     assert rc == 2
     assert "inside the unit measurement circle" in capfd.readouterr().err
     assert not (tmp_path / "g.csv").exists()
+
+
+def test_hand_written_curve_without_config_hash_loads(tmp_path):
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps(OUTSIDE_CURVE))
+    curve = read_curve(path)
+    assert curve.kind == "trig"
+    assert np.array_equal(curve.cos_coef, [[1.2], [0.0]])
+    assert np.array_equal(curve.sin_coef, [[0.0], [1.2]])
+
+
+A2 = [[0.5, 0.01], [0.0, 0.02]]
+B2 = [[0.0, -0.03], [0.5, 0.0]]
+
+
+def test_curve_file_bytes_of_a_degree_two_curve(tmp_path):
+    path = tmp_path / "curve.json"
+    write_curve(path, BoundaryCurve.trig(A2, B2), 1e-3, {"command": "extract", "degree": 2})
+    assert path.read_text() == (
+        '{"config_hash": "605f1a64ce3d5808", "M": 2, "a": [[0.5, 0.01], [0.0, 0.02]], '
+        '"b": [[0.0, -0.03], [0.5, 0.0]], "smoothing": 0.001}')
+
+
+def test_curve_file_round_trip(tmp_path):
+    path = tmp_path / "curve.json"
+    write_curve(path, BoundaryCurve.trig(A2, B2), 0.0, {})
+    curve = read_curve(path)
+    assert curve.kind == "trig"
+    assert np.array_equal(curve.cos_coef, A2) and np.array_equal(curve.sin_coef, B2)
+
+
+def test_sample_noise_tied_reg_at_level_zero_exits_2(tmp_path, circle_file, capfd):
+    dtn = str(tmp_path / "dtn.json")
+    assert main(["forward", "--geometry", circle_file, "--basis", "collocation:32",
+                 "--out", dtn]) == 0
+    out = tmp_path / "w.csv"
+    assert main(["sample", "--data", dtn, "--grid", "11", "--noise", "0",
+                 "--out", str(out)]) == 2
+    assert "--reg-noise" in capfd.readouterr().err
+    assert not out.exists()
+
+
+def test_impedance_noise_tied_reg_at_level_zero_exits_2(tmp_path, ellipse_file, capfd):
+    out = tmp_path / "g.csv"
+    assert main(["impedance", "--geometry", ellipse_file, "--pairs", "2", "--noise", "0",
+                 "--out", str(out)]) == 2
+    assert "--reg-noise" in capfd.readouterr().err
+    assert not out.exists()
 
 
 def test_impedance_zero_pairs_rejected(tmp_path, ellipse_file):
@@ -180,7 +232,7 @@ def test_non_finite_gamma_exits_with_message(tmp_path, circle_file, capfd, expr)
 
 def test_impedance_factorizes_simulation_and_completion_once(
         tmp_path, ellipse_file, lu_factor_calls):
-    assert main(["impedance", "--geometry", ellipse_file,
+    assert main(["impedance", "--geometry", ellipse_file, "--noise", "0.04",
                  "--out", str(tmp_path / "g.csv")]) == 0
     assert lu_factor_calls == [(128, 128), (64, 64)]
 

@@ -18,11 +18,11 @@ N = 64
 
 
 def outer_mesh(n=N):
-    return NystromMesh(BoundaryCurve.circle(radius=1.0), n, "outer")
+    return NystromMesh(BoundaryCurve.circle(radius=1.0), n)
 
 
 def inner_mesh(curve, n=N):
-    return NystromMesh(curve, n, "inner")
+    return NystromMesh(curve, n)
 
 
 def concentric_system(rho=0.5):
@@ -166,8 +166,10 @@ class TestCompleteCauchy:
                                          RegStrategy.tikhonov_discrepancy(1e-8))
         assert info["noise_dominated"]
         assert np.abs(trace).max() < 0.05 * np.abs(f).max()
+        # the smallest alpha the discrepancy principle can choose
+        alpha = 1e-14 * system.svd.s[0] ** 2
         trace, _, info = complete_cauchy(system, CauchyPair(f, g),
-                                         RegStrategy.tikhonov_discrepancy(0.0))
+                                         RegStrategy.tikhonov(alpha))
         assert not info["noise_dominated"]
         assert np.abs(trace).max() < 0.05 * np.abs(f).max()
 

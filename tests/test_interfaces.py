@@ -42,8 +42,8 @@ class TestGeometryRoundTrip:
 
 class TestDtnFile:
     def test_complex_round_trip(self, tmp_path):
-        outer = NystromMesh(BoundaryCurve.circle(radius=1.0), 64, "outer")
-        inner = NystromMesh(BoundaryCurve.circle(radius=0.5), 32, "inner")
+        outer = NystromMesh(BoundaryCurve.circle(radius=1.0), 64)
+        inner = NystromMesh(BoundaryCurve.circle(radius=0.5), 32)
         lam = dtn_matrix(outer, inner, "dirichlet", basis="fourier",
                          modes=np.arange(-5, 6))
         gap = gap_from_lambda0(lam)
@@ -139,8 +139,8 @@ class TestModeSystemEquivalence:
         # the stored coefficient system and the equally spaced node-value
         # system differ by a scaled unitary factor, so relative-threshold
         # regularization treats them identically
-        outer = NystromMesh(BoundaryCurve.circle(radius=1.0), 64, "outer")
-        inner = NystromMesh(BoundaryCurve.ellipse(0.5, 0.3), 64, "inner")
+        outer = NystromMesh(BoundaryCurve.circle(radius=1.0), 64)
+        inner = NystromMesh(BoundaryCurve.ellipse(0.5, 0.3), 64)
         gamma = 2.0 - np.sin(inner.theta) ** 4
         lam = dtn_matrix(outer, inner, "impedance", gamma, basis="fourier",
                          modes=np.arange(0, 20))
@@ -155,8 +155,8 @@ class TestModeSystemEquivalence:
         assert np.allclose(s_node, np.sqrt(n) * s_coef, rtol=1e-10)
 
     def test_solutions_agree_under_relative_cutoff(self):
-        outer = NystromMesh(BoundaryCurve.circle(radius=1.0), 64, "outer")
-        inner = NystromMesh(BoundaryCurve.circle(radius=0.4), 64, "inner")
+        outer = NystromMesh(BoundaryCurve.circle(radius=1.0), 64)
+        inner = NystromMesh(BoundaryCurve.circle(radius=0.4), 64)
         lam = dtn_matrix(outer, inner, "impedance", np.full(64, 1.3),
                          basis="fourier", modes=np.arange(0, 20))
         gap = gap_from_lambda0(lam)
@@ -178,8 +178,8 @@ class TestModeSystemEquivalence:
 
 class TestDirichletInnerFlux:
     def test_matches_series(self):
-        outer = NystromMesh(BoundaryCurve.circle(radius=1.0), 64, "outer")
-        inner = NystromMesh(BoundaryCurve.circle(radius=0.5), 64, "inner")
+        outer = NystromMesh(BoundaryCurve.circle(radius=1.0), 64)
+        inner = NystromMesh(BoundaryCurve.circle(radius=0.5), 64)
         cfg = AnnulusConfig(0.5, "dirichlet")
         k = 2
         sol = solve_forward(outer, inner, "dirichlet", np.cos(k * outer.theta))
@@ -217,8 +217,8 @@ class TestDiagnosticPaths:
         # data carries large perturbations but the declared level is tiny,
         # so the post-fit residual cannot be explained by the noise model
         from eitdisk.completion import CauchyPair, assemble_completion, complete_cauchy
-        outer = NystromMesh(BoundaryCurve.circle(radius=1.0), 64, "outer")
-        inner = NystromMesh(BoundaryCurve.circle(radius=0.5), 64, "inner")
+        outer = NystromMesh(BoundaryCurve.circle(radius=1.0), 64)
+        inner = NystromMesh(BoundaryCurve.circle(radius=0.5), 64)
         system = assemble_completion(outer, inner)
         rng = np.random.Generator(np.random.Philox(5))
         f = np.cos(outer.theta)

@@ -162,6 +162,13 @@ class TestRegularizedSolve:
     def test_noise_tied_marks_the_noise_level_strategies(self, reg, tied):
         assert reg.noise_tied is tied
 
+    @pytest.mark.parametrize("make", [RegStrategy.tikhonov_discrepancy,
+                                      RegStrategy.cutoff_by_noise])
+    @pytest.mark.parametrize("level", [0.0, -0.01])
+    def test_noise_tied_strategy_needs_a_positive_level(self, make, level):
+        with pytest.raises(ValueError, match="positive noise level"):
+            make(level)
+
 
 STRATEGIES = [
     RegStrategy.none(),

@@ -490,7 +490,7 @@ class TestCurveFit:
 
         def level_error(degree):
             fit = fit_trig_curve(pts, degree)
-            samples = fit.to_curve().point(
+            samples = fit.point(
                 np.linspace(0, 2 * np.pi, 128, endpoint=False))
             level = (samples[:, 0] / 0.5) ** 2 + (samples[:, 1] / 0.3) ** 2
             return np.max(np.abs(level - 1.0))
@@ -507,7 +507,7 @@ class TestCurveFit:
             [np.cos(t), np.sin(t)])
 
         def seminorm(fit):
-            m = np.arange(1, fit.degree + 1)
+            m = np.arange(1, fit.cos_coef.shape[1] + 1)
             w = (1.0 + m**2) ** 2
             return np.sum(w * (fit.cos_coef**2 + fit.sin_coef**2))
 
