@@ -28,9 +28,8 @@ from .completion import CauchyPair, assemble_completion, recover_gamma_averaged
 from .dtn import gap_from_lambda0
 from .exceptions import EitDiskError
 from .geometry import BoundaryCurve
-from .io import (config_hash, geometry_from_dict, geometry_to_dict, read_dtn,
-                 read_curve, read_indicator, write_curve, write_dtn,
-                 write_gamma, write_indicator)
+from .io import (config_hash, read_dtn, read_curve, read_indicator, write_curve,
+                 write_dtn, write_gamma, write_indicator)
 from .regularization import RegStrategy, perturb_vector
 from .sampling import GridSpec, extract_level_set, fit_trig_curve, scan
 
@@ -45,9 +44,11 @@ _BINARY = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
 
 
 def _load_geometry(path):
-    """Geometry from a JSON file."""
+    """Geometry from a JSON file, checked by :meth:`BoundaryCurve.validate`."""
     with open(path) as fh:
-        return geometry_from_dict(json.load(fh))
+        curve = BoundaryCurve.from_dict(json.load(fh))
+    curve.validate()
+    return curve
 
 
 def _evaluate(node, theta):
@@ -124,9 +125,8 @@ def _meshes(curve, n_outer, n_inner):
 
 def cmd_forward(args):
     curve = _load_geometry(args.geometry)
-    curve.validate()
     basis, order = _parse_basis(args.basis)
-    config = {"command": "forward", "geometry": geometry_to_dict(curve),
+    config = {"command": "forward", "geometry": curve.to_dict(),
               "bc": args.bc, "gamma": args.gamma, "basis": args.basis,
               "noise": args.noise, "seed": args.seed, "sim_nodes": args.sim_nodes}
     if basis == "fourier":
@@ -182,12 +182,14 @@ def cmd_impedance(args):
     gamma_true = _gamma_values(args.gamma, inner_true.theta)
 
     if args.curve:
-        recon_curve = read_curve(args.curve)
-        model_factor = args.model_error_factor
+        recon_curve, model_factor = read_curve(args.curve), args.model_error_factor
+        recon_curve.validate()
     else:
-        recon_curve = true_curve
-        model_factor = 1.0
+        recon_curve, model_factor = true_curve, 1.0
     outer64, inner64 = _meshes(recon_curve, args.nodes, args.nodes)
+    # a fitted curve outside the unit circle is reported before a bad --reg
+    bie._check_inclusion(inner64)
+    reg = _parse_reg(args.reg, args.reg_noise if args.reg_noise is not None else args.noise)
     system = assemble_completion(outer64, inner64, model_error_factor=model_factor)
 
     k_max = (args.pairs + 1) // 2
@@ -204,9 +206,8 @@ def cmd_impedance(args):
         pairs.append(CauchyPair(fn(k * outer64.theta), g64,
                                 noise_level=args.noise,
                                 label=f"{kind}({k}t)"))
-    reg = _parse_reg(args.reg, args.reg_noise if args.reg_noise is not None else args.noise)
     recon = recover_gamma_averaged(system, pairs, reg, tol_rel=args.mask_tol)
-    config = {"command": "impedance", "geometry": geometry_to_dict(true_curve),
+    config = {"command": "impedance", "geometry": true_curve.to_dict(),
               "bc": args.bc, "gamma": args.gamma, "curve": args.curve,
               "pairs": args.pairs, "noise": args.noise, "seed": args.seed,
               "reg": args.reg, "mask_tol": args.mask_tol}

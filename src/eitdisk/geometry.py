@@ -4,8 +4,9 @@ Every boundary in the package is a counterclockwise closed curve
 ``x(theta) = (x1(theta), x2(theta))`` on ``[0, 2pi)``.  Four families are
 supported: circles, origin-centered ellipses, a fixed rational-trigonometric
 "cardioid" test shape, and general trigonometric-polynomial curves (the output
-of the curve-fitting step).  The curve object exposes the position, the first
-two parameter derivatives, the Jacobian ``|x'(theta)|`` and unit normals.
+of the curve-fitting step), the last three sharing one trigonometric form.
+The curve object exposes the position, the first two parameter derivatives,
+the Jacobian ``|x'(theta)|``, unit normals and its JSON description.
 
 Normal conventions
 ------------------
@@ -38,17 +39,17 @@ _TANGENT_TOL = 1e-12
 class BoundaryCurve:
     """A closed counterclockwise curve of one of the supported kinds.
 
-    Parameters are stored per kind:
-
-    - ``circle``: ``params = (cx, cy, radius)``
-    - ``ellipse``: ``params = (a, b)`` semi-axes, centered at the origin
-    - ``cardioid``: no parameters (the fixed test shape)
-    - ``trig``: ``cos_coef``/``sin_coef`` with shape ``(2, M)``, row ``p``
-      holding the degree-``m`` coefficients of coordinate ``p``
+    Every kind but the cardioid (the fixed test shape) is the polynomial
+    ``center + sum_m cos_coef[:, m-1] cos(m theta) + sin_coef[:, m-1] sin(m theta)``
+    with ``(2, M)`` coefficient arrays, row ``p`` for coordinate ``p``.  A
+    ``circle`` has ``cos_coef = [[r], [0]]`` and ``sin_coef = [[0], [r]]``, an
+    ``ellipse`` ``[[a], [0]]`` and ``[[0], [b]]`` about the origin, and a
+    ``trig`` curve any degree about the origin.  ``kind`` names the family
+    :meth:`to_dict` writes.
     """
 
     kind: str
-    params: tuple = ()
+    center: tuple = (0.0, 0.0)
     cos_coef: np.ndarray | None = field(default=None, repr=False)
     sin_coef: np.ndarray | None = field(default=None, repr=False)
 
@@ -56,13 +57,15 @@ class BoundaryCurve:
     def circle(cls, center=(0.0, 0.0), radius=1.0):
         if radius <= 0:
             raise ValueError("radius must be positive")
-        return cls("circle", (float(center[0]), float(center[1]), float(radius)))
+        return cls("circle", (float(center[0]), float(center[1])),
+                   np.array([[radius], [0.0]], float), np.array([[0.0], [radius]], float))
 
     @classmethod
     def ellipse(cls, a, b):
         if a <= 0 or b <= 0:
             raise ValueError("semi-axes must be positive")
-        return cls("ellipse", (float(a), float(b)))
+        return cls("ellipse", (0.0, 0.0), np.array([[a], [0.0]], float),
+                   np.array([[0.0], [b]], float))
 
     @classmethod
     def cardioid(cls):
@@ -74,7 +77,33 @@ class BoundaryCurve:
         b = np.atleast_2d(np.asarray(sin_coef, dtype=float))
         if a.shape != b.shape or a.shape[0] != 2:
             raise ValueError("coefficient arrays must both have shape (2, M)")
-        return cls("trig", (), a, b)
+        return cls("trig", (0.0, 0.0), a, b)
+
+    def to_dict(self) -> dict:
+        """JSON geometry description: ``kind`` and that kind's parameters."""
+        if self.kind == "circle":
+            return {"kind": "circle", "center": [float(c) for c in self.center],
+                    "radius": float(self.cos_coef[0, 0])}
+        if self.kind == "ellipse":
+            return {"kind": "ellipse", "a": float(self.cos_coef[0, 0]),
+                    "b": float(self.sin_coef[1, 0])}
+        if self.kind == "cardioid":
+            return {"kind": "cardioid"}
+        return {"kind": "trig", "a": self.cos_coef.tolist(), "b": self.sin_coef.tolist()}
+
+    @classmethod
+    def from_dict(cls, data: dict) -> BoundaryCurve:
+        """Inverse of :meth:`to_dict`; a circle without ``center`` is at the origin."""
+        kind = data["kind"]
+        if kind == "circle":
+            return cls.circle(tuple(data.get("center", (0.0, 0.0))), data["radius"])
+        if kind == "ellipse":
+            return cls.ellipse(data["a"], data["b"])
+        if kind == "cardioid":
+            return cls.cardioid()
+        if kind == "trig":
+            return cls.trig(data["a"], data["b"])
+        raise ValueError(f"unknown geometry kind {kind!r}")
 
     # -- radial profile of the cardioid test shape ---------------------------
     @staticmethod
@@ -93,26 +122,14 @@ class BoundaryCurve:
     def point(self, theta):
         """Position ``x(theta)``; vectorized, returns shape ``theta.shape + (2,)``."""
         theta = np.asarray(theta, dtype=float)
-        if self.kind == "circle":
-            cx, cy, r = self.params
-            return np.stack([cx + r * np.cos(theta), cy + r * np.sin(theta)], axis=-1)
-        if self.kind == "ellipse":
-            a, b = self.params
-            return np.stack([a * np.cos(theta), b * np.sin(theta)], axis=-1)
         if self.kind == "cardioid":
             r, _, _ = self._cardioid_radius(theta)
             return np.stack([r * np.cos(theta), r * np.sin(theta)], axis=-1)
-        return self._trig_eval(theta, order=0)
+        return np.add(self.center, self._trig_eval(theta, order=0))
 
     def velocity(self, theta):
         """First parameter derivative ``x'(theta)``."""
         theta = np.asarray(theta, dtype=float)
-        if self.kind == "circle":
-            _, _, r = self.params
-            return np.stack([-r * np.sin(theta), r * np.cos(theta)], axis=-1)
-        if self.kind == "ellipse":
-            a, b = self.params
-            return np.stack([-a * np.sin(theta), b * np.cos(theta)], axis=-1)
         if self.kind == "cardioid":
             r, rd, _ = self._cardioid_radius(theta)
             return np.stack(
@@ -123,12 +140,6 @@ class BoundaryCurve:
     def acceleration(self, theta):
         """Second parameter derivative ``x''(theta)``."""
         theta = np.asarray(theta, dtype=float)
-        if self.kind == "circle":
-            _, _, r = self.params
-            return np.stack([-r * np.cos(theta), -r * np.sin(theta)], axis=-1)
-        if self.kind == "ellipse":
-            a, b = self.params
-            return np.stack([-a * np.cos(theta), -b * np.sin(theta)], axis=-1)
         if self.kind == "cardioid":
             r, rd, rdd = self._cardioid_radius(theta)
             return np.stack(
@@ -146,8 +157,7 @@ class BoundaryCurve:
             bc, bs = -m * s, m * c
         else:
             bc, bs = -(m**2) * c, -(m**2) * s
-        out = bc @ self.cos_coef.T + bs @ self.sin_coef.T
-        return out
+        return bc @ self.cos_coef.T + bs @ self.sin_coef.T
 
     def jacobian(self, theta):
         """Arc-length factor ``|x'(theta)|``."""
@@ -183,23 +193,21 @@ class BoundaryCurve:
         if np.any(self.jacobian(t) <= _TANGENT_TOL):
             raise ValueError("curve Jacobian is not positive at sample nodes")
         p = self.point(t)
-        q = np.roll(p, -1, axis=0)
-        d = q - p
-        for i in range(n):
-            # candidate chords j > i+1, excluding the wrap-around neighbor
-            j = np.arange(i + 2, n if i > 0 else n - 1)
-            if len(j) == 0:
-                continue
-            r = p[j] - p[i]
-            cross_dd = d[i, 0] * d[j, 1] - d[i, 1] * d[j, 0]
-            cross_rd = r[:, 0] * d[j, 1] - r[:, 1] * d[j, 0]
-            cross_rd2 = r[:, 0] * d[i, 1] - r[:, 1] * d[i, 0]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                s = cross_rd / cross_dd
-                u = -cross_rd2 / cross_dd
-            hit = (np.abs(cross_dd) > 1e-14) & (s > 0) & (s < 1) & (u > 0) & (u < 1)
-            if np.any(hit):
-                raise ValueError("curve self-intersects at sample resolution")
+        d = np.roll(p, -1, axis=0) - p
+        # chord pairs i < j - 1; chords 0 and n-1 are wrap-around neighbours
+        i, j = np.triu_indices(n, 2)
+        keep = (i > 0) | (j < n - 1)
+        i, j = i[keep], j[keep]
+        r = p[j] - p[i]
+        cross_dd = d[i, 0] * d[j, 1] - d[i, 1] * d[j, 0]
+        cross_rd = r[:, 0] * d[j, 1] - r[:, 1] * d[j, 0]
+        cross_rd2 = r[:, 0] * d[i, 1] - r[:, 1] * d[i, 0]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s = cross_rd / cross_dd
+            u = -cross_rd2 / cross_dd
+        hit = (np.abs(cross_dd) > 1e-14) & (s > 0) & (s < 1) & (u > 0) & (u < 1)
+        if np.any(hit):
+            raise ValueError("curve self-intersects at sample resolution")
         return True
 
 

@@ -20,7 +20,6 @@ from .sampling import GridSpec, IndicatorGrid
 
 __all__ = [
     "config_hash",
-    "geometry_to_dict", "geometry_from_dict",
     "write_dtn", "read_dtn",
     "write_indicator", "read_indicator",
     "write_curve", "read_curve",
@@ -32,34 +31,6 @@ def config_hash(config: dict) -> str:
     """Stable 16-hex-digit digest of a JSON-serializable configuration."""
     blob = json.dumps(config, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
-
-
-def geometry_to_dict(curve: BoundaryCurve) -> dict:
-    if curve.kind == "circle":
-        cx, cy, r = curve.params
-        return {"kind": "circle", "center": [cx, cy], "radius": r}
-    if curve.kind == "ellipse":
-        a, b = curve.params
-        return {"kind": "ellipse", "a": a, "b": b}
-    if curve.kind == "cardioid":
-        return {"kind": "cardioid"}
-    return {"kind": "trig",
-            "a": curve.cos_coef.tolist(),
-            "b": curve.sin_coef.tolist()}
-
-
-def geometry_from_dict(data: dict) -> BoundaryCurve:
-    kind = data["kind"]
-    if kind == "circle":
-        return BoundaryCurve.circle(tuple(data.get("center", (0.0, 0.0))),
-                                    data["radius"])
-    if kind == "ellipse":
-        return BoundaryCurve.ellipse(data["a"], data["b"])
-    if kind == "cardioid":
-        return BoundaryCurve.cardioid()
-    if kind == "trig":
-        return BoundaryCurve.trig(data["a"], data["b"])
-    raise ValueError(f"unknown geometry kind {kind!r}")
 
 
 def _matrix_to_pairs(mat):
@@ -89,7 +60,7 @@ def write_dtn(path, lambda0: DtnOperator, gap: DtnOperator, config: dict,
         "bc": bc,
     }
     with open(path, "w") as fh:
-        json.dump(doc, fh)
+        fh.write(json.dumps(doc))
 
 
 def read_dtn(path):
@@ -156,13 +127,18 @@ def write_curve(path, curve: BoundaryCurve, smoothing: float, config: dict):
            "b": curve.sin_coef.tolist(),
            "smoothing": smoothing}
     with open(path, "w") as fh:
-        json.dump(doc, fh)
+        fh.write(json.dumps(doc))
 
 
 def read_curve(path) -> BoundaryCurve:
+    """The ``trig`` curve of a fitted-curve file; ``M`` must match its columns."""
     with open(path) as fh:
         doc = json.load(fh)
-    return BoundaryCurve.trig(doc["a"], doc["b"])
+    curve = BoundaryCurve.trig(doc["a"], doc["b"])
+    if doc.get("M") != curve.cos_coef.shape[1]:
+        raise ValueError(f"curve file declares M={doc.get('M')!r} but holds "
+                         f"{curve.cos_coef.shape[1]} coefficient columns")
+    return curve
 
 
 def write_gamma(path, recon, config: dict):

@@ -116,6 +116,47 @@ def test_impedance_reg_noise_overrides_the_data_noise(tmp_path, ellipse_file, ca
     assert "every pair was rejected as noise-dominated" in capfd.readouterr().err
 
 
+# a degree-7 trig curve with a small self-loop near theta = 0
+LOOPED_TRIG = {"kind": "trig", "a": [[0.4, 0, 0, 0, 0, 0, 0.1], [0, 0, 0, 0, 0, 0, 0]],
+               "b": [[0, 0, 0, 0, 0, 0, 0], [0.4, 0, 0, 0, 0, 0, 0.1]]}
+
+
+def test_forward_and_impedance_reject_a_self_intersecting_geometry(tmp_path, capfd):
+    geom = tmp_path / "loop.json"
+    geom.write_text(json.dumps(LOOPED_TRIG))
+    errors = []
+    for argv in (["forward", "--out", str(tmp_path / "dtn.json")],
+                 ["impedance", "--pairs", "4", "--noise", "0.02",
+                  "--out", str(tmp_path / "g.csv")]):
+        assert main(argv + ["--geometry", str(geom)]) == 2
+        errors.append(capfd.readouterr().err)
+    assert errors[0] == errors[1] == "error: curve self-intersects at sample resolution\n"
+    assert not (tmp_path / "dtn.json").exists() and not (tmp_path / "g.csv").exists()
+
+
+def test_impedance_rejects_a_self_intersecting_fitted_curve(tmp_path, ellipse_file, capfd):
+    curve = tmp_path / "curve.json"
+    curve.write_text(json.dumps({"M": 7, "a": LOOPED_TRIG["a"], "b": LOOPED_TRIG["b"],
+                                 "smoothing": 0.0}))
+    assert main(["impedance", "--geometry", ellipse_file, "--curve", str(curve),
+                 "--noise", "0.04", "--out", str(tmp_path / "g.csv")]) == 2
+    assert "self-intersects" in capfd.readouterr().err
+
+
+def test_impedance_level_zero_reg_fails_before_any_solve(tmp_path, ellipse_file, capfd,
+                                                         monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("solved before --reg was parsed")
+
+    monkeypatch.setattr("eitdisk.cli.assemble_completion", forbidden)
+    monkeypatch.setattr("eitdisk.bie.solve_forward", forbidden)
+    out = tmp_path / "g.csv"
+    assert main(["impedance", "--geometry", ellipse_file, "--noise", "0",
+                 "--sim-nodes", "256", "--nodes", "512", "--out", str(out)]) == 2
+    assert "--reg-noise" in capfd.readouterr().err
+    assert not out.exists()
+
+
 # a hand-written fitted curve without a config_hash
 OUTSIDE_CURVE = {"M": 1, "a": [[1.2], [0.0]], "b": [[0.0], [1.2]], "smoothing": 0.0}
 
@@ -137,6 +178,17 @@ def test_hand_written_curve_without_config_hash_loads(tmp_path):
     assert curve.kind == "trig"
     assert np.array_equal(curve.cos_coef, [[1.2], [0.0]])
     assert np.array_equal(curve.sin_coef, [[0.0], [1.2]])
+
+
+def test_curve_file_whose_degree_disagrees_with_its_columns_is_rejected(
+        tmp_path, ellipse_file, capfd):
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps(dict(OUTSIDE_CURVE, M=5)))
+    with pytest.raises(ValueError, match="M=5"):
+        read_curve(path)
+    assert main(["impedance", "--geometry", ellipse_file, "--curve", str(path),
+                 "--out", str(tmp_path / "g.csv")]) == 2
+    assert "M=5" in capfd.readouterr().err
 
 
 A2 = [[0.5, 0.01], [0.0, 0.02]]

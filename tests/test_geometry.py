@@ -94,6 +94,102 @@ class TestNormalsAndJacobian:
         assert np.allclose(c.acceleration(t), fd_a, atol=1e-3)
 
 
+class TestDegreeOneClosedForms:
+    """Circles and ellipses are degree-one trigonometric curves; their values
+    equal the closed forms the separate circle and ellipse branches computed."""
+
+    @pytest.mark.parametrize("curve, cx, cy, a, b", [
+        (BoundaryCurve.circle((0.3, -0.2), 0.25), 0.3, -0.2, 0.25, 0.25),
+        (BoundaryCurve.ellipse(0.5, 0.3), None, None, 0.5, 0.3),
+    ], ids=["offcentre_circle", "ellipse"])
+    def test_values_equal_the_closed_forms(self, curve, cx, cy, a, b):
+        t = curve.nodes(64)
+        if cx is None:
+            point = np.stack([a * np.cos(t), b * np.sin(t)], axis=-1)
+        else:
+            point = np.stack([cx + a * np.cos(t), cy + b * np.sin(t)], axis=-1)
+        v = np.stack([-a * np.sin(t), b * np.cos(t)], axis=-1)
+        acc = np.stack([-a * np.cos(t), -b * np.sin(t)], axis=-1)
+        j = np.sqrt((v**2).sum(axis=-1))
+        assert np.array_equal(curve.point(t), point)
+        assert np.array_equal(curve.velocity(t), v)
+        assert np.array_equal(curve.acceleration(t), acc)
+        assert np.array_equal(curve.jacobian(t), j)
+        assert np.array_equal(curve.normal(t), np.stack([v[:, 1], -v[:, 0]], axis=-1) / j[:, None])
+        assert np.array_equal(curve.curvature(t),
+                              (v[:, 0] * acc[:, 1] - v[:, 1] * acc[:, 0]) / j**3)
+
+    def test_scalar_parameter(self):
+        c = BoundaryCurve.circle((0.3, -0.2), 0.25)
+        assert c.point(0.7).shape == (2,)
+        assert np.array_equal(c.point(0.7), [0.3 + 0.25 * np.cos(0.7), -0.2 + 0.25 * np.sin(0.7)])
+
+
+def chord_loop_verdict(curve, n):
+    """Reference for :meth:`BoundaryCurve.validate`: the per-chord loop it
+    replaced.  Returns the error message, or ``None`` for a valid curve."""
+    t = curve.nodes(n)
+    if np.any(curve.jacobian(t) <= 1e-12):
+        return "curve Jacobian is not positive at sample nodes"
+    p = curve.point(t)
+    q = np.roll(p, -1, axis=0)
+    d = q - p
+    for i in range(n):
+        # candidate chords j > i+1, excluding the wrap-around neighbor
+        j = np.arange(i + 2, n if i > 0 else n - 1)
+        if len(j) == 0:
+            continue
+        r = p[j] - p[i]
+        cross_dd = d[i, 0] * d[j, 1] - d[i, 1] * d[j, 0]
+        cross_rd = r[:, 0] * d[j, 1] - r[:, 1] * d[j, 0]
+        cross_rd2 = r[:, 0] * d[i, 1] - r[:, 1] * d[i, 0]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s = cross_rd / cross_dd
+            u = -cross_rd2 / cross_dd
+        hit = (np.abs(cross_dd) > 1e-14) & (s > 0) & (s < 1) & (u > 0) & (u < 1)
+        if np.any(hit):
+            return "curve self-intersects at sample resolution"
+    return None
+
+
+def validate_verdict(curve, n):
+    try:
+        curve.validate(n)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def random_trig_curve(seed):
+    """A circle of radius 0.4 plus random higher modes; large amplitudes loop."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    degree = int(rng.integers(2, 6))
+    amp = rng.uniform(0.0, 0.3)
+    a = amp * rng.normal(size=(2, degree)) / np.arange(1, degree + 1)
+    b = amp * rng.normal(size=(2, degree)) / np.arange(1, degree + 1)
+    a[0, 0] += 0.4
+    b[1, 0] += 0.4
+    return BoundaryCurve.trig(a, b)
+
+
+class TestValidate:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10**6), st.sampled_from([16, 64, 256]))
+    def test_agrees_with_the_chord_loop(self, seed, n):
+        curve = random_trig_curve(seed)
+        assert validate_verdict(curve, n) == chord_loop_verdict(curve, n)
+
+    def test_random_curves_cover_both_verdicts(self):
+        # the property above is not vacuous: the generator makes both kinds
+        verdicts = {chord_loop_verdict(random_trig_curve(seed), 64) for seed in range(40)}
+        assert {None, "curve self-intersects at sample resolution"} <= verdicts
+
+    @pytest.mark.parametrize("n", [4, 5, 16])
+    def test_small_node_counts(self, n):
+        for curve in (BoundaryCurve.circle(radius=0.5), random_trig_curve(3)):
+            assert validate_verdict(curve, n) == chord_loop_verdict(curve, n)
+
+
 class TestFourier:
     def test_constant(self):
         d = fourier_analyze(np.ones(16), 5)

@@ -14,8 +14,7 @@ from eitdisk.completion import recover_gamma_lsq
 from eitdisk.dtn import DtnOperator, gap_from_lambda0
 from eitdisk.exceptions import RankDeficientWarning, ResidualTooLarge
 from eitdisk.geometry import BoundaryCurve
-from eitdisk.io import (config_hash, geometry_from_dict, geometry_to_dict,
-                        read_dtn, read_indicator, write_dtn, write_indicator)
+from eitdisk.io import config_hash, read_dtn, read_indicator, write_dtn, write_indicator
 from eitdisk.regularization import RegStrategy, SvdFactorization
 from eitdisk.sampling import GridSpec, IndicatorGrid, poisson_kernel, scan
 
@@ -29,8 +28,28 @@ class TestGeometryRoundTrip:
                                      [[0.0, 0.02], [0.35, 0.0]])]
         t = np.linspace(0, 2 * np.pi, 17)
         for c in curves:
-            back = geometry_from_dict(json.loads(json.dumps(geometry_to_dict(c))))
+            back = BoundaryCurve.from_dict(json.loads(json.dumps(c.to_dict())))
             assert np.allclose(back.point(t), c.point(t))
+
+    @pytest.mark.parametrize("curve, text, digest", [
+        (BoundaryCurve.circle((0.1, -0.2), 0.4),
+         '{"kind": "circle", "center": [0.1, -0.2], "radius": 0.4}', "566f8e9f0ff0a2ed"),
+        (BoundaryCurve.ellipse(0.5, 0.3), '{"kind": "ellipse", "a": 0.5, "b": 0.3}',
+         "cbd17ce6e3cac1cf"),
+        (BoundaryCurve.cardioid(), '{"kind": "cardioid"}', "233ed90535c1002f"),
+        (BoundaryCurve.trig([[0.4, 0.01], [0.0, 0.0]], [[0.0, 0.02], [0.35, 0.0]]),
+         '{"kind": "trig", "a": [[0.4, 0.01], [0.0, 0.0]], "b": [[0.0, 0.02], [0.35, 0.0]]}',
+         "237c63a2c4249086"),
+    ], ids=["circle", "ellipse", "cardioid", "trig"])
+    def test_description_and_config_hash_of_each_kind_unchanged(self, curve, text, digest):
+        # dtn.json embeds the description as written, key order included, and
+        # every output header embeds the hash of a config that holds it
+        assert json.dumps(curve.to_dict()) == text
+        assert config_hash({"geometry": curve.to_dict()}) == digest
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown geometry kind"):
+            BoundaryCurve.from_dict({"kind": "square"})
 
     def test_self_intersecting_curve_rejected(self):
         # a figure-eight-like trig curve must fail validation
@@ -234,7 +253,7 @@ class TestCliFittedCurvePath:
         ell.write_text(json.dumps({"kind": "ellipse", "a": 0.5, "b": 0.3}))
         curve = tmp_path / "curve.json"
         curve.write_text(json.dumps(
-            {"config_hash": "0" * 16, "M": 1,
+            {"config_hash": "0" * 16, "M": 2,
              "a": [[0.48, 0.0], [0.0, 0.0]],
              "b": [[0.0, 0.0], [0.48, 0.0]],
              "smoothing": 0.0}))
