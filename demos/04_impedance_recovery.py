@@ -10,7 +10,7 @@ Writes the averaged reconstruction as CSV.
 
 import numpy as np
 
-from eitdisk import (AnnulusConfig, BoundaryCurve, CauchyPair, GridSpec,
+from eitdisk import (AnnulusConfig, BoundaryCurve, GridSpec,
                      NystromMesh, RegStrategy, assemble_completion,
                      gap_operator, recover_gamma_averaged, scan, solve_forward)
 from eitdisk.io import write_gamma
@@ -23,19 +23,21 @@ ellipse = NystromMesh(BoundaryCurve.ellipse(0.5, 0.3), 64)
 gamma_true = 2.0 - np.sin(ellipse.theta) ** 4
 
 print("simulating 16 measurement pairs with 4 percent current noise ...")
-pairs = []
+# one row per pair: the applied voltage and the measured current
+voltages, currents = [], []
 for k in range(1, 9):
     for fn in (np.cos, np.sin):
         f = fn(k * outer.theta)
         g = solve_forward(outer, ellipse, "impedance", f, gamma_true).outer_flux()
-        g = perturb_vector(g, NOISE, (0, len(pairs)))
-        pairs.append(CauchyPair(f, g, noise_level=NOISE))
+        voltages.append(f)
+        currents.append(perturb_vector(g, NOISE, (0, len(currents))))
+voltages, currents = np.array(voltages), np.array(currents)
 
 reg = RegStrategy.cutoff_by_noise(NOISE, safety=2.0)
 
 print("recovering on the exact ellipse boundary ...")
 system = assemble_completion(outer, ellipse)
-recon = recover_gamma_averaged(system, pairs, reg, tol_rel=0.2)
+recon = recover_gamma_averaged(system, voltages, currents, reg, NOISE, tol_rel=0.2)
 err = np.linalg.norm(np.where(recon.unmasked(), recon.average - gamma_true, 0.0))
 err /= np.linalg.norm(gamma_true)
 print(f"  relative error {err:.3f}; per-node spread up to "
@@ -48,7 +50,8 @@ indicator = scan(gap, GridSpec.square(101), RegStrategy.tikhonov_discrepancy(0.0
 fitted = fit_trig_curve(extract_level_set(indicator, 0.2), degree=7)
 system_fit = assemble_completion(outer, NystromMesh(fitted, 64),
                                  model_error_factor=2.0)
-recon_fit = recover_gamma_averaged(system_fit, pairs, reg, tol_rel=0.2)
+recon_fit = recover_gamma_averaged(system_fit, voltages, currents, reg, NOISE,
+                                   tol_rel=0.2)
 nodes = system_fit.inner.points
 t_param = np.arctan2(nodes[:, 1] / 0.3, nodes[:, 0] / 0.5)
 truth = 2.0 - np.sin(t_param) ** 4

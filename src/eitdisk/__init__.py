@@ -14,7 +14,7 @@ from .annulus import (AnnulusConfig, annulus_potential, disk_potential,
 from .bie import (ForwardSolution, NystromMesh, double_layer, dtn_matrix,
                   modified_double_layer, normal_derivative, single_layer,
                   solve_forward)
-from .completion import (CauchyPair, CompletionSystem, GammaReconstruction,
+from .completion import (CompletionSystem, GammaReconstruction,
                          assemble_completion, complete_cauchy,
                          recover_gamma_averaged, recover_gamma_lsq,
                          recover_gamma_pointwise)

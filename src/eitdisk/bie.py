@@ -125,12 +125,13 @@ def kress_log_weights(n):
 
 
 def spectral_diff_matrix(n):
-    """First-derivative matrix on ``n`` equally spaced periodic nodes."""
-    d = np.zeros((n, n))
-    i, j = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    off = i != j
-    d[off] = 0.5 * (-1.0) ** (i[off] - j[off]) / np.tan((i[off] - j[off]) * np.pi / n)
-    return d
+    """First-derivative matrix on ``n`` equally spaced periodic nodes: the
+    Toeplitz matrix with ``0.5 (-1)^(i-j) cot((i-j) pi / n)`` off the diagonal."""
+    def diagonals(lag):
+        return np.concatenate([[0.0], 0.5 * (-1.0) ** lag / np.tan(lag * np.pi / n)])
+
+    lag = np.arange(1, n)
+    return la.toeplitz(diagonals(lag), diagonals(-lag))
 
 
 def _target_geometry(target):

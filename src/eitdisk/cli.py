@@ -24,7 +24,7 @@ import sys
 import numpy as np
 
 from . import bie, verify
-from .completion import CauchyPair, assemble_completion, recover_gamma_averaged
+from .completion import assemble_completion, recover_gamma_averaged
 from .dtn import gap_from_lambda0
 from .exceptions import EitDiskError
 from .geometry import BoundaryCurve
@@ -177,6 +177,13 @@ def cmd_extract(args):
 def cmd_impedance(args):
     if args.pairs < 1:
         raise ValueError("at least one Cauchy pair is required")
+    # drives cos(k t) and sin(k t), k = 1..k_max; a mesh resolves order k
+    # from 2k + 2 nodes, the rule dtn_matrix applies to Fourier modes
+    k_max = (args.pairs + 1) // 2
+    for flag, n in (("--sim-nodes", args.sim_nodes), ("--nodes", args.nodes)):
+        if n < 2 * k_max + 2:
+            raise ValueError(f"--pairs {args.pairs} drives order {k_max}, "
+                             f"which needs {flag} {2 * k_max + 2} or more")
     true_curve = _load_geometry(args.geometry)
     outer, inner_true = _meshes(true_curve, args.sim_nodes, args.sim_nodes)
     gamma_true = _gamma_values(args.gamma, inner_true.theta)
@@ -192,21 +199,16 @@ def cmd_impedance(args):
     reg = _parse_reg(args.reg, args.reg_noise if args.reg_noise is not None else args.noise)
     system = assemble_completion(outer64, inner64, model_error_factor=model_factor)
 
-    k_max = (args.pairs + 1) // 2
-    drives = [(kind, fn, k) for k in range(1, k_max + 1)
-              for kind, fn in (("cos", np.cos), ("sin", np.sin))][:args.pairs]
-    voltages = np.column_stack([fn(k * outer.theta) for _, fn, k in drives])
-    flux = bie.solve_forward(outer, inner_true, args.bc, voltages, gamma_true).outer_flux()
+    drives = [(fn, k) for k in range(1, k_max + 1) for fn in (np.cos, np.sin)][:args.pairs]
+    flux = bie.solve_forward(outer, inner_true, args.bc,
+                             np.column_stack([fn(k * outer.theta) for fn, k in drives]),
+                             gamma_true).outer_flux()
     flux64 = np.real(bie.trig_resample(flux, outer64.theta))
-    pairs = []
-    for j, (kind, fn, k) in enumerate(drives):
-        g64 = flux64[:, j]
-        if args.noise:
-            g64 = perturb_vector(g64, args.noise, (args.seed, j))
-        pairs.append(CauchyPair(fn(k * outer64.theta), g64,
-                                noise_level=args.noise,
-                                label=f"{kind}({k}t)"))
-    recon = recover_gamma_averaged(system, pairs, reg, tol_rel=args.mask_tol)
+    voltages = np.array([fn(k * outer64.theta) for fn, k in drives])
+    currents = np.array([perturb_vector(g, args.noise, (args.seed, j))
+                         for j, g in enumerate(flux64.T)])
+    recon = recover_gamma_averaged(system, voltages, currents, reg,
+                                   noise_level=args.noise, tol_rel=args.mask_tol)
     config = {"command": "impedance", "geometry": true_curve.to_dict(),
               "bc": args.bc, "gamma": args.gamma, "curve": args.curve,
               "pairs": args.pairs, "noise": args.noise, "seed": args.seed,

@@ -30,7 +30,6 @@ the block inverse, formed by one transposed solve against those factors.
 
 from __future__ import annotations
 
-import logging
 import warnings
 from dataclasses import dataclass, field
 
@@ -44,7 +43,6 @@ from .regularization import (SvdFactorization, expected_noise_norm,
                              regularized_solve)
 
 __all__ = [
-    "CauchyPair",
     "CompletionSystem",
     "assemble_completion",
     "complete_cauchy",
@@ -54,29 +52,9 @@ __all__ = [
     "recover_gamma_averaged",
 ]
 
-log = logging.getLogger(__name__)
-
 _COND_LIMIT = 1e8
 # a completion residual above this multiple of the declared noise is rejected
 _RESIDUAL_GUARD = 10.0
-
-
-@dataclass(frozen=True)
-class CauchyPair:
-    """A voltage/current measurement pair on the outer boundary."""
-
-    f: np.ndarray
-    g: np.ndarray
-    noise_level: float = 0.0
-    label: str = ""
-
-    def __post_init__(self):
-        f = np.asarray(self.f, dtype=float)
-        g = np.asarray(self.g, dtype=float)
-        if f.shape != g.shape or f.ndim != 1:
-            raise ValueError("voltage and current must be equal-length vectors")
-        object.__setattr__(self, "f", f)
-        object.__setattr__(self, "g", g)
 
 
 @dataclass(frozen=True)
@@ -127,29 +105,32 @@ def assemble_completion(outer, inner, model_error_factor=1.0):
                             condition, model_error_factor)
 
 
-def complete_cauchy(system, pair, reg):
-    """Recover the inclusion trace and current from one Cauchy pair.
+def complete_cauchy(system, f, g, reg, noise_level=0.0):
+    """Recover the inclusion trace and current from one Cauchy pair: the
+    voltage ``f`` and current ``g`` at the outer nodes, with ``g``'s relative
+    ``noise_level``.
 
     The completion operator has exponentially decaying singular values, so a
     regularization strategy is mandatory.  Noise-tied strategies measure the
     absolute noise against the measured current (its expected perturbation
     magnitude under the uniform model, at the strategy's noise level or, when
-    the strategy has none, the pair's), scaled by the system's model-error
-    factor.  When that level reaches the data content of the completion
-    equation, nothing rises above the noise: the trace and current returned
-    are zero and ``info["noise_dominated"]`` is true.  Raises
+    the strategy has none, at ``noise_level``), scaled by the system's
+    model-error factor.  When that level reaches the data content of the
+    completion equation, nothing rises above the noise: the trace and current
+    returned are zero and ``info["noise_dominated"]`` is true.  Raises
     :class:`ResidualTooLarge` when the post-fit residual (the solve's
     ``info["residual"]``) exceeds ``_RESIDUAL_GUARD`` times the declared
     noise.  The current on the inclusion has its normal pointing into the
     inclusion.
     """
-    f, g = pair.f, pair.g
-    if f.shape != (system.outer.n,):
-        raise ValueError("pair resolution does not match the outer mesh")
+    f = np.asarray(f, dtype=float)
+    g = np.asarray(g, dtype=float)
+    if f.shape != (system.outer.n,) or g.shape != f.shape:
+        raise ValueError("voltage and current must be vectors on the outer mesh nodes")
     b = g - system.response @ f
 
     delta_abs = None
-    level = reg.noise_level if reg.noise_level is not None else pair.noise_level
+    level = reg.noise_level if reg.noise_level is not None else noise_level
     if level:
         delta_abs = system.model_error_factor * expected_noise_norm(g, level)
         if reg.noise_tied and reg.safety * delta_abs >= np.linalg.norm(b):
@@ -159,7 +140,7 @@ def complete_cauchy(system, pair, reg):
             return zero, zero.copy(), {"noise_dominated": True}
     trace, info = regularized_solve(system.svd, b, reg, delta_abs=delta_abs)
 
-    if pair.noise_level and delta_abs:
+    if noise_level and delta_abs:
         residual = info["residual"]
         if residual > _RESIDUAL_GUARD * delta_abs:
             raise ResidualTooLarge(
@@ -184,8 +165,28 @@ class GammaReconstruction:
         return ~np.isnan(self.average)
 
 
-def _reconstruction(theta, values):
-    values = np.atleast_2d(values)
+def recover_gamma_pointwise(traces, currents, theta, tol_rel=0.05):
+    """Masked quotients ``-current/trace``, one row per pair, and their average.
+
+    ``traces`` and ``currents`` hold one pair as vectors or several as
+    ``(pairs, nodes)`` arrays.  Nodes where ``|trace|`` falls below
+    ``tol_rel`` times the largest trace magnitude over all pairs are masked
+    (the quotient degenerates at zeros of the potential), and so are NaN
+    traces, which mark skipped pairs.  The average, spread and count of each
+    node are taken over its unmasked quotients.  Raises :class:`AllMasked`
+    when every pair was skipped, every trace is zero or every node is masked.
+    """
+    traces = np.atleast_2d(np.asarray(traces, dtype=float))
+    currents = np.atleast_2d(np.asarray(currents, dtype=float))
+    finite = ~np.isnan(traces)
+    if not finite.any():
+        raise AllMasked("every pair was rejected as noise-dominated")
+    top = np.max(np.abs(traces), where=finite, initial=0.0)
+    if top == 0.0:
+        raise AllMasked("every recovered trace is identically zero")
+    keep = finite & (np.abs(np.where(finite, traces, 0.0)) >= tol_rel * top)
+    safe = np.where(keep & (traces != 0.0), traces, 1.0)
+    values = np.where(keep, -currents / safe, np.nan)
     if np.all(np.isnan(values)):
         raise AllMasked("every node was excluded by the smallness mask")
     # summing in sorted order makes the average exactly invariant under
@@ -196,89 +197,55 @@ def _reconstruction(theta, values):
         avg = np.nanmean(ordered, axis=0)
         spread = np.nanstd(ordered, axis=0)
     counts = np.sum(~np.isnan(values), axis=0)
-    return GammaReconstruction(theta, values, avg, spread, counts)
-
-
-def _quotients(theta, traces, currents, tol_rel):
-    """Masked quotients ``-current/trace``, one row per pair, and their average.
-
-    Nodes where ``|trace|`` falls below ``tol_rel`` times the largest trace
-    magnitude over all pairs are masked (the quotient degenerates at zeros of
-    the potential), and so are NaN traces, which mark skipped pairs.
-    """
-    finite = ~np.isnan(traces)
-    top = np.max(np.abs(traces), where=finite, initial=0.0)
-    if top == 0.0:
-        raise AllMasked("every recovered trace is identically zero")
-    keep = finite & (np.abs(np.where(finite, traces, 0.0)) >= tol_rel * top)
-    safe = np.where(keep & (traces != 0.0), traces, 1.0)
-    return _reconstruction(theta, np.where(keep, -currents / safe, np.nan))
-
-
-def recover_gamma_pointwise(trace, current, theta, tol_rel=0.05):
-    """Impedance quotient ``-current/trace`` of one pair with a smallness mask.
-
-    Nodes where ``|trace|`` falls below ``tol_rel`` times its maximum are
-    masked; :func:`recover_gamma_averaged` does the same over several pairs.
-    """
-    return _quotients(np.asarray(theta), np.asarray(trace, dtype=float)[None, :],
-                      np.asarray(current, dtype=float)[None, :], tol_rel)
+    return GammaReconstruction(np.asarray(theta), values, avg, spread, counts)
 
 
 def recover_gamma_lsq(traces, currents, theta, degree):
     """Impedance coefficients in a trigonometric basis by pooled least squares.
 
     Minimizes ``sum_pairs sum_nodes |current + gamma(theta) trace|^2`` over
-    ``gamma = c_0 + sum_m c_m cos(m t) + d_m sin(m t)`` of the given degree.
-    Returns the coefficient vector (constant, cosines, sines) and a callable
-    evaluating the fit.  Warns when the stacked system is rank deficient.
+    ``gamma = c_0 + sum_m c_m cos(m t) + d_m sin(m t)`` of the given degree,
+    with ``traces`` and ``currents`` as ``(pairs, nodes)`` rows.  Returns the
+    coefficient vector (constant, cosines, sines) and a callable evaluating
+    the fit.  Warns when the stacked system is rank deficient.
     """
-    theta = np.asarray(theta, dtype=float)
-    basis = [np.ones_like(theta)]
-    for m in range(1, degree + 1):
-        basis += [np.cos(m * theta), np.sin(m * theta)]
-    basis = np.array(basis).T
-    rows = []
-    rhs = []
-    for tr, cu in zip(traces, currents):
-        rows.append(basis * np.asarray(tr)[:, None])
-        rhs.append(-np.asarray(cu))
-    a = np.vstack(rows)
-    b = np.concatenate(rhs)
-    coef, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
-    if rank < basis.shape[1]:
-        warnings.warn("impedance basis is rank deficient on these nodes",
-                      RankDeficientWarning)
-
-    def evaluate(t):
+    def basis(t):
         t = np.asarray(t, dtype=float)
         cols = [np.ones_like(t)]
         for m in range(1, degree + 1):
             cols += [np.cos(m * t), np.sin(m * t)]
-        return np.array(cols).T @ coef
+        return np.array(cols).T
+
+    phi = basis(theta)
+    traces = np.asarray(traces, dtype=float)
+    a = (traces[:, :, None] * phi).reshape(-1, phi.shape[1])
+    b = -np.asarray(currents, dtype=float).ravel()
+    coef, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
+    if rank < phi.shape[1]:
+        warnings.warn("impedance basis is rank deficient on these nodes",
+                      RankDeficientWarning)
+
+    def evaluate(t):
+        return basis(t) @ coef
 
     return coef, evaluate
 
 
-def recover_gamma_averaged(system, pairs, reg, tol_rel=0.05):
+def recover_gamma_averaged(system, voltages, currents, reg, noise_level=0.0,
+                           tol_rel=0.05):
     """Per-pair completion and quotient, averaged node by node.
 
-    The smallness mask is measured against the largest recovered trace
-    magnitude over the whole pair list, so measurements whose completions are
-    uniformly weak (for example pairs rejected as noise-dominated, which are
-    recorded as fully masked) do not dilute the average.  Per-node spread and
-    contribution counts are reported alongside the mean.
+    ``voltages`` and ``currents`` hold one Cauchy pair per row, and
+    ``noise_level`` is the relative noise level of every current.  Pairs
+    rejected as noise-dominated are recorded as fully masked rows, and the
+    smallness mask is measured over the whole pair list (see
+    :func:`recover_gamma_pointwise`), so measurements whose completions are
+    uniformly weak do not dilute the average.
     """
-    n_i = system.inner.n
-    traces = np.full((len(pairs), n_i), np.nan)
-    currents = np.full((len(pairs), n_i), np.nan)
-    for k, pair in enumerate(pairs):
-        trace, current, info = complete_cauchy(system, pair, reg)
-        if info.get("noise_dominated"):
-            log.info("pair %d (%s): noise dominates, skipped", k, pair.label)
-            continue
-        traces[k] = trace
-        currents[k] = current
-    if np.isnan(traces).all():
-        raise AllMasked("every pair was rejected as noise-dominated")
-    return _quotients(system.inner.theta, traces, currents, tol_rel)
+    traces = np.full((len(voltages), system.inner.n), np.nan)
+    inner_currents = np.full_like(traces, np.nan)
+    for k, (f, g) in enumerate(zip(voltages, currents, strict=True)):
+        trace, current, info = complete_cauchy(system, f, g, reg, noise_level)
+        if not info["noise_dominated"]:
+            traces[k], inner_currents[k] = trace, current
+    return recover_gamma_pointwise(traces, inner_currents, system.inner.theta, tol_rel)

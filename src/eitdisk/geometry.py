@@ -93,16 +93,22 @@ class BoundaryCurve:
 
     @classmethod
     def from_dict(cls, data: dict) -> BoundaryCurve:
-        """Inverse of :meth:`to_dict`; a circle without ``center`` is at the origin."""
-        kind = data["kind"]
-        if kind == "circle":
-            return cls.circle(tuple(data.get("center", (0.0, 0.0))), data["radius"])
-        if kind == "ellipse":
-            return cls.ellipse(data["a"], data["b"])
-        if kind == "cardioid":
-            return cls.cardioid()
-        if kind == "trig":
-            return cls.trig(data["a"], data["b"])
+        """Inverse of :meth:`to_dict`; a circle without ``center`` is at the origin.
+
+        An unknown kind or a missing key raises :class:`ValueError`.
+        """
+        try:
+            kind = data["kind"]
+            if kind == "circle":
+                return cls.circle(tuple(data.get("center", (0.0, 0.0))), data["radius"])
+            if kind == "ellipse":
+                return cls.ellipse(data["a"], data["b"])
+            if kind == "cardioid":
+                return cls.cardioid()
+            if kind == "trig":
+                return cls.trig(data["a"], data["b"])
+        except KeyError as exc:
+            raise ValueError(f"geometry description has no key {exc.args[0]!r}") from None
         raise ValueError(f"unknown geometry kind {kind!r}")
 
     # -- radial profile of the cardioid test shape ---------------------------

@@ -63,9 +63,18 @@ def write_dtn(path, lambda0: DtnOperator, gap: DtnOperator, config: dict,
         fh.write(json.dumps(doc))
 
 
-def read_dtn(path):
+def _read_json(path, what, *keys):
+    """JSON document of ``path``; a missing one of ``keys`` raises :class:`ValueError`."""
     with open(path) as fh:
         doc = json.load(fh)
+    for key in keys:
+        if key not in doc:
+            raise ValueError(f"{what} {path} has no key {key!r}")
+    return doc
+
+
+def read_dtn(path):
+    doc = _read_json(path, "DtN file", "basis", "modes", "complex", "lambda0", "gap")
     modes = None if doc["modes"] is None else np.asarray(doc["modes"], dtype=int)
     return tuple(DtnOperator(doc["basis"], _matrix_from_pairs(doc[key], doc["complex"]), modes)
                  for key in ("lambda0", "gap"))
@@ -132,8 +141,7 @@ def write_curve(path, curve: BoundaryCurve, smoothing: float, config: dict):
 
 def read_curve(path) -> BoundaryCurve:
     """The ``trig`` curve of a fitted-curve file; ``M`` must match its columns."""
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = _read_json(path, "curve file", "a", "b")
     curve = BoundaryCurve.trig(doc["a"], doc["b"])
     if doc.get("M") != curve.cos_coef.shape[1]:
         raise ValueError(f"curve file declares M={doc.get('M')!r} but holds "

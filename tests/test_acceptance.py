@@ -9,8 +9,7 @@ import numpy as np
 
 from eitdisk.annulus import AnnulusConfig, gap_coefficient, gap_operator, truncation_error
 from eitdisk.bie import NystromMesh, dtn_matrix, solve_forward
-from eitdisk.completion import (CauchyPair, assemble_completion,
-                                recover_gamma_averaged)
+from eitdisk.completion import assemble_completion, recover_gamma_averaged
 from eitdisk.dtn import gap_from_lambda0, to_real_trig_basis
 from eitdisk.geometry import BoundaryCurve, fourier_analyze
 from eitdisk.regularization import (RegStrategy, SvdFactorization,
@@ -202,13 +201,14 @@ def test_criterion_8_impedance_recovery_noiseless_oracle():
     cfg = AnnulusConfig(rho, "impedance", gamma)
     system = assemble_completion(outer_mesh(), inner_mesh(BoundaryCurve.circle(radius=rho)))
     theta = system.outer.theta
-    pairs = []
+    voltages, currents = [], []
     for k in range(1, 9):
         lam0_k = k - gap_coefficient(cfg, k)
         for fn in (np.cos, np.sin):
             f = fn(k * theta)
-            pairs.append(CauchyPair(f, lam0_k * f, label=f"{fn.__name__}({k}t)"))
-    recon = recover_gamma_averaged(system, pairs,
+            voltages.append(f)
+            currents.append(lam0_k * f)
+    recon = recover_gamma_averaged(system, voltages, currents,
                                    RegStrategy.tikhonov_discrepancy(1e-8))
     keep = recon.unmasked()
     err = np.max(np.abs(recon.average[keep] - gamma)) / gamma
@@ -218,19 +218,19 @@ def test_criterion_8_impedance_recovery_noiseless_oracle():
 
 
 def _ellipse_cauchy_pairs(system, noise, seed):
-    """Sixteen measurement pairs from the true ellipse, currents perturbed."""
+    """Voltages and perturbed currents of sixteen measurement pairs from the
+    true ellipse, one row per pair."""
     outer = outer_mesh(64)
     inner = inner_mesh(BoundaryCurve.ellipse(0.5, 0.3))
     gamma = 2.0 - np.sin(inner.theta) ** 4
-    pairs = []
+    voltages, currents = [], []
     for k in range(1, 9):
         for fn in (np.cos, np.sin):
             f = fn(k * outer.theta)
             g = solve_forward(outer, inner, "impedance", f, gamma).outer_flux()
-            g = perturb_vector(g, noise, (seed, len(pairs)))
-            pairs.append(CauchyPair(f, g, noise_level=noise,
-                                    label=f"{fn.__name__}({k}t)"))
-    return pairs
+            voltages.append(f)
+            currents.append(perturb_vector(g, noise, (seed, len(currents))))
+    return np.array(voltages), np.array(currents)
 
 
 def _gamma_truth_on(curve_points):
@@ -243,11 +243,11 @@ def test_criterion_9_impedance_recovery_paper_experiment():
     noise = 0.04
     # exact boundary ------------------------------------------------------
     system = assemble_completion(outer_mesh(), inner_mesh(BoundaryCurve.ellipse(0.5, 0.3)))
-    pairs = _ellipse_cauchy_pairs(system, noise, SEED)
+    voltages, currents = _ellipse_cauchy_pairs(system, noise, SEED)
     # spectral cutoff tied to the expected noise magnitude; the wider 0.2
     # exclusion mask keeps noise-limited completions out of the average
     reg = RegStrategy.cutoff_by_noise(noise, safety=2.0)
-    recon = recover_gamma_averaged(system, pairs, reg, tol_rel=0.2)
+    recon = recover_gamma_averaged(system, voltages, currents, reg, noise, tol_rel=0.2)
     gamma_true = 2.0 - np.sin(system.inner.theta) ** 4
     diff = np.where(recon.unmasked(), recon.average - gamma_true, 0.0)
     err_exact = np.linalg.norm(diff) / np.linalg.norm(gamma_true)
@@ -263,7 +263,8 @@ def test_criterion_9_impedance_recovery_paper_experiment():
     fitted = fit_trig_curve(contour, degree=7)
     system_fit = assemble_completion(outer_mesh(), inner_mesh(fitted),
                                      model_error_factor=2.0)
-    recon_fit = recover_gamma_averaged(system_fit, pairs, reg, tol_rel=0.2)
+    recon_fit = recover_gamma_averaged(system_fit, voltages, currents, reg, noise,
+                                       tol_rel=0.2)
     nodes = system_fit.inner.points
     truth_fit = _gamma_truth_on(nodes)
     diff = np.where(recon_fit.unmasked(), recon_fit.average - truth_fit, 0.0)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eitdisk.annulus import (AnnulusConfig, gap_coefficient,
@@ -31,6 +31,32 @@ class TestCoincidentPoints:
     def test_monopole_at_the_origin(self):
         with pytest.raises(CoincidentPoints):
             modified_double_layer(inner_circle(32, 0.5), [[0.0, 0.0]])
+
+
+def entrywise_spectral_diff_matrix(n):
+    """``0.5 (-1)^(i-j) cot((i-j) pi / n)`` off the diagonal, zero on it."""
+    d = np.zeros((n, n))
+    i, j = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    off = i != j
+    d[off] = 0.5 * (-1.0) ** (i[off] - j[off]) / np.tan((i[off] - j[off]) * np.pi / n)
+    return d
+
+
+class TestSpectralDiffMatrix:
+    @pytest.mark.parametrize("n", [1, 2, 3, 16, 31, 64, 100, 256, 512])
+    def test_bits_equal_the_entrywise_formula(self, n):
+        got = bie.spectral_diff_matrix(n)
+        want = entrywise_spectral_diff_matrix(n)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("n", [4, 16, 64, 256])
+    def test_differentiates_resolved_sines(self, n):
+        theta = 2 * np.pi * np.arange(n) / n
+        d = bie.spectral_diff_matrix(n)
+        for k in range(1, n // 2):
+            err = np.max(np.abs(d @ np.sin(k * theta) - k * np.cos(k * theta)))
+            assert err < 1e-14 * n * k, k
 
 
 class TestDoubleLayer:
@@ -357,12 +383,22 @@ class TestDtnMatrix:
             dtn_matrix(outer, inner, "dirichlet", basis="fourier",
                        modes=np.arange(0, 20))
 
-    def test_gap_symmetry_real_trig_basis(self):
+    # scale None is a Dirichlet inclusion, otherwise gamma = scale (2 - sin^4);
+    # the truncated gap is symmetric once the response above the top mode
+    # has decayed, which 19 modes reach on these ellipses
+    @settings(max_examples=15, deadline=None)
+    @given(a=st.floats(0.2, 0.5), b=st.floats(0.2, 0.5),
+           scale=st.none() | st.floats(0.5, 4.0), order=st.integers(19, 31))
+    @example(a=0.5, b=0.3, scale=1.0, order=19)
+    def test_gap_symmetry_real_trig_basis(self, a, b, scale, order):
         outer = unit_mesh(64)
-        inner = NystromMesh(BoundaryCurve.ellipse(0.5, 0.3), 64)
-        gamma = 2.0 - np.sin(inner.theta) ** 4
-        lam = dtn_matrix(outer, inner, "impedance", gamma, basis="fourier",
-                         modes=np.arange(-19, 20))
+        inner = NystromMesh(BoundaryCurve.ellipse(a, b), 64)
+        if scale is None:
+            bc, gamma = "dirichlet", None
+        else:
+            bc, gamma = "impedance", scale * (2.0 - np.sin(inner.theta) ** 4)
+        lam = dtn_matrix(outer, inner, bc, gamma, basis="fourier",
+                         modes=np.arange(-order, order + 1))
         gap = gap_from_lambda0(lam)
         real, imag = to_real_trig_basis(gap)
         asym = np.linalg.norm(real - real.T, 2) / np.linalg.norm(real, 2)

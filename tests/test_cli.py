@@ -230,6 +230,63 @@ def test_impedance_noise_tied_reg_at_level_zero_exits_2(tmp_path, ellipse_file, 
     assert not out.exists()
 
 
+def test_geometry_file_without_a_key_exits_2(tmp_path, capfd):
+    geom = tmp_path / "circle.json"
+    geom.write_text(json.dumps({"kind": "circle", "center": [0, 0]}))
+    assert main(["forward", "--geometry", str(geom), "--out", str(tmp_path / "x.json")]) == 2
+    err = capfd.readouterr().err
+    assert "geometry" in err and "'radius'" in err and "Traceback" not in err
+
+
+def test_dtn_file_without_a_key_exits_2(tmp_path, circle_file, capfd):
+    dtn = tmp_path / "dtn.json"
+    assert main(["forward", "--geometry", circle_file, "--basis", "collocation:32",
+                 "--out", str(dtn)]) == 0
+    doc = json.loads(dtn.read_text())
+    del doc["modes"]
+    dtn.write_text(json.dumps(doc))
+    capfd.readouterr()
+    assert main(["sample", "--data", str(dtn), "--grid", "11", "--noise", "0.05",
+                 "--out", str(tmp_path / "w.csv")]) == 2
+    err = capfd.readouterr().err
+    assert "DtN file" in err and "'modes'" in err
+
+
+def test_curve_file_without_a_key_exits_2(tmp_path, ellipse_file, capfd):
+    curve = tmp_path / "curve.json"
+    curve.write_text(json.dumps({"M": 1, "b": [[0.0], [0.4]], "smoothing": 0.0}))
+    assert main(["impedance", "--geometry", ellipse_file, "--curve", str(curve),
+                 "--noise", "0.04", "--out", str(tmp_path / "g.csv")]) == 2
+    err = capfd.readouterr().err
+    assert "curve file" in err and "'a'" in err
+
+
+@pytest.mark.parametrize("pairs, nodes, flag", [
+    ("32", ["--noise", "0", "--reg", "cutoff:0.0001"], "--sim-nodes 34"),
+    ("40", ["--noise", "0.01"], "--sim-nodes 42"),
+    ("16", ["--noise", "0.04", "--sim-nodes", "64", "--nodes", "16"], "--nodes 18"),
+])
+def test_impedance_rejects_pairs_the_meshes_cannot_resolve(
+        tmp_path, ellipse_file, capfd, monkeypatch, pairs, nodes, flag):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("solved before --pairs was checked")
+
+    monkeypatch.setattr("eitdisk.cli.assemble_completion", forbidden)
+    monkeypatch.setattr("eitdisk.bie.solve_forward", forbidden)
+    out = tmp_path / "g.csv"
+    assert main(["impedance", "--geometry", ellipse_file, "--pairs", pairs, *nodes,
+                 "--out", str(out)]) == 2
+    err = capfd.readouterr().err
+    assert f"--pairs {pairs}" in err and flag in err
+    assert not out.exists()
+
+
+def test_impedance_pairs_at_the_resolution_limit_run(tmp_path, ellipse_file):
+    # 30 pairs drive order 15, which 32 simulation nodes resolve
+    assert main(["impedance", "--geometry", ellipse_file, "--pairs", "30",
+                 "--noise", "0.04", "--out", str(tmp_path / "g.csv")]) == 0
+
+
 def test_impedance_zero_pairs_rejected(tmp_path, ellipse_file):
     rc = main(["impedance", "--geometry", ellipse_file, "--pairs", "0",
                "--out", str(tmp_path / "g.csv")])

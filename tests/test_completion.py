@@ -7,9 +7,9 @@ from eitdisk.annulus import (AnnulusConfig, gap_coefficient,
                              inner_flux_coefficient, inner_trace_coefficient)
 from eitdisk.bie import (NystromMesh, double_layer, modified_double_layer,
                          normal_derivative, solve_forward)
-from eitdisk.completion import (CauchyPair, assemble_completion,
-                                complete_cauchy, recover_gamma_averaged,
-                                recover_gamma_lsq, recover_gamma_pointwise)
+from eitdisk.completion import (assemble_completion, complete_cauchy,
+                                recover_gamma_averaged, recover_gamma_lsq,
+                                recover_gamma_pointwise)
 from eitdisk.exceptions import AllMasked
 from eitdisk.geometry import BoundaryCurve
 from eitdisk.regularization import RegStrategy, perturb_vector
@@ -119,7 +119,7 @@ class TestCompleteCauchy:
         system = concentric_system()
         reg = RegStrategy.tikhonov_discrepancy(1e-8)
         f, g, trace, flux = annulus_pair(cfg, 1)
-        got_trace, got_flux, _ = complete_cauchy(system, CauchyPair(f, g), reg)
+        got_trace, got_flux, _ = complete_cauchy(system, f, g, reg)
         assert (np.linalg.norm(got_trace - trace)
                 / np.linalg.norm(trace)) < 1e-3
         assert (np.linalg.norm(got_flux - flux)
@@ -129,7 +129,7 @@ class TestCompleteCauchy:
         cfg = AnnulusConfig(0.5, "impedance", 2.0)
         system = concentric_system()
         f, g, trace, _ = annulus_pair(cfg, 0, kind=lambda x: np.ones_like(x))
-        got_trace, _, _ = complete_cauchy(system, CauchyPair(f, g),
+        got_trace, _, _ = complete_cauchy(system, f, g,
                                           RegStrategy.tikhonov_discrepancy(1e-8))
         spread = np.ptp(got_trace) / np.abs(got_trace).mean()
         assert spread < 1e-3
@@ -137,10 +137,20 @@ class TestCompleteCauchy:
 
     def test_zero_data_zero_trace(self):
         system = concentric_system()
-        pair = CauchyPair(np.zeros(N), np.zeros(N))
-        trace, flux, _ = complete_cauchy(system, pair, RegStrategy.tikhonov(1e-6))
+        trace, flux, _ = complete_cauchy(system, np.zeros(N), np.zeros(N),
+                                         RegStrategy.tikhonov(1e-6))
         assert np.linalg.norm(trace) < 1e-10
         assert np.linalg.norm(flux) < 1e-10
+
+    def test_data_off_the_outer_mesh_rejected(self):
+        system = concentric_system()
+        with pytest.raises(ValueError, match="outer mesh"):
+            complete_cauchy(system, np.ones(N - 1), np.ones(N - 1), RegStrategy.tikhonov(1e-6))
+        with pytest.raises(ValueError, match="outer mesh"):
+            complete_cauchy(system, np.ones(N), np.ones(N + 1), RegStrategy.tikhonov(1e-6))
+        with pytest.raises(ValueError):
+            recover_gamma_averaged(system, np.ones((3, N)), np.ones((2, N)),
+                                   RegStrategy.tikhonov(1e-6))
 
     def test_noise_dominated_pair_completes_to_zero(self):
         # at mode eight the inclusion's footprint in the data sits far below
@@ -149,9 +159,8 @@ class TestCompleteCauchy:
         system = concentric_system()
         f, g, _, _ = annulus_pair(cfg, 8)
         noisy = perturb_vector(g, 0.04, 3)
-        pair = CauchyPair(f, noisy, noise_level=0.04)
         trace, flux, info = complete_cauchy(
-            system, pair, RegStrategy.tikhonov_discrepancy(0.04))
+            system, f, noisy, RegStrategy.tikhonov_discrepancy(0.04), noise_level=0.04)
         assert info["noise_dominated"]
         assert np.all(trace == 0) and np.all(flux == 0)
 
@@ -162,13 +171,13 @@ class TestCompleteCauchy:
         cfg = AnnulusConfig(0.5, "dirichlet")
         system = concentric_system()
         f, g, _, _ = annulus_pair(cfg, 2)
-        trace, _, info = complete_cauchy(system, CauchyPair(f, g),
+        trace, _, info = complete_cauchy(system, f, g,
                                          RegStrategy.tikhonov_discrepancy(1e-8))
         assert info["noise_dominated"]
         assert np.abs(trace).max() < 0.05 * np.abs(f).max()
         # the smallest alpha the discrepancy principle can choose
         alpha = 1e-14 * system.svd.s[0] ** 2
-        trace, _, info = complete_cauchy(system, CauchyPair(f, g),
+        trace, _, info = complete_cauchy(system, f, g,
                                          RegStrategy.tikhonov(alpha))
         assert not info["noise_dominated"]
         assert np.abs(trace).max() < 0.05 * np.abs(f).max()
@@ -200,7 +209,7 @@ class TestGammaPointwise:
         system = concentric_system()
         reg = RegStrategy.tikhonov_discrepancy(1e-8)
         f, g, _, _ = annulus_pair(cfg, 2)
-        trace, flux, _ = complete_cauchy(system, CauchyPair(f, g), reg)
+        trace, flux, _ = complete_cauchy(system, f, g, reg)
         recon = recover_gamma_pointwise(trace, flux, system.inner.theta)
         keep = recon.unmasked()
         assert np.max(np.abs(recon.average[keep] - 2.0)) / 2.0 < 1e-2
@@ -236,7 +245,7 @@ class TestGammaLsq:
             for fn in (np.cos, np.sin):
                 f = fn(k * outer.theta)
                 g = solve_forward(outer, inner, "impedance", f, gamma).outer_flux()
-                trace, flux, _ = complete_cauchy(system, CauchyPair(f, g), reg)
+                trace, flux, _ = complete_cauchy(system, f, g, reg)
                 traces.append(trace)
                 currents.append(flux)
         _, evaluate = recover_gamma_lsq(traces, currents, inner.theta, degree=4)
@@ -246,23 +255,25 @@ class TestGammaLsq:
 
 class TestGammaAveraged:
     def make_pairs(self, system, gamma, noise=0.0, seed=0):
+        """Voltages and currents of sixteen pairs, one row each."""
         outer = system.outer
         inner = system.inner
-        pairs = []
+        voltages, currents = [], []
         for k in range(1, 9):
             for fn in (np.cos, np.sin):
                 f = fn(k * outer.theta)
                 g = solve_forward(outer, inner, "impedance", f, gamma).outer_flux()
                 if noise:
-                    g = perturb_vector(g, noise, (seed, len(pairs)))
-                pairs.append(CauchyPair(f, g, noise_level=noise))
-        return pairs
+                    g = perturb_vector(g, noise, (seed, len(currents)))
+                voltages.append(f)
+                currents.append(g)
+        return np.array(voltages), np.array(currents)
 
     def test_noiseless_concentric(self):
         system = concentric_system()
         gamma = np.full(N, 2.0)
-        pairs = self.make_pairs(system, gamma)
-        recon = recover_gamma_averaged(system, pairs,
+        voltages, currents = self.make_pairs(system, gamma)
+        recon = recover_gamma_averaged(system, voltages, currents,
                                        RegStrategy.tikhonov_discrepancy(1e-8))
         keep = recon.unmasked()
         assert np.max(np.abs(recon.average[keep] - 2.0)) / 2.0 < 1e-2
@@ -272,9 +283,8 @@ class TestGammaAveraged:
         system = concentric_system()
         reg = RegStrategy.tikhonov_discrepancy(1e-8)
         f, g, _, _ = annulus_pair(cfg, 1)
-        pair = CauchyPair(f, g)
-        single = recover_gamma_averaged(system, [pair], reg)
-        trace, flux, _ = complete_cauchy(system, pair, reg)
+        single = recover_gamma_averaged(system, [f], [g], reg)
+        trace, flux, _ = complete_cauchy(system, f, g, reg)
         direct = recover_gamma_pointwise(trace, flux, system.inner.theta)
         assert np.array_equal(single.average, direct.average, equal_nan=True)
 
@@ -283,10 +293,12 @@ class TestGammaAveraged:
     def test_pair_order_invariance(self, order):
         system = concentric_system()
         gamma = np.full(N, 2.0)
-        pairs = self.make_pairs(system, gamma, noise=0.04, seed=5)
+        voltages, currents = self.make_pairs(system, gamma, noise=0.04, seed=5)
         reg = RegStrategy.cutoff_by_noise(0.04, safety=2.0)
-        a = recover_gamma_averaged(system, pairs, reg, tol_rel=0.2)
-        b = recover_gamma_averaged(system, [pairs[k] for k in order], reg, tol_rel=0.2)
+        a = recover_gamma_averaged(system, voltages, currents, reg, 0.04, tol_rel=0.2)
+        order = list(order)
+        b = recover_gamma_averaged(system, voltages[order], currents[order], reg, 0.04,
+                                   tol_rel=0.2)
         assert np.array_equal(a.average, b.average, equal_nan=True)
         assert np.array_equal(a.spread, b.spread, equal_nan=True)
         assert np.array_equal(a.counts, b.counts)
@@ -303,8 +315,7 @@ class TestGammaAveraged:
         f = np.cos(outer.theta)
         g = solve_forward(outer, inner, "impedance", f, gamma).outer_flux()
         g = perturb_vector(g, 0.04, 99)
-        pair = CauchyPair(f, g, noise_level=0.04)
-        trace, _, info = complete_cauchy(system, pair, reg)
+        trace, _, info = complete_cauchy(system, f, g, reg, noise_level=0.04)
         assert not info["noise_dominated"]
         b = g - system.response @ f
         residual = np.linalg.norm(system.completion @ trace - b)
@@ -315,9 +326,9 @@ class TestGammaAveraged:
         inner = inner_mesh(BoundaryCurve.ellipse(0.5, 0.3))
         gamma = 2.0 - np.sin(inner.theta) ** 4
         system = assemble_completion(outer, inner)
-        pairs = self.make_pairs(system, gamma, noise=0.04, seed=0)
-        recon = recover_gamma_averaged(system, pairs,
+        voltages, currents = self.make_pairs(system, gamma, noise=0.04, seed=0)
+        recon = recover_gamma_averaged(system, voltages, currents,
                                        RegStrategy.cutoff_by_noise(0.04, safety=2.0),
-                                       tol_rel=0.2)
+                                       noise_level=0.04, tol_rel=0.2)
         diff = np.where(recon.unmasked(), recon.average - gamma, 0.0)
         assert np.linalg.norm(diff) / np.linalg.norm(gamma) < 0.25

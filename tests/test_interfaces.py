@@ -235,16 +235,16 @@ class TestDiagnosticPaths:
     def test_residual_guard_trips_on_inconsistent_noise_claim(self):
         # data carries large perturbations but the declared level is tiny,
         # so the post-fit residual cannot be explained by the noise model
-        from eitdisk.completion import CauchyPair, assemble_completion, complete_cauchy
+        from eitdisk.completion import assemble_completion, complete_cauchy
         outer = NystromMesh(BoundaryCurve.circle(radius=1.0), 64)
         inner = NystromMesh(BoundaryCurve.circle(radius=0.5), 64)
         system = assemble_completion(outer, inner)
         rng = np.random.Generator(np.random.Philox(5))
         f = np.cos(outer.theta)
         g = 2.0 * f + 0.5 * rng.normal(size=64)
-        pair = CauchyPair(f, g, noise_level=1e-6)
         with pytest.raises(ResidualTooLarge):
-            complete_cauchy(system, pair, RegStrategy.cutoff_by_noise(1e-6, 2.0))
+            complete_cauchy(system, f, g, RegStrategy.cutoff_by_noise(1e-6, 2.0),
+                            noise_level=1e-6)
 
 
 class TestCliFittedCurvePath:
