@@ -21,13 +21,20 @@ spectrally accurate.  The single layer splits off the periodic logarithm
 weights, which are exact on the resolvable trigonometric band.  The
 hypersingular operator (normal derivative of a double layer on its own curve)
 is reduced to tangential derivatives of the single layer and evaluated with
-the spectral differentiation matrix.
+the spectral differentiation matrix.  On a circle of radius ``r`` both
+self-blocks have closed forms (Kress, *Linear Integral Equations*, 3rd ed.,
+2014): the double layer is ``-J/n``, with ``J`` the all-ones matrix, and the
+hypersingular block is ``-healthy_collocation_matrix(n) / r``, which
+:func:`normal_derivative` returns instead of the tangential reduction.
 
-Every dense system is LU-factorized once.  Its conditioning is guarded by
-LAPACK's 1-norm estimate (``dgecon``) computed from those factors, not by a
-separate singular value decomposition.  :func:`solve_forward` takes one
-voltage or a matrix of voltage columns and solves them all against one
-factorization.
+The outer boundary of every solve is the unit measurement circle.  Its trace
+block ``I - K_mm = I + J/n`` has the inverse ``P = I - J/(2n)``, applied as a
+column-sum correction, so the outer density is eliminated and only the
+inclusion-sized Schur complement is LU-factorized, once per solve.  Its
+conditioning is guarded by LAPACK's 1-norm estimate (``dgecon``) of that
+Schur complement, computed from its factors, not by a separate singular value
+decomposition.  :func:`solve_forward` takes one voltage or a matrix of
+voltage columns and solves them all against one factorization.
 """
 
 from __future__ import annotations
@@ -39,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as la
 
-from .dtn import DtnOperator
+from .dtn import DtnOperator, healthy_collocation_matrix
 from .exceptions import CoincidentPoints, SingularSystem
 from .geometry import BoundaryCurve
 from .regularization import perturb_vector
@@ -216,8 +223,9 @@ def normal_derivative(source, target, of="double_layer"):
     requests are supported for ``single_layer`` (continuous part only, the
     ``-+ phi/2`` jump is left to the caller) and for the double layers, where
     the hypersingular kernel is reduced to tangential derivatives of the
-    single layer (Maue's identity).  The factors follow the layers: two for
-    the double layers, one for the single layer.
+    single layer (Maue's identity), or taken in closed form on a circle.  The
+    factors follow the layers: two for the double layers, one for the single
+    layer.
     """
     fac = 1.0 if of == "single_layer" else 2.0
     if not isinstance(target, NystromMesh):
@@ -237,7 +245,10 @@ def normal_derivative(source, target, of="double_layer"):
     if of not in ("double_layer", "modified_double_layer"):
         raise ValueError(f"unknown layer kind {of!r}")
 
-    if same:
+    if same and source.curve.kind == "circle":
+        # the factor-2 operator sends exp(i m t) to -|m|/r exp(i m t)
+        mat = -healthy_collocation_matrix(source.n) / source.curve.cos_coef[0, 0]
+    elif same:
         mat = fac * _hypersingular_maue(source)
     else:
         d = target.points[:, None, :] - source.points[None, :, :]
@@ -309,11 +320,20 @@ class ForwardSolution:
         return -(tmi @ self.phi + (kpii - half) @ self.psi)
 
 
+def _outer_inverse(x):
+    """``P x`` with ``P = (I + J/n)^-1 = I - J/(2n)``, the inverse of the unit
+    circle's trace block ``I - K_mm``, for the ``n`` rows of ``x``."""
+    return x - x.sum(axis=0) / (2 * len(x))
+
+
 def _forward_blocks(outer, inner, bc, gamma):
-    n_m, n_i = outer.n, inner.n
-    kmm = double_layer(outer, outer)
+    """``sim``, ``a21`` and the Schur complement ``a22 + a21 P sim``.
+
+    The forward block is ``[[K_mm - I, sim], [a21, a22]]``, and
+    ``(K_mm - I)^-1 = -P`` on the unit circle.
+    """
+    n_i = inner.n
     sim = single_layer(inner, outer)
-    a11 = kmm - np.eye(n_m)
     if bc == "dirichlet":
         a21 = double_layer(outer, inner)
         a22 = single_layer(inner, inner)
@@ -335,7 +355,7 @@ def _forward_blocks(outer, inner, bc, gamma):
         a22 = -kpii + 0.5 * np.eye(n_i) + g[:, None] * sii
     else:
         raise ValueError(f"unknown boundary condition {bc!r}")
-    return np.block([[a11, sim], [a21, a22]])
+    return sim, a21, a22 + a21 @ _outer_inverse(sim)
 
 
 def _factorize(a, what, limit):
@@ -360,6 +380,13 @@ def _factorize(a, what, limit):
     return lu, cond
 
 
+def _check_outer(outer):
+    """Reject an outer mesh that is not the unit measurement circle."""
+    curve = outer.curve
+    if curve.kind != "circle" or curve.center != (0.0, 0.0) or curve.cos_coef[0, 0] != 1.0:
+        raise ValueError("the outer boundary must be the unit measurement circle")
+
+
 def _check_inclusion(inner):
     """Reject an inner curve that reaches the unit measurement circle (256 samples)."""
     pts = inner.curve.point(inner.curve.nodes(256))
@@ -376,18 +403,21 @@ def solve_forward(outer, inner, bc, f, gamma=None):
     ``f`` is one voltage of shape ``(outer.n,)`` or ``k`` voltage columns of
     shape ``(outer.n, k)``; all columns share one factorization.  Imposes the
     voltage on the outer boundary and either a grounded or an impedance
-    condition (normal into the inclusion) on the inner boundary.  Returns a
-    :class:`ForwardSolution`; raises :class:`ValueError` when the inner curve
-    reaches the unit circle.
+    condition (normal into the inclusion) on the inner boundary.  The outer
+    density is eliminated: ``psi = S^-1 a21 P f`` with the Schur complement
+    ``S = a22 + a21 P sim``, then ``phi = -P (f - sim psi)``.  Returns a
+    :class:`ForwardSolution`; raises :class:`ValueError` when ``outer`` is not
+    the unit circle or the inner curve reaches it.
     """
     f = np.asarray(f, dtype=float)
     if f.ndim not in (1, 2) or f.shape[0] != outer.n:
         raise ValueError("voltage must be sampled at the outer mesh nodes")
+    _check_outer(outer)
     _check_inclusion(inner)
-    a = _forward_blocks(outer, inner, bc, gamma)
-    lu, _ = _factorize(a, "forward", _COND_LIMIT)
-    sol = la.lu_solve(lu, np.concatenate([f, np.zeros((inner.n,) + f.shape[1:])]))
-    return ForwardSolution(outer, inner, sol[:outer.n], sol[outer.n:])
+    sim, a21, schur = _forward_blocks(outer, inner, bc, gamma)
+    lu, _ = _factorize(schur, "forward", _COND_LIMIT)
+    psi = la.lu_solve(lu, a21 @ _outer_inverse(f))
+    return ForwardSolution(outer, inner, -_outer_inverse(f - sim @ psi), psi)
 
 
 def trig_resample(values, new_theta):

@@ -212,7 +212,9 @@ def cmd_impedance(args):
     config = {"command": "impedance", "geometry": true_curve.to_dict(),
               "bc": args.bc, "gamma": args.gamma, "curve": args.curve,
               "pairs": args.pairs, "noise": args.noise, "seed": args.seed,
-              "reg": args.reg, "mask_tol": args.mask_tol}
+              "reg": args.reg, "reg_noise": args.reg_noise, "mask_tol": args.mask_tol,
+              "model_error_factor": args.model_error_factor,
+              "sim_nodes": args.sim_nodes, "nodes": args.nodes}
     write_gamma(args.out, recon, config)
     used = recon.unmasked()
     print(f"wrote {args.out} (config {config_hash(config)}); "

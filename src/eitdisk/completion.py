@@ -21,11 +21,17 @@ The current on the inclusion is affine in the same data,
 ``R_i f + S_i u_i``, and gives the pointwise impedance quotient
 ``gamma = -(d u0/d nu) / u0`` on the inclusion.
 
-The block is LU-factorized once, and its condition is guarded by LAPACK's
-1-norm estimate from those factors (see :func:`eitdisk.bie._factorize`).  The
-four maps ``R``, ``S``, ``R_i`` and ``S_i`` are the outer flux rows
-``[T_mm T_im~]`` and the inner current rows ``-[T_mi T_ii~]`` composed with
-the block inverse, formed by one transposed solve against those factors.
+On the unit circle ``I - K_mm = I + J/n`` (``J`` the all-ones matrix) has
+the inverse ``P = I - J/(2n)``, so the outer density is eliminated and only
+the inclusion-sized Schur complement ``S = I + K_ii~ + K_mi P K_im~`` is
+LU-factorized; its condition is guarded by LAPACK's 1-norm estimate from those
+factors (see :func:`eitdisk.bie._factorize`).  The four maps ``R``, ``S``,
+``R_i`` and ``S_i`` are the outer flux rows ``[T_mm T_im~]`` and the inner
+current rows ``-[T_mi T_ii~]``, written ``[R1 R2]``, composed with the block
+inverse: with ``X = R1 P`` and ``Z = (R2 + X K_im~) S^-1``, formed by one
+transposed solve against the Schur factors, the composition is
+``[X - Z K_mi P, Z]``.  The outer hypersingular block ``T_mm`` is the
+closed-form circle block of :func:`eitdisk.bie.normal_derivative`.
 """
 
 from __future__ import annotations
@@ -36,8 +42,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as la
 
-from .bie import (NystromMesh, _check_inclusion, _factorize, double_layer,
-                  modified_double_layer, normal_derivative)
+from .bie import (NystromMesh, _check_inclusion, _check_outer, _factorize,
+                  _outer_inverse, double_layer, modified_double_layer,
+                  normal_derivative)
 from .exceptions import AllMasked, RankDeficientWarning, ResidualTooLarge
 from .regularization import (SvdFactorization, expected_noise_norm,
                              regularized_solve)
@@ -78,27 +85,28 @@ def assemble_completion(outer, inner, model_error_factor=1.0):
     ``model_error_factor`` scales the noise level used by noise-tied
     regularization inside :func:`complete_cauchy`; set it above one when the
     inclusion boundary is itself reconstructed and therefore uncertain.
-    Raises :class:`ValueError` when the inner curve reaches the unit circle.
+    Raises :class:`ValueError` when ``outer`` is not the unit circle or the
+    inner curve reaches it.
     """
+    _check_outer(outer)
     _check_inclusion(inner)
     n_m, n_i = outer.n, inner.n
-    kmm = double_layer(outer, outer)
     kim = modified_double_layer(inner, outer)
-    kmi = double_layer(outer, inner)
+    kmi_p = _outer_inverse(double_layer(outer, inner).T).T     # K_mi P
     kii = modified_double_layer(inner, inner)
-    block = np.block([[np.eye(n_m) - kmm, -kim],
-                      [kmi, np.eye(n_i) + kii]])
-    lu, condition = _factorize(block, "completion trace", _COND_LIMIT)
+    schur = np.eye(n_i) + kii + kmi_p @ kim
+    lu, condition = _factorize(schur, "completion trace", _COND_LIMIT)
 
     tmm = normal_derivative(outer, outer)
     tim = normal_derivative(inner, outer, of="modified_double_layer")
     tmi = normal_derivative(outer, inner)
     tii = normal_derivative(inner, inner, of="modified_double_layer")
-    rows = np.block([[tmm, tim], [-tmi, -tii]])
-    # rows @ block^-1, as the solve of block^T against rows^T
-    composed = la.lu_solve(lu, rows.T, trans=1).T
-    response, completion = -composed[:n_m, :n_m], composed[:n_m, n_m:]
-    inner_response, inner_completion = -composed[n_m:, :n_m], composed[n_m:, n_m:]
+    x = _outer_inverse(np.hstack([tmm.T, -tmi.T])).T             # R1 P
+    # (R2 + X K_im~) S^-1, as the solve of S^T against its transpose
+    z = la.lu_solve(lu, np.hstack([tim.T, -tii.T]) + kim.T @ x.T, trans=1).T
+    x -= z @ kmi_p
+    response, completion = -x[:n_m], z[:n_m]
+    inner_response, inner_completion = -x[n_m:], z[n_m:]
     return CompletionSystem(outer, inner, response, completion,
                             inner_response, inner_completion,
                             SvdFactorization.from_matrix(completion),

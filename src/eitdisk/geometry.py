@@ -20,6 +20,7 @@ it flip the sign themselves.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Real
 
 import numpy as np
 
@@ -33,6 +34,14 @@ __all__ = [
 ]
 
 _TANGENT_TOL = 1e-12
+
+
+def _number(value, key):
+    """``value`` as a float; anything but a finite JSON number raises
+    :class:`ValueError` naming ``key``."""
+    if isinstance(value, bool) or not isinstance(value, Real) or not np.isfinite(value):
+        raise ValueError(f"geometry {key!r} must be a finite number, not {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -73,10 +82,15 @@ class BoundaryCurve:
 
     @classmethod
     def trig(cls, cos_coef, sin_coef):
-        a = np.atleast_2d(np.asarray(cos_coef, dtype=float))
-        b = np.atleast_2d(np.asarray(sin_coef, dtype=float))
+        try:
+            a = np.atleast_2d(np.asarray(cos_coef, dtype=float))
+            b = np.atleast_2d(np.asarray(sin_coef, dtype=float))
+        except TypeError:
+            raise ValueError("coefficient arrays must hold numbers") from None
         if a.shape != b.shape or a.shape[0] != 2:
             raise ValueError("coefficient arrays must both have shape (2, M)")
+        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+            raise ValueError("coefficient arrays must be finite")
         return cls("trig", (0.0, 0.0), a, b)
 
     def to_dict(self) -> dict:
@@ -95,14 +109,21 @@ class BoundaryCurve:
     def from_dict(cls, data: dict) -> BoundaryCurve:
         """Inverse of :meth:`to_dict`; a circle without ``center`` is at the origin.
 
-        An unknown kind or a missing key raises :class:`ValueError`.
+        A description that is not an object, an unknown kind, a missing key
+        or a value of the wrong type raises :class:`ValueError`.
         """
+        if not isinstance(data, dict):
+            raise ValueError(f"geometry description must be a JSON object, not {data!r}")
         try:
             kind = data["kind"]
             if kind == "circle":
-                return cls.circle(tuple(data.get("center", (0.0, 0.0))), data["radius"])
+                center = data.get("center", [0.0, 0.0])
+                if not isinstance(center, (list, tuple)) or len(center) != 2:
+                    raise ValueError(f"geometry 'center' must be two numbers, not {center!r}")
+                return cls.circle([_number(c, "center") for c in center],
+                                  _number(data["radius"], "radius"))
             if kind == "ellipse":
-                return cls.ellipse(data["a"], data["b"])
+                return cls.ellipse(_number(data["a"], "a"), _number(data["b"], "b"))
             if kind == "cardioid":
                 return cls.cardioid()
             if kind == "trig":

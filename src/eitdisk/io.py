@@ -101,12 +101,16 @@ def write_indicator(path, grid: IndicatorGrid, config: dict):
 
 
 def read_indicator(path):
-    """Rebuild an :class:`IndicatorGrid` from the CSV written above."""
+    """Rebuild an :class:`IndicatorGrid` from the CSV written above; a header
+    without one of the grid keys raises :class:`ValueError`."""
     with open(path) as fh:
         header = fh.readline()
         if not header.startswith("#"):
             raise ValueError("indicator CSV is missing its metadata line")
         fields = dict(kv.split("=") for kv in header[1:].split())
+        for key in ("nx", "ny", "xmin", "xmax", "ymin", "ymax"):
+            if key not in fields:
+                raise ValueError(f"indicator CSV {path} header has no key {key!r}")
         with warnings.catch_warnings():
             # a grid without unmasked points has no rows below the column names
             warnings.simplefilter("ignore", UserWarning)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as la
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -9,7 +10,8 @@ from eitdisk import bie
 from eitdisk.bie import (NystromMesh, double_layer, dtn_matrix,
                          modified_double_layer, normal_derivative,
                          single_layer, solve_forward)
-from eitdisk.dtn import gap_from_lambda0, to_real_trig_basis
+from eitdisk.dtn import (gap_from_lambda0, healthy_collocation_matrix,
+                         to_real_trig_basis)
 from eitdisk.exceptions import CoincidentPoints, SingularSystem
 from eitdisk.geometry import BoundaryCurve
 
@@ -191,6 +193,60 @@ class TestNormalDerivative:
         assert np.max(np.abs(diff - want)) < 1e-12
 
 
+CIRCLES = [BoundaryCurve.circle(radius=1.0), BoundaryCurve.circle((0.2, -0.1), 0.5)]
+
+
+class TestClosedFormCircleBlocks:
+    @pytest.mark.parametrize("n", [64, 256])
+    @pytest.mark.parametrize("curve", CIRCLES, ids=["unit", "offset"])
+    def test_double_layer_is_minus_ones_over_n(self, curve, n):
+        mesh = NystromMesh(curve, n)
+        assert np.abs(double_layer(mesh, mesh) + np.ones((n, n)) / n).max() < 1e-13
+
+    @pytest.mark.parametrize("n", [64, 256])
+    @pytest.mark.parametrize("curve", CIRCLES, ids=["unit", "offset"])
+    def test_maue_block_is_minus_healthy_over_radius(self, curve, n):
+        mesh = NystromMesh(curve, n)
+        want = -healthy_collocation_matrix(n) / curve.cos_coef[0, 0]
+        maue = 2.0 * bie._hypersingular_maue(mesh)
+        assert np.abs(maue - want).max() < 1e-13 + 1e-10 * np.abs(want).max()
+        assert np.array_equal(normal_derivative(mesh, mesh), want)
+
+    def test_non_circular_outer_boundary_rejected(self):
+        inner = inner_circle(32, 0.3)
+        for curve in (BoundaryCurve.ellipse(1.0, 0.9), BoundaryCurve.circle(radius=0.9),
+                      BoundaryCurve.circle((0.05, 0.0), 1.0)):
+            outer = NystromMesh(curve, 32)
+            with pytest.raises(ValueError, match="unit measurement circle"):
+                solve_forward(outer, inner, "dirichlet", np.ones(32))
+
+
+class TestSchurForward:
+    """The eliminated solve against the full block the test assembles itself."""
+
+    @pytest.mark.parametrize("bc", ["dirichlet", "impedance"])
+    @pytest.mark.parametrize("curve", [BoundaryCurve.ellipse(0.5, 0.3), BoundaryCurve.cardioid()],
+                             ids=["ellipse", "cardioid"])
+    def test_densities_match_dense_block_solve(self, curve, bc):
+        outer, inner = unit_mesh(64), NystromMesh(curve, 48)
+        f = np.cos(np.outer(outer.theta, np.arange(5))) + 0.3
+        sim = single_layer(inner, outer)
+        if bc == "dirichlet":
+            gamma = None
+            a21, a22 = double_layer(outer, inner), single_layer(inner, inner)
+        else:
+            gamma = 2.0 - np.sin(inner.theta) ** 4
+            a21 = (-normal_derivative(outer, inner)
+                   + gamma[:, None] * double_layer(outer, inner))
+            a22 = (-normal_derivative(inner, inner, of="single_layer") + 0.5 * np.eye(48)
+                   + gamma[:, None] * single_layer(inner, inner))
+        block = np.block([[double_layer(outer, outer) - np.eye(64), sim], [a21, a22]])
+        want = la.solve(block, np.vstack([f, np.zeros((48, 5))]))
+        sol = solve_forward(outer, inner, bc, f, gamma)
+        got = np.vstack([sol.phi, sol.psi])
+        assert np.abs(got - want).max() < 1e-10 * np.abs(want).max()
+
+
 class TestForwardSolver:
     def test_dirichlet_first_mode(self):
         outer, inner = unit_mesh(), inner_circle(64, 0.5)
@@ -311,13 +367,16 @@ class TestForwardSolver:
 
 class TestFactorization:
     @staticmethod
-    def readme_block():
-        # the forward block of the README example: 64 outer, 32 inner nodes
-        return bie._forward_blocks(unit_mesh(64), inner_circle(32, 0.5),
-                                   "dirichlet", None)
+    def readme_schur():
+        # the forward Schur complement of the README example: 64 outer, 32
+        # inner nodes, so the factorized block is inclusion-sized
+        _, _, schur = bie._forward_blocks(unit_mesh(64), inner_circle(32, 0.5),
+                                          "dirichlet", None)
+        return schur
 
     def test_condition_estimate_brackets_two_norm_condition(self):
-        a = self.readme_block()
+        a = self.readme_schur()
+        assert a.shape == (32, 32)
         _, estimate = bie._factorize(a, "forward", bie._COND_LIMIT)
         k2 = np.linalg.cond(a)
         n = a.shape[0]
@@ -328,12 +387,12 @@ class TestFactorization:
         real = bie._forward_blocks
 
         def damaged(*args):
-            a = real(*args)
+            sim, a21, schur = real(*args)
             if damage == "repeat_row":
-                a[3] = a[7]
+                schur[3] = schur[7]
             else:
-                a[3, 7] = np.nan
-            return a
+                schur[3, 7] = np.nan
+            return sim, a21, schur
 
         monkeypatch.setattr(bie, "_forward_blocks", damaged)
         outer = unit_mesh(64)
@@ -344,7 +403,7 @@ class TestFactorization:
     def test_fourier_basis_factorizes_once(self, lu_factor_calls):
         outer, inner = unit_mesh(64), inner_circle(32, 0.5)
         dtn_matrix(outer, inner, "dirichlet", basis="fourier", modes=np.arange(-10, 11))
-        assert lu_factor_calls == [(96, 96)]
+        assert lu_factor_calls == [(32, 32)]
 
 
 class TestDtnMatrix:

@@ -238,6 +238,29 @@ def test_geometry_file_without_a_key_exits_2(tmp_path, capfd):
     assert "geometry" in err and "'radius'" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("doc, key", [
+    ([1, 2], "JSON object"),
+    ({"kind": "circle", "radius": "abc"}, "'radius'"),
+    ({"kind": "ellipse", "a": None, "b": 0.3}, "'a'"),
+    ({"kind": "circle", "center": [0], "radius": 0.5}, "'center'"),
+], ids=["list", "text-radius", "null-axis", "short-center"])
+def test_geometry_file_with_a_wrong_typed_value_exits_2(tmp_path, capfd, doc, key):
+    geom = tmp_path / "geometry.json"
+    geom.write_text(json.dumps(doc))
+    assert main(["forward", "--geometry", str(geom), "--out", str(tmp_path / "x.json")]) == 2
+    err = capfd.readouterr().err
+    assert key in err and "Traceback" not in err
+
+
+def test_indicator_file_without_a_grid_key_exits_2(tmp_path, capfd):
+    indicator = tmp_path / "w.csv"
+    indicator.write_text("# config=abc nx=3\nx,y,W\r\n")
+    assert main(["extract", "--indicator", str(indicator),
+                 "--out", str(tmp_path / "curve.json")]) == 2
+    err = capfd.readouterr().err
+    assert "indicator CSV" in err and "'ny'" in err and "Traceback" not in err
+
+
 def test_dtn_file_without_a_key_exits_2(tmp_path, circle_file, capfd):
     dtn = tmp_path / "dtn.json"
     assert main(["forward", "--geometry", circle_file, "--basis", "collocation:32",
@@ -343,7 +366,23 @@ def test_impedance_factorizes_simulation_and_completion_once(
         tmp_path, ellipse_file, lu_factor_calls):
     assert main(["impedance", "--geometry", ellipse_file, "--noise", "0.04",
                  "--out", str(tmp_path / "g.csv")]) == 0
-    assert lu_factor_calls == [(128, 128), (64, 64)]
+    assert lu_factor_calls == [(64, 64), (32, 32)]
+
+
+def test_impedance_config_hash_tells_node_counts_and_reg_noise_apart(tmp_path, ellipse_file):
+    # the benchmark's readme and many-nodes impedance stages, and the readme
+    # stage with the regularizer's noise level given explicitly
+    common = ["impedance", "--geometry", ellipse_file, "--gamma", "2 - sin(theta)**4",
+              "--noise", "0.04", "--seed", "3", "--mask-tol", "0.2"]
+    runs = {"readme": ["--sim-nodes", "64"],
+            "many-nodes": ["--sim-nodes", "256", "--nodes", "512"],
+            "reg-noise": ["--sim-nodes", "64", "--reg-noise", "0.04"]}
+    hashes = {}
+    for name, extra in runs.items():
+        out = tmp_path / f"{name}.csv"
+        assert main([*common, *extra, "--out", str(out)]) == 0
+        hashes[name] = out.read_text().splitlines()[0]
+    assert len(set(hashes.values())) == 3, hashes
 
 
 @pytest.mark.parametrize("text, want", [

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as la
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -81,6 +82,26 @@ class TestAssembly:
                         [-system.inner_response, system.inner_completion]])
         assert np.abs(got - want).max() < 1e-10 * np.abs(want).max()
 
+    @pytest.mark.parametrize("curve", [BoundaryCurve.ellipse(0.5, 0.3), BoundaryCurve.cardioid()],
+                             ids=["ellipse", "cardioid"])
+    def test_schur_maps_match_dense_block_solve(self, curve):
+        # unequal node counts, so a transposed block cannot pass
+        outer, inner = outer_mesh(64), inner_mesh(curve, 48)
+        system = assemble_completion(outer, inner)
+        rows = np.block([
+            [normal_derivative(outer, outer),
+             normal_derivative(inner, outer, of="modified_double_layer")],
+            [-normal_derivative(outer, inner),
+             -normal_derivative(inner, inner, of="modified_double_layer")]])
+        want = la.solve(trace_block(outer, inner).T, rows.T).T
+        pieces = {"R": (system.response, -want[:64, :64]),
+                  "S": (system.completion, want[:64, 64:]),
+                  "R_i": (system.inner_response, -want[64:, :64]),
+                  "S_i": (system.inner_completion, want[64:, 64:])}
+        for name, (got, ref) in pieces.items():
+            assert got.shape == ref.shape, name
+            assert np.abs(got - ref).max() < 1e-10 * np.abs(ref).max(), name
+
     def test_condition_estimate_three_shapes(self):
         for curve in (BoundaryCurve.circle(radius=0.3),
                       BoundaryCurve.circle(radius=0.5),
@@ -105,6 +126,11 @@ class TestAssembly:
                        + modified_double_layer(inner, pts) @ densities[N:])
         u_forward = sol.potential(pts)
         assert np.max(np.abs(u_completed - u_forward)) < 1e-6
+
+    def test_outer_curve_other_than_unit_circle_rejected(self):
+        outer = inner_mesh(BoundaryCurve.ellipse(1.0, 0.9))
+        with pytest.raises(ValueError, match="unit measurement circle"):
+            assemble_completion(outer, inner_mesh(BoundaryCurve.circle(radius=0.3)))
 
     @pytest.mark.parametrize("curve", [BoundaryCurve.circle(radius=1.2),
                                        BoundaryCurve.circle((0.5, 0.0), 0.6)])

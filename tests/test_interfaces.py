@@ -51,6 +51,18 @@ class TestGeometryRoundTrip:
         with pytest.raises(ValueError, match="unknown geometry kind"):
             BoundaryCurve.from_dict({"kind": "square"})
 
+    @pytest.mark.parametrize("doc, match", [
+        ({"kind": "circle", "radius": True}, "'radius'"),
+        ({"kind": "circle", "radius": float("inf")}, "'radius'"),
+        ({"kind": "circle", "center": [0, "x"], "radius": 0.5}, "'center'"),
+        ({"kind": "trig", "a": {"x": 1}, "b": [[0.0], [0.4]]}, "hold numbers"),
+        ({"kind": "trig", "a": [[float("nan")], [0.0]], "b": [[0.0], [0.4]]}, "finite"),
+    ], ids=["bool-radius", "inf-radius", "text-center", "object-coefficients",
+            "nan-coefficient"])
+    def test_wrong_typed_value_rejected(self, doc, match):
+        with pytest.raises(ValueError, match=match):
+            BoundaryCurve.from_dict(doc)
+
     def test_self_intersecting_curve_rejected(self):
         # a figure-eight-like trig curve must fail validation
         curve = BoundaryCurve.trig([[0.0, 0.4], [0.0, 0.0]],
