@@ -40,6 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as la
 
 from .dtn import DtnOperator
 from .exceptions import OutOfDomain
@@ -240,9 +241,10 @@ def truncation_error(cfg: AnnulusConfig, order_low, order_high):
 def gap_operator(cfg: AnnulusConfig, basis="collocation", n=64, modes=None):
     """Assemble the truncated current-gap map as a dense operator.
 
-    ``basis="collocation"`` places the kernel quadrature on ``n`` equally
-    spaced nodes (a real symmetric circulant); ``basis="fourier"`` returns the
-    diagonal coefficient map over ``modes`` (default symmetric ``-order..order``).
+    ``basis="collocation"`` returns the circulant on ``n`` nodes of symbol
+    ``gap_coefficient(cfg, m)`` for ``|m| <= order``, which needs
+    ``order < n/2``; ``basis="fourier"`` returns the diagonal coefficient map
+    over ``modes`` (default symmetric ``-order..order``).
     """
     if basis == "fourier":
         if modes is None:
@@ -251,10 +253,8 @@ def gap_operator(cfg: AnnulusConfig, basis="collocation", n=64, modes=None):
         mat = np.diag([complex(gap_coefficient(cfg, m)) if abs(m) <= cfg.order else 0.0
                        for m in modes])
         return DtnOperator("fourier", mat, modes)
-    theta = 2.0 * np.pi * np.arange(n) / n
-    row = np.full(n, gap_coefficient(cfg, 0))
-    for m in range(1, cfg.order + 1):
-        row = row + 2.0 * gap_coefficient(cfg, m) * np.cos(m * theta)
-    import scipy.linalg as la
-
-    return DtnOperator("collocation", la.toeplitz(row / n))
+    if 2 * cfg.order >= n:
+        raise ValueError(f"n = {n} nodes resolve modes below n/2 only, "
+                         f"not order = {cfg.order}")
+    symbol = [gap_coefficient(cfg, m) for m in range(cfg.order + 1)]
+    return DtnOperator("collocation", la.toeplitz(np.fft.irfft(symbol, n)))

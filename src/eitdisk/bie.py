@@ -116,19 +116,13 @@ class NystromMesh:
 
 
 def kress_log_weights(n):
-    """Quadrature matrix for ``int_0^{2pi} log(4 sin^2((t_i - s)/2)) f(s) ds``.
-
-    Exact for trigonometric polynomials on the band resolvable by ``n``
-    equally spaced nodes (``n`` even).
-    """
+    """Quadrature matrix for ``int_0^{2pi} log(4 sin^2((t_i - s)/2)) f(s) ds``
+    on ``n`` nodes (``n`` even): the circulant of symbol ``-2 pi / |m|`` for
+    ``m != 0``, the Nyquist mode included, and zero for ``m = 0``."""
     if n % 2 != 0:
         raise ValueError("log quadrature needs an even node count")
-    k = np.arange(n)
-    m = np.arange(1, n // 2)
-    ang = np.outer(2.0 * np.pi * k / n, m)
-    row = -(4.0 * np.pi / n) * (np.cos(ang) / m).sum(axis=1) \
-        - (4.0 * np.pi / n**2) * np.cos(np.pi * k)
-    return la.toeplitz(row)
+    m = np.arange(1, n // 2 + 1)
+    return la.toeplitz(np.fft.irfft(np.concatenate([[0.0], -2.0 * np.pi / m]), n))
 
 
 def spectral_diff_matrix(n):
@@ -465,19 +459,16 @@ def dtn_matrix(outer, inner, bc, gamma=None, basis="collocation",
     angles = np.outer(outer.theta, orders)
     flux = solve_forward(outer, inner, bc, np.hstack([np.cos(angles), np.sin(angles)]),
                          gamma).outer_flux()
-    flux_cos, flux_sin = flux[:, :top + 1], flux[:, top + 1:]
+    # column j: real and imaginary part of the current of exp(i modes[j] t)
+    re = flux[:, np.abs(modes)]
+    im = np.sign(modes) * flux[:, top + 1 + np.abs(modes)]
+    if flux_noise is not None:
+        delta, seed = flux_noise
+        for j in range(len(modes)):
+            re[:, j] = perturb_vector(re[:, j], delta, (seed, 2 * j))
+            im[:, j] = perturb_vector(im[:, j], delta, (seed, 2 * j + 1))
     n_eval = len(modes)
-    theta_eval = 2.0 * np.pi * np.arange(n_eval) / n_eval
-    mat = np.zeros((n_eval, n_eval), dtype=complex)
-    for j, m in enumerate(modes):
-        re = flux_cos[:, abs(m)].copy()
-        im = np.sign(m) * flux_sin[:, abs(m)]
-        if flux_noise is not None:
-            delta, seed = flux_noise
-            re = perturb_vector(re, delta, (seed, 2 * j))
-            im = perturb_vector(im, delta, (seed, 2 * j + 1))
-        vals = trig_resample(re, theta_eval) + 1j * trig_resample(im, theta_eval)
-        # coefficient form: discrete transform of the node values
-        coef = np.exp(-1j * np.outer(modes, theta_eval)) @ vals / n_eval
-        mat[:, j] = coef
+    vals = trig_resample(re + 1j * im, 2.0 * np.pi * np.arange(n_eval) / n_eval)
+    # coefficient form: discrete transform of the node values, mode m in slot m mod n_eval
+    mat = np.fft.fft(vals, axis=0)[modes % n_eval] / n_eval
     return DtnOperator("fourier", mat, modes)

@@ -140,14 +140,12 @@ def cmd_forward(args):
     noise = (args.noise, args.seed) if args.noise else None
     lam = bie.dtn_matrix(outer, inner, args.bc, gamma, basis=basis,
                          modes=modes, flux_noise=noise)
-    gap = gap_from_lambda0(lam)
-    write_dtn(args.out, lam, gap, config, {"kind": curve.kind, "n": inner.n},
-              {"kind": args.bc})
+    write_dtn(args.out, lam, config, {"kind": curve.kind, "n": inner.n}, {"kind": args.bc})
     print(f"wrote {args.out} (config {config_hash(config)})")
 
 
 def cmd_sample(args):
-    _, gap = read_dtn(args.data)
+    gap = gap_from_lambda0(read_dtn(args.data))
     reg = _parse_reg(args.reg, args.reg_noise if args.reg_noise is not None else args.noise)
     grid = GridSpec.square(args.grid)
     noise = (args.noise, args.seed) if args.noise else None

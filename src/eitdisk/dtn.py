@@ -9,9 +9,13 @@ A :class:`DtnOperator` stores the discretization of a voltage-to-current map
   coefficients over the same list.  The mode list is either one-sided
   ``0..N`` or symmetric ``-N..N``.
 
-Collocation matrices act on the band of modes representable at ``n`` nodes;
-the unpaired highest mode is omitted from the healthy map because a real
-even discretization cannot carry its current.
+Every mode-to-node map on the ``n`` equally spaced nodes of the measurement
+circle is a symmetric circulant: it multiplies ``exp(i m theta)`` by a symbol
+``c_|m|``.  It is built from its half symbol ``c_0 .. c_{n//2}`` as
+``la.toeplitz(np.fft.irfft(symbol, n))``, which counts the Nyquist slot
+``c_{n/2}`` of an even ``n`` once and zero-pads a shorter symbol.  The healthy
+map puts zero in the Nyquist slot because a real even discretization cannot
+carry its current.
 """
 
 from __future__ import annotations
@@ -62,16 +66,10 @@ class DtnOperator:
 
 
 def healthy_collocation_matrix(n):
-    """Node-value matrix of the healthy-disk current map on ``n`` nodes.
-
-    The continuous map multiplies mode ``exp(i m theta)`` by ``|m|``; the
-    discrete version applies this over the representable band ``|m| < n/2``.
-    The matrix is a real symmetric circulant.
-    """
-    theta = 2.0 * np.pi * np.arange(n) / n
-    m = np.arange(1, n // 2)
-    row = (2.0 * m[None, :] * np.cos(np.outer(theta, m))).sum(axis=1) / n
-    return la.toeplitz(row)
+    """Node-value matrix of the healthy-disk current map on ``n`` nodes: the
+    circulant of symbol ``|m|`` for ``|m| < n/2``, zero at the Nyquist mode."""
+    m = np.arange(n // 2 + 1)
+    return la.toeplitz(np.fft.irfft(np.where(2 * m < n, m, 0), n))
 
 
 def healthy_fourier_matrix(modes):

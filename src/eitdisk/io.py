@@ -43,19 +43,16 @@ def _matrix_from_pairs(rows, is_complex):
     return m if is_complex else m.real
 
 
-def write_dtn(path, lambda0: DtnOperator, gap: DtnOperator, config: dict,
-              geometry: dict, bc: dict):
-    """Write the simulated current map and its gap operator as JSON, with the
-    inclusion ``geometry`` and boundary condition ``bc`` they were simulated for."""
+def write_dtn(path, lambda0: DtnOperator, config: dict, geometry: dict, bc: dict):
+    """Write the simulated current map as JSON, with the inclusion ``geometry``
+    and boundary condition ``bc`` it was simulated for."""
     doc = {
         "config_hash": config_hash(config),
         "config": config,
         "basis": lambda0.basis,
         "modes": None if lambda0.modes is None else lambda0.modes.tolist(),
-        "nodes": lambda0.n if lambda0.basis == "collocation" else None,
         "complex": bool(np.iscomplexobj(lambda0.matrix)),
         "lambda0": _matrix_to_pairs(lambda0.matrix),
-        "gap": _matrix_to_pairs(gap.matrix),
         "geometry": geometry,
         "bc": bc,
     }
@@ -74,10 +71,10 @@ def _read_json(path, what, *keys):
 
 
 def read_dtn(path):
-    doc = _read_json(path, "DtN file", "basis", "modes", "complex", "lambda0", "gap")
+    """The simulated current map of a file written by :func:`write_dtn`."""
+    doc = _read_json(path, "DtN file", "basis", "modes", "complex", "lambda0")
     modes = None if doc["modes"] is None else np.asarray(doc["modes"], dtype=int)
-    return tuple(DtnOperator(doc["basis"], _matrix_from_pairs(doc[key], doc["complex"]), modes)
-                 for key in ("lambda0", "gap"))
+    return DtnOperator(doc["basis"], _matrix_from_pairs(doc["lambda0"], doc["complex"]), modes)
 
 
 def write_indicator(path, grid: IndicatorGrid, config: dict):

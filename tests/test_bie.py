@@ -14,6 +14,7 @@ from eitdisk.dtn import (gap_from_lambda0, healthy_collocation_matrix,
                          to_real_trig_basis)
 from eitdisk.exceptions import CoincidentPoints, SingularSystem
 from eitdisk.geometry import BoundaryCurve
+from eitdisk.regularization import perturb_vector
 
 
 def unit_mesh(n=64):
@@ -59,6 +60,17 @@ class TestSpectralDiffMatrix:
         for k in range(1, n // 2):
             err = np.max(np.abs(d @ np.sin(k * theta) - k * np.cos(k * theta)))
             assert err < 1e-14 * n * k, k
+
+
+class TestKressLogWeights:
+    @pytest.mark.parametrize("n", [16, 64, 512])
+    def test_eigenvalues_are_minus_two_pi_over_mode(self, n):
+        w = bie.kress_log_weights(n)
+        t = 2 * np.pi * np.arange(n) / n
+        assert np.max(np.abs(w @ np.ones(n))) < 1e-12
+        for m in range(1, n // 2):
+            for f in (np.cos(m * t), np.sin(m * t)):
+                assert np.max(np.abs(w @ f + (2 * np.pi / m) * f)) < 1e-12, m
 
 
 class TestDoubleLayer:
@@ -474,6 +486,29 @@ class TestDtnMatrix:
         for k in range(1, len(s) - 2):
             ratio = s[k + 2] / s[k]
             assert rho2 / 3 < ratio < rho2 * 3
+
+    @pytest.mark.parametrize("modes", [np.arange(-5, 6), np.arange(0, 8)],
+                             ids=["symmetric", "one-sided"])
+    def test_fourier_flux_noise_matches_the_per_mode_reference(self, modes):
+        # mode j's cos and sin currents take the noise draws (seed, 2j) and
+        # (seed, 2j + 1), are resampled at len(modes) nodes and transformed
+        outer = unit_mesh(64)
+        inner = NystromMesh(BoundaryCurve.ellipse(0.5, 0.3), 32)
+        delta, seed = 0.04, 11
+        n_eval = len(modes)
+        theta_eval = 2 * np.pi * np.arange(n_eval) / n_eval
+        dft = np.exp(-1j * np.outer(modes, theta_eval)) / n_eval
+        want = np.zeros((n_eval, n_eval), dtype=complex)
+        for j, m in enumerate(modes):
+            drive = np.column_stack([np.cos(abs(m) * outer.theta), np.sin(abs(m) * outer.theta)])
+            flux = solve_forward(outer, inner, "dirichlet", drive).outer_flux()
+            re = perturb_vector(flux[:, 0], delta, (seed, 2 * j))
+            im = perturb_vector(np.sign(m) * flux[:, 1], delta, (seed, 2 * j + 1))
+            want[:, j] = dft @ (bie.trig_resample(re, theta_eval)
+                                + 1j * bie.trig_resample(im, theta_eval))
+        got = dtn_matrix(outer, inner, "dirichlet", basis="fourier", modes=modes,
+                         flux_noise=(delta, seed)).matrix
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_flux_noise_determinism(self):
         outer, inner = unit_mesh(64), inner_circle(32, 0.5)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from eitdisk.cli import _gamma_values, _parse_reg, main
+from eitdisk.dtn import gap_from_lambda0
 from eitdisk.geometry import BoundaryCurve
 from eitdisk.io import read_curve, read_dtn, read_indicator, write_curve
 from eitdisk.regularization import RegStrategy
@@ -28,8 +29,9 @@ def test_forward_writes_readable_file(tmp_path, circle_file):
     rc = main(["forward", "--geometry", circle_file, "--bc", "dirichlet",
                "--basis", "collocation:32", "--sim-nodes", "32", "--out", out])
     assert rc == 0
-    lam, gap = read_dtn(out)
+    lam = read_dtn(out)
     assert lam.basis == "collocation" and lam.n == 32
+    gap = gap_from_lambda0(lam)
     assert np.allclose(gap.matrix @ np.ones(32), 1 / np.log(0.5), atol=1e-6)
 
 
@@ -39,6 +41,8 @@ def test_forward_records_geometry_and_bc(tmp_path, ellipse_file):
                  "--basis", "collocation:32", "--inner-nodes", "48",
                  "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
+    assert sorted(doc) == ["basis", "bc", "complex", "config", "config_hash", "geometry",
+                           "lambda0", "modes"]
     assert doc["geometry"] == {"kind": "ellipse", "n": 48}
     assert doc["bc"] == {"kind": "impedance"}
 

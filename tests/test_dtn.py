@@ -9,14 +9,12 @@ from eitdisk.dtn import (DtnOperator, gap_from_lambda0,
 
 class TestHealthyMatrices:
     def test_collocation_eigenmodes(self):
-        n = 32
-        h = healthy_collocation_matrix(n)
-        t = 2 * np.pi * np.arange(n) / n
-        for m in range(0, n // 2):
-            for f in (np.cos(m * t), np.sin(m * t)):
-                if np.linalg.norm(f) == 0:
-                    continue
-                assert np.max(np.abs(h @ f - m * f)) < 1e-11
+        for n, top in ((32, 16), (512, 25)):
+            h = healthy_collocation_matrix(n)
+            t = 2 * np.pi * np.arange(n) / n
+            for m in range(0, top):
+                for f in (np.cos(m * t), np.sin(m * t)):
+                    assert np.max(np.abs(h @ f - m * f)) < 1e-11, (n, m)
 
     def test_collocation_symmetric(self):
         h = healthy_collocation_matrix(64)
@@ -41,6 +39,20 @@ class TestGapConstruction:
         lam = DtnOperator("collocation", healthy - gap.matrix)
         back = gap_from_lambda0(lam)
         assert np.allclose(back.matrix, gap.matrix)
+
+    @pytest.mark.parametrize("n, order", [(64, 32), (64, 40), (16, 8)])
+    def test_collocation_order_above_the_band_rejected(self, n, order):
+        cfg = AnnulusConfig(0.5, "dirichlet", order=order)
+        with pytest.raises(ValueError, match=f"n = {n}.*order = {order}"):
+            gap_operator(cfg, basis="collocation", n=n)
+
+    def test_collocation_eigenmodes_are_gap_coefficients(self):
+        n, cfg = 64, AnnulusConfig(0.5, "dirichlet", order=31)
+        gap = gap_operator(cfg, basis="collocation", n=n).matrix
+        t = 2 * np.pi * np.arange(n) / n
+        for m in range(n // 2):
+            for f in (np.cos(m * t), np.sin(m * t)):
+                assert np.max(np.abs(gap @ f - gap_coefficient(cfg, m) * f)) < 1e-13
 
 
 class TestRealTrigBasis:
