@@ -40,9 +40,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as la
 
-from .dtn import DtnOperator
+from .dtn import DtnOperator, circulant
 from .exceptions import OutOfDomain
 from .geometry import FourierData
 
@@ -257,4 +256,4 @@ def gap_operator(cfg: AnnulusConfig, basis="collocation", n=64, modes=None):
         raise ValueError(f"n = {n} nodes resolve modes below n/2 only, "
                          f"not order = {cfg.order}")
     symbol = [gap_coefficient(cfg, m) for m in range(cfg.order + 1)]
-    return DtnOperator("collocation", la.toeplitz(np.fft.irfft(symbol, n)))
+    return DtnOperator("collocation", circulant(symbol, n))

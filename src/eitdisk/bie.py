@@ -45,8 +45,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as la
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .dtn import DtnOperator, healthy_collocation_matrix
+from .dtn import DtnOperator, circulant, healthy_collocation_matrix
 from .exceptions import CoincidentPoints, SingularSystem
 from .geometry import BoundaryCurve
 from .regularization import perturb_vector
@@ -89,6 +90,8 @@ class NystromMesh:
     curvature: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        if self.n < 2:
+            raise ValueError(f"a mesh needs 2 or more nodes, not {self.n}")
         if self.n % 2 != 0:
             raise ValueError("node count must be even for the log quadrature")
         t = self.curve.nodes(self.n)
@@ -122,17 +125,16 @@ def kress_log_weights(n):
     if n % 2 != 0:
         raise ValueError("log quadrature needs an even node count")
     m = np.arange(1, n // 2 + 1)
-    return la.toeplitz(np.fft.irfft(np.concatenate([[0.0], -2.0 * np.pi / m]), n))
+    return circulant(np.concatenate([[0.0], -2.0 * np.pi / m]), n)
 
 
 def spectral_diff_matrix(n):
-    """First-derivative matrix on ``n`` equally spaced periodic nodes: the
-    Toeplitz matrix with ``0.5 (-1)^(i-j) cot((i-j) pi / n)`` off the diagonal."""
-    def diagonals(lag):
-        return np.concatenate([[0.0], 0.5 * (-1.0) ** lag / np.tan(lag * np.pi / n)])
-
+    """First-derivative matrix on ``n`` equally spaced periodic nodes: the odd
+    Toeplitz matrix with ``0.5 (-1)^(i-j) cot((i-j) pi / n)`` off the diagonal,
+    laid out by lag as :func:`eitdisk.dtn.circulant` is."""
     lag = np.arange(1, n)
-    return la.toeplitz(diagonals(lag), diagonals(-lag))
+    c = 0.5 * (-1.0) ** lag / np.tan(lag * np.pi / n)
+    return sliding_window_view(np.concatenate([c[::-1], [0.0], -c]), n)[::-1].copy()
 
 
 def _target_geometry(target):
@@ -441,9 +443,7 @@ def dtn_matrix(outer, inner, bc, gamma=None, basis="collocation",
     if basis == "collocation":
         lam = solve_forward(outer, inner, bc, np.eye(outer.n), gamma).outer_flux()
         if flux_noise is not None:
-            delta, seed = flux_noise
-            for j in range(outer.n):
-                lam[:, j] = perturb_vector(lam[:, j], delta, (seed, j))
+            lam = perturb_vector(lam, *flux_noise)
         return DtnOperator("collocation", lam)
     if basis != "fourier":
         raise ValueError(f"unknown basis {basis!r}")
@@ -459,16 +459,14 @@ def dtn_matrix(outer, inner, bc, gamma=None, basis="collocation",
     angles = np.outer(outer.theta, orders)
     flux = solve_forward(outer, inner, bc, np.hstack([np.cos(angles), np.sin(angles)]),
                          gamma).outer_flux()
-    # column j: real and imaginary part of the current of exp(i modes[j] t)
-    re = flux[:, np.abs(modes)]
-    im = np.sign(modes) * flux[:, top + 1 + np.abs(modes)]
+    # columns 2j and 2j + 1: real and imaginary part of the current of exp(i modes[j] t)
+    m = np.abs(modes)
+    cur = np.stack([flux[:, m], np.sign(modes) * flux[:, top + 1 + m]], 2).reshape(outer.n, -1)
     if flux_noise is not None:
-        delta, seed = flux_noise
-        for j in range(len(modes)):
-            re[:, j] = perturb_vector(re[:, j], delta, (seed, 2 * j))
-            im[:, j] = perturb_vector(im[:, j], delta, (seed, 2 * j + 1))
+        cur = perturb_vector(cur, *flux_noise)
     n_eval = len(modes)
-    vals = trig_resample(re + 1j * im, 2.0 * np.pi * np.arange(n_eval) / n_eval)
+    vals = trig_resample(cur[:, 0::2] + 1j * cur[:, 1::2],
+                         2.0 * np.pi * np.arange(n_eval) / n_eval)
     # coefficient form: discrete transform of the node values, mode m in slot m mod n_eval
     mat = np.fft.fft(vals, axis=0)[modes % n_eval] / n_eval
     return DtnOperator("fourier", mat, modes)

@@ -91,11 +91,19 @@ def _gamma_values(expr, theta):
 
 
 def _parse_basis(text):
+    """``(basis, size)`` of a ``--basis`` value: a Fourier order of 0 or more,
+    or a collocation node count of 2 or more."""
     kind, _, num = text.partition(":")
     if kind == "fourier":
-        return "fourier", int(num or 19)
+        order = int(num or 19)
+        if order < 0:
+            raise ValueError(f"--basis {text}: the Fourier order must be 0 or more")
+        return "fourier", order
     if kind == "collocation":
-        return "collocation", int(num or 64)
+        nodes = int(num or 64)
+        if nodes < 2:
+            raise ValueError(f"--basis {text}: collocation needs 2 or more nodes")
+        return "collocation", nodes
     raise ValueError(f"unknown basis {text!r}")
 
 
@@ -203,8 +211,7 @@ def cmd_impedance(args):
                              gamma_true).outer_flux()
     flux64 = np.real(bie.trig_resample(flux, outer64.theta))
     voltages = np.array([fn(k * outer64.theta) for fn, k in drives])
-    currents = np.array([perturb_vector(g, args.noise, (args.seed, j))
-                         for j, g in enumerate(flux64.T)])
+    currents = perturb_vector(flux64, args.noise, args.seed).T
     recon = recover_gamma_averaged(system, voltages, currents, reg,
                                    noise_level=args.noise, tol_rel=args.mask_tol)
     config = {"command": "impedance", "geometry": true_curve.to_dict(),

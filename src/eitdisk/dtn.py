@@ -11,11 +11,12 @@ A :class:`DtnOperator` stores the discretization of a voltage-to-current map
 
 Every mode-to-node map on the ``n`` equally spaced nodes of the measurement
 circle is a symmetric circulant: it multiplies ``exp(i m theta)`` by a symbol
-``c_|m|``.  It is built from its half symbol ``c_0 .. c_{n//2}`` as
-``la.toeplitz(np.fft.irfft(symbol, n))``, which counts the Nyquist slot
-``c_{n/2}`` of an even ``n`` once and zero-pads a shorter symbol.  The healthy
-map puts zero in the Nyquist slot because a real even discretization cannot
-carry its current.
+``c_|m|``.  :func:`circulant` builds it as the symmetric Toeplitz matrix of
+``np.fft.irfft(symbol, n)`` for the half symbol ``c_0 .. c_{n//2}``, by the
+indexing of ``scipy.linalg.toeplitz`` and bit for bit equal to it; scipy serves
+only the LU and ``dgecon``.  ``irfft`` counts the Nyquist slot ``c_{n/2}`` of an
+even ``n`` once and zero-pads a shorter symbol.  The healthy map puts zero in
+the Nyquist slot because a real even discretization cannot carry its current.
 """
 
 from __future__ import annotations
@@ -23,10 +24,11 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg as la
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "DtnOperator",
+    "circulant",
     "healthy_collocation_matrix",
     "healthy_fourier_matrix",
     "gap_from_lambda0",
@@ -65,11 +67,17 @@ class DtnOperator:
         return 2.0 * np.pi * np.arange(self.n) / self.n
 
 
+def circulant(symbol, n):
+    """Symmetric circulant on ``n`` nodes of half symbol ``c_0 .. c_{n//2}``."""
+    col = np.fft.irfft(symbol, n)
+    return sliding_window_view(np.concatenate([col[:0:-1], col]), n)[::-1].copy()
+
+
 def healthy_collocation_matrix(n):
     """Node-value matrix of the healthy-disk current map on ``n`` nodes: the
     circulant of symbol ``|m|`` for ``|m| < n/2``, zero at the Nyquist mode."""
     m = np.arange(n // 2 + 1)
-    return la.toeplitz(np.fft.irfft(np.where(2 * m < n, m, 0), n))
+    return circulant(np.where(2 * m < n, m, 0), n)
 
 
 def healthy_fourier_matrix(modes):

@@ -282,24 +282,20 @@ def fourier_analyze(samples, order):
     ``c_n = (1/2pi) \\int f(phi) exp(-i n phi) dphi`` which for equally
     spaced nodes is the discrete Fourier transform divided by the sample
     count.  Exact for trigonometric polynomials of degree <= order when at
-    least ``2*order+1`` samples are supplied.  Real input is analyzed with
-    the real transform so the output is conjugate-symmetric exactly.
+    least ``2*order+1`` samples are supplied.  The samples must be real; the
+    real transform makes the output conjugate-symmetric exactly.
     """
     s = np.asarray(samples)
+    if np.iscomplexobj(s):
+        raise ValueError("Fourier analysis takes real samples, not complex ones")
     n = s.shape[0]
     if n < 2 * order + 1:
         raise InsufficientSamples(
             f"{n} samples cannot resolve order {order}; need at least {2 * order + 1}")
     out = np.zeros(2 * order + 1, dtype=complex)
-    if np.isrealobj(s):
-        pos = np.fft.rfft(s) / n
-        top = min(order, n // 2)
-        out[order:order + top + 1] = pos[:top + 1]
-        out[:order] = np.conj(out[order + 1:])[::-1]
-    else:
-        full = np.fft.fft(s) / n
-        for k in range(-order, order + 1):
-            out[k + order] = full[k % n]
+    top = min(order, n // 2)
+    out[order:order + top + 1] = (np.fft.rfft(s) / n)[:top + 1]
+    out[:order] = np.conj(out[order + 1:])[::-1]
     return FourierData(out, order)
 
 

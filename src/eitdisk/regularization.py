@@ -287,12 +287,15 @@ def perturb_matrix(a, delta, seed):
 
 def perturb_vector(g, delta, seed):
     """Entrywise multiplicative noise ``g (1 + delta e)`` with recentered
-    uniform[-1, 1] entries."""
+    uniform[-1, 1] entries.  Column ``k`` of an ``(n, K)`` matrix draws from
+    seed ``(seed, k)``, as a call on that column alone would."""
     g = np.asarray(g)
     if delta < 0:
         raise ValueError("noise level must be nonnegative")
     if delta == 0:
         return g.copy()
+    if g.ndim == 2:
+        return np.column_stack([perturb_vector(c, delta, (seed, k)) for k, c in enumerate(g.T)])
     rng = np.random.Generator(np.random.Philox(seed))
     e = rng.uniform(-1.0, 1.0, size=g.shape)
     e -= e.mean()

@@ -350,6 +350,8 @@ def fit_trig_curve(points, degree, smoothing=0.0) -> BoundaryCurve:
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("points must have shape (k, 2)")
+    if degree < 1:
+        raise ValueError(f"fit degree must be 1 or more, not {degree}")
     if len(pts) < 2 * degree + 1:
         raise ValueError(f"{len(pts)} points cannot determine degree {degree}")
     if smoothing < 0:

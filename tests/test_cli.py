@@ -98,6 +98,32 @@ def test_extract_empty_level_set_fails(tmp_path, circle_file):
     assert rc != 0
 
 
+@pytest.mark.parametrize("args, named", [
+    (["--inner-nodes", "0"], "not 0"),
+    (["--basis", "collocation:0"], "--basis collocation:0"),
+    (["--basis", "fourier:-3"], "--basis fourier:-3"),
+])
+def test_forward_rejects_a_mesh_or_basis_below_its_size(tmp_path, circle_file, capfd,
+                                                         args, named):
+    out = tmp_path / "dtn.json"
+    assert main(["forward", "--geometry", circle_file, *args, "--out", str(out)]) == 2
+    err = capfd.readouterr().err.splitlines()
+    assert len(err) == 1 and named in err[0], err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("degree", ["0", "-1"])
+def test_extract_rejects_a_degree_below_one(tmp_path, circle_file, capfd, degree):
+    dtn, ind, out = (str(tmp_path / name) for name in ("dtn.json", "w.csv", "c.json"))
+    assert main(["forward", "--geometry", circle_file, "--out", dtn]) == 0
+    assert main(["sample", "--data", dtn, "--grid", "41", "--reg", "tikhonov:0.001",
+                 "--out", ind]) == 0
+    capfd.readouterr()
+    assert main(["extract", "--indicator", ind, "--degree", degree, "--out", out]) == 2
+    err = capfd.readouterr().err.splitlines()
+    assert len(err) == 1 and f"not {degree}" in err[0], err
+
+
 def test_impedance_exact_geometry_constant_gamma(tmp_path, circle_file):
     out = str(tmp_path / "gamma.csv")
     rc = main(["impedance", "--geometry", circle_file, "--gamma", "2.0",

@@ -1,10 +1,54 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.linalg as la
 
+import eitdisk
 from eitdisk.annulus import AnnulusConfig, gap_coefficient, gap_operator
+from eitdisk.bie import kress_log_weights
 from eitdisk.dtn import (DtnOperator, gap_from_lambda0,
                          healthy_collocation_matrix, healthy_fourier_matrix,
                          to_real_trig_basis)
+
+
+class TestCirculantBuilds:
+    @pytest.mark.parametrize("n", [2, 8, 64, 512])
+    def test_bits_equal_scipy_toeplitz_of_the_symbol(self, n):
+        def toeplitz(symbol):
+            return la.toeplitz(np.fft.irfft(symbol, n))
+
+        m = np.arange(n // 2 + 1)
+        assert np.array_equal(healthy_collocation_matrix(n),
+                              toeplitz(np.where(2 * m < n, m, 0)))
+        assert np.array_equal(kress_log_weights(n),
+                              toeplitz(np.concatenate([[0.0], -2.0 * np.pi / m[1:]])))
+        if n >= 40:
+            cfg = AnnulusConfig(0.5, "impedance", gamma=2.0, order=19)
+            symbol = [gap_coefficient(cfg, k) for k in range(20)]
+            assert np.array_equal(gap_operator(cfg, n=n).matrix, toeplitz(symbol))
+
+    def test_only_the_lu_modules_import_scipy(self):
+        pkg = Path(eitdisk.__file__).parent
+        trees = {path.stem: ast.parse(path.read_text()) for path in pkg.glob("*.py")}
+
+        def imported(node):
+            if isinstance(node, ast.Import):
+                return [alias.name for alias in node.names]
+            return [node.module or ""] if isinstance(node, ast.ImportFrom) else []
+
+        def identifiers(tree):
+            return {getattr(node, "attr", None) or getattr(node, "id", None)
+                    or getattr(node, "name", None) for node in ast.walk(tree)}
+
+        importers = {stem for stem, tree in trees.items() for node in ast.walk(tree)
+                     if any(name.split(".")[0] == "scipy" for name in imported(node))}
+        assert importers == {"bie", "completion"}
+        assert not any("toeplitz" in identifiers(tree) for tree in trees.values())
+        la_users = {f.name for f in trees["bie"].body
+                    if isinstance(f, ast.FunctionDef) and "la" in identifiers(f)}
+        assert la_users == {"_factorize", "solve_forward"}
 
 
 class TestHealthyMatrices:

@@ -206,6 +206,12 @@ class TestFourier:
         with pytest.raises(InsufficientSamples):
             fourier_analyze(np.ones(8), 5)
 
+    @pytest.mark.parametrize("samples", [np.ones(16, dtype=complex), np.exp(1j * np.arange(16))])
+    def test_complex_samples_rejected(self, samples):
+        # numpy 1.x rfft would drop the imaginary part with only a warning
+        with pytest.raises(ValueError, match="real samples"):
+            fourier_analyze(samples, 5)
+
     def test_poisson_kernel_coefficients(self):
         # geometric expansion of the Poisson kernel checked by quadrature
         r, tz = 0.5, 0.0

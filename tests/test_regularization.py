@@ -408,6 +408,14 @@ class TestNoiseModels:
         y = perturb_matrix(a, 0.05, 123)
         assert np.array_equal(x, y)
 
+    @pytest.mark.parametrize("shape", [(8, 1), (8, 3), (64, 40)])
+    def test_matrix_column_k_draws_from_seed_and_k(self, shape):
+        g = np.random.default_rng(5).normal(size=shape)
+        want = np.column_stack([perturb_vector(g[:, k], 0.04, (11, k))
+                                for k in range(shape[1])])
+        assert np.array_equal(perturb_vector(g, 0.04, 11), want)
+        assert np.array_equal(perturb_vector(np.asfortranarray(g), 0.04, 11), want)
+
     def test_vector_recentering(self):
         g = np.linspace(1.0, 2.0, 64)
         e = perturb_vector(g, 0.5, 3) / g - 1.0
