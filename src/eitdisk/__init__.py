@@ -6,11 +6,9 @@ indicator, and recovers the boundary impedance coefficient through a
 boundary-integral data-completion scheme.
 """
 
-from .annulus import (AnnulusConfig, annulus_potential, disk_potential,
-                      dtn_disk, dtn_gap, gap_coefficient, gap_kernel,
-                      gap_operator, inner_flux_coefficient,
-                      inner_trace_coefficient, reflection_coefficient,
-                      truncation_error)
+from .annulus import (AnnulusConfig, gap_coefficient, gap_operator,
+                      inner_flux_coefficient, inner_trace_coefficient,
+                      reflection_coefficient, truncation_error)
 from .bie import (ForwardSolution, NystromMesh, double_layer, dtn_matrix,
                   modified_double_layer, normal_derivative, single_layer,
                   solve_forward)

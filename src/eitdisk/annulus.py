@@ -1,14 +1,15 @@
 """Exact series solutions for the unit disk with a concentric circular inclusion.
 
-Separation of variables gives closed forms for the electrostatic potential and
-the boundary current maps when the inclusion boundary is the circle of radius
-``rho`` inside the unit disk.  These series are the independent oracle against
-which every Nystrom computation in the package is checked.
+Separation of variables gives closed forms for the boundary current maps when
+the inclusion boundary is the circle of radius ``rho`` inside the unit disk.
+Their mode multipliers, and the operators :func:`gap_operator` assembles from
+them, are the independent oracle against which the Nystrom computations of the
+package are checked.
 
 For a boundary voltage with Fourier coefficients ``f_n`` the healthy-disk
 potential is ``f_0 + sum f_n r^|n| e^(i n t)`` and its boundary current
-multiplies each mode by ``|n|``.  With a grounded (Dirichlet) inclusion the
-annulus potential is
+multiplies each mode by ``|n|`` (``dtn.healthy_fourier_matrix``).  With a
+grounded (Dirichlet) inclusion the annulus potential is
 
     u0 = f_0 ln(rho/r)/ln(rho)
          + sum f_n (r^|n| - rho^(2|n|) r^(-|n|)) / (1 - rho^(2|n|)) e^(i n t)
@@ -42,20 +43,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dtn import DtnOperator, circulant
-from .exceptions import OutOfDomain
-from .geometry import FourierData
 
 __all__ = [
     "AnnulusConfig",
-    "disk_potential",
-    "annulus_potential",
-    "dtn_disk",
     "reflection_coefficient",
     "gap_coefficient",
-    "dtn_gap",
     "inner_trace_coefficient",
     "inner_flux_coefficient",
-    "gap_kernel",
     "truncation_error",
     "gap_operator",
 ]
@@ -80,54 +74,6 @@ class AnnulusConfig:
                 raise ValueError("impedance condition needs gamma >= 0")
         if self.order < 0:
             raise ValueError("order must be nonnegative")
-
-
-def disk_potential(f: FourierData, r, theta):
-    """Healthy-disk potential ``f_0 + sum f_n r^|n| e^(i n theta)``."""
-    r = np.asarray(r, dtype=float)
-    if np.any(r < 0) or np.any(r > 1):
-        raise OutOfDomain("disk potential requires 0 <= r <= 1")
-    radial = np.power.outer(r, np.abs(f.modes)).astype(complex)
-    phases = np.exp(1j * np.multiply.outer(np.asarray(theta, float), f.modes))
-    return np.real(np.sum(radial * phases * f.coeffs, axis=-1))
-
-
-def annulus_potential(cfg: AnnulusConfig, f: FourierData, r, theta):
-    """Annulus potential for the configured inclusion condition.
-
-    Matches ``f`` on the unit circle; vanishes on ``r = rho`` for the
-    Dirichlet condition, satisfies the Robin condition there for impedance.
-    """
-    r = np.asarray(r, dtype=float)
-    if np.any(r < cfg.rho - 1e-14) or np.any(r > 1 + 1e-14):
-        raise OutOfDomain("annulus potential requires rho <= r <= 1")
-    theta = np.asarray(theta, dtype=float)
-    out = np.zeros(np.broadcast(r, theta).shape, dtype=complex)
-    rho = cfg.rho
-    for n in f.modes:
-        cn = f.coefficient(n)
-        if cn == 0:
-            continue
-        a = abs(n)
-        if cfg.bc == "dirichlet":
-            if n == 0:
-                radial = np.log(rho / r) / np.log(rho)
-            else:
-                radial = (r**a - rho ** (2 * a) * r ** (-a)) / (1 - rho ** (2 * a))
-        else:
-            if n == 0:
-                s0 = reflection_coefficient(cfg, 0)
-                radial = 1 - s0 * np.log(r)
-            else:
-                sn = reflection_coefficient(cfg, n)
-                radial = (r**a + sn * rho ** (2 * a) * r ** (-a)) / (1 + sn * rho ** (2 * a))
-        out = out + cn * radial * np.exp(1j * n * theta)
-    return np.real(out)
-
-
-def dtn_disk(f: FourierData) -> FourierData:
-    """Healthy-disk current map: multiplies each coefficient by ``|n|``."""
-    return FourierData(np.abs(f.modes) * f.coeffs, f.order)
 
 
 def reflection_coefficient(cfg: AnnulusConfig, n, printed=False):
@@ -162,19 +108,6 @@ def gap_coefficient(cfg: AnnulusConfig, n):
     return 2.0 * a * sn * rho ** (2 * a) / (1.0 + sn * rho ** (2 * a))
 
 
-def dtn_gap(cfg: AnnulusConfig, f: FourierData) -> FourierData:
-    """Apply the truncated current-gap map to boundary data ``f``.
-
-    Modes beyond the configuration order are dropped, mirroring the series
-    truncation used in the experiments.
-    """
-    coeffs = np.zeros_like(f.coeffs)
-    for k, n in enumerate(f.modes):
-        if abs(n) <= cfg.order:
-            coeffs[k] = gap_coefficient(cfg, n) * f.coeffs[k]
-    return FourierData(coeffs, f.order)
-
-
 def inner_trace_coefficient(cfg: AnnulusConfig, n):
     """Mode-``n`` value of the annulus potential on the inclusion circle
     (per unit outer coefficient)."""
@@ -201,24 +134,6 @@ def inner_flux_coefficient(cfg: AnnulusConfig, n):
         return reflection_coefficient(cfg, 0) / rho
     sn = reflection_coefficient(cfg, n)
     return -(a / rho) * rho**a * (1.0 - sn) / (1.0 + sn * rho ** (2 * a))
-
-
-def gap_kernel(cfg: AnnulusConfig, theta, phi):
-    """Truncated integral kernel of the Dirichlet current-gap map.
-
-    ``K(theta, phi) = 1/(2 pi ln rho)
-    - (2/pi) sum_{1<=n<=order} n rho^(2n)/(1-rho^(2n)) cos(n (theta-phi))``;
-    the paired positive and negative exponential modes combine into the
-    factor-2 cosine sum.
-    """
-    if cfg.bc != "dirichlet":
-        raise ValueError("the closed-form kernel covers the Dirichlet condition")
-    dt = np.asarray(theta, dtype=float) - np.asarray(phi, dtype=float)
-    out = np.full(np.shape(dt), 1.0 / (2 * np.pi * np.log(cfg.rho)))
-    for n in range(1, cfg.order + 1):
-        c = n * cfg.rho ** (2 * n) / (1.0 - cfg.rho ** (2 * n))
-        out = out - (2.0 / np.pi) * c * np.cos(n * dt)
-    return out
 
 
 def truncation_error(cfg: AnnulusConfig, order_low, order_high):

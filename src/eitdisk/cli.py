@@ -134,15 +134,18 @@ def _meshes(curve, n_outer, n_inner):
 def cmd_forward(args):
     curve = _load_geometry(args.geometry)
     basis, order = _parse_basis(args.basis)
-    config = {"command": "forward", "geometry": curve.to_dict(),
-              "bc": args.bc, "gamma": args.gamma, "basis": args.basis,
-              "noise": args.noise, "seed": args.seed, "sim_nodes": args.sim_nodes}
     if basis == "fourier":
-        n_sim = max(args.sim_nodes, 2 * order + 2)
+        n_sim = max(32 if args.sim_nodes is None else args.sim_nodes, 2 * order + 2)
         modes = np.arange(-order, order + 1)
-    else:
+    elif args.sim_nodes in (None, order):
         n_sim = order
         modes = None
+    else:
+        raise ValueError(f"--basis {args.basis} simulates on its own {order} nodes, "
+                         f"not --sim-nodes {args.sim_nodes}")
+    config = {"command": "forward", "geometry": curve.to_dict(),
+              "bc": args.bc, "gamma": args.gamma, "basis": args.basis,
+              "noise": args.noise, "seed": args.seed, "sim_nodes": n_sim}
     outer, inner = _meshes(curve, n_sim, args.inner_nodes)
     gamma = _gamma_values(args.gamma, inner.theta) if args.bc == "impedance" else None
     noise = (args.noise, args.seed) if args.noise else None
@@ -206,7 +209,7 @@ def cmd_impedance(args):
     system = assemble_completion(outer64, inner64, model_error_factor=model_factor)
 
     drives = [(fn, k) for k in range(1, k_max + 1) for fn in (np.cos, np.sin)][:args.pairs]
-    flux = bie.solve_forward(outer, inner_true, args.bc,
+    flux = bie.solve_forward(outer, inner_true, "impedance",
                              np.column_stack([fn(k * outer.theta) for fn, k in drives]),
                              gamma_true).outer_flux()
     flux64 = np.real(bie.trig_resample(flux, outer64.theta))
@@ -215,7 +218,7 @@ def cmd_impedance(args):
     recon = recover_gamma_averaged(system, voltages, currents, reg,
                                    noise_level=args.noise, tol_rel=args.mask_tol)
     config = {"command": "impedance", "geometry": true_curve.to_dict(),
-              "bc": args.bc, "gamma": args.gamma, "curve": args.curve,
+              "bc": "impedance", "gamma": args.gamma, "curve": args.curve,
               "pairs": args.pairs, "noise": args.noise, "seed": args.seed,
               "reg": args.reg, "reg_noise": args.reg_noise, "mask_tol": args.mask_tol,
               "model_error_factor": args.model_error_factor,
@@ -250,8 +253,9 @@ def build_parser():
     p.add_argument("--gamma", default="2.0", help="impedance expression in theta")
     p.add_argument("--basis", default="collocation:64",
                    help="fourier:N or collocation:n")
-    p.add_argument("--sim-nodes", type=int, default=32,
-                   help="simulation nodes on the measurement circle")
+    p.add_argument("--sim-nodes", type=int, default=None,
+                   help="simulation nodes on the measurement circle: fourier:K "
+                        "uses max(this or 32, 2K + 2), collocation:N uses N")
     p.add_argument("--inner-nodes", type=int, default=32)
     p.add_argument("--noise", type=float, default=0.0,
                    help="multiplicative noise level on simulated currents")
@@ -281,7 +285,6 @@ def build_parser():
 
     p = sub.add_parser("impedance", help="recover the impedance coefficient")
     p.add_argument("--geometry", required=True, help="true inclusion geometry")
-    p.add_argument("--bc", choices=("impedance", "dirichlet"), default="impedance")
     p.add_argument("--gamma", default="2.0")
     p.add_argument("--curve", default=None,
                    help="fitted-curve JSON; defaults to the exact geometry")

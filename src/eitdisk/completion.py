@@ -84,10 +84,13 @@ def assemble_completion(outer, inner, model_error_factor=1.0):
 
     ``model_error_factor`` scales the noise level used by noise-tied
     regularization inside :func:`complete_cauchy`; set it above one when the
-    inclusion boundary is itself reconstructed and therefore uncertain.
-    Raises :class:`ValueError` when ``outer`` is not the unit circle or the
-    inner curve reaches it.
+    inclusion boundary is itself reconstructed and therefore uncertain; it
+    must be finite and positive.  Raises :class:`ValueError` when it is not,
+    when ``outer`` is not the unit circle or when the inner curve reaches it.
     """
+    if not 0 < model_error_factor < np.inf:
+        raise ValueError("model error factor must be finite and > 0, "
+                         f"not {model_error_factor}")
     _check_outer(outer)
     _check_inclusion(inner)
     n_m, n_i = outer.n, inner.n

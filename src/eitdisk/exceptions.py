@@ -13,10 +13,6 @@ class InsufficientSamples(EitDiskError):
     """Too few samples to resolve the requested Fourier order."""
 
 
-class OutOfDomain(EitDiskError):
-    """Evaluation point lies outside the annular solution domain."""
-
-
 class CoincidentPoints(EitDiskError):
     """Kernel evaluation requested at coincident source and target."""
 

@@ -86,7 +86,9 @@ class RegStrategy:
     carries either a relative threshold ``tau`` (measured against the largest
     singular value) or, when ``noise_level`` is set instead, an absolute
     threshold of ``safety`` times the expected noise magnitude of the data.
-    A noise-tied level must be positive: at zero the solve is unregularized.
+    A noise-tied level must be positive: at zero the solve is unregularized;
+    its safety factor must be at least 1.  Every constructor rejects NaN and
+    infinite values.
     """
 
     kind: str
@@ -97,29 +99,32 @@ class RegStrategy:
 
     @classmethod
     def tikhonov(cls, alpha):
-        if alpha <= 0:
-            raise ValueError("explicit alpha must be positive")
+        if not 0 < alpha < np.inf:
+            raise ValueError(f"explicit alpha must be positive and finite, not {alpha}")
         return cls("tikhonov", alpha=float(alpha))
 
     @classmethod
     def tikhonov_discrepancy(cls, noise_level, safety=1.5):
-        if noise_level <= 0:
-            raise ValueError("a noise-tied strategy needs a positive noise level")
-        if safety < 1:
-            raise ValueError("safety factor must be >= 1")
-        return cls("tikhonov", noise_level=float(noise_level), safety=float(safety))
+        return cls._noise_tied("tikhonov", noise_level, safety)
 
     @classmethod
     def spectral_cutoff(cls, tau):
         if not 0 < tau < 1:
-            raise ValueError("relative cutoff must lie in (0, 1)")
+            raise ValueError(f"relative cutoff must lie in (0, 1), not {tau}")
         return cls("cutoff", tau=float(tau))
 
     @classmethod
     def cutoff_by_noise(cls, noise_level, safety=2.0):
-        if noise_level <= 0:
-            raise ValueError("a noise-tied strategy needs a positive noise level")
-        return cls("cutoff", noise_level=float(noise_level), safety=float(safety))
+        return cls._noise_tied("cutoff", noise_level, safety)
+
+    @classmethod
+    def _noise_tied(cls, kind, noise_level, safety):
+        if not 0 < noise_level < np.inf:
+            raise ValueError("a noise-tied strategy needs a positive noise level "
+                             f"that is finite, not {noise_level}")
+        if not 1 <= safety < np.inf:
+            raise ValueError(f"safety factor must be finite and >= 1, not {safety}")
+        return cls(kind, noise_level=float(noise_level), safety=float(safety))
 
     @classmethod
     def none(cls):
@@ -267,6 +272,11 @@ def discrepancy_alpha(svd, b, delta_abs, safety=1.5):
     return info["alpha"]
 
 
+def _check_noise_level(delta):
+    if not 0 <= delta < np.inf:
+        raise ValueError(f"noise level must be finite and >= 0, not {delta}")
+
+
 def perturb_matrix(a, delta, seed):
     """Entrywise multiplicative noise ``A (1 + delta E)``.
 
@@ -274,8 +284,7 @@ def perturb_matrix(a, delta, seed):
     mean and scaled to unit spectral norm.  Deterministic for a fixed seed.
     """
     a = np.asarray(a)
-    if delta < 0:
-        raise ValueError("noise level must be nonnegative")
+    _check_noise_level(delta)
     if delta == 0:
         return a.copy()
     rng = np.random.Generator(np.random.Philox(seed))
@@ -290,8 +299,7 @@ def perturb_vector(g, delta, seed):
     uniform[-1, 1] entries.  Column ``k`` of an ``(n, K)`` matrix draws from
     seed ``(seed, k)``, as a call on that column alone would."""
     g = np.asarray(g)
-    if delta < 0:
-        raise ValueError("noise level must be nonnegative")
+    _check_noise_level(delta)
     if delta == 0:
         return g.copy()
     if g.ndim == 2:

@@ -1,93 +1,12 @@
 import numpy as np
 import pytest
 
-from eitdisk.annulus import (AnnulusConfig, annulus_potential, disk_potential,
-                             dtn_disk, dtn_gap, gap_coefficient, gap_kernel,
-                             gap_operator, inner_flux_coefficient,
-                             inner_trace_coefficient, reflection_coefficient,
-                             truncation_error)
-from eitdisk.exceptions import OutOfDomain
-from eitdisk.geometry import FourierData, fourier_analyze
-
-
-def mode(n, order=10, value=1.0):
-    return FourierData.from_dict({n: value}, order)
-
-
-class TestPotentials:
-    def test_disk_constant(self):
-        f = mode(0)
-        for r, t in [(0.0, 0.0), (0.5, 1.0), (1.0, 3.0)]:
-            assert abs(disk_potential(f, r, t) - 1.0) < 1e-15
-
-    def test_disk_first_mode(self):
-        f = FourierData.from_dict({1: 0.5, -1: 0.5}, 3)  # cos(theta)
-        assert abs(disk_potential(f, 0.5, 0.0) - 0.5) < 1e-15
-
-    def test_disk_second_mode(self):
-        f = FourierData.from_dict({2: 0.5, -2: 0.5}, 3)  # cos(2 theta)
-        assert abs(disk_potential(f, 0.7, np.pi / 2) - (-0.49)) < 1e-14
-
-    def test_dirichlet_vanishes_inside(self):
-        cfg = AnnulusConfig(0.5, "dirichlet")
-        f = mode(0)
-        assert abs(annulus_potential(cfg, f, 0.5, 0.3)) < 1e-14
-
-    def test_dirichlet_log_mode(self):
-        cfg = AnnulusConfig(0.5, "dirichlet")
-        got = annulus_potential(cfg, mode(0), 0.75, 0.0)
-        want = np.log(0.5 / 0.75) / np.log(0.5)
-        assert abs(got - want) < 1e-14
-        assert abs(want - 0.5849625007211562) < 1e-15
-
-    def test_outer_boundary_condition(self):
-        cfg = AnnulusConfig(0.5, "dirichlet")
-        f = FourierData.from_dict({1: 0.5, -1: 0.5}, 3)
-        assert abs(annulus_potential(cfg, f, 1.0, 0.0) - 1.0) < 1e-14
-
-    def test_dirichlet_trace_vanishes_random_data(self):
-        rng = np.random.Generator(np.random.Philox(5))
-        t = 2 * np.pi * np.arange(64) / 64
-        vals = sum(rng.normal() * np.cos(m * t) + rng.normal() * np.sin(m * t)
-                   for m in range(11))
-        f = fourier_analyze(vals, 10)
-        cfg = AnnulusConfig(0.5, "dirichlet", order=10)
-        theta = np.linspace(0, 2 * np.pi, 17)
-        assert np.max(np.abs(annulus_potential(cfg, f, 0.5, theta))) < 1e-10
-
-    def test_out_of_domain(self):
-        cfg = AnnulusConfig(0.5, "dirichlet")
-        with pytest.raises(OutOfDomain):
-            annulus_potential(cfg, mode(0), 0.3, 0.0)
-
-    def test_impedance_robin_condition_by_finite_differences(self):
-        # -du/dr + gamma u = 0 at r = rho, checked with Richardson-extrapolated
-        # central differences (outward-shifted so r stays in the annulus)
-        cfg = AnnulusConfig(0.5, "impedance", 2.0, order=8)
-        theta = np.linspace(0, 2 * np.pi, 9)
-        h = 1e-6
-        for n in range(0, 9):
-            f = mode(n, order=8)
-            u = annulus_potential(cfg, f, cfg.rho, theta)
-            d1 = (annulus_potential(cfg, f, cfg.rho + h, theta) - u) / h
-            d2 = (annulus_potential(cfg, f, cfg.rho + h / 2, theta) - u) / (h / 2)
-            du = 2 * d2 - d1   # Richardson removes the first-order term
-            assert np.max(np.abs(-du + cfg.gamma * u)) < 1e-9
+from eitdisk.annulus import (AnnulusConfig, gap_coefficient, gap_operator,
+                             inner_flux_coefficient, inner_trace_coefficient,
+                             reflection_coefficient, truncation_error)
 
 
 class TestDtnMaps:
-    def test_healthy_annihilates_constants(self):
-        out = dtn_disk(mode(0))
-        assert np.all(np.abs(out.coeffs) < 1e-15)
-
-    def test_healthy_positive_mode(self):
-        out = dtn_disk(mode(3))
-        assert abs(out.coefficient(3) - 3.0) < 1e-15
-
-    def test_healthy_uses_absolute_mode(self):
-        out = dtn_disk(mode(-2))
-        assert abs(out.coefficient(-2) - 2.0) < 1e-15
-
     def test_gap_constant_dirichlet(self):
         cfg = AnnulusConfig(0.5, "dirichlet")
         assert abs(gap_coefficient(cfg, 0) - 1 / np.log(0.5)) < 1e-15
@@ -99,12 +18,6 @@ class TestDtnMaps:
 
     def test_gap_vanishing_inclusion(self):
         assert abs(gap_coefficient(AnnulusConfig(1e-6, "dirichlet"), 1)) < 1e-11
-
-    def test_dtn_gap_truncates(self):
-        cfg = AnnulusConfig(0.5, "dirichlet", order=2)
-        out = dtn_gap(cfg, mode(5, order=6))
-        assert np.all(np.abs(out.coeffs) < 1e-15)
-
 
 class TestImpedanceCoefficients:
     def test_reflection_zero(self):
@@ -176,28 +89,6 @@ class TestImpedanceCoefficients:
 
 
 class TestKernelAndTruncation:
-    def test_kernel_constant_term(self):
-        cfg = AnnulusConfig(0.5, "dirichlet", order=0)
-        want = 1.0 / (2 * np.pi * np.log(0.5))
-        assert abs(gap_kernel(cfg, 1.0, 1.0) - want) < 1e-15
-        assert abs(want + 0.22961) < 1e-5
-
-    def test_kernel_symmetry(self):
-        cfg = AnnulusConfig(0.5, "dirichlet")
-        rng = np.random.Generator(np.random.Philox(3))
-        for _ in range(5):
-            a, b = rng.uniform(0, 2 * np.pi, 2)
-            assert abs(gap_kernel(cfg, a, b) - gap_kernel(cfg, b, a)) < 1e-14
-
-    def test_kernel_quadrature_reproduces_coefficients(self):
-        cfg = AnnulusConfig(0.5, "dirichlet", order=10)
-        n_quad = 4 * 40
-        phi = 2 * np.pi * np.arange(n_quad) / n_quad
-        for n in range(0, 6):
-            vals = gap_kernel(cfg, 0.0, phi) * np.exp(1j * n * phi)
-            got = vals.sum() * (2 * np.pi / n_quad)
-            assert abs(got - gap_coefficient(cfg, n)) < 1e-8
-
     def test_truncation_zero_width(self):
         cfg = AnnulusConfig(0.5, "dirichlet")
         assert truncation_error(cfg, 7, 7) == 0.0
@@ -224,6 +115,13 @@ class TestGapOperator:
         assert np.max(np.abs(off)) == 0.0
         idx = list(op.modes).index(1)
         assert abs(op.matrix[idx, idx] + 2.0 / 3.0) < 1e-15
+
+    def test_fourier_operator_truncates_at_the_order(self):
+        cfg = AnnulusConfig(0.5, "dirichlet", order=2)
+        modes = np.arange(-6, 7)
+        diag = np.diag(gap_operator(cfg, basis="fourier", modes=modes).matrix)
+        assert np.all(diag[np.abs(modes) > 2] == 0.0)
+        assert np.all(diag[np.abs(modes) <= 2] != 0.0)
 
     def test_collocation_applies_series(self):
         cfg = AnnulusConfig(0.5, "dirichlet")

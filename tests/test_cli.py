@@ -102,6 +102,7 @@ def test_extract_empty_level_set_fails(tmp_path, circle_file):
     (["--inner-nodes", "0"], "not 0"),
     (["--basis", "collocation:0"], "--basis collocation:0"),
     (["--basis", "fourier:-3"], "--basis fourier:-3"),
+    (["--basis", "collocation:64", "--sim-nodes", "16"], "not --sim-nodes 16"),
 ])
 def test_forward_rejects_a_mesh_or_basis_below_its_size(tmp_path, circle_file, capfd,
                                                          args, named):
@@ -439,3 +440,79 @@ def test_parse_reg_default_safety_factors_unchanged():
     # 2.0 for the noise-tied cutoff
     assert _parse_reg("tikhonov", 0.05).safety == 1.5
     assert _parse_reg("cutoff:noise", 0.05).safety == 2.0
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """The README circle and ellipse, the ellipse as a degree-one fitted curve,
+    and the README forward map of the circle."""
+    d = tmp_path_factory.mktemp("inputs")
+    (d / "circle.json").write_text(json.dumps({"kind": "circle", "center": [0, 0],
+                                               "radius": 0.5}))
+    (d / "ellipse.json").write_text(json.dumps({"kind": "ellipse", "a": 0.5, "b": 0.3}))
+    (d / "curve.json").write_text(json.dumps({"M": 1, "a": [[0.5], [0.0]],
+                                              "b": [[0.0], [0.3]], "smoothing": 0.0}))
+    assert main(["forward", "--geometry", str(d / "circle.json"), "--bc", "dirichlet",
+                 "--basis", "collocation:64", "--sim-nodes", "64",
+                 "--out", str(d / "dtn.json")]) == 0
+    return d
+
+
+def _sample(*args):
+    return ["sample", "--data", "{d}/dtn.json", "--grid", "21", *args]
+
+
+def _readme_impedance(*args):
+    return ["impedance", "--geometry", "{d}/ellipse.json", "--gamma", "2 - sin(theta)**4",
+            "--pairs", "16", "--noise", "0.04", "--mask-tol", "0.2", "--sim-nodes", "64",
+            *args]
+
+
+def _exits_2_naming(inputs, tmp_path, capfd, argv, named):
+    out = tmp_path / "out"
+    capfd.readouterr()
+    assert main([a.replace("{d}", str(inputs)) for a in argv] + ["--out", str(out)]) == 2
+    err = capfd.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and named in err[0], err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, named", [
+    (_sample("--reg", "tikhonov:nan"), "not nan"),
+    (_sample("--noise", "0.05", "--reg-noise", "nan", "--reg", "cutoff:noise:2"), "not nan"),
+    (_sample("--noise", "0.05", "--seed", "1", "--reg", "cutoff:noise:0"), "not 0.0"),
+    (_sample("--noise", "0.05", "--seed", "1", "--reg", "cutoff:noise:-2"), "not -2.0"),
+    (_readme_impedance("--reg", "cutoff:noise:-2"), "not -2.0"),
+], ids=["alpha-nan", "reg-noise-nan", "safety-0", "safety-neg", "impedance-safety-neg"])
+def test_reg_rejects_a_non_finite_value_or_a_safety_below_one(
+        inputs, tmp_path, capfd, argv, named):
+    _exits_2_naming(inputs, tmp_path, capfd, argv, named)
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["forward", "--geometry", "{d}/circle.json", "--noise", "nan"], "not nan"),
+    (_readme_impedance("--curve", "{d}/curve.json", "--model-error-factor", "0"), "not 0.0"),
+    (_readme_impedance("--curve", "{d}/curve.json", "--model-error-factor", "-1"), "not -1.0"),
+], ids=["forward-noise-nan", "factor-0", "factor-neg"])
+def test_noise_scales_must_be_finite_and_in_range(inputs, tmp_path, capfd, argv, named):
+    _exits_2_naming(inputs, tmp_path, capfd, argv, named)
+
+
+def test_impedance_has_no_bc_flag(inputs, tmp_path, capfd):
+    # the stage always simulates the impedance condition
+    out = tmp_path / "g.csv"
+    with pytest.raises(SystemExit) as exc:
+        main([a.replace("{d}", str(inputs)) for a in _readme_impedance(
+            "--bc", "dirichlet", "--out", str(out))])
+    assert exc.value.code == 2
+    err = [line for line in capfd.readouterr().err.splitlines() if "error:" in line]
+    assert len(err) == 1 and "--bc dirichlet" in err[0], err
+    assert not out.exists()
+
+
+def test_collocation_forward_simulates_on_its_own_node_count(inputs, tmp_path):
+    # the README forward without --sim-nodes writes the same bytes as with it
+    out = tmp_path / "dtn.json"
+    assert main(["forward", "--geometry", str(inputs / "circle.json"), "--bc", "dirichlet",
+                 "--basis", "collocation:64", "--out", str(out)]) == 0
+    assert out.read_bytes() == (inputs / "dtn.json").read_bytes()

@@ -138,6 +138,12 @@ class TestAssembly:
         with pytest.raises(ValueError, match="inside the unit measurement circle"):
             assemble_completion(outer_mesh(), inner_mesh(curve))
 
+    @pytest.mark.parametrize("factor", [0.0, -1.0, np.nan, np.inf])
+    def test_model_error_factor_must_be_finite_and_positive(self, factor):
+        with pytest.raises(ValueError, match=f"not {factor}"):
+            assemble_completion(outer_mesh(8), inner_mesh(BoundaryCurve.circle(radius=0.5), 8),
+                                model_error_factor=factor)
+
 
 class TestCompleteCauchy:
     def test_recovers_trace_noiseless(self):

@@ -164,10 +164,24 @@ class TestRegularizedSolve:
 
     @pytest.mark.parametrize("make", [RegStrategy.tikhonov_discrepancy,
                                       RegStrategy.cutoff_by_noise])
-    @pytest.mark.parametrize("level", [0.0, -0.01])
+    @pytest.mark.parametrize("level", [0.0, -0.01, np.nan, np.inf])
     def test_noise_tied_strategy_needs_a_positive_level(self, make, level):
         with pytest.raises(ValueError, match="positive noise level"):
             make(level)
+
+    @pytest.mark.parametrize("make, value", [
+        (RegStrategy.tikhonov, np.nan),
+        (RegStrategy.tikhonov, np.inf),
+        (RegStrategy.spectral_cutoff, np.nan),
+        (lambda safety: RegStrategy.tikhonov_discrepancy(0.05, safety), np.nan),
+        (lambda safety: RegStrategy.cutoff_by_noise(0.05, safety), np.nan),
+        (lambda safety: RegStrategy.cutoff_by_noise(0.05, safety), np.inf),
+        (lambda safety: RegStrategy.cutoff_by_noise(0.05, safety), 0.0),
+        (lambda safety: RegStrategy.cutoff_by_noise(0.05, safety), 0.5),
+    ])
+    def test_constructors_reject_non_finite_values_and_safety_below_one(self, make, value):
+        with pytest.raises(ValueError, match=f"not {value}"):
+            make(value)
 
 
 STRATEGIES = [
@@ -396,6 +410,12 @@ class TestNoiseModels:
         assert np.array_equal(perturb_matrix(a, 0.0, 1), a)
         g = np.arange(5.0)
         assert np.array_equal(perturb_vector(g, 0.0, 1), g)
+
+    @pytest.mark.parametrize("perturb", [perturb_matrix, perturb_vector])
+    @pytest.mark.parametrize("delta", [np.nan, np.inf, -0.01])
+    def test_noise_level_must_be_finite_and_nonnegative(self, perturb, delta):
+        with pytest.raises(ValueError, match=f"not {delta}"):
+            perturb(np.ones((4, 3)), delta, 0)
 
     def test_unit_spectral_norm(self):
         a, _ = random_system(32, 16)
