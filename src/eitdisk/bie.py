@@ -100,8 +100,6 @@ class NystromMesh:
         object.__setattr__(self, "jacobians", self.curve.jacobian(t))
         object.__setattr__(self, "normals", self.curve.normal(t))
         object.__setattr__(self, "curvature", self.curve.curvature(t))
-        if np.any(self.jacobians <= 0):
-            raise ValueError("mesh Jacobian must be positive at every node")
 
     @property
     def weight(self):

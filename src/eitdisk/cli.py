@@ -76,7 +76,7 @@ def _gamma_values(expr, theta):
 
     Only numbers, ``theta``, ``pi``, arithmetic operators and calls of the
     functions in ``_GAMMA_NAMESPACE`` are accepted; anything else raises
-    :class:`ValueError`.  Non-finite values are rejected by the solver.
+    :class:`ValueError`, and so do values that are not finite and >= 0.
     """
     try:
         tree = ast.parse(expr, mode="eval")
@@ -85,8 +85,8 @@ def _gamma_values(expr, theta):
     with np.errstate(all="ignore"):
         values = _evaluate(tree.body, theta)
     values = np.broadcast_to(np.asarray(values, dtype=float), theta.shape).copy()
-    if np.any(values < 0):
-        raise ValueError("impedance expression must be nonnegative")
+    if not np.all((values >= 0) & (values < np.inf)):
+        raise ValueError(f"--gamma {expr!r} must be finite and >= 0 at every node")
     return values
 
 
@@ -105,6 +105,16 @@ def _parse_basis(text):
             raise ValueError(f"--basis {text}: collocation needs 2 or more nodes")
         return "collocation", nodes
     raise ValueError(f"unknown basis {text!r}")
+
+
+def _reg_noise(args):
+    """The regularizer's noise level: ``--reg-noise``, finite and >= 0, or
+    else ``--noise``."""
+    if args.reg_noise is None:
+        return args.noise
+    if not 0 <= args.reg_noise < np.inf:
+        raise ValueError(f"--reg-noise must be finite and >= 0, not {args.reg_noise}")
+    return args.reg_noise
 
 
 def _parse_reg(text, noise_level):
@@ -147,17 +157,18 @@ def cmd_forward(args):
               "bc": args.bc, "gamma": args.gamma, "basis": args.basis,
               "noise": args.noise, "seed": args.seed, "sim_nodes": n_sim}
     outer, inner = _meshes(curve, n_sim, args.inner_nodes)
-    gamma = _gamma_values(args.gamma, inner.theta) if args.bc == "impedance" else None
+    # parsed for either condition, so a bad --gamma never passes silently
+    gamma = _gamma_values(args.gamma, inner.theta)
     noise = (args.noise, args.seed) if args.noise else None
-    lam = bie.dtn_matrix(outer, inner, args.bc, gamma, basis=basis,
-                         modes=modes, flux_noise=noise)
+    lam = bie.dtn_matrix(outer, inner, args.bc, gamma if args.bc == "impedance" else None,
+                         basis=basis, modes=modes, flux_noise=noise)
     write_dtn(args.out, lam, config, {"kind": curve.kind, "n": inner.n}, {"kind": args.bc})
     print(f"wrote {args.out} (config {config_hash(config)})")
 
 
 def cmd_sample(args):
     gap = gap_from_lambda0(read_dtn(args.data))
-    reg = _parse_reg(args.reg, args.reg_noise if args.reg_noise is not None else args.noise)
+    reg = _parse_reg(args.reg, _reg_noise(args))
     grid = GridSpec.square(args.grid)
     noise = (args.noise, args.seed) if args.noise else None
     result = scan(gap, grid, reg, noise=noise)
@@ -193,6 +204,9 @@ def cmd_impedance(args):
         if n < 2 * k_max + 2:
             raise ValueError(f"--pairs {args.pairs} drives order {k_max}, "
                              f"which needs {flag} {2 * k_max + 2} or more")
+    if not 0 < args.model_error_factor < np.inf:
+        raise ValueError("--model-error-factor must be finite and > 0, "
+                         f"not {args.model_error_factor}")
     true_curve = _load_geometry(args.geometry)
     outer, inner_true = _meshes(true_curve, args.sim_nodes, args.sim_nodes)
     gamma_true = _gamma_values(args.gamma, inner_true.theta)
@@ -205,7 +219,7 @@ def cmd_impedance(args):
     outer64, inner64 = _meshes(recon_curve, args.nodes, args.nodes)
     # a fitted curve outside the unit circle is reported before a bad --reg
     bie._check_inclusion(inner64)
-    reg = _parse_reg(args.reg, args.reg_noise if args.reg_noise is not None else args.noise)
+    reg = _parse_reg(args.reg, _reg_noise(args))
     system = assemble_completion(outer64, inner64, model_error_factor=model_factor)
 
     drives = [(fn, k) for k in range(1, k_max + 1) for fn in (np.cos, np.sin)][:args.pairs]

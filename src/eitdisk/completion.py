@@ -187,6 +187,8 @@ def recover_gamma_pointwise(traces, currents, theta, tol_rel=0.05):
     node are taken over its unmasked quotients.  Raises :class:`AllMasked`
     when every pair was skipped, every trace is zero or every node is masked.
     """
+    if not 0 <= tol_rel < 1:
+        raise ValueError(f"mask tolerance must lie in [0, 1), not {tol_rel}")
     traces = np.atleast_2d(np.asarray(traces, dtype=float))
     currents = np.atleast_2d(np.asarray(currents, dtype=float))
     finite = ~np.isnan(traces)

@@ -2,11 +2,13 @@
 
 Every boundary in the package is a counterclockwise closed curve
 ``x(theta) = (x1(theta), x2(theta))`` on ``[0, 2pi)``.  Four families are
-supported: circles, origin-centered ellipses, a fixed rational-trigonometric
-"cardioid" test shape, and general trigonometric-polynomial curves (the output
-of the curve-fitting step), the last three sharing one trigonometric form.
-The curve object exposes the position, the first two parameter derivatives,
-the Jacobian ``|x'(theta)|``, unit normals and its JSON description.
+supported: circles, origin-centered ellipses, a fixed non-convex "cardioid"
+test shape, and general trigonometric-polynomial curves (the output of the
+curve-fitting step).  All four share one trigonometric form and one
+evaluation path; the family picks the JSON description, and a circle's also
+lets :mod:`eitdisk.bie` use its closed-form blocks.  The curve object
+exposes the position, the first two parameter derivatives, the Jacobian
+``|x'(theta)|``, unit normals and its JSON description.
 
 Normal conventions
 ------------------
@@ -48,19 +50,19 @@ def _number(value, key):
 class BoundaryCurve:
     """A closed counterclockwise curve of one of the supported kinds.
 
-    Every kind but the cardioid (the fixed test shape) is the polynomial
+    Every kind is the polynomial
     ``center + sum_m cos_coef[:, m-1] cos(m theta) + sin_coef[:, m-1] sin(m theta)``
     with ``(2, M)`` coefficient arrays, row ``p`` for coordinate ``p``.  A
     ``circle`` has ``cos_coef = [[r], [0]]`` and ``sin_coef = [[0], [r]]``, an
-    ``ellipse`` ``[[a], [0]]`` and ``[[0], [b]]`` about the origin, and a
-    ``trig`` curve any degree about the origin.  ``kind`` names the family
-    :meth:`to_dict` writes.
+    ``ellipse`` ``[[a], [0]]`` and ``[[0], [b]]`` about the origin, the
+    ``cardioid`` degree 40 about its own centre, and a ``trig`` curve any
+    degree about the origin.  ``kind`` names the family :meth:`to_dict` writes.
     """
 
     kind: str
-    center: tuple = (0.0, 0.0)
-    cos_coef: np.ndarray | None = field(default=None, repr=False)
-    sin_coef: np.ndarray | None = field(default=None, repr=False)
+    center: tuple
+    cos_coef: np.ndarray = field(repr=False)
+    sin_coef: np.ndarray = field(repr=False)
 
     @classmethod
     def circle(cls, center=(0.0, 0.0), radius=1.0):
@@ -78,7 +80,15 @@ class BoundaryCurve:
 
     @classmethod
     def cardioid(cls):
-        return cls("cardioid")
+        """The test shape ``r = (0.35 + 0.3 cos t + 0.05 sin 2t) / (1 + 0.7 cos t)``
+        as its degree-40 trigonometric interpolant from 128 samples.  The
+        shape is analytic, so the interpolant reproduces it to rounding."""
+        t = 2.0 * np.pi * np.arange(128) / 128
+        r = (0.35 + 0.3 * np.cos(t) + 0.05 * np.sin(2 * t)) / (1.0 + 0.7 * np.cos(t))
+        c = np.stack([fourier_analyze(r * np.cos(t), 40).coeffs,
+                      fourier_analyze(r * np.sin(t), 40).coeffs])
+        return cls("cardioid", (float(c[0, 40].real), float(c[1, 40].real)),
+                   2.0 * c[:, 41:].real, -2.0 * c[:, 41:].imag)
 
     @classmethod
     def trig(cls, cos_coef, sin_coef):
@@ -132,51 +142,21 @@ class BoundaryCurve:
             raise ValueError(f"geometry description has no key {exc.args[0]!r}") from None
         raise ValueError(f"unknown geometry kind {kind!r}")
 
-    # -- radial profile of the cardioid test shape ---------------------------
-    @staticmethod
-    def _cardioid_radius(theta):
-        p = 0.35 + 0.3 * np.cos(theta) + 0.05 * np.sin(2 * theta)
-        q = 1.0 + 0.7 * np.cos(theta)
-        pd = -0.3 * np.sin(theta) + 0.1 * np.cos(2 * theta)
-        qd = -0.7 * np.sin(theta)
-        pdd = -0.3 * np.cos(theta) - 0.2 * np.sin(2 * theta)
-        qdd = -0.7 * np.cos(theta)
-        r = p / q
-        rd = (pd * q - p * qd) / q**2
-        rdd = (pdd * q - p * qdd) / q**2 - 2 * qd * rd / q
-        return r, rd, rdd
-
     def point(self, theta):
         """Position ``x(theta)``; vectorized, returns shape ``theta.shape + (2,)``."""
-        theta = np.asarray(theta, dtype=float)
-        if self.kind == "cardioid":
-            r, _, _ = self._cardioid_radius(theta)
-            return np.stack([r * np.cos(theta), r * np.sin(theta)], axis=-1)
         return np.add(self.center, self._trig_eval(theta, order=0))
 
     def velocity(self, theta):
         """First parameter derivative ``x'(theta)``."""
-        theta = np.asarray(theta, dtype=float)
-        if self.kind == "cardioid":
-            r, rd, _ = self._cardioid_radius(theta)
-            return np.stack(
-                [rd * np.cos(theta) - r * np.sin(theta),
-                 rd * np.sin(theta) + r * np.cos(theta)], axis=-1)
         return self._trig_eval(theta, order=1)
 
     def acceleration(self, theta):
         """Second parameter derivative ``x''(theta)``."""
-        theta = np.asarray(theta, dtype=float)
-        if self.kind == "cardioid":
-            r, rd, rdd = self._cardioid_radius(theta)
-            return np.stack(
-                [(rdd - r) * np.cos(theta) - 2 * rd * np.sin(theta),
-                 (rdd - r) * np.sin(theta) + 2 * rd * np.cos(theta)], axis=-1)
         return self._trig_eval(theta, order=2)
 
     def _trig_eval(self, theta, order):
         m = np.arange(1, self.cos_coef.shape[1] + 1, dtype=float)
-        mt = np.multiply.outer(theta, m)
+        mt = np.multiply.outer(np.asarray(theta, dtype=float), m)
         c, s = np.cos(mt), np.sin(mt)
         if order == 0:
             bc, bs = c, s

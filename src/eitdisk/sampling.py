@@ -216,15 +216,18 @@ def scan(gap: DtnOperator, grid: GridSpec, reg: RegStrategy,
     exactly.  The points go through the regularization kernel in blocks of
     ``_CHUNK`` columns, so memory stays bounded on fine grids; other block
     sizes agree to rounding.  Each block is filtered on one thread per usable
-    CPU, and the result is the same bit for bit on any number of CPUs.
+    CPU, and the result is the same bit for bit on any number of CPUs.  A
+    grid with no point within ``RADIUS_MASK`` raises :class:`ValueError`.
     """
+    pts = grid.points()
+    inside = np.hypot(pts[:, 0], pts[:, 1]) <= RADIUS_MASK
+    if not inside.any():
+        raise ValueError(f"no point of the {grid.nx}x{grid.ny} grid lies within "
+                         f"the mask radius {RADIUS_MASK}")
     matrix = gap.matrix
     if noise is not None:
         matrix = perturb_matrix(matrix, *noise)
     svd = SvdFactorization.from_matrix(matrix)
-
-    pts = grid.points()
-    inside = np.hypot(pts[:, 0], pts[:, 1]) <= RADIUS_MASK
     w_flat = np.full(len(pts), np.nan)
     w_flat[inside] = _indicator_values(svd, gap, pts[inside], reg)
     values = w_flat.reshape(grid.ny, grid.nx)
@@ -354,8 +357,8 @@ def fit_trig_curve(points, degree, smoothing=0.0) -> BoundaryCurve:
         raise ValueError(f"fit degree must be 1 or more, not {degree}")
     if len(pts) < 2 * degree + 1:
         raise ValueError(f"{len(pts)} points cannot determine degree {degree}")
-    if smoothing < 0:
-        raise ValueError("smoothing weight must be nonnegative")
+    if not 0 <= smoothing < np.inf:
+        raise ValueError(f"smoothing weight must be finite and >= 0, not {smoothing}")
     ang = np.arctan2(pts[:, 1], pts[:, 0])
     m = np.arange(1, degree + 1)
     design = np.concatenate([np.cos(np.outer(ang, m)), np.sin(np.outer(ang, m))], axis=1)

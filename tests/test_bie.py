@@ -12,7 +12,7 @@ from eitdisk.bie import (NystromMesh, double_layer, dtn_matrix,
                          single_layer, solve_forward)
 from eitdisk.dtn import (gap_from_lambda0, healthy_collocation_matrix,
                          to_real_trig_basis)
-from eitdisk.exceptions import CoincidentPoints, SingularSystem
+from eitdisk.exceptions import CoincidentPoints, DegenerateTangent, SingularSystem
 from eitdisk.geometry import BoundaryCurve
 from eitdisk.regularization import perturb_vector
 
@@ -23,6 +23,14 @@ def unit_mesh(n=64):
 
 def inner_circle(n, rho):
     return NystromMesh(BoundaryCurve.circle(radius=rho), n)
+
+
+class TestMesh:
+    def test_cusp_at_a_node_raises_degenerate_tangent(self):
+        # x = 0.2 e^{it} - 0.1 e^{2it} has x'(0) = 0, and theta = 0 is a node
+        cusp = BoundaryCurve.trig([[0.2, -0.1], [0.0, 0.0]], [[0.0, 0.0], [0.2, -0.1]])
+        with pytest.raises(DegenerateTangent):
+            NystromMesh(cusp, 8)
 
 
 class TestCoincidentPoints:

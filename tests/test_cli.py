@@ -383,9 +383,14 @@ def test_gamma_expression_whitelist(expr):
     assert np.array_equal(theta, THETA)
 
 
-@pytest.mark.parametrize("expr", ["sqrt(theta - 3)", "1/(theta-theta)"])
-def test_non_finite_gamma_exits_with_message(tmp_path, circle_file, capfd, expr):
-    rc = main(["forward", "--geometry", circle_file, "--bc", "impedance",
+@pytest.mark.parametrize("expr, bc", [
+    ("sqrt(theta - 3)", "impedance"), ("1/(theta-theta)", "impedance"),
+    # the Dirichlet condition ignores gamma, but a bad expression still fails
+    ("sqrt(theta - 3)", "dirichlet"), ("1/(theta-theta)", "dirichlet"),
+], ids=["sqrt(theta - 3)", "1/(theta-theta)", "sqrt(theta - 3)-dirichlet",
+        "1/(theta-theta)-dirichlet"])
+def test_non_finite_gamma_exits_with_message(tmp_path, circle_file, capfd, expr, bc):
+    rc = main(["forward", "--geometry", circle_file, "--bc", bc,
                "--gamma", expr, "--basis", "collocation:32",
                "--out", str(tmp_path / "dtn.json")])
     assert rc == 2
@@ -445,7 +450,7 @@ def test_parse_reg_default_safety_factors_unchanged():
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
     """The README circle and ellipse, the ellipse as a degree-one fitted curve,
-    and the README forward map of the circle."""
+    the README forward map of the circle and an indicator sampled from it."""
     d = tmp_path_factory.mktemp("inputs")
     (d / "circle.json").write_text(json.dumps({"kind": "circle", "center": [0, 0],
                                                "radius": 0.5}))
@@ -455,6 +460,8 @@ def inputs(tmp_path_factory):
     assert main(["forward", "--geometry", str(d / "circle.json"), "--bc", "dirichlet",
                  "--basis", "collocation:64", "--sim-nodes", "64",
                  "--out", str(d / "dtn.json")]) == 0
+    assert main(["sample", "--data", str(d / "dtn.json"), "--grid", "41",
+                 "--reg", "tikhonov:0.001", "--out", str(d / "w.csv")]) == 0
     return d
 
 
@@ -483,7 +490,11 @@ def _exits_2_naming(inputs, tmp_path, capfd, argv, named):
     (_sample("--noise", "0.05", "--seed", "1", "--reg", "cutoff:noise:0"), "not 0.0"),
     (_sample("--noise", "0.05", "--seed", "1", "--reg", "cutoff:noise:-2"), "not -2.0"),
     (_readme_impedance("--reg", "cutoff:noise:-2"), "not -2.0"),
-], ids=["alpha-nan", "reg-noise-nan", "safety-0", "safety-neg", "impedance-safety-neg"])
+    # a fixed cutoff ignores the noise level, which is still checked
+    (_sample("--reg", "cutoff:0.0001", "--reg-noise", "nan"), "--reg-noise must be finite and >= 0, not nan"),
+    (_sample("--reg", "cutoff:0.0001", "--reg-noise", "-3"), "not -3.0"),
+], ids=["alpha-nan", "reg-noise-nan", "safety-0", "safety-neg", "impedance-safety-neg",
+        "cutoff-reg-noise-nan", "cutoff-reg-noise-neg"])
 def test_reg_rejects_a_non_finite_value_or_a_safety_below_one(
         inputs, tmp_path, capfd, argv, named):
     _exits_2_naming(inputs, tmp_path, capfd, argv, named)
@@ -493,8 +504,26 @@ def test_reg_rejects_a_non_finite_value_or_a_safety_below_one(
     (["forward", "--geometry", "{d}/circle.json", "--noise", "nan"], "not nan"),
     (_readme_impedance("--curve", "{d}/curve.json", "--model-error-factor", "0"), "not 0.0"),
     (_readme_impedance("--curve", "{d}/curve.json", "--model-error-factor", "-1"), "not -1.0"),
-], ids=["forward-noise-nan", "factor-0", "factor-neg"])
+    # the exact geometry uses no model-error factor, but a bad one still fails
+    (_readme_impedance("--model-error-factor", "nan"), "--model-error-factor must be finite and > 0, not nan"),
+], ids=["forward-noise-nan", "factor-0", "factor-neg", "exact-factor-nan"])
 def test_noise_scales_must_be_finite_and_in_range(inputs, tmp_path, capfd, argv, named):
+    _exits_2_naming(inputs, tmp_path, capfd, argv, named)
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["forward", "--geometry", "{d}/circle.json", "--bc", "dirichlet", "--gamma", "nan"],
+     "'nan'"),
+    (["forward", "--geometry", "{d}/circle.json", "--bc", "dirichlet", "--gamma", "theta("],
+     "'theta('"),
+    (_readme_impedance("--mask-tol", "nan"), "mask tolerance must lie in [0, 1), not nan"),
+    (["extract", "--indicator", "{d}/w.csv", "--smoothing", "nan"],
+     "smoothing weight must be finite and >= 0, not nan"),
+    (_sample("--reg", "cutoff:0.0001", "--grid", "2"),
+     "2x2 grid lies within the mask radius 0.9"),
+], ids=["dirichlet-gamma-nan", "dirichlet-gamma-unparsed", "mask-tol-nan", "smoothing-nan",
+        "grid-outside-mask"])
+def test_bad_value_exits_2_naming_it(inputs, tmp_path, capfd, argv, named):
     _exits_2_naming(inputs, tmp_path, capfd, argv, named)
 
 

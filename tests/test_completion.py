@@ -231,6 +231,12 @@ class TestGammaPointwise:
         assert np.all(np.isnan(recon.average[near_zero]))
         assert np.allclose(recon.average[~near_zero], 2.0)
 
+    @pytest.mark.parametrize("tol_rel", [-0.1, 1.0, np.nan, np.inf])
+    def test_mask_tolerance_must_lie_in_the_unit_interval(self, tol_rel):
+        theta = 2 * np.pi * np.arange(8) / 8
+        with pytest.raises(ValueError, match=rf"\[0, 1\), not {tol_rel}"):
+            recover_gamma_pointwise(np.ones(8), -2.0 * np.ones(8), theta, tol_rel)
+
     def test_all_masked_raises(self):
         theta = np.arange(4.0)
         with pytest.raises(AllMasked):

@@ -125,6 +125,54 @@ class TestDegreeOneClosedForms:
         assert np.array_equal(c.point(0.7), [0.3 + 0.25 * np.cos(0.7), -0.2 + 0.25 * np.sin(0.7)])
 
 
+def cardioid_closed_form(theta):
+    """Position, velocity and acceleration of the rational test shape
+    ``r = (0.35 + 0.3 cos t + 0.05 sin 2t) / (1 + 0.7 cos t)`` in polar form,
+    with ``r'`` and ``r''`` by the quotient rule."""
+    c, s = np.cos(theta), np.sin(theta)
+    p = 0.35 + 0.3 * c + 0.05 * np.sin(2 * theta)
+    q = 1.0 + 0.7 * c
+    pd = -0.3 * s + 0.1 * np.cos(2 * theta)
+    qd = -0.7 * s
+    pdd = -0.3 * c - 0.2 * np.sin(2 * theta)
+    qdd = -0.7 * c
+    r = p / q
+    rd = (pd * q - p * qd) / q**2
+    rdd = (pdd * q - p * qdd) / q**2 - 2 * qd * rd / q
+    point = np.stack([r * c, r * s], axis=-1)
+    velocity = np.stack([rd * c - r * s, rd * s + r * c], axis=-1)
+    acceleration = np.stack([(rdd - r) * c - 2 * rd * s, (rdd - r) * s + 2 * rd * c], axis=-1)
+    return point, velocity, acceleration
+
+
+class TestCardioidCoefficients:
+    """The cardioid is stored as its degree-40 trigonometric interpolant; the
+    rational closed form is the oracle for every quantity the solver uses."""
+
+    t = np.linspace(0.0, 2 * np.pi, 1001)
+
+    def test_degree_and_centre(self):
+        c = BoundaryCurve.cardioid()
+        assert c.cos_coef.shape == c.sin_coef.shape == (2, 40)
+        assert np.allclose(c.center, (0.0449, -0.0119), atol=1e-4)
+
+    def test_derivatives_match_the_closed_form(self):
+        c = BoundaryCurve.cardioid()
+        point, velocity, acceleration = cardioid_closed_form(self.t)
+        assert np.abs(c.point(self.t) - point).max() <= 1e-15
+        assert np.abs(c.velocity(self.t) - velocity).max() <= 1e-13
+        assert np.abs(c.acceleration(self.t) - acceleration).max() <= 1e-11
+
+    def test_normal_and_curvature_match_the_closed_form(self):
+        c = BoundaryCurve.cardioid()
+        _, v, a = cardioid_closed_form(self.t)
+        j = np.sqrt((v**2).sum(axis=-1))
+        normal = np.stack([v[:, 1], -v[:, 0]], axis=-1) / j[:, None]
+        curvature = (v[:, 0] * a[:, 1] - v[:, 1] * a[:, 0]) / j**3
+        assert np.abs(c.normal(self.t) - normal).max() <= 1e-12
+        assert np.abs(c.curvature(self.t) - curvature).max() <= 1e-11 * np.abs(curvature).max()
+
+
 def chord_loop_verdict(curve, n):
     """Reference for :meth:`BoundaryCurve.validate`: the per-chord loop it
     replaced.  Returns the error message, or ``None`` for a valid curve."""

@@ -126,6 +126,11 @@ class TestScan:
         want = indicator(gap, (0.1, 0.0), reg)
         assert abs(out.values[0, 0] - want) < 1e-12
 
+    def test_grid_without_unmasked_points_rejected(self):
+        # all four corners of the default square lie beyond the mask radius
+        with pytest.raises(ValueError, match=r"2x2 grid lies within the mask radius 0\.9"):
+            scan(colloc_gap(), GridSpec.square(2), RegStrategy.tikhonov(1e-6))
+
     def test_unmasked_points_only(self):
         gap = colloc_gap()
         out = scan(gap, GridSpec.square(21), RegStrategy.tikhonov(1e-6))
@@ -518,6 +523,13 @@ class TestCurveFit:
     def test_too_few_points(self):
         with pytest.raises(ValueError):
             fit_trig_curve(np.ones((5, 2)), 7)
+
+    @pytest.mark.parametrize("smoothing", [-1.0, np.nan, np.inf])
+    def test_smoothing_must_be_finite_and_nonnegative(self, smoothing):
+        t = np.linspace(0, 2 * np.pi, 30, endpoint=False)
+        pts = 0.5 * np.column_stack([np.cos(t), np.sin(t)])
+        with pytest.raises(ValueError, match=f"not {smoothing}"):
+            fit_trig_curve(pts, 3, smoothing)
 
     def test_degenerate_fit_raises(self):
         # collinear points through the origin force a flat curve whose
