@@ -18,7 +18,7 @@ from .completion import (CompletionSystem, GammaReconstruction,
                          recover_gamma_pointwise)
 from .dtn import (DtnOperator, gap_from_lambda0, healthy_collocation_matrix,
                   healthy_fourier_matrix, to_real_trig_basis)
-from .geometry import BoundaryCurve, FourierData, fourier_analyze, fourier_eval
+from .geometry import BoundaryCurve, FourierData, fourier_analyze
 from .regularization import (RegStrategy, SvdFactorization, discrepancy_alpha,
                              expected_noise_norm, perturb_matrix, perturb_vector,
                              regularized_solve, tikhonov_solve)

@@ -71,7 +71,7 @@ log = logging.getLogger(__name__)
 _COND_LIMIT = 1e14
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NystromMesh:
     """Equally spaced quadrature nodes on a boundary curve.
 
@@ -272,7 +272,7 @@ def _hypersingular_maue(source):
     return (dmat @ w @ dmat) / source.jacobians[:, None]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ForwardSolution:
     """Densities of the simulation ansatz and derived boundary data.
 
@@ -433,7 +433,8 @@ def dtn_matrix(outer, inner, bc, gamma=None, basis="collocation",
     nodes (columns are responses to nodal hat data).  ``basis="fourier"``
     drives the solver with ``cos/sin`` of every ``|mode|`` and returns the
     coefficient-to-coefficient matrix over ``modes`` (one-sided ``0..N`` or
-    symmetric ``-N..N``); the outer mesh must resolve the largest driven mode.
+    symmetric ``-N..N``), which the caller must give; the outer mesh must
+    resolve the largest driven mode.
 
     ``flux_noise=(delta, seed)`` applies the multiplicative vector noise model
     to every simulated current column (the measured data) before assembly.
@@ -446,7 +447,7 @@ def dtn_matrix(outer, inner, bc, gamma=None, basis="collocation",
     if basis != "fourier":
         raise ValueError(f"unknown basis {basis!r}")
     if modes is None:
-        modes = np.arange(0, 20)
+        raise ValueError("the fourier basis needs a mode list")
     modes = np.asarray(modes, dtype=int)
     top = int(np.abs(modes).max())
     if outer.n < 2 * top + 2:

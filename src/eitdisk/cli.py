@@ -107,14 +107,20 @@ def _parse_basis(text):
     raise ValueError(f"unknown basis {text!r}")
 
 
+def _check_level(flag, value):
+    """``value`` of ``flag``; a value not finite and >= 0 raises
+    :class:`ValueError` naming both."""
+    if not 0 <= value < np.inf:
+        raise ValueError(f"{flag} must be finite and >= 0, not {value}")
+    return value
+
+
 def _reg_noise(args):
     """The regularizer's noise level: ``--reg-noise``, finite and >= 0, or
     else ``--noise``."""
     if args.reg_noise is None:
         return args.noise
-    if not 0 <= args.reg_noise < np.inf:
-        raise ValueError(f"--reg-noise must be finite and >= 0, not {args.reg_noise}")
-    return args.reg_noise
+    return _check_level("--reg-noise", args.reg_noise)
 
 
 def _parse_reg(text, noise_level):
@@ -142,6 +148,7 @@ def _meshes(curve, n_outer, n_inner):
 
 
 def cmd_forward(args):
+    _check_level("--noise", args.noise)
     curve = _load_geometry(args.geometry)
     basis, order = _parse_basis(args.basis)
     if basis == "fourier":
@@ -155,7 +162,8 @@ def cmd_forward(args):
                          f"not --sim-nodes {args.sim_nodes}")
     config = {"command": "forward", "geometry": curve.to_dict(),
               "bc": args.bc, "gamma": args.gamma, "basis": args.basis,
-              "noise": args.noise, "seed": args.seed, "sim_nodes": n_sim}
+              "noise": args.noise, "seed": args.seed, "sim_nodes": n_sim,
+              "inner_nodes": args.inner_nodes}
     outer, inner = _meshes(curve, n_sim, args.inner_nodes)
     # parsed for either condition, so a bad --gamma never passes silently
     gamma = _gamma_values(args.gamma, inner.theta)
@@ -183,11 +191,12 @@ def cmd_sample(args):
 def cmd_extract(args):
     grid = read_indicator(args.indicator)
     points = extract_level_set(grid, args.threshold_rel)
-    fitted = fit_trig_curve(points, args.degree, args.smoothing)
+    fitted = fit_trig_curve(points, args.degree)
+    # "smoothing" stays in the config so that its hash stays that of earlier versions
     config = {"command": "extract", "indicator": args.indicator,
               "threshold_rel": args.threshold_rel, "degree": args.degree,
-              "smoothing": args.smoothing}
-    write_curve(args.out, fitted, args.smoothing, config)
+              "smoothing": 0.0}
+    write_curve(args.out, fitted, config)
     radii = np.hypot(*fitted.point(np.linspace(0, 2 * np.pi, 64, endpoint=False)).T)
     print(f"wrote {args.out} (config {config_hash(config)}); "
           f"{len(points)} contour points, fitted radius "
@@ -207,6 +216,9 @@ def cmd_impedance(args):
     if not 0 < args.model_error_factor < np.inf:
         raise ValueError("--model-error-factor must be finite and > 0, "
                          f"not {args.model_error_factor}")
+    _check_level("--noise", args.noise)
+    if not 0 <= args.mask_tol < 1:
+        raise ValueError(f"--mask-tol: mask tolerance must lie in [0, 1), not {args.mask_tol}")
     true_curve = _load_geometry(args.geometry)
     outer, inner_true = _meshes(true_curve, args.sim_nodes, args.sim_nodes)
     gamma_true = _gamma_values(args.gamma, inner_true.theta)
@@ -245,7 +257,7 @@ def cmd_impedance(args):
 
 
 def cmd_verify(args):
-    results = verify.run_all(flip_sign=args.flip_kernel_sign)
+    results = verify.run_all()
     failed = 0
     for r in results:
         print(r.line())
@@ -293,7 +305,6 @@ def build_parser():
     p.add_argument("--indicator", required=True)
     p.add_argument("--threshold-rel", type=float, default=0.2)
     p.add_argument("--degree", type=int, default=7)
-    p.add_argument("--smoothing", type=float, default=0.0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_extract)
 
@@ -316,8 +327,6 @@ def build_parser():
     p.set_defaults(func=cmd_impedance)
 
     p = sub.add_parser("verify", help="run the cross-validation suites")
-    p.add_argument("--flip-kernel-sign", action="store_true",
-                   help="flip the double-layer sign to demonstrate suite sensitivity")
     p.set_defaults(func=cmd_verify)
     return parser
 

@@ -64,7 +64,7 @@ _COND_LIMIT = 1e8
 _RESIDUAL_GUARD = 10.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CompletionSystem:
     """Assembled data-completion operators for one geometry."""
 
@@ -162,7 +162,7 @@ def complete_cauchy(system, f, g, reg, noise_level=0.0):
     return trace, current, info
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GammaReconstruction:
     """Per-node impedance values for one or several Cauchy pairs."""
 

@@ -36,7 +36,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DtnOperator:
     """A dense voltage-to-current matrix in a declared basis; the geometry and
     boundary condition behind it are arguments of :func:`eitdisk.io.write_dtn`."""

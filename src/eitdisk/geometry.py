@@ -1,4 +1,4 @@
-"""Closed parametrized curves in the plane and 2pi-periodic Fourier utilities.
+"""Closed parametrized curves in the plane and 2pi-periodic Fourier analysis.
 
 Every boundary in the package is a counterclockwise closed curve
 ``x(theta) = (x1(theta), x2(theta))`` on ``[0, 2pi)``.  Four families are
@@ -17,6 +17,13 @@ counterclockwise convention every layer kernel uses.  On the measurement
 circle this is the physical current direction; on an inclusion the outward
 direction of the annular region is its negative, and the callers that need
 it flip the sign themselves.
+
+Fourier analysis
+----------------
+:func:`fourier_analyze` turns equally spaced real samples into the complex
+coefficients ``c_n``, ``|n| <= order``, of a :class:`FourierData`, and
+``coefficient(n)`` reads one; the cardioid takes its coefficients this way.
+Curves and coefficient sets hold arrays, so they compare and hash by identity.
 """
 
 from __future__ import annotations
@@ -32,7 +39,6 @@ __all__ = [
     "BoundaryCurve",
     "FourierData",
     "fourier_analyze",
-    "fourier_eval",
 ]
 
 _TANGENT_TOL = 1e-12
@@ -46,7 +52,7 @@ def _number(value, key):
     return float(value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundaryCurve:
     """A closed counterclockwise curve of one of the supported kinds.
 
@@ -218,7 +224,7 @@ class BoundaryCurve:
         return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FourierData:
     """Complex Fourier coefficients ``c_n`` for ``|n| <= order``.
 
@@ -234,20 +240,6 @@ class FourierData:
         if c.shape != (2 * self.order + 1,):
             raise ValueError("coefficient array must have length 2*order+1")
         object.__setattr__(self, "coeffs", c)
-
-    @classmethod
-    def from_dict(cls, entries, order):
-        """Build from a ``{n: value}`` mapping; unset modes are zero."""
-        c = np.zeros(2 * order + 1, dtype=complex)
-        for n, v in entries.items():
-            if abs(n) > order:
-                raise ValueError(f"mode {n} exceeds order {order}")
-            c[n + order] = v
-        return cls(c, order)
-
-    @property
-    def modes(self):
-        return np.arange(-self.order, self.order + 1)
 
     def coefficient(self, n):
         if abs(n) > self.order:
@@ -277,11 +269,3 @@ def fourier_analyze(samples, order):
     out[order:order + top + 1] = (np.fft.rfft(s) / n)[:top + 1]
     out[:order] = np.conj(out[order + 1:])[::-1]
     return FourierData(out, order)
-
-
-def fourier_eval(data, theta):
-    """Evaluate ``sum_n c_n exp(i n theta)``; vectorized in ``theta``."""
-    theta = np.asarray(theta, dtype=float)
-    phases = np.exp(1j * np.multiply.outer(theta, data.modes))
-    return phases @ data.coeffs
-

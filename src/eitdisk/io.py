@@ -129,13 +129,16 @@ def read_indicator(path):
     return IndicatorGrid(spec, values, mask)
 
 
-def write_curve(path, curve: BoundaryCurve, smoothing: float, config: dict):
-    """JSON of a fitted ``trig`` curve: degree ``M``, rows ``a``, ``b`` and ``smoothing``."""
+def write_curve(path, curve: BoundaryCurve, config: dict):
+    """JSON of a fitted ``trig`` curve: degree ``M`` and rows ``a``, ``b``.
+
+    The fit has no penalty, and the file keeps its ``"smoothing": 0.0`` key so
+    that its bytes stay those of earlier versions."""
     doc = {"config_hash": config_hash(config),
            "M": curve.cos_coef.shape[1],
            "a": curve.cos_coef.tolist(),
            "b": curve.sin_coef.tolist(),
-           "smoothing": smoothing}
+           "smoothing": 0.0}
     with open(path, "w") as fh:
         fh.write(json.dumps(doc))
 

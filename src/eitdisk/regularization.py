@@ -58,7 +58,7 @@ _COARSE_STEPS = 8
 _NEWTON_STEPS = 30  # cap on the Newton steps of a column
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SvdFactorization:
     """Thin SVD ``A = U diag(s) Vh`` with nonincreasing singular values."""
 

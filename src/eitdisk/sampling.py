@@ -82,7 +82,7 @@ class GridSpec:
             raise ValueError("grid resolution must be at least 2 per axis")
 
     @classmethod
-    def square(cls, n=101):
+    def square(cls, n):
         return cls(n, n)
 
     @property
@@ -99,7 +99,7 @@ class GridSpec:
         return np.column_stack([gx.ravel(), gy.ravel()])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IndicatorGrid:
     """Indicator values over a grid; masked points hold NaN."""
 
@@ -341,14 +341,13 @@ def extract_level_set(grid: IndicatorGrid, threshold_rel=0.2):
     return pts[np.argsort(ang)]
 
 
-def fit_trig_curve(points, degree, smoothing=0.0) -> BoundaryCurve:
+def fit_trig_curve(points, degree) -> BoundaryCurve:
     """Least-squares trigonometric fit of boundary points, as a ``trig`` curve.
 
     Each coordinate is expanded as ``sum_m a_m cos(m t) + b_m sin(m t)`` with
     ``t`` the polar angle of each point (the shape is assumed star-shaped
-    about the origin).  ``smoothing`` weights a diagonal penalty with entry
-    ``(1 + m^2)^2`` on degree-``m`` coefficients, the squared second-order
-    Sobolev seminorm of the fitted coordinate functions.
+    about the origin) and fitted by its own least-squares solve, without a
+    penalty.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
@@ -357,18 +356,14 @@ def fit_trig_curve(points, degree, smoothing=0.0) -> BoundaryCurve:
         raise ValueError(f"fit degree must be 1 or more, not {degree}")
     if len(pts) < 2 * degree + 1:
         raise ValueError(f"{len(pts)} points cannot determine degree {degree}")
-    if not 0 <= smoothing < np.inf:
-        raise ValueError(f"smoothing weight must be finite and >= 0, not {smoothing}")
     ang = np.arctan2(pts[:, 1], pts[:, 0])
     m = np.arange(1, degree + 1)
     design = np.concatenate([np.cos(np.outer(ang, m)), np.sin(np.outer(ang, m))], axis=1)
-    penalty = np.sqrt(smoothing) * np.diag(np.tile((1.0 + m**2) ** 2, 2) ** 0.5)
-    a_full = np.vstack([design, penalty])
     cos_coef = np.zeros((2, degree))
     sin_coef = np.zeros((2, degree))
+    # one solve per coordinate: a two-column solve rounds differently
     for p in range(2):
-        rhs = np.concatenate([pts[:, p], np.zeros(2 * degree)])
-        sol, *_ = np.linalg.lstsq(a_full, rhs, rcond=None)
+        sol, *_ = np.linalg.lstsq(design, pts[:, p], rcond=None)
         cos_coef[p] = sol[:degree]
         sin_coef[p] = sol[degree:]
     fitted = BoundaryCurve.trig(cos_coef, sin_coef)

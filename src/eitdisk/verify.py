@@ -4,6 +4,9 @@ Each suite checks one pillar of the numerical machinery against an
 independent route (closed-form series, normal equations, Gauss identities)
 and reports the measured error next to its tolerance.  The command-line
 ``verify`` subcommand runs them all and exits nonzero on any failure.
+The suites call the package's kernels themselves, so a fault there shows:
+a double layer of the wrong sign fails the Gauss, forward-solver and
+constant-mode suites.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ class SuiteResult:
         return out + (f" {self.detail}" if self.detail else "")
 
 
-def suite_forward_oracle(flip_sign=False):
+def suite_forward_oracle():
     """Nystrom currents against the concentric-circle series."""
     worst = 0.0
     outer = bie.NystromMesh(BoundaryCurve.circle(radius=1.0), 64)
@@ -46,8 +49,6 @@ def suite_forward_oracle(flip_sign=False):
                 f = np.cos(k * outer.theta)
                 sol = bie.solve_forward(outer, inner, bc, f, gvals)
                 flux = sol.outer_flux()
-                if flip_sign:
-                    flux = -flux
                 want = (k - annulus.gap_coefficient(cfg, k)) * f
                 err = np.linalg.norm(flux - want) / np.linalg.norm(want)
                 worst = max(worst, float(err))
@@ -72,14 +73,13 @@ def suite_tikhonov():
     return SuiteResult("tikhonov vs normal equations", worst < 1e-8, worst, 1e-8)
 
 
-def suite_gauss(flip_sign=False):
+def suite_gauss():
     """Interior, exterior and on-curve Gauss identities of the double layer."""
     mesh = bie.NystromMesh(BoundaryCurve.circle(radius=1.0), 64)
     ones = np.ones(64)
-    sign = -1.0 if flip_sign else 1.0
-    inside = sign * (bie.double_layer(mesh, np.array([[0.2, 0.1]])) @ ones)
-    outside = sign * (bie.double_layer(mesh, np.array([[5.0, 1.0]])) @ ones)
-    on_curve = sign * (bie.double_layer(mesh, mesh) @ ones)
+    inside = bie.double_layer(mesh, np.array([[0.2, 0.1]])) @ ones
+    outside = bie.double_layer(mesh, np.array([[5.0, 1.0]])) @ ones
+    on_curve = bie.double_layer(mesh, mesh) @ ones
     worst = max(float(abs(inside[0] + 2.0)), float(abs(outside[0])),
                 float(np.max(np.abs(on_curve + 1.0))))
     return SuiteResult("gauss identities", worst < 1e-10, worst, 1e-10)
@@ -117,10 +117,10 @@ def suite_sigma0():
                        err_derived, 1e-6, detail)
 
 
-def run_all(flip_sign=False):
+def run_all():
     return [
-        suite_gauss(flip_sign),
-        suite_forward_oracle(flip_sign),
+        suite_gauss(),
+        suite_forward_oracle(),
         suite_tikhonov(),
         suite_truncation(),
         suite_sigma0(),

@@ -456,6 +456,10 @@ class TestDtnMatrix:
         gap = gap_from_lambda0(lam)
         assert np.linalg.norm(gap.matrix @ np.ones(64)) > 1e-2
 
+    def test_fourier_needs_a_mode_list(self):
+        with pytest.raises(ValueError, match="mode list"):
+            dtn_matrix(unit_mesh(64), inner_circle(32, 0.5), "dirichlet", basis="fourier")
+
     def test_under_resolved_fourier_raises(self):
         outer, inner = unit_mesh(32), inner_circle(32, 0.5)
         with pytest.raises(ValueError):

@@ -1,8 +1,10 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from eitdisk import bie
 from eitdisk.cli import _gamma_values, _parse_reg, main
 from eitdisk.dtn import gap_from_lambda0
 from eitdisk.geometry import BoundaryCurve
@@ -228,15 +230,15 @@ B2 = [[0.0, -0.03], [0.5, 0.0]]
 
 def test_curve_file_bytes_of_a_degree_two_curve(tmp_path):
     path = tmp_path / "curve.json"
-    write_curve(path, BoundaryCurve.trig(A2, B2), 1e-3, {"command": "extract", "degree": 2})
+    write_curve(path, BoundaryCurve.trig(A2, B2), {"command": "extract", "degree": 2})
     assert path.read_text() == (
         '{"config_hash": "605f1a64ce3d5808", "M": 2, "a": [[0.5, 0.01], [0.0, 0.02]], '
-        '"b": [[0.0, -0.03], [0.5, 0.0]], "smoothing": 0.001}')
+        '"b": [[0.0, -0.03], [0.5, 0.0]], "smoothing": 0.0}')
 
 
 def test_curve_file_round_trip(tmp_path):
     path = tmp_path / "curve.json"
-    write_curve(path, BoundaryCurve.trig(A2, B2), 0.0, {})
+    write_curve(path, BoundaryCurve.trig(A2, B2), {})
     curve = read_curve(path)
     assert curve.kind == "trig"
     assert np.array_equal(curve.cos_coef, A2) and np.array_equal(curve.sin_coef, B2)
@@ -347,13 +349,19 @@ def test_impedance_zero_pairs_rejected(tmp_path, ellipse_file):
     assert rc != 0
 
 
-def test_verify_passes_and_flipped_sign_fails(capsys):
+def test_verify_passes_and_a_negated_double_layer_fails(capsys, monkeypatch):
     assert main(["verify"]) == 0
     out = capsys.readouterr().out
     assert "constant-mode impedance coefficient" in out
-    assert main(["verify", "--flip-kernel-sign"]) != 0
-    out = capsys.readouterr().out
-    assert "FAIL" in out
+    double_layer = bie.double_layer
+    monkeypatch.setattr(bie, "double_layer", lambda *args: -double_layer(*args))
+    assert main(["verify"]) != 0
+    failed = [line for line in capsys.readouterr().out.splitlines()
+              if line.startswith("[FAIL]")]
+    assert len(failed) == 3, failed
+    for name in ("gauss identities", "forward solver vs series",
+                 "constant-mode impedance coefficient"):
+        assert any(name in line for line in failed), failed
 
 
 THETA = 2 * np.pi * np.arange(32) / 32
@@ -449,8 +457,8 @@ def test_parse_reg_default_safety_factors_unchanged():
 
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
-    """The README circle and ellipse, the ellipse as a degree-one fitted curve,
-    the README forward map of the circle and an indicator sampled from it."""
+    """The README circle and ellipse, the ellipse as a degree-one fitted curve
+    and the README forward map of the circle."""
     d = tmp_path_factory.mktemp("inputs")
     (d / "circle.json").write_text(json.dumps({"kind": "circle", "center": [0, 0],
                                                "radius": 0.5}))
@@ -460,8 +468,6 @@ def inputs(tmp_path_factory):
     assert main(["forward", "--geometry", str(d / "circle.json"), "--bc", "dirichlet",
                  "--basis", "collocation:64", "--sim-nodes", "64",
                  "--out", str(d / "dtn.json")]) == 0
-    assert main(["sample", "--data", str(d / "dtn.json"), "--grid", "41",
-                 "--reg", "tikhonov:0.001", "--out", str(d / "w.csv")]) == 0
     return d
 
 
@@ -475,10 +481,16 @@ def _readme_impedance(*args):
             *args]
 
 
+def _no_solve(*args, **kwargs):
+    pytest.fail("a bad value reached the forward solver")
+
+
 def _exits_2_naming(inputs, tmp_path, capfd, argv, named):
     out = tmp_path / "out"
     capfd.readouterr()
-    assert main([a.replace("{d}", str(inputs)) for a in argv] + ["--out", str(out)]) == 2
+    # every bad value is caught before the first forward solve
+    with mock.patch.object(bie, "solve_forward", _no_solve):
+        assert main([a.replace("{d}", str(inputs)) for a in argv] + ["--out", str(out)]) == 2
     err = capfd.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and named in err[0], err
     assert not out.exists()
@@ -506,7 +518,11 @@ def test_reg_rejects_a_non_finite_value_or_a_safety_below_one(
     (_readme_impedance("--curve", "{d}/curve.json", "--model-error-factor", "-1"), "not -1.0"),
     # the exact geometry uses no model-error factor, but a bad one still fails
     (_readme_impedance("--model-error-factor", "nan"), "--model-error-factor must be finite and > 0, not nan"),
-], ids=["forward-noise-nan", "factor-0", "factor-neg", "exact-factor-nan"])
+    # a fixed cutoff does not read --noise, but the noise model does
+    (_readme_impedance("--noise", "nan", "--reg", "cutoff:0.0001"),
+     "--noise must be finite and >= 0, not nan"),
+], ids=["forward-noise-nan", "factor-0", "factor-neg", "exact-factor-nan",
+        "impedance-cutoff-noise-nan"])
 def test_noise_scales_must_be_finite_and_in_range(inputs, tmp_path, capfd, argv, named):
     _exits_2_naming(inputs, tmp_path, capfd, argv, named)
 
@@ -517,14 +533,26 @@ def test_noise_scales_must_be_finite_and_in_range(inputs, tmp_path, capfd, argv,
     (["forward", "--geometry", "{d}/circle.json", "--bc", "dirichlet", "--gamma", "theta("],
      "'theta('"),
     (_readme_impedance("--mask-tol", "nan"), "mask tolerance must lie in [0, 1), not nan"),
-    (["extract", "--indicator", "{d}/w.csv", "--smoothing", "nan"],
-     "smoothing weight must be finite and >= 0, not nan"),
     (_sample("--reg", "cutoff:0.0001", "--grid", "2"),
      "2x2 grid lies within the mask radius 0.9"),
-], ids=["dirichlet-gamma-nan", "dirichlet-gamma-unparsed", "mask-tol-nan", "smoothing-nan",
+], ids=["dirichlet-gamma-nan", "dirichlet-gamma-unparsed", "mask-tol-nan",
         "grid-outside-mask"])
 def test_bad_value_exits_2_naming_it(inputs, tmp_path, capfd, argv, named):
     _exits_2_naming(inputs, tmp_path, capfd, argv, named)
+
+
+def test_forward_config_hash_covers_inner_nodes(inputs, tmp_path):
+    # a different inclusion mesh writes a different map, so it hashes differently
+    hashes = set()
+    for n in (32, 64):
+        out = tmp_path / f"dtn{n}.json"
+        assert main(["forward", "--geometry", str(inputs / "circle.json"), "--bc", "dirichlet",
+                     "--basis", "collocation:64", "--inner-nodes", str(n),
+                     "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["config"]["inner_nodes"] == n
+        hashes.add(doc["config_hash"])
+    assert len(hashes) == 2
 
 
 def test_impedance_has_no_bc_flag(inputs, tmp_path, capfd):

@@ -4,8 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eitdisk.exceptions import InsufficientSamples
-from eitdisk.geometry import (BoundaryCurve, FourierData, fourier_analyze,
-                              fourier_eval)
+from eitdisk.geometry import BoundaryCurve, fourier_analyze
 
 
 class TestCurveEvaluation:
@@ -269,32 +268,30 @@ class TestFourier:
         for n in range(-5, 6):
             assert abs(d.coefficient(n) - 0.5 ** abs(n) / (2 * np.pi)) < 1e-12
 
-    def test_eval_constant(self):
-        d = FourierData.from_dict({0: 1.0}, 3)
-        assert abs(fourier_eval(d, 1.3) - 1.0) < 1e-15
-
-    def test_eval_cosine(self):
-        d = FourierData.from_dict({1: 0.5, -1: 0.5}, 2)
-        assert abs(fourier_eval(d, 0.0) - 1.0) < 1e-15
-
     def test_analyze_eval_roundtrip_value(self):
+        # sin 2t has b_2 = 1: c_2 = -i/2, c_-2 = i/2 and every other mode is zero
         t = 2 * np.pi * np.arange(32) / 32
         d = fourier_analyze(np.sin(2 * t), 5)
-        got = fourier_eval(d, np.pi / 3)
-        assert abs(got - np.sin(2 * np.pi / 3)) < 1e-12
-        assert abs(got.real - 0.8660254037844387) < 1e-12
+        want = {2: -0.5j, -2: 0.5j}
+        for n in range(-5, 6):
+            assert abs(d.coefficient(n) - want.get(n, 0.0)) < 1e-15
 
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.floats(-5, 5), min_size=9, max_size=9))
     def test_roundtrip_trig_polynomials(self, coeffs):
-        # degree-4 trig polynomial sampled at 16 nodes reproduces exactly
+        # a degree-4 trig polynomial sampled at 16 nodes has c_0 = a_0 and
+        # c_(+-m) = (a_m -+ i b_m) / 2, up to rounding
         t = 2 * np.pi * np.arange(16) / 16
         vals = coeffs[0] * np.ones_like(t)
         for m in range(1, 5):
             vals += coeffs[m] * np.cos(m * t) + coeffs[4 + m] * np.sin(m * t)
         d = fourier_analyze(vals, 4)
-        back = fourier_eval(d, t).real
-        assert np.max(np.abs(back - vals)) < 1e-12 * max(1.0, np.max(np.abs(vals)))
+        tol = 1e-12 * max(1.0, np.max(np.abs(vals)))
+        assert abs(d.coefficient(0) - coeffs[0]) < tol
+        for m in range(1, 5):
+            a, b = coeffs[m], coeffs[4 + m]
+            assert abs(d.coefficient(m) - (a - 1j * b) / 2) < tol
+            assert abs(d.coefficient(-m) - (a + 1j * b) / 2) < tol
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10**6))

@@ -1,5 +1,6 @@
 """Contract tests for file formats and cross-representation identities."""
 
+import copy
 import csv
 import io
 import json
@@ -10,10 +11,11 @@ import pytest
 from eitdisk.annulus import AnnulusConfig, inner_flux_coefficient
 from eitdisk.bie import NystromMesh, dtn_matrix, solve_forward, trig_resample
 from eitdisk.cli import main
-from eitdisk.completion import recover_gamma_lsq
+from eitdisk.completion import (assemble_completion, recover_gamma_lsq,
+                                recover_gamma_pointwise)
 from eitdisk.dtn import DtnOperator, gap_from_lambda0
 from eitdisk.exceptions import RankDeficientWarning, ResidualTooLarge
-from eitdisk.geometry import BoundaryCurve
+from eitdisk.geometry import BoundaryCurve, fourier_analyze
 from eitdisk.io import config_hash, read_dtn, read_indicator, write_dtn, write_indicator
 from eitdisk.regularization import RegStrategy, SvdFactorization
 from eitdisk.sampling import GridSpec, IndicatorGrid, poisson_kernel, scan
@@ -281,3 +283,32 @@ class TestCliFittedCurvePath:
         used = rows[:, 3] > 0
         assert used.sum() > 32
         assert 0.5 < np.nanmean(rows[used, 1]) < 3.0
+
+
+def _array_holders():
+    """One instance of every frozen dataclass that holds an array."""
+    outer = NystromMesh(BoundaryCurve.circle(radius=1.0), 16)
+    inner = NystromMesh(BoundaryCurve.circle(radius=0.5), 16)
+    theta = outer.theta
+    return [outer.curve, outer,
+            solve_forward(outer, inner, "dirichlet", np.cos(theta)),
+            DtnOperator("collocation", np.eye(2)),
+            SvdFactorization.from_matrix(np.eye(2)),
+            fourier_analyze(np.cos(theta), 2),
+            IndicatorGrid(GridSpec.square(3), np.zeros((3, 3)), np.ones((3, 3), bool)),
+            assemble_completion(outer, inner),
+            recover_gamma_pointwise(np.cos(theta), -2.0 * np.cos(theta), theta)]
+
+
+class TestDataclassEquality:
+    @pytest.mark.parametrize("obj", _array_holders(), ids=lambda obj: type(obj).__name__)
+    def test_array_holders_compare_and_hash_by_identity(self, obj):
+        twin = copy.copy(obj)
+        assert obj == obj and obj != twin
+        assert hash(obj) == hash(obj) and len({obj, twin}) == 2
+
+    def test_scalar_holders_compare_by_value(self):
+        assert GridSpec.square(5) == GridSpec.square(5) != GridSpec.square(7)
+        assert hash(GridSpec.square(5)) == hash(GridSpec.square(5))
+        assert RegStrategy.tikhonov(1e-3) == RegStrategy.tikhonov(1e-3)
+        assert AnnulusConfig(0.5, "dirichlet") == AnnulusConfig(0.5, "dirichlet")

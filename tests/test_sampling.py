@@ -505,31 +505,9 @@ class TestCurveFit:
         assert e11 < e7 / 5
         assert e19 < 1e-6
 
-    def test_smoothing_reduces_roughness(self):
-        rng = np.random.Generator(np.random.Philox(8))
-        t = np.linspace(0, 2 * np.pi, 60, endpoint=False)
-        pts = (0.5 + 0.005 * rng.normal(size=60))[:, None] * np.column_stack(
-            [np.cos(t), np.sin(t)])
-
-        def seminorm(fit):
-            m = np.arange(1, fit.cos_coef.shape[1] + 1)
-            w = (1.0 + m**2) ** 2
-            return np.sum(w * (fit.cos_coef**2 + fit.sin_coef**2))
-
-        rough = fit_trig_curve(pts, 7, smoothing=0.0)
-        smooth = fit_trig_curve(pts, 7, smoothing=1e-3)
-        assert seminorm(smooth) < seminorm(rough)
-
     def test_too_few_points(self):
         with pytest.raises(ValueError):
             fit_trig_curve(np.ones((5, 2)), 7)
-
-    @pytest.mark.parametrize("smoothing", [-1.0, np.nan, np.inf])
-    def test_smoothing_must_be_finite_and_nonnegative(self, smoothing):
-        t = np.linspace(0, 2 * np.pi, 30, endpoint=False)
-        pts = 0.5 * np.column_stack([np.cos(t), np.sin(t)])
-        with pytest.raises(ValueError, match=f"not {smoothing}"):
-            fit_trig_curve(pts, 3, smoothing)
 
     def test_degenerate_fit_raises(self):
         # collinear points through the origin force a flat curve whose
@@ -537,7 +515,7 @@ class TestCurveFit:
         pts = np.array([[0.1, 0.0], [0.2, 0.0], [0.3, 0.0],
                         [-0.1, 0.0], [-0.2, 0.0]])
         with pytest.raises(DegenerateFit):
-            fit_trig_curve(pts, 1, smoothing=0.0)
+            fit_trig_curve(pts, 1)
 
 
 class TestBasisIndependence:
