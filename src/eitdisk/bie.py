@@ -35,6 +35,10 @@ conditioning is guarded by LAPACK's 1-norm estimate (``dgecon``) of that
 Schur complement, computed from its factors, not by a separate singular value
 decomposition.  :func:`solve_forward` takes one voltage or a matrix of
 voltage columns and solves them all against one factorization.
+
+scipy serves only that LU, its solves and ``dgecon``.  :func:`_factorize`,
+:func:`solve_forward` and :func:`eitdisk.completion.assemble_completion` import
+it when they run, so ``import eitdisk``, ``sample`` and ``extract`` never load it.
 """
 
 from __future__ import annotations
@@ -44,7 +48,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as la
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .dtn import DtnOperator, circulant, healthy_collocation_matrix
@@ -358,6 +361,8 @@ def _factorize(a, what, limit):
     Raises :class:`SingularSystem` when the block is not finite, is exactly
     singular, or its estimated condition exceeds ``limit``.
     """
+    import scipy.linalg as la
+
     anorm = np.linalg.norm(a, 1)
     lu, cond = None, np.inf
     if np.isfinite(anorm):
@@ -403,6 +408,8 @@ def solve_forward(outer, inner, bc, f, gamma=None):
     :class:`ForwardSolution`; raises :class:`ValueError` when ``outer`` is not
     the unit circle or the inner curve reaches it.
     """
+    import scipy.linalg as la
+
     f = np.asarray(f, dtype=float)
     if f.ndim not in (1, 2) or f.shape[0] != outer.n:
         raise ValueError("voltage must be sampled at the outer mesh nodes")

@@ -175,6 +175,7 @@ def cmd_forward(args):
 
 
 def cmd_sample(args):
+    _check_level("--noise", args.noise)
     gap = gap_from_lambda0(read_dtn(args.data))
     reg = _parse_reg(args.reg, _reg_noise(args))
     grid = GridSpec.square(args.grid)
@@ -189,6 +190,9 @@ def cmd_sample(args):
 
 
 def cmd_extract(args):
+    if not 0 < args.threshold_rel < 1:
+        raise ValueError("--threshold-rel: relative threshold must lie in (0, 1), "
+                         f"not {args.threshold_rel}")
     grid = read_indicator(args.indicator)
     points = extract_level_set(grid, args.threshold_rel)
     fitted = fit_trig_curve(points, args.degree)

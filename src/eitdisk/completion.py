@@ -25,10 +25,12 @@ On the unit circle ``I - K_mm = I + J/n`` (``J`` the all-ones matrix) has
 the inverse ``P = I - J/(2n)``, so the outer density is eliminated and only
 the inclusion-sized Schur complement ``S = I + K_ii~ + K_mi P K_im~`` is
 LU-factorized; its condition is guarded by LAPACK's 1-norm estimate from those
-factors (see :func:`eitdisk.bie._factorize`).  The four maps ``R``, ``S``,
-``R_i`` and ``S_i`` are the outer flux rows ``[T_mm T_im~]`` and the inner
-current rows ``-[T_mi T_ii~]``, written ``[R1 R2]``, composed with the block
-inverse: with ``X = R1 P`` and ``Z = (R2 + X K_im~) S^-1``, formed by one
+factors (see :func:`eitdisk.bie._factorize`).  Like ``_factorize``,
+:func:`assemble_completion` imports ``scipy.linalg`` only when it runs, so
+scipy loads on the first LU and never with the module.  The four maps ``R``,
+``S``, ``R_i`` and ``S_i`` are the outer flux rows ``[T_mm T_im~]`` and the
+inner current rows ``-[T_mi T_ii~]``, written ``[R1 R2]``, composed with the
+block inverse: with ``X = R1 P`` and ``Z = (R2 + X K_im~) S^-1``, formed by one
 transposed solve against the Schur factors, the composition is
 ``[X - Z K_mi P, Z]``.  The outer hypersingular block ``T_mm`` is the
 closed-form circle block of :func:`eitdisk.bie.normal_derivative`.
@@ -40,7 +42,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as la
 
 from .bie import (NystromMesh, _check_inclusion, _check_outer, _factorize,
                   _outer_inverse, double_layer, modified_double_layer,
@@ -88,6 +89,8 @@ def assemble_completion(outer, inner, model_error_factor=1.0):
     must be finite and positive.  Raises :class:`ValueError` when it is not,
     when ``outer`` is not the unit circle or when the inner curve reaches it.
     """
+    import scipy.linalg as la
+
     if not 0 < model_error_factor < np.inf:
         raise ValueError("model error factor must be finite and > 0, "
                          f"not {model_error_factor}")

@@ -13,10 +13,12 @@ Every mode-to-node map on the ``n`` equally spaced nodes of the measurement
 circle is a symmetric circulant: it multiplies ``exp(i m theta)`` by a symbol
 ``c_|m|``.  :func:`circulant` builds it as the symmetric Toeplitz matrix of
 ``np.fft.irfft(symbol, n)`` for the half symbol ``c_0 .. c_{n//2}``, by the
-indexing of ``scipy.linalg.toeplitz`` and bit for bit equal to it; scipy serves
-only the LU and ``dgecon``.  ``irfft`` counts the Nyquist slot ``c_{n/2}`` of an
-even ``n`` once and zero-pads a shorter symbol.  The healthy map puts zero in
-the Nyquist slot because a real even discretization cannot carry its current.
+indexing of ``scipy.linalg.toeplitz`` and bit for bit equal to it.  scipy
+serves only the LU and ``dgecon`` and is imported on the first LU (see
+:mod:`eitdisk.bie`), so this module and ``import eitdisk`` never load it.
+``irfft`` counts the Nyquist slot ``c_{n/2}`` of an even ``n`` once and
+zero-pads a shorter symbol.  The healthy map puts zero in the Nyquist slot
+because a real even discretization cannot carry its current.
 """
 
 from __future__ import annotations

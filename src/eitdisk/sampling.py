@@ -70,8 +70,8 @@ _MIN_SLICE = 16
 class GridSpec:
     """Rectangular sampling grid inside the unit disk."""
 
-    nx: int = 101
-    ny: int = 101
+    nx: int
+    ny: int
     xmin: float = -0.95
     xmax: float = 0.95
     ymin: float = -0.95

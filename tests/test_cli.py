@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from eitdisk import bie
+import eitdisk
+from eitdisk import bie, cli
 from eitdisk.cli import _gamma_values, _parse_reg, main
 from eitdisk.dtn import gap_from_lambda0
 from eitdisk.geometry import BoundaryCurve
@@ -527,6 +532,25 @@ def test_noise_scales_must_be_finite_and_in_range(inputs, tmp_path, capfd, argv,
     _exits_2_naming(inputs, tmp_path, capfd, argv, named)
 
 
+def _no_read(*args, **kwargs):
+    pytest.fail("a bad value let an input file be read")
+
+
+@pytest.mark.parametrize("argv, named", [
+    (_sample("--noise", "nan"), "--noise must be finite and >= 0, not nan"),
+    (_sample("--noise", "-0.1", "--reg", "cutoff:0.0001"), "--noise must be finite and >= 0, not -0.1"),
+    (["extract", "--indicator", "{d}/indicator.csv", "--threshold-rel", "nan"],
+     "--threshold-rel: relative threshold must lie in (0, 1), not nan"),
+    (["extract", "--indicator", "{d}/indicator.csv", "--threshold-rel", "0"], "not 0.0"),
+    (["extract", "--indicator", "{d}/indicator.csv", "--threshold-rel", "1"], "not 1.0"),
+], ids=["sample-noise-nan", "sample-noise-neg", "threshold-nan", "threshold-0", "threshold-1"])
+def test_sample_and_extract_check_values_before_reading_a_file(
+        inputs, tmp_path, capfd, argv, named):
+    with mock.patch.object(cli, "read_dtn", _no_read), \
+            mock.patch.object(cli, "read_indicator", _no_read):
+        _exits_2_naming(inputs, tmp_path, capfd, argv, named)
+
+
 @pytest.mark.parametrize("argv, named", [
     (["forward", "--geometry", "{d}/circle.json", "--bc", "dirichlet", "--gamma", "nan"],
      "'nan'"),
@@ -573,3 +597,44 @@ def test_collocation_forward_simulates_on_its_own_node_count(inputs, tmp_path):
     assert main(["forward", "--geometry", str(inputs / "circle.json"), "--bc", "dirichlet",
                  "--basis", "collocation:64", "--out", str(out)]) == 0
     assert out.read_bytes() == (inputs / "dtn.json").read_bytes()
+
+
+def _scipy_modules(code, cwd):
+    """Names of the ``scipy`` modules loaded after ``code`` runs in a fresh
+    interpreter that finds this ``eitdisk``."""
+    report = "\nimport json, sys\nprint(json.dumps(sorted(" \
+             "m for m in sys.modules if m.split('.')[0] == 'scipy')))"
+    env = {**os.environ, "PYTHONPATH": str(Path(eitdisk.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code + report], cwd=cwd, env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def _runs(*argvs):
+    return "from eitdisk.cli import main\n" + "".join(
+        f"assert main({argv!r}) == 0\n" for argv in argvs)
+
+
+# scipy serves only the LU, so importing the package and the stages that
+# never factorize one (sample and extract) must not load it
+@pytest.mark.parametrize("module", ["eitdisk", "eitdisk.cli"])
+def test_import_loads_no_scipy(tmp_path, module):
+    assert _scipy_modules(f"import {module}", tmp_path) == []
+
+
+def test_sample_and_extract_load_no_scipy(inputs, tmp_path):
+    code = _runs(["sample", "--data", str(inputs / "dtn.json"), "--grid", "41",
+                  "--noise", "0.05", "--seed", "1", "--reg", "tikhonov:disc:1.5",
+                  "--out", "indicator.csv"],
+                 ["extract", "--indicator", "indicator.csv", "--threshold-rel", "0.2",
+                  "--degree", "7", "--out", "curve.json"])
+    assert _scipy_modules(code, tmp_path) == []
+    assert (tmp_path / "curve.json").exists()
+
+
+def test_forward_loads_scipy(inputs, tmp_path):
+    # the two checks above are not vacuous: the first LU loads scipy
+    code = _runs(["forward", "--geometry", str(inputs / "circle.json"),
+                  "--bc", "dirichlet", "--basis", "collocation:64", "--out", "dtn.json"])
+    assert "scipy.linalg" in _scipy_modules(code, tmp_path)

@@ -42,9 +42,24 @@ class TestCirculantBuilds:
             return {getattr(node, "attr", None) or getattr(node, "id", None)
                     or getattr(node, "name", None) for node in ast.walk(tree)}
 
+        def imports_scipy(node):
+            return any(name.split(".")[0] == "scipy" for name in imported(node))
+
         importers = {stem for stem, tree in trees.items() for node in ast.walk(tree)
-                     if any(name.split(".")[0] == "scipy" for name in imported(node))}
+                     if imports_scipy(node)}
         assert importers == {"bie", "completion"}
+        # scipy loads on the first LU: no module imports it when it loads,
+        assert not [node for tree in trees.values() for node in tree.body
+                    if imports_scipy(node)]
+        # and every import of it is a statement of an LU function's own body
+        sites = {(stem, f.name): sum(map(imports_scipy, f.body))
+                 for stem, tree in trees.items() for f in tree.body
+                 if isinstance(f, ast.FunctionDef)}
+        assert {site for site, count in sites.items() if count} == {
+            ("bie", "_factorize"), ("bie", "solve_forward"),
+            ("completion", "assemble_completion")}
+        assert sum(sites.values()) == sum(imports_scipy(node) for tree in trees.values()
+                                          for node in ast.walk(tree))
         assert not any("toeplitz" in identifiers(tree) for tree in trees.values())
         la_users = {f.name for f in trees["bie"].body
                     if isinstance(f, ast.FunctionDef) and "la" in identifiers(f)}
