@@ -25,7 +25,9 @@ the spectral differentiation matrix.  On a circle of radius ``r`` both
 self-blocks have closed forms (Kress, *Linear Integral Equations*, 3rd ed.,
 2014): the double layer is ``-J/n``, with ``J`` the all-ones matrix, and the
 hypersingular block is ``-healthy_collocation_matrix(n) / r``, which
-:func:`normal_derivative` returns instead of the tangential reduction.
+:func:`normal_derivative` returns instead of the tangential reduction.  Every
+kernel reads its pair geometry, the target-minus-source ``dx``, ``dy`` and
+``r2`` as ``(targets, sources)`` arrays, from one helper, ``_pair``.
 
 The outer boundary of every solve is the unit measurement circle.  Its trace
 block ``I - K_mm = I + J/n`` has the inverse ``P = I - J/(2n)``, applied as a
@@ -138,10 +140,19 @@ def spectral_diff_matrix(n):
     return sliding_window_view(np.concatenate([c[::-1], [0.0], -c]), n)[::-1].copy()
 
 
-def _target_geometry(target):
+def _points(target):
     if isinstance(target, NystromMesh):
-        return target.points, target
-    return np.atleast_2d(np.asarray(target, dtype=float)), None
+        return target.points
+    return np.atleast_2d(np.asarray(target, dtype=float))
+
+
+def _pair(source, target):
+    """Target-minus-source differences ``dx``, ``dy`` and the squared distance
+    ``r2``, each of shape ``(targets, sources)``."""
+    pts = _points(target)
+    dx = pts[:, 0, None] - source.points[:, 0]
+    dy = pts[:, 1, None] - source.points[:, 1]
+    return dx, dy, dx * dx + dy * dy
 
 
 def double_layer(source, target):
@@ -150,15 +161,12 @@ def double_layer(source, target):
     Source-equals-target assembly fills the diagonal with the continuous
     kernel limit ``-curvature/(4 pi)``.
     """
-    pts, tmesh = _target_geometry(target)
-    d = pts[:, None, :] - source.points[None, :, :]
-    r2 = np.einsum("ijk,ijk->ij", d, d)
-    num = np.einsum("ijk,jk->ij", d, source.normals)
+    dx, dy, r2 = _pair(source, target)
+    num = dx * source.normals[:, 0] + dy * source.normals[:, 1]
     with np.errstate(divide="ignore", invalid="ignore"):
         ker = num / r2 / (2.0 * np.pi)
-    if tmesh is source:
-        idx = np.arange(source.n)
-        ker[idx, idx] = -source.curvature / (4.0 * np.pi)
+    if target is source:
+        np.fill_diagonal(ker, -source.curvature / (4.0 * np.pi))
     return 2.0 * ker * source.arc_weights()[None, :]
 
 
@@ -174,7 +182,7 @@ def modified_double_layer(source, target):
     """
     if not source.encloses_origin():
         raise ValueError("modified layer requires a source curve enclosing the origin")
-    pts, _ = _target_geometry(target)
+    pts = _points(target)
     r = np.sqrt((pts**2).sum(axis=1))
     if np.any(r == 0):
         raise CoincidentPoints("monopole modification evaluated at the origin")
@@ -188,28 +196,23 @@ def single_layer(source, target):
     Separated targets use plain trapezoidal quadrature; on-curve assembly
     splits the periodic logarithm and applies the trigonometric log weights.
     """
-    pts, tmesh = _target_geometry(target)
-    if tmesh is not source:
-        d = pts[:, None, :] - source.points[None, :, :]
-        r2 = np.einsum("ijk,ijk->ij", d, d)
-        if np.any(r2 == 0):
-            raise CoincidentPoints("single layer target coincides with a source node")
-        return -np.log(r2) / (4.0 * np.pi) * source.arc_weights()[None, :]
-    return _single_layer_log_split(source) * source.jacobians[None, :]
+    if target is source:
+        return _single_layer_log_split(source) * source.jacobians[None, :]
+    _, _, r2 = _pair(source, target)
+    if np.any(r2 == 0):
+        raise CoincidentPoints("single layer target coincides with a source node")
+    return -np.log(r2) / (4.0 * np.pi) * source.arc_weights()[None, :]
 
 
 def _single_layer_log_split(source):
     """Log-split quadrature of ``Phi(x(t_i), x(s))`` against ``ds`` (no Jacobian)."""
-    n = source.n
     t = source.theta
-    d = source.points[:, None, :] - source.points[None, :, :]
-    r2 = np.einsum("ijk,ijk->ij", d, d)
+    _, _, r2 = _pair(source, source)
     s2 = 4.0 * np.sin((t[:, None] - t[None, :]) / 2.0) ** 2
     with np.errstate(divide="ignore", invalid="ignore"):
         smooth = np.log(r2 / s2)
-    idx = np.arange(n)
-    smooth[idx, idx] = 2.0 * np.log(source.jacobians)
-    return -(kress_log_weights(n) + source.weight * smooth) / (4.0 * np.pi)
+    np.fill_diagonal(smooth, 2.0 * np.log(source.jacobians))
+    return -(kress_log_weights(source.n) + source.weight * smooth) / (4.0 * np.pi)
 
 
 def normal_derivative(source, target, of="double_layer"):
@@ -224,36 +227,31 @@ def normal_derivative(source, target, of="double_layer"):
     factors follow the layers: two for the double layers, one for the single
     layer.
     """
-    fac = 1.0 if of == "single_layer" else 2.0
+    if of not in ("single_layer", "double_layer", "modified_double_layer"):
+        raise ValueError(f"unknown layer kind {of!r}")
     if not isinstance(target, NystromMesh):
         raise TypeError("normal derivatives are assembled on a target mesh")
+    fac = 1.0 if of == "single_layer" else 2.0
     same = target is source
-    if of == "single_layer":
-        d = target.points[:, None, :] - source.points[None, :, :]
-        r2 = np.einsum("ijk,ijk->ij", d, d)
-        num = np.einsum("ijk,ik->ij", d, target.normals)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ker = -num / r2 / (2.0 * np.pi)
-        if same:
-            idx = np.arange(source.n)
-            ker[idx, idx] = -source.curvature / (4.0 * np.pi)
-        return fac * ker * source.arc_weights()[None, :]
-
-    if of not in ("double_layer", "modified_double_layer"):
-        raise ValueError(f"unknown layer kind {of!r}")
-
-    if same and source.curve.kind == "circle":
-        # the factor-2 operator sends exp(i m t) to -|m|/r exp(i m t)
-        mat = -healthy_collocation_matrix(source.n) / source.curve.cos_coef[0, 0]
-    elif same:
-        mat = fac * _hypersingular_maue(source)
+    if same and of != "single_layer":
+        if source.curve.kind == "circle":
+            # the factor-2 operator sends exp(i m t) to -|m|/r exp(i m t)
+            mat = -healthy_collocation_matrix(source.n) / source.curve.cos_coef[0, 0]
+        else:
+            mat = fac * _hypersingular_maue(source)
     else:
-        d = target.points[:, None, :] - source.points[None, :, :]
-        r2 = np.einsum("ijk,ijk->ij", d, d)
-        nn = np.einsum("ik,jk->ij", target.normals, source.normals)
-        dnx = np.einsum("ijk,ik->ij", d, target.normals)
-        dny = np.einsum("ijk,jk->ij", d, source.normals)
-        ker = (nn / r2 - 2.0 * dnx * dny / r2**2) / (2.0 * np.pi)
+        dx, dy, r2 = _pair(source, target)
+        tn, sn = target.normals, source.normals
+        dnx = dx * tn[:, 0, None] + dy * tn[:, 1, None]
+        if of == "single_layer":
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ker = -dnx / r2 / (2.0 * np.pi)
+            if same:
+                np.fill_diagonal(ker, -source.curvature / (4.0 * np.pi))
+        else:
+            nn = tn[:, 0, None] * sn[:, 0] + tn[:, 1, None] * sn[:, 1]
+            dny = dx * sn[:, 0] + dy * sn[:, 1]
+            ker = (nn / r2 - 2.0 * dnx * dny / r2**2) / (2.0 * np.pi)
         mat = fac * ker * source.arc_weights()[None, :]
     if of == "modified_double_layer":
         # d/dnu(x) log|x| = (x . nu(x)) / |x|^2 at the target nodes
@@ -330,11 +328,7 @@ def _forward_blocks(outer, inner, bc, gamma):
     ``(K_mm - I)^-1 = -P`` on the unit circle.
     """
     n_i = inner.n
-    sim = single_layer(inner, outer)
-    if bc == "dirichlet":
-        a21 = double_layer(outer, inner)
-        a22 = single_layer(inner, inner)
-    elif bc == "impedance":
+    if bc == "impedance":
         if gamma is None:
             raise ValueError("impedance condition needs gamma values at inner nodes")
         g = np.asarray(gamma, dtype=float)
@@ -344,14 +338,17 @@ def _forward_blocks(outer, inner, bc, gamma):
             raise ValueError("gamma must be finite at every inner node")
         if np.any(g < 0):
             raise ValueError("gamma must be nonnegative")
-        kmi = double_layer(outer, inner)
-        sii = single_layer(inner, inner)
+    elif bc != "dirichlet":
+        raise ValueError(f"unknown boundary condition {bc!r}")
+    sim = single_layer(inner, outer)
+    # the grounded condition's blocks; the impedance condition weights them by gamma
+    a21 = double_layer(outer, inner)
+    a22 = single_layer(inner, inner)
+    if bc == "impedance":
         tmi = normal_derivative(outer, inner, of="double_layer")
         kpii = normal_derivative(inner, inner, of="single_layer")
-        a21 = -tmi + g[:, None] * kmi
-        a22 = -kpii + 0.5 * np.eye(n_i) + g[:, None] * sii
-    else:
-        raise ValueError(f"unknown boundary condition {bc!r}")
+        a21 = -tmi + g[:, None] * a21
+        a22 = -kpii + 0.5 * np.eye(n_i) + g[:, None] * a22
     return sim, a21, a22 + a21 @ _outer_inverse(sim)
 
 

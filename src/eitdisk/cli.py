@@ -176,6 +176,8 @@ def cmd_forward(args):
 
 def cmd_sample(args):
     _check_level("--noise", args.noise)
+    if args.grid < 2:
+        raise ValueError(f"--grid: grid resolution must be at least 2 per axis, not {args.grid}")
     gap = gap_from_lambda0(read_dtn(args.data))
     reg = _parse_reg(args.reg, _reg_noise(args))
     grid = GridSpec.square(args.grid)
@@ -193,6 +195,9 @@ def cmd_extract(args):
     if not 0 < args.threshold_rel < 1:
         raise ValueError("--threshold-rel: relative threshold must lie in (0, 1), "
                          f"not {args.threshold_rel}")
+    # a degree the contour cannot determine is reported by the fit
+    if args.degree < 1:
+        raise ValueError(f"--degree: fit degree must be 1 or more, not {args.degree}")
     grid = read_indicator(args.indicator)
     points = extract_level_set(grid, args.threshold_rel)
     fitted = fit_trig_curve(points, args.degree)

@@ -162,6 +162,18 @@ class TestSingleLayer:
             want = 0.5 / (2 * k) * np.cos(k * t)
             assert np.max(np.abs(got - want)) < 1e-8
 
+    def test_entries_match_kernel(self):
+        src = NystromMesh(BoundaryCurve.ellipse(0.5, 0.3), 32)
+        tgt = unit_mesh(16)
+        mat = single_layer(src, tgt)
+        rng = np.random.Generator(np.random.Philox(5))
+        for _ in range(5):
+            i = int(rng.integers(16))
+            j = int(rng.integers(32))
+            d = tgt.points[i] - src.points[j]
+            want = -np.log(d @ d) / (4 * np.pi) * src.jacobians[j] * src.weight
+            assert abs(mat[i, j] - want) < 1e-14
+
 
 class TestNormalDerivative:
     def test_double_layer_constant_from_inner_source(self):
@@ -184,6 +196,46 @@ class TestNormalDerivative:
             ker = -(d @ tgt.normals[i]) / (d @ d) / (2 * np.pi)
             want = ker * src.jacobians[j] * src.weight
             assert abs(mat[i, j] - want) < 1e-14
+
+    def test_same_curve_single_layer_entries(self):
+        # off the diagonal the kernel itself, on it the limit -curvature/(4 pi)
+        mesh = NystromMesh(BoundaryCurve.ellipse(0.5, 0.3), 32)
+        mat = normal_derivative(mesh, mesh, of="single_layer")
+        w = mesh.jacobians * mesh.weight
+        rng = np.random.Generator(np.random.Philox(6))
+        for _ in range(5):
+            i, j = (int(k) for k in rng.choice(32, size=2, replace=False))
+            d = mesh.points[i] - mesh.points[j]
+            want = -(d @ mesh.normals[i]) / (d @ d) / (2 * np.pi) * w[j]
+            assert abs(mat[i, j] - want) < 1e-14
+        assert np.max(np.abs(np.diag(mat) + mesh.curvature / (4 * np.pi) * w)) < 1e-15
+
+    def test_separated_hypersingular_entries(self):
+        src = NystromMesh(BoundaryCurve.ellipse(0.5, 0.3), 32)
+        tgt = unit_mesh(16)
+        mat = normal_derivative(src, tgt, of="double_layer")
+        rng = np.random.Generator(np.random.Philox(7))
+        for _ in range(5):
+            i = int(rng.integers(16))
+            j = int(rng.integers(32))
+            d = tgt.points[i] - src.points[j]
+            nx, ny = tgt.normals[i], src.normals[j]
+            ker = (nx @ ny / (d @ d) - 2 * (d @ nx) * (d @ ny) / (d @ d) ** 2) / (2 * np.pi)
+            want = 2.0 * ker * src.jacobians[j] * src.weight
+            assert abs(mat[i, j] - want) < 1e-14
+
+    @pytest.mark.parametrize("of", ["single_layer", "double_layer", "modified_double_layer"])
+    def test_point_targets_rejected(self, of):
+        with pytest.raises(TypeError, match="target mesh"):
+            normal_derivative(unit_mesh(16), np.array([[0.1, 0.2]]), of=of)
+
+    @pytest.mark.parametrize("pair", ["circle", "ellipse", "separated"])
+    def test_unknown_layer_kind_rejected(self, pair):
+        ellipse = NystromMesh(BoundaryCurve.ellipse(0.5, 0.3), 16)
+        source, target = {"circle": (unit_mesh(16),) * 2, "ellipse": (ellipse, ellipse),
+                          "separated": (ellipse, unit_mesh(16))}[pair]
+        with pytest.raises(ValueError, match="unknown layer kind 'triple_layer'"):
+            normal_derivative(source, target, of="triple_layer")
 
     def test_hypersingular_circle_symbol(self):
         # factor-2 normal derivative of the double layer on the unit circle

@@ -129,7 +129,7 @@ def test_extract_rejects_a_degree_below_one(tmp_path, circle_file, capfd, degree
     capfd.readouterr()
     assert main(["extract", "--indicator", ind, "--degree", degree, "--out", out]) == 2
     err = capfd.readouterr().err.splitlines()
-    assert len(err) == 1 and f"not {degree}" in err[0], err
+    assert len(err) == 1 and f"--degree: fit degree must be 1 or more, not {degree}" in err[0], err
 
 
 def test_impedance_exact_geometry_constant_gamma(tmp_path, circle_file):
@@ -559,8 +559,13 @@ def test_sample_and_extract_check_values_before_reading_a_file(
     (_readme_impedance("--mask-tol", "nan"), "mask tolerance must lie in [0, 1), not nan"),
     (_sample("--reg", "cutoff:0.0001", "--grid", "2"),
      "2x2 grid lies within the mask radius 0.9"),
+    # the grid size and the degree are checked before the input file, which is missing
+    (["sample", "--data", "{d}/missing.json", "--grid", "1", "--reg", "cutoff:0.0001"],
+     "--grid: grid resolution must be at least 2 per axis, not 1"),
+    (["extract", "--indicator", "{d}/missing.csv", "--degree", "-1"],
+     "--degree: fit degree must be 1 or more, not -1"),
 ], ids=["dirichlet-gamma-nan", "dirichlet-gamma-unparsed", "mask-tol-nan",
-        "grid-outside-mask"])
+        "grid-outside-mask", "grid-1-missing-data", "degree-neg-missing-indicator"])
 def test_bad_value_exits_2_naming_it(inputs, tmp_path, capfd, argv, named):
     _exits_2_naming(inputs, tmp_path, capfd, argv, named)
 
