@@ -90,55 +90,60 @@ def _gamma_values(expr, theta):
     return values
 
 
-def _parse_basis(text):
-    """``(basis, size)`` of a ``--basis`` value: a Fourier order of 0 or more,
-    or a collocation node count of 2 or more."""
-    kind, _, num = text.partition(":")
-    if kind == "fourier":
-        order = int(num or 19)
-        if order < 0:
-            raise ValueError(f"--basis {text}: the Fourier order must be 0 or more")
-        return "fourier", order
-    if kind == "collocation":
-        nodes = int(num or 64)
-        if nodes < 2:
-            raise ValueError(f"--basis {text}: collocation needs 2 or more nodes")
-        return "collocation", nodes
-    raise ValueError(f"unknown basis {text!r}")
+_EVEN = (lambda n: n >= 2 and n % 2 == 0, ": node count must be even and at least 2")
+
+# (parsed name, test, rule): before a stage runs, main tests every value of
+# these names it parsed, unless None, and rejects it as "--flag<rule>, not
+# <value>"; a name qualified by a stage ("impedance.sim_nodes") holds there only
+_FLAG_CHECKS = (
+    ("noise", lambda v: 0 <= v < np.inf, " must be finite and >= 0"),
+    ("reg_noise", lambda v: 0 <= v < np.inf, " must be finite and >= 0"),
+    ("grid", lambda n: n >= 2, ": grid resolution must be at least 2 per axis"),
+    ("threshold_rel", lambda v: 0 < v < 1, ": relative threshold must lie in (0, 1)"),
+    # a degree the contour cannot determine is reported by the fit
+    ("degree", lambda n: n >= 1, ": fit degree must be 1 or more"),
+    ("pairs", lambda n: n >= 1, ": at least one Cauchy pair is required"),
+    ("model_error_factor", lambda v: 0 < v < np.inf, " must be finite and > 0"),
+    ("mask_tol", lambda v: 0 <= v < 1, ": mask tolerance must lie in [0, 1)"),
+    ("inner_nodes", *_EVEN),
+    ("impedance.sim_nodes", *_EVEN),
+    ("nodes", *_EVEN),
+)
 
 
-def _check_level(flag, value):
-    """``value`` of ``flag``; a value not finite and >= 0 raises
-    :class:`ValueError` naming both."""
-    if not 0 <= value < np.inf:
-        raise ValueError(f"{flag} must be finite and >= 0, not {value}")
-    return value
+def _config(args, **resolved):
+    """Every parsed value but ``func`` and ``out``, with the values the stage
+    resolved in place of the raw ones: the configuration an output hashes."""
+    config = {k: v for k, v in vars(args).items() if k not in ("func", "out")}
+    return {**config, **resolved}
 
 
 def _reg_noise(args):
-    """The regularizer's noise level: ``--reg-noise``, finite and >= 0, or
-    else ``--noise``."""
-    if args.reg_noise is None:
-        return args.noise
-    return _check_level("--reg-noise", args.reg_noise)
+    """The regularizer's noise level: ``--reg-noise``, or else ``--noise``."""
+    return args.noise if args.reg_noise is None else args.reg_noise
 
 
 def _parse_reg(text, noise_level):
-    """Strategy of a ``--reg`` value; a noise-tied one needs ``noise_level > 0``."""
-    parts = text.split(":")
-    if parts[0] == "none":
+    """Strategy of a ``--reg`` value: ``none``, ``tikhonov:ALPHA``, ``cutoff:TAU``,
+    or a noise-tied ``tikhonov[:disc[:S]]`` or ``cutoff:noise[:S]``, which
+    needs ``noise_level > 0``."""
+    fields = ("tikhonov:disc" if text == "tikhonov" else text).split(":")
+    if fields == ["none"]:
         return RegStrategy.none()
-    if parts[:2] in (["tikhonov"], ["tikhonov", "disc"], ["cutoff", "noise"]):
-        if noise_level <= 0:
-            raise ValueError(f"--reg {text} needs --noise or --reg-noise above 0")
-        make = (RegStrategy.cutoff_by_noise if parts[0] == "cutoff"
-                else RegStrategy.tikhonov_discrepancy)
-        return make(noise_level, *map(float, parts[2:3]))
-    if parts[0] == "tikhonov":
-        return RegStrategy.tikhonov(float(parts[1]))
-    if parts[0] == "cutoff":
-        return RegStrategy.spectral_cutoff(float(parts[1]))
-    raise ValueError(f"unknown regularization {text!r}")
+    tied = fields[:2] in (["tikhonov", "disc"], ["cutoff", "noise"]) and len(fields) <= 3
+    if not tied and (fields[0] not in ("tikhonov", "cutoff") or len(fields) != 2):
+        raise ValueError(f"--reg {text}: unknown regularization; expected none, "
+                         "tikhonov:ALPHA, cutoff:TAU, tikhonov[:disc[:S]] or cutoff:noise[:S]")
+    if tied and noise_level <= 0:
+        raise ValueError(f"--reg {text} needs --noise or --reg-noise above 0")
+    cutoff = fields[0] == "cutoff"
+    try:
+        if tied:
+            make = RegStrategy.cutoff_by_noise if cutoff else RegStrategy.tikhonov_discrepancy
+            return make(noise_level, *map(float, fields[2:]))
+        return (RegStrategy.spectral_cutoff if cutoff else RegStrategy.tikhonov)(float(fields[1]))
+    except ValueError as exc:
+        raise ValueError(f"--reg {text}: {exc}") from None
 
 
 def _meshes(curve, n_outer, n_inner):
@@ -147,23 +152,35 @@ def _meshes(curve, n_outer, n_inner):
     return outer, inner
 
 
-def cmd_forward(args):
-    _check_level("--noise", args.noise)
-    curve = _load_geometry(args.geometry)
-    basis, order = _parse_basis(args.basis)
-    if basis == "fourier":
-        n_sim = max(32 if args.sim_nodes is None else args.sim_nodes, 2 * order + 2)
-        modes = np.arange(-order, order + 1)
-    elif args.sim_nodes in (None, order):
-        n_sim = order
-        modes = None
-    else:
-        raise ValueError(f"--basis {args.basis} simulates on its own {order} nodes, "
+def _parse_basis(args):
+    """``(basis, modes, simulation nodes)`` of ``forward``'s ``--basis``, which
+    is ``fourier:K`` with ``K >= 0`` or ``collocation:N`` with an even ``N >= 2``,
+    and its ``--sim-nodes``."""
+    kind, _, num = args.basis.partition(":")
+    try:
+        size = int({"fourier": num or 19, "collocation": num or 64}[kind])
+    except (KeyError, ValueError):
+        raise ValueError(f"--basis {args.basis}: expected fourier:K or collocation:N") from None
+    if kind == "fourier":
+        if size < 0:
+            raise ValueError(f"--basis {args.basis}: the Fourier order must be 0 or more")
+        n_sim = max(32 if args.sim_nodes is None else args.sim_nodes, 2 * size + 2)
+        if n_sim % 2:
+            raise ValueError(f"--sim-nodes: node count must be even, not {n_sim}")
+        return kind, np.arange(-size, size + 1), n_sim
+    if size < 2 or size % 2:
+        raise ValueError(f"--basis {args.basis}: collocation needs an even count "
+                         "of 2 or more nodes")
+    if args.sim_nodes not in (None, size):
+        raise ValueError(f"--basis {args.basis} simulates on its own {size} nodes, "
                          f"not --sim-nodes {args.sim_nodes}")
-    config = {"command": "forward", "geometry": curve.to_dict(),
-              "bc": args.bc, "gamma": args.gamma, "basis": args.basis,
-              "noise": args.noise, "seed": args.seed, "sim_nodes": n_sim,
-              "inner_nodes": args.inner_nodes}
+    return kind, None, size
+
+
+def cmd_forward(args):
+    basis, modes, n_sim = _parse_basis(args)
+    curve = _load_geometry(args.geometry)
+    config = _config(args, geometry=curve.to_dict(), sim_nodes=n_sim)
     outer, inner = _meshes(curve, n_sim, args.inner_nodes)
     # parsed for either condition, so a bad --gamma never passes silently
     gamma = _gamma_values(args.gamma, inner.theta)
@@ -175,36 +192,22 @@ def cmd_forward(args):
 
 
 def cmd_sample(args):
-    _check_level("--noise", args.noise)
-    if args.grid < 2:
-        raise ValueError(f"--grid: grid resolution must be at least 2 per axis, not {args.grid}")
-    gap = gap_from_lambda0(read_dtn(args.data))
     reg = _parse_reg(args.reg, _reg_noise(args))
-    grid = GridSpec.square(args.grid)
+    gap = gap_from_lambda0(read_dtn(args.data))
     noise = (args.noise, args.seed) if args.noise else None
-    result = scan(gap, grid, reg, noise=noise)
-    config = {"command": "sample", "data": args.data, "grid": args.grid,
-              "noise": args.noise, "seed": args.seed, "reg": args.reg,
-              "reg_noise": args.reg_noise}
+    result = scan(gap, GridSpec.square(args.grid), reg, noise=noise)
+    config = _config(args)
     write_indicator(args.out, result, config)
     print(f"wrote {args.out} (config {config_hash(config)})")
     print(f"indicator range [{float(np.nanmin(result.values)):.6g}, {result.max_value:.6g}]")
 
 
 def cmd_extract(args):
-    if not 0 < args.threshold_rel < 1:
-        raise ValueError("--threshold-rel: relative threshold must lie in (0, 1), "
-                         f"not {args.threshold_rel}")
-    # a degree the contour cannot determine is reported by the fit
-    if args.degree < 1:
-        raise ValueError(f"--degree: fit degree must be 1 or more, not {args.degree}")
     grid = read_indicator(args.indicator)
     points = extract_level_set(grid, args.threshold_rel)
     fitted = fit_trig_curve(points, args.degree)
     # "smoothing" stays in the config so that its hash stays that of earlier versions
-    config = {"command": "extract", "indicator": args.indicator,
-              "threshold_rel": args.threshold_rel, "degree": args.degree,
-              "smoothing": 0.0}
+    config = _config(args, smoothing=0.0)
     write_curve(args.out, fitted, config)
     radii = np.hypot(*fitted.point(np.linspace(0, 2 * np.pi, 64, endpoint=False)).T)
     print(f"wrote {args.out} (config {config_hash(config)}); "
@@ -213,8 +216,6 @@ def cmd_extract(args):
 
 
 def cmd_impedance(args):
-    if args.pairs < 1:
-        raise ValueError("at least one Cauchy pair is required")
     # drives cos(k t) and sin(k t), k = 1..k_max; a mesh resolves order k
     # from 2k + 2 nodes, the rule dtn_matrix applies to Fourier modes
     k_max = (args.pairs + 1) // 2
@@ -222,12 +223,6 @@ def cmd_impedance(args):
         if n < 2 * k_max + 2:
             raise ValueError(f"--pairs {args.pairs} drives order {k_max}, "
                              f"which needs {flag} {2 * k_max + 2} or more")
-    if not 0 < args.model_error_factor < np.inf:
-        raise ValueError("--model-error-factor must be finite and > 0, "
-                         f"not {args.model_error_factor}")
-    _check_level("--noise", args.noise)
-    if not 0 <= args.mask_tol < 1:
-        raise ValueError(f"--mask-tol: mask tolerance must lie in [0, 1), not {args.mask_tol}")
     true_curve = _load_geometry(args.geometry)
     outer, inner_true = _meshes(true_curve, args.sim_nodes, args.sim_nodes)
     gamma_true = _gamma_values(args.gamma, inner_true.theta)
@@ -252,12 +247,7 @@ def cmd_impedance(args):
     currents = perturb_vector(flux64, args.noise, args.seed).T
     recon = recover_gamma_averaged(system, voltages, currents, reg,
                                    noise_level=args.noise, tol_rel=args.mask_tol)
-    config = {"command": "impedance", "geometry": true_curve.to_dict(),
-              "bc": "impedance", "gamma": args.gamma, "curve": args.curve,
-              "pairs": args.pairs, "noise": args.noise, "seed": args.seed,
-              "reg": args.reg, "reg_noise": args.reg_noise, "mask_tol": args.mask_tol,
-              "model_error_factor": args.model_error_factor,
-              "sim_nodes": args.sim_nodes, "nodes": args.nodes}
+    config = _config(args, geometry=true_curve.to_dict(), bc="impedance")
     write_gamma(args.out, recon, config)
     used = recon.unmasked()
     print(f"wrote {args.out} (config {config_hash(config)}); "
@@ -288,13 +278,14 @@ def build_parser():
     p.add_argument("--gamma", default="2.0", help="impedance expression in theta")
     p.add_argument("--basis", default="collocation:64",
                    help="fourier:N or collocation:n")
+    # dtn.json lists its configuration in the order these flags are declared
+    p.add_argument("--noise", type=float, default=0.0,
+                   help="multiplicative noise level on simulated currents")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--sim-nodes", type=int, default=None,
                    help="simulation nodes on the measurement circle: fourier:K "
                         "uses max(this or 32, 2K + 2), collocation:N uses N")
     p.add_argument("--inner-nodes", type=int, default=32)
-    p.add_argument("--noise", type=float, default=0.0,
-                   help="multiplicative noise level on simulated currents")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_forward)
 
@@ -344,6 +335,11 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for name, test, rule in _FLAG_CHECKS:
+            stage, _, key = name.rpartition(".")
+            value = getattr(args, key, None)
+            if stage in ("", args.command) and value is not None and not test(value):
+                raise ValueError(f"--{key.replace('_', '-')}{rule}, not {value}")
         return args.func(args) or 0
     except (EitDiskError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -643,3 +643,102 @@ def test_forward_loads_scipy(inputs, tmp_path):
     code = _runs(["forward", "--geometry", str(inputs / "circle.json"),
                   "--bc", "dirichlet", "--basis", "collocation:64", "--out", "dtn.json"])
     assert "scipy.linalg" in _scipy_modules(code, tmp_path)
+
+
+# the README pipeline with its relative paths, and the config hash of each stage
+README_PIPELINE = [
+    (["forward", "--geometry", "circle.json", "--bc", "dirichlet",
+      "--basis", "collocation:64", "--sim-nodes", "64", "--out", "dtn.json"],
+     "e0672ca65d9b6bbd"),
+    (["sample", "--data", "dtn.json", "--grid", "101", "--noise", "0.05", "--seed", "1",
+      "--reg", "tikhonov:disc:1.5", "--out", "indicator.csv"], "7024f0323bb3ec25"),
+    (["extract", "--indicator", "indicator.csv", "--threshold-rel", "0.2",
+      "--degree", "7", "--out", "curve.json"], "c518202f5f4c636c"),
+    (["impedance", "--geometry", "ellipse.json", "--gamma", "2 - sin(theta)**4",
+      "--pairs", "16", "--noise", "0.04", "--reg", "cutoff:noise:2", "--mask-tol", "0.2",
+      "--sim-nodes", "64", "--out", "gamma.csv"], "a48e25390d9f9b96"),
+]
+
+
+def test_readme_pipeline_config_hashes_unchanged(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "circle.json").write_text('{"kind": "circle", "center": [0, 0], "radius": 0.5}')
+    (tmp_path / "ellipse.json").write_text('{"kind": "ellipse", "a": 0.5, "b": 0.3}')
+    for argv, want in README_PIPELINE:
+        assert main(argv) == 0
+        assert f"(config {want})" in capsys.readouterr().out, argv[0]
+    # dtn.json keeps its configuration in the order it was built
+    config = json.loads((tmp_path / "dtn.json").read_text())["config"]
+    assert list(config) == ["command", "geometry", "bc", "gamma", "basis", "noise", "seed",
+                            "sim_nodes", "inner_nodes"]
+
+
+# each stage's input files, which must not be read, and its flag-only bad values
+_STAGE_INPUTS = {"forward": ["--geometry", "circle.json"], "sample": ["--data", "dtn.json"],
+                 "extract": ["--indicator", "indicator.csv"],
+                 "impedance": ["--geometry", "ellipse.json", "--noise", "0.04"]}
+FLAG_ONLY_BAD_VALUES = [
+    ("forward", ["--noise", "nan"], "--noise"),
+    ("forward", ["--inner-nodes", "0"], "--inner-nodes"),
+    ("forward", ["--inner-nodes", "33"], "--inner-nodes"),
+    ("forward", ["--basis", "collocation:0"], "--basis"),
+    ("forward", ["--basis", "collocation:63"], "--basis"),
+    ("forward", ["--basis", "collocation:abc"], "--basis"),
+    ("forward", ["--basis", "fourier:-3"], "--basis"),
+    ("forward", ["--basis", "fourier:19:3"], "--basis"),
+    ("forward", ["--basis", "bogus"], "--basis"),
+    ("forward", ["--basis", "bogus:64"], "--basis"),
+    ("forward", ["--basis", "collocation:64", "--sim-nodes", "16"], "--sim-nodes"),
+    ("forward", ["--basis", "fourier:5", "--sim-nodes", "33"], "--sim-nodes"),
+    ("sample", ["--noise", "nan"], "--noise"),
+    ("sample", ["--noise", "-0.1", "--reg", "cutoff:0.0001"], "--noise"),
+    ("sample", ["--reg", "cutoff:0.0001", "--reg-noise", "nan"], "--reg-noise"),
+    ("sample", ["--reg", "cutoff:0.0001", "--reg-noise", "-3"], "--reg-noise"),
+    ("sample", ["--grid", "1", "--reg", "cutoff:0.0001"], "--grid"),
+    ("sample", ["--noise", "0"], "--reg"),
+    ("sample", ["--reg", "tikhonov:nan"], "--reg"),
+    ("sample", ["--noise", "0.05", "--reg", "cutoff:noise:0"], "--reg"),
+    ("sample", ["--reg", "cutoff:0.0001:noise"], "--reg"),
+    ("sample", ["--noise", "0.05", "--reg", "cutoff:noise:2:7"], "--reg"),
+    ("sample", ["--reg", "none:3"], "--reg"),
+    ("sample", ["--reg", "tikhonov:abc"], "--reg"),
+    ("sample", ["--reg", "cutoff"], "--reg"),
+    ("sample", ["--reg", "landweber"], "--reg"),
+    ("extract", ["--threshold-rel", "nan"], "--threshold-rel"),
+    ("extract", ["--threshold-rel", "0"], "--threshold-rel"),
+    ("extract", ["--threshold-rel", "1"], "--threshold-rel"),
+    ("extract", ["--degree", "0"], "--degree"),
+    ("extract", ["--degree", "-1"], "--degree"),
+    ("impedance", ["--noise", "nan", "--reg", "cutoff:0.0001"], "--noise"),
+    ("impedance", ["--pairs", "0"], "--pairs"),
+    ("impedance", ["--pairs", "32"], "--sim-nodes"),
+    ("impedance", ["--sim-nodes", "64", "--nodes", "16"], "--nodes"),
+    ("impedance", ["--sim-nodes", "33"], "--sim-nodes"),
+    ("impedance", ["--nodes", "65"], "--nodes"),
+    ("impedance", ["--model-error-factor", "nan"], "--model-error-factor"),
+    ("impedance", ["--curve", "curve.json", "--model-error-factor", "0"],
+     "--model-error-factor"),
+    ("impedance", ["--mask-tol", "nan"], "--mask-tol"),
+]
+
+
+@pytest.mark.parametrize("stage, values, flag", FLAG_ONLY_BAD_VALUES,
+                         ids=[f"{stage} {' '.join(values)}"
+                              for stage, values, _ in FLAG_ONLY_BAD_VALUES])
+def test_flag_only_value_fails_before_any_input_is_read(tmp_path, capfd, monkeypatch,
+                                                        stage, values, flag):
+    for reader in ("read_dtn", "read_indicator", "read_curve", "_load_geometry"):
+        monkeypatch.setattr(cli, reader, _no_read)
+    out = tmp_path / "out"
+    assert main([stage, *_STAGE_INPUTS[stage], *values, "--out", str(out)]) == 2
+    err = capfd.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and flag in err[0], err
+    assert not out.exists()
+
+
+def test_fourier_forward_rounds_an_odd_sim_nodes_up_to_its_modes(inputs, tmp_path):
+    # fourier:19 needs 40 nodes, more than --sim-nodes 33 asks for
+    out = tmp_path / "dtn.json"
+    assert main(["forward", "--geometry", str(inputs / "ellipse.json"), "--basis", "fourier:19",
+                 "--sim-nodes", "33", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["config"]["sim_nodes"] == 40
