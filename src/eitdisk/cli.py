@@ -77,13 +77,17 @@ def _gamma_values(expr, theta):
     Only numbers, ``theta``, ``pi``, arithmetic operators and calls of the
     functions in ``_GAMMA_NAMESPACE`` are accepted; anything else raises
     :class:`ValueError`, and so do values that are not finite and >= 0.
+    Each error names ``--gamma``.  At no node (an empty ``theta``) only the
+    syntax and the whitelist are checked.
     """
     try:
         tree = ast.parse(expr, mode="eval")
+        with np.errstate(all="ignore"):
+            values = _evaluate(tree.body, theta)
     except SyntaxError as exc:
-        raise ValueError(f"cannot parse impedance expression {expr!r}: {exc.msg}") from None
-    with np.errstate(all="ignore"):
-        values = _evaluate(tree.body, theta)
+        raise ValueError(f"--gamma {expr!r}: cannot parse: {exc.msg}") from None
+    except ValueError as exc:
+        raise ValueError(f"--gamma {expr!r}: {exc}") from None
     values = np.broadcast_to(np.asarray(values, dtype=float), theta.shape).copy()
     if not np.all((values >= 0) & (values < np.inf)):
         raise ValueError(f"--gamma {expr!r} must be finite and >= 0 at every node")
@@ -107,6 +111,8 @@ _FLAG_CHECKS = (
     ("mask_tol", lambda v: 0 <= v < 1, ": mask tolerance must lie in [0, 1)"),
     ("inner_nodes", *_EVEN),
     ("impedance.sim_nodes", *_EVEN),
+    # forward resolves its own count from the basis, but never from one below 2
+    ("forward.sim_nodes", lambda n: n >= 2, ": node count must be at least 2"),
     ("nodes", *_EVEN),
 )
 
@@ -335,6 +341,8 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if "gamma" in vars(args):  # forward and impedance, before any file is read
+            _gamma_values(args.gamma, np.empty(0))
         for name, test, rule in _FLAG_CHECKS:
             stage, _, key = name.rpartition(".")
             value = getattr(args, key, None)

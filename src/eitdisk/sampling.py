@@ -25,6 +25,10 @@ same for one point.
 The per-point solves are independent and numpy releases the GIL in them, so
 each block is filtered in column slices on a pool of one thread per usable
 CPU (one thread for a single point), with the same bits as on one thread.
+While the workers filter one block, the calling thread forms the next: its
+right-hand sides, on one buffer, and their projection.  The projection is a
+block's only BLAS call, and it stays on the calling thread: each thread that
+calls BLAS keeps a buffer of its own.
 """
 
 from __future__ import annotations
@@ -134,9 +138,14 @@ def _rhs_columns(gap, pts):
     r = np.hypot(pts[:, 0], pts[:, 1])
     tz = np.arctan2(pts[:, 1], pts[:, 0])
     if gap.basis == "collocation":
-        theta = gap.nodes
-        return (1.0 - r**2)[None, :] / (
-            2.0 * np.pi * (r**2 + 1.0 - 2.0 * r[None, :] * np.cos(theta[:, None] - tz[None, :])))
+        # (1 - r^2) / (2 pi (r^2 + 1 - 2 r cos(theta - tz))) on one buffer, in
+        # the expression's own operations and order, so the bits are its own
+        out = np.subtract.outer(gap.nodes, tz)
+        np.cos(out, out=out)
+        out *= 2.0 * r
+        np.subtract(r**2 + 1.0, out, out=out)
+        out *= 2.0 * np.pi
+        return np.divide(1.0 - r**2, out, out=out)
     modes = gap.modes
     return (r[None, :] ** np.abs(modes)[:, None]
             * np.exp(-1j * np.outer(modes, tz)) / (2.0 * np.pi))
@@ -158,13 +167,33 @@ def _slice_norms(s, reg, beta2, b2):
     return np.sqrt(np.einsum("ij,ij,ij->j", filt, filt, beta2))
 
 
-def _gather(futures, columns):
-    """Slice results in order; :class:`NoiseDominates` counts the whole block."""
+def _store(values, block, futures):
+    """Write the indicator of one handed-over block once its slices finish;
+    :class:`NoiseDominates` counts the whole block."""
     errors = [f.exception() for f in futures]
     dominated = [e for e in errors if isinstance(e, NoiseDominates)]
     if dominated:
-        raise NoiseDominates(sum(e.columns for e in dominated), columns) from dominated[0]
-    return [f.result() for f in futures]
+        raise NoiseDominates(sum(e.columns for e in dominated),
+                             len(values[block])) from dominated[0]
+    xnorm = np.concatenate([f.result() for f in futures])
+    values[block] = np.divide(1.0, xnorm, where=xnorm > 0, out=np.full_like(xnorm, np.nan))
+
+
+def _abs2(a):
+    """``|a|^2``; a real ``a`` is squared in place, so the caller gives it up."""
+    out = a if np.isrealobj(a) else np.abs(a)
+    return np.square(out, out=out)
+
+
+def _submit_block(pool, svd, gap, pts, reg):
+    """Form one block's squared projections and norms on this thread, hand its
+    column slices to the pool, and return their futures."""
+    b = _rhs_columns(gap, pts)
+    beta2 = _abs2(svd.project(b))
+    b2 = _abs2(b).sum(axis=0)
+    edges = np.linspace(0, len(b2), _worker_count(len(b2)) + 1).astype(int)
+    return [pool.submit(_slice_norms, svd.s, reg, beta2[:, a:z], b2[a:z])
+            for a, z in zip(edges[:-1], edges[1:])]
 
 
 def _indicator_values(svd, gap, pts, reg):
@@ -172,25 +201,28 @@ def _indicator_values(svd, gap, pts, reg):
 
     The calling thread forms each block's right-hand sides, their projection
     and squared norms, whose rounding depends on the block width.  Worker
-    threads filter one contiguous column slice each and take its l2 norms.  A
-    point whose cutoff removes every mode gets NaN, and one
-    :class:`AllModesCutWarning` reports any such point.
+    threads filter one contiguous column slice each and take its l2 norms.
+    The two overlap: the calling thread forms the next block while the
+    workers filter this one, and gathers a block only once the next is
+    handed over, so at most one formed block waits.  The projection stays on
+    the calling thread: each thread that calls BLAS gets a buffer of its own,
+    a few MB that outlive the pool and raise the peak memory of whatever the
+    process runs next.  A point whose cutoff removes every mode gets NaN, and
+    one :class:`AllModesCutWarning` reports any such point.
     """
     values = np.empty(len(pts))
-    with ThreadPoolExecutor(_worker_count(len(pts))) as pool:
+    pool = ThreadPoolExecutor(_worker_count(len(pts)))
+    try:
+        waiting = None
         for start in range(0, len(pts), _CHUNK):
-            b = _rhs_columns(gap, pts[start:start + _CHUNK])
-            beta, b2 = svd.project(b), np.sum(np.abs(b) ** 2, axis=0)
-            del b  # only its projection and norm are needed from here on
-            beta2 = np.abs(beta) ** 2
-            del beta  # the l2 norms need only its squared magnitude
-            edges = np.linspace(0, len(b2), _worker_count(len(b2)) + 1).astype(int)
-            args = [(svd.s, reg, beta2[:, a:z], b2[a:z])
-                    for a, z in zip(edges[:-1], edges[1:])]
-            xnorm = np.concatenate(
-                _gather([pool.submit(_slice_norms, *arg) for arg in args], len(b2)))
-            values[start:start + len(b2)] = np.divide(1.0, xnorm, where=xnorm > 0,
-                                                      out=np.full_like(xnorm, np.nan))
+            block = slice(start, start + _CHUNK)
+            handed = block, _submit_block(pool, svd, gap, pts[block], reg)
+            if waiting:
+                _store(values, *waiting)
+            waiting = handed
+        _store(values, *waiting)
+    finally:  # after an error, the slices of the block handed over last are dropped
+        pool.shutdown(cancel_futures=True)
     if np.isnan(values).any():
         warnings.warn("cutoff removed every singular mode", AllModesCutWarning)
     return values

@@ -690,6 +690,11 @@ FLAG_ONLY_BAD_VALUES = [
     ("forward", ["--basis", "bogus:64"], "--basis"),
     ("forward", ["--basis", "collocation:64", "--sim-nodes", "16"], "--sim-nodes"),
     ("forward", ["--basis", "fourier:5", "--sim-nodes", "33"], "--sim-nodes"),
+    ("forward", ["--basis", "fourier:3", "--sim-nodes", "-7"], "--sim-nodes"),
+    ("forward", ["--basis", "fourier:3", "--sim-nodes", "0"], "--sim-nodes"),
+    ("forward", ["--basis", "fourier:0", "--sim-nodes", "1"], "--sim-nodes"),
+    ("forward", ["--gamma", "theta("], "--gamma 'theta(': cannot parse"),
+    ("forward", ["--bc", "impedance", "--gamma", "theta.real"], "--gamma 'theta.real'"),
     ("sample", ["--noise", "nan"], "--noise"),
     ("sample", ["--noise", "-0.1", "--reg", "cutoff:0.0001"], "--noise"),
     ("sample", ["--reg", "cutoff:0.0001", "--reg-noise", "nan"], "--reg-noise"),
@@ -719,6 +724,8 @@ FLAG_ONLY_BAD_VALUES = [
     ("impedance", ["--curve", "curve.json", "--model-error-factor", "0"],
      "--model-error-factor"),
     ("impedance", ["--mask-tol", "nan"], "--mask-tol"),
+    ("impedance", ["--gamma", "theta("], "--gamma 'theta(': cannot parse"),
+    ("impedance", ["--gamma", "sin(theta, theta)"], "--gamma 'sin(theta, theta)'"),
 ]
 
 

@@ -1,3 +1,4 @@
+import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -58,6 +59,18 @@ class TestPoissonKernel:
     def test_rhs_masks_near_boundary(self):
         with pytest.raises(TooCloseToBoundary):
             poisson_rhs((0.95, 0.0), colloc_gap())
+
+    @pytest.mark.parametrize("width", [1, 17, 8192])
+    def test_collocation_rhs_is_the_closed_form_bit_for_bit(self, width):
+        gap = colloc_gap()
+        rng = np.random.Generator(np.random.Philox(width))
+        rad, ang = 0.9 * np.sqrt(rng.uniform(0, 1, width)), rng.uniform(-np.pi, np.pi, width)
+        pts = np.column_stack([rad * np.cos(ang), rad * np.sin(ang)])
+        r, tz, theta = np.hypot(pts[:, 0], pts[:, 1]), np.arctan2(pts[:, 1], pts[:, 0]), gap.nodes
+        want = (1.0 - r**2)[None, :] / (
+            2.0 * np.pi * (r**2 + 1.0 - 2.0 * r[None, :] * np.cos(theta[:, None] - tz[None, :])))
+        got = sampling._rhs_columns(gap, pts)
+        assert got.shape == (gap.n, width) and got.tobytes() == want.tobytes()
 
 
 class TestCurrentGap:
@@ -315,6 +328,41 @@ class TestScanThreads:
         # raised by one worker's slice, reported for the whole block
         assert isinstance(threaded.value.__cause__, NoiseDominates)
         assert threaded.value.__cause__.total < threaded.value.total
+
+    def test_rhs_and_projection_stay_on_the_calling_thread(self, monkeypatch):
+        # each thread that calls BLAS keeps a buffer of its own; the workers only filter
+        calls = []
+
+        def on_thread(name, fn):
+            def recorded(*args):
+                calls.append((name, threading.get_ident()))
+                return fn(*args)
+            return recorded
+
+        use_cpus(monkeypatch, 3)
+        monkeypatch.setattr(sampling, "_CHUNK", 64)
+        for owner, name in ((sampling, "_rhs_columns"), (SvdFactorization, "project"),
+                            (sampling, "_slice_norms")):
+            monkeypatch.setattr(owner, name, on_thread(name, getattr(owner, name)))
+        out = scan(colloc_gap(), GridSpec.square(23), RegStrategy.tikhonov_discrepancy(0.05))
+        widths = [min(64, out.mask.sum() - a) for a in range(0, out.mask.sum(), 64)]
+        assert len(widths) >= 4
+        me = threading.get_ident()
+        assert sorted(c for c in calls if c[0] != "_slice_norms") == sorted(
+            [("_rhs_columns", me), ("project", me)] * len(widths))
+        filtered = [t for name, t in calls if name == "_slice_norms"]
+        assert len(filtered) == sum(map(sampling._worker_count, widths)) > len(widths)
+        assert me not in filtered
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_noise_dominated_first_block_reports_its_width(self, monkeypatch, cpus):
+        use_cpus(monkeypatch, cpus)
+        monkeypatch.setattr(sampling, "_CHUNK", 64)
+        grid = GridSpec.square(15)
+        assert np.sum(np.hypot(*grid.points().T) <= sampling.RADIUS_MASK) > 2 * 64
+        with pytest.raises(NoiseDominates) as caught:
+            scan(colloc_gap(), grid, RegStrategy.tikhonov_discrepancy(0.9))
+        assert (caught.value.columns, caught.value.total) == (64, 64)
 
     def test_indicator_runs_on_one_worker(self, monkeypatch):
         pools = []
