@@ -35,11 +35,18 @@ def config_hash(config: dict) -> str:
 
 def _matrix_to_pairs(mat):
     m = np.asarray(mat, dtype=complex)
-    return [[[float(v.real), float(v.imag)] for v in row] for row in m]
+    return np.stack([m.real, m.imag], -1).tolist()
 
 
 def _matrix_from_pairs(rows, is_complex):
-    m = np.array([[complex(re, im) for re, im in row] for row in rows])
+    try:
+        pairs = np.array(rows)
+        valid = pairs.dtype.kind in "iuf" and pairs.ndim == 3 and pairs.shape[2] == 2
+    except ValueError:  # rows or pairs of unequal lengths
+        valid = False
+    if not valid:
+        raise ValueError("lambda0 must hold one [re, im] pair of numbers per entry")
+    m = pairs.astype(float, copy=False).view(complex)[..., 0]  # the same bits, -0.0 included
     return m if is_complex else m.real
 
 

@@ -12,7 +12,8 @@ the residual:
   root of ``|A x_alpha - b| = target``.  That residual increases with
   ``alpha``: bisection on ``log alpha`` over ``[1e-14 s1^2, s1^2]`` brackets
   it, then Newton in ``mu = 1/alpha``, where its square is convex, resolves it
-  to rounding per column (Engl, Hanke & Neubauer, 1996, ch. 4).
+  to rounding per column (Engl, Hanke & Neubauer, 1996, ch. 4).  Newton's
+  last steps run only on the columns that have not settled.
 - Spectral cutoff: ``F_i = 1/s_i`` on the singular triplets with
   ``s_i >= tau * s_1``, or above an absolute, noise-tied threshold per
   column, and zero elsewhere.
@@ -22,8 +23,11 @@ the residual:
 columns; :func:`tikhonov_solve` and :func:`discrepancy_alpha` are
 one-strategy calls of it, and the sampling scan runs the kernel over column
 slices of blocks of grid points, on threads.  The kernel is elementwise work
-plus sums over the modes of each column, so a slice of two or more adjacent
-columns of a block filters to the same bits as the block.
+plus sums over the modes of each column.  numpy adds up each column of a sum
+over two or more columns in the same order, whatever its neighbours, but a
+contiguous one-column array in another; so a slice of two or more adjacent
+columns of a block filters to the same bits as the block, and the
+discrepancy root never narrows a sum to a single column.
 
 Noise models: multiplicative entrywise perturbations ``A (1 + delta E)`` with
 a zero-mean uniform matrix scaled to unit spectral norm, and the vector
@@ -197,19 +201,31 @@ def _discrepancy_root(s2, beta2, b_perp2, b2, t2):
     depend on the other columns.  A column whose target is not reached inside
     the bracket gets the nearer endpoint.  Raises :class:`NoiseDominates` when
     a target reaches the data norm, where no fit is meaningful.
+
+    The bracket ends and the first midpoint are one ``alpha`` for every
+    column, so their ``q = alpha / (alpha + s^2)`` is formed on one column.
+    Bisection sums ``q^2 beta2`` in one pass; the sum of two or more columns
+    rounds as ``w = q^2`` and a second pass do, that of a single column does
+    not, so a one-column slice keeps the two passes.  Once at most half of
+    the columns Newton carries are still stepping, it gathers those and
+    carries only them; a lone one takes a neighbour along, so that no
+    gathered sum runs over a single column.
     """
     if np.any(t2 >= b2):
         raise NoiseDominates(int(np.sum(t2 >= b2)), len(b2))
-    q, w = np.empty(beta2.shape), np.empty(beta2.shape)  # reused by every step
+    q = np.empty(beta2.shape)  # reused by every bisection step
 
-    def res2(alpha):  # leaves q = alpha / (alpha + s^2) = 1 / (1 + mu s^2)
-        np.add(s2, alpha, out=q)
-        np.divide(alpha, q, out=q)
-        np.multiply(q, q, out=w)
-        return np.einsum("ij,ij->j", w, beta2) + b_perp2
+    def res2(alpha):  # q = alpha / (alpha + s^2) = 1 / (1 + mu s^2)
+        if np.ndim(alpha):
+            np.add(s2, alpha, out=q)
+            qa = np.divide(alpha, q, out=q)
+        else:
+            qa = np.broadcast_to(alpha / (s2 + alpha), beta2.shape)
+        if beta2.shape[1] == 1:
+            return np.einsum("ij,ij->j", qa * qa, beta2) + b_perp2
+        return np.einsum("ij,ij,ij->j", qa, qa, beta2) + b_perp2
 
-    lo = np.full(len(b2), _ALPHA_FLOOR * s2[0, 0])
-    hi = np.full(len(b2), s2[0, 0])
+    lo, hi = _ALPHA_FLOOR * s2[0, 0], s2[0, 0]
     r_lo, r_hi = res2(lo), res2(hi)
     bracketed = (r_lo < t2) & (r_hi > t2)
     outside = np.where(r_lo >= t2, lo, hi)
@@ -218,18 +234,35 @@ def _discrepancy_root(s2, beta2, b_perp2, b2, t2):
         below = res2(mid) < t2
         lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
     # g(mu) = res2 - t^2 is decreasing and convex, g' = -2 sum q^3 s^2 beta^2
-    mu, active = 1.0 / hi, bracketed
+    mu_all, carried = 1.0 / hi, np.arange(len(b2))
+    mu, active, beta2_c, b_perp2_c, t2_c = mu_all, bracketed, beta2, b_perp2, t2
+    w = np.empty(beta2.shape)
     for _ in range(_NEWTON_STEPS):
-        if not active.any():
+        live = np.flatnonzero(active)
+        if not len(live):
             break
-        g = res2(1.0 / mu) - t2
+        if 2 * len(live) <= len(active) and len(active) > 2:
+            if len(live) == 1:
+                live = np.r_[live, 1 if live[0] == 0 else live[0] - 1]
+            mu_all[carried] = mu
+            q = w = None  # freed before the gathered copies are made
+            carried = carried[live]
+            mu, active = mu_all[carried], active[live]
+            beta2_c, b_perp2_c, t2_c = beta2[:, carried], b_perp2[carried], t2[carried]
+            q, w = np.empty(beta2_c.shape), np.empty(beta2_c.shape)
+        alpha = 1.0 / mu
+        np.add(s2, alpha, out=q)
+        np.divide(alpha, q, out=q)
+        np.multiply(q, q, out=w)
+        g = np.einsum("ij,ij->j", w, beta2_c) + b_perp2_c - t2_c
         w *= q
         w *= s2
-        step = np.divide(g, 2.0 * np.einsum("ij,ij->j", w, beta2),
+        step = np.divide(g, 2.0 * np.einsum("ij,ij->j", w, beta2_c),
                          out=np.zeros_like(g), where=active)
         active = active & (step > 4.0 * np.finfo(float).eps * mu)
         mu[active] += step[active]
-    return np.where(bracketed, 1.0 / mu, outside)
+    mu_all[carried] = mu
+    return np.where(bracketed, 1.0 / mu_all, outside)
 
 
 def regularized_solve(svd, b, reg, delta_abs=None):

@@ -64,9 +64,12 @@ RADIUS_MASK = 0.9
 # grid points per block: keeps each (modes x points) work array to a few MB.
 # The right-hand sides and their projection round differently in other sizes.
 _CHUNK = 8192
-# fewest columns a thread filters.  numpy sums a contiguous one-column array
-# over its modes pairwise, which rounds unlike a block; narrow views happen not
-# to, but the bits should not rest on that, and tiny slices gain nothing.
+# fewest columns a thread filters.  numpy adds up each column of a sum over
+# two or more columns in the same order, whatever its neighbours, but a
+# contiguous one-column array pairwise, which rounds unlike a block; narrow
+# views happen not to, but the bits should not rest on that (the discrepancy
+# root keeps its gathered Newton sums two columns wide for the same reason),
+# and tiny slices gain nothing.
 _MIN_SLICE = 16
 
 

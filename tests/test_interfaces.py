@@ -90,6 +90,27 @@ class TestDtnFile:
         assert np.array_equal(lam2.matrix, lam.matrix)
         assert np.array_equal(gap_from_lambda0(lam2).matrix, gap_from_lambda0(lam).matrix)
 
+    @pytest.mark.parametrize("is_complex", [True, False])
+    def test_signed_zeros_and_subnormals_keep_their_bits(self, tmp_path, is_complex):
+        m = np.array([[-0.0, 5e-324], [1.0 / 3.0, -2.5e-310]])
+        if is_complex:
+            m = m + 1j * m[::-1]
+            m.imag[0, 0] = -0.0
+        path = tmp_path / "dtn.json"
+        write_dtn(path, DtnOperator("collocation", m), {}, {}, {})
+        got = read_dtn(path).matrix
+        assert got.dtype == m.dtype and got.tobytes() == m.tobytes()
+
+    @pytest.mark.parametrize("entry", [[1.0, 0.0, 0.0], [1.0], ["1", "0"], [None, 0.0]])
+    def test_entry_that_is_not_a_pair_of_numbers_is_rejected(self, tmp_path, entry):
+        path = tmp_path / "dtn.json"
+        write_dtn(path, DtnOperator("collocation", np.eye(2)), {}, {}, {})
+        doc = json.loads(path.read_text())
+        doc["lambda0"][1][0] = entry
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=r"\[re, im\] pair of numbers"):
+            read_dtn(path)
+
     def test_hash_stability(self):
         a = config_hash({"b": 1, "a": [1, 2]})
         b = config_hash({"a": [1, 2], "b": 1})

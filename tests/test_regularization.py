@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eitdisk import regularization
 from eitdisk.exceptions import AllModesCutWarning, NoiseDominates, SingularSystem
 from eitdisk.regularization import (RegStrategy, SvdFactorization,
                                     discrepancy_alpha, expected_noise_norm,
@@ -316,6 +317,86 @@ def projected(svd, b):
     return np.abs(svd.project(b)) ** 2, np.sum(np.abs(b) ** 2, axis=0)
 
 
+def frozen_discrepancy_root(s2, beta2, b_perp2, b2, t2):
+    """The discrepancy root as it was before it formed shared alphas on one
+    column, fused its squared sums and compacted Newton's tail: every step
+    runs on every column.  The kernel's root must keep its bits."""
+    if np.any(t2 >= b2):
+        raise NoiseDominates(int(np.sum(t2 >= b2)), len(b2))
+    q, w = np.empty(beta2.shape), np.empty(beta2.shape)
+
+    def res2(alpha):
+        np.add(s2, alpha, out=q)
+        np.divide(alpha, q, out=q)
+        np.multiply(q, q, out=w)
+        return np.einsum("ij,ij->j", w, beta2) + b_perp2
+
+    lo = np.full(len(b2), 1e-14 * s2[0, 0])
+    hi = np.full(len(b2), s2[0, 0])
+    r_lo, r_hi = res2(lo), res2(hi)
+    bracketed = (r_lo < t2) & (r_hi > t2)
+    outside = np.where(r_lo >= t2, lo, hi)
+    for _ in range(8):
+        mid = np.sqrt(lo * hi)
+        below = res2(mid) < t2
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    mu, active = 1.0 / hi, bracketed
+    for _ in range(30):
+        if not active.any():
+            break
+        g = res2(1.0 / mu) - t2
+        w *= q
+        w *= s2
+        step = np.divide(g, 2.0 * np.einsum("ij,ij->j", w, beta2),
+                         out=np.zeros_like(g), where=active)
+        active = active & (step > 4.0 * np.finfo(float).eps * mu)
+        mu[active] += step[active]
+    return np.where(bracketed, 1.0 / mu, outside)
+
+
+def root_inputs(width, seed, fractions=None):
+    """Arguments of the discrepancy root for ``width`` columns of a 64-mode
+    system, as the kernel forms them; targets are ``fractions`` of ``|b|``,
+    by default spread log-uniformly from in front of the bracket to its top."""
+    a, b = decaying_system(64, width, seed)
+    svd = SvdFactorization.from_matrix(a)
+    beta2, b2 = projected(svd, b)
+    s = svd.s
+    b_perp2 = b2 - beta2.sum(axis=0)
+    b_perp2 = np.where(b_perp2 > len(s) * np.finfo(float).eps * b2, b_perp2, 0.0)
+    if fractions is None:
+        fractions = 10 ** np.random.Generator(np.random.Philox(seed)).uniform(-9, -0.02, width)
+    return s[:, None] ** 2, beta2, b_perp2, b2, (fractions * np.sqrt(b2)) ** 2
+
+
+def residual2_at(alpha, s2, beta2, b_perp2):
+    """Squared residual of each column at one ``alpha``, summed as the frozen
+    root sums it."""
+    q = alpha / (s2 + alpha)
+    return np.einsum("ij,ij->j", q * q, beta2) + b_perp2
+
+
+def same_root_bits(s2, beta2, b_perp2, b2, t2):
+    got = regularization._discrepancy_root(s2, beta2, b_perp2, b2, t2)
+    want = frozen_discrepancy_root(s2, beta2, b_perp2, b2, t2)
+    return got.tobytes() == want.tobytes()
+
+
+def newton_widths(*args):
+    """The root's alphas, and the column counts of its two-operand sums over
+    the modes, which on two or more columns only Newton's steps make."""
+    widths, einsum = [], np.einsum
+
+    def recording(subscripts, *operands, **kwargs):
+        if subscripts == "ij,ij->j":
+            widths.append(operands[1].shape[1])
+        return einsum(subscripts, *operands, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np, "einsum", recording)
+        return regularization._discrepancy_root(*args), widths
+
+
 class TestDiscrepancyRoot:
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10**6), st.booleans(),
@@ -402,6 +483,71 @@ class TestDiscrepancyRoot:
         assert alpha_of_first(slow) == alone
         assert alpha_of_first(slow, perm) == alone
         assert alpha_of_first(fast, perm) == alone
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 17, 4096])
+    def test_root_keeps_the_bits_of_the_frozen_root(self, width):
+        assert same_root_bits(*root_inputs(width, width))
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_root_on_column_views_keeps_the_bits(self, workers):
+        # the slices _submit_block hands its workers, and narrow views
+        s2, beta2, b_perp2, b2, t2 = root_inputs(301, 4)
+        edges = np.linspace(0, len(b2), workers + 1).astype(int)
+        for a, z in [*zip(edges[:-1], edges[1:]), (5, 6), (7, 9), (100, 103)]:
+            assert same_root_bits(s2, beta2[:, a:z], b_perp2[a:z], b2[a:z], t2[a:z])
+
+    @pytest.mark.parametrize("lone", [0, 7, 15])
+    def test_lone_stepping_column_keeps_its_bits(self, lone):
+        # every other target lies below the bracket, so one column steps
+        # from the first Newton step on, padded with one neighbour
+        fractions = np.full(16, 1e-12)
+        fractions[lone] = 0.075
+        args = root_inputs(16, 9, fractions)
+        assert same_root_bits(*args)
+        alpha, widths = newton_widths(*args)
+        assert np.sum(alpha != alpha[lone - 1]) == 1
+        assert widths and set(widths) == {2}
+
+    @pytest.mark.parametrize("at", ["floor", "midpoint", "top"])
+    def test_lone_column_on_a_target_at_a_shared_alpha_keeps_its_bits(self, at):
+        # the target is the residual at a bracket end or the first midpoint,
+        # summed as the frozen root sums it: a sum that rounded otherwise
+        # would flip the comparison with the target there
+        s2, beta2, b_perp2, b2, _ = root_inputs(1, 21)
+        floor, top = 1e-14 * s2[0, 0], s2[0, 0]
+        alpha = {"floor": floor, "midpoint": np.sqrt(floor * top), "top": top}[at]
+        t2 = residual2_at(alpha, s2, beta2, b_perp2)
+        assert same_root_bits(s2, beta2, b_perp2, b2, t2)
+
+    def test_newton_tail_runs_on_fewer_columns(self):
+        fractions = 10 ** np.random.Generator(np.random.Philox(11)).uniform(-3, -0.5, 4096)
+        _, widths = newton_widths(*root_inputs(4096, 11, fractions))
+        assert widths[0] == 4096
+        assert min(widths) >= 2
+        assert widths[-1] < 4096 // 2
+
+    @pytest.mark.parametrize("width", [1, 2, 17])
+    def test_all_targets_outside_the_bracket_keep_their_bits(self, width):
+        # below the residual at the bracket's floor, or above the one at its top
+        s2, beta2, b_perp2, b2, _ = root_inputs(width, 12)
+        r_lo, r_hi = (residual2_at(alpha, s2, beta2, b_perp2)
+                      for alpha in (1e-14 * s2[0, 0], s2[0, 0]))
+        t2 = np.where(np.arange(width) % 2, (r_hi + b2) / 2, r_lo / 2)
+        args = s2, beta2, b_perp2, b2, t2
+        assert same_root_bits(*args)
+        if width > 1:  # a lone column's bisection keeps the two-operand sum
+            assert newton_widths(*args)[1] == []
+
+    @pytest.mark.parametrize("width", [1, 3, 17])
+    def test_noise_dominates_like_the_frozen_root(self, width):
+        fractions = np.resize([1.3, 0.2, 1.01], width)
+        args = root_inputs(width, 13, fractions)
+        errors = []
+        for root in (regularization._discrepancy_root, frozen_discrepancy_root):
+            with pytest.raises(NoiseDominates) as caught:
+                root(*args)
+            errors.append((caught.value.columns, caught.value.total))
+        assert errors[0] == errors[1] == (np.sum(fractions >= 1), width)
 
 
 class TestNoiseModels:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eitdisk import sampling
+from eitdisk import regularization, sampling
 from eitdisk.annulus import AnnulusConfig, gap_operator
 from eitdisk.exceptions import (AllModesCutWarning, DegenerateFit, NoContour,
                                 NoiseDominates, SingularSystem, TooCloseToBoundary)
@@ -17,6 +17,7 @@ from eitdisk.regularization import RegStrategy, SvdFactorization, regularized_so
 from eitdisk.sampling import (GridSpec, IndicatorGrid, extract_level_set,
                               fit_trig_curve, indicator, poisson_kernel,
                               poisson_rhs, scan)
+from test_regularization import frozen_discrepancy_root
 
 DIRICHLET = AnnulusConfig(0.5, "dirichlet")
 
@@ -301,6 +302,19 @@ class TestScanThreads:
             assert sampling._worker_count(default.mask.sum()) == cpus
             out = scan(gap, grid, reg, noise=(0.05, 5))
             assert np.array_equal(out.values, default.values, equal_nan=True)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    # the README's 101x101 sample on its circle's gap (one block), and blocks of 200
+    @pytest.mark.parametrize("size, chunk", [(101, sampling._CHUNK), (41, 200)])
+    def test_scan_keeps_the_bits_of_the_frozen_root(self, monkeypatch, cpus, size, chunk):
+        use_cpus(monkeypatch, cpus)
+        monkeypatch.setattr(sampling, "_CHUNK", chunk)
+        reg, grid = RegStrategy.tikhonov_discrepancy(0.05, 1.5), GridSpec.square(size)
+        out = scan(colloc_gap(), grid, reg, noise=(0.05, 1))
+        assert (out.mask.sum() <= chunk) == (size == 101)
+        monkeypatch.setattr(regularization, "_discrepancy_root", frozen_discrepancy_root)
+        want = scan(colloc_gap(), grid, reg, noise=(0.05, 1))
+        assert out.values.tobytes() == want.values.tobytes()
 
     def test_worker_count_follows_usable_cpus(self, monkeypatch):
         use_cpus(monkeypatch, 3)
