@@ -356,7 +356,10 @@ def _factorize(a, what, limit):
     """LU factors of ``a`` and LAPACK's 1-norm condition estimate.
 
     Raises :class:`SingularSystem` when the block is not finite, is exactly
-    singular, or its estimated condition exceeds ``limit``.
+    singular, or its estimated condition exceeds ``limit``.  Two threads must
+    never solve against one ``(lu, piv)`` at the same time: ``lu_solve``
+    shifts the pivot array in place while it runs, so each thread needs its
+    own copy of ``piv``.
     """
     import scipy.linalg as la
 

@@ -34,6 +34,18 @@ block inverse: with ``X = R1 P`` and ``Z = (R2 + X K_im~) S^-1``, formed by one
 transposed solve against the Schur factors, the composition is
 ``[X - Z K_mi P, Z]``.  The outer hypersingular block ``T_mm`` is the
 closed-form circle block of :func:`eitdisk.bie.normal_derivative`.
+
+:func:`assemble_completion` keeps only the arrays still to be read.  In
+order, it forms ``K_im~``; the cross flux blocks ``T_mi`` and ``T_im~``,
+whose kernels have the largest temporaries; ``X`` in its own buffer, with
+``P`` applied in place; the right-hand sides ``R2 + X K_im~`` in ``Z``'s
+buffer; ``K_mi P``; and ``S``, summed in place on ``K_ii~``.  ``K_im~`` and
+``S`` are dropped once ``S`` is factorized, the LU factors once the
+right-hand sides are solved in place, and ``K_mi P`` once ``X`` is
+composed.  ``X`` is negated in place, so when the SVD of the completion
+operator runs, only ``X`` and ``Z`` are alive: the four maps are views into
+them.  The in-place steps are the operations of an assembly on fresh arrays,
+in the same order and memory layout, so every map keeps its bits.
 """
 
 from __future__ import annotations
@@ -98,21 +110,39 @@ def assemble_completion(outer, inner, model_error_factor=1.0):
     _check_inclusion(inner)
     n_m, n_i = outer.n, inner.n
     kim = modified_double_layer(inner, outer)
-    kmi_p = _outer_inverse(double_layer(outer, inner).T).T     # K_mi P
-    kii = modified_double_layer(inner, inner)
-    schur = np.eye(n_i) + kii + kmi_p @ kim
-    lu, condition = _factorize(schur, "completion trace", _COND_LIMIT)
-
-    tmm = normal_derivative(outer, outer)
-    tim = normal_derivative(inner, outer, of="modified_double_layer")
+    # the two cross flux blocks have the largest temporaries; they are formed
+    # before the buffers of X and Z, and each block is dropped once read
     tmi = normal_derivative(outer, inner)
-    tii = normal_derivative(inner, inner, of="modified_double_layer")
-    x = _outer_inverse(np.hstack([tmm.T, -tmi.T])).T             # R1 P
-    # (R2 + X K_im~) S^-1, as the solve of S^T against its transpose
-    z = la.lu_solve(lu, np.hstack([tim.T, -tii.T]) + kim.T @ x.T, trans=1).T
+    tim = normal_derivative(inner, outer, of="modified_double_layer")
+    # X = R1 P: P applied in place to X^T = [T_mm^T  -T_mi^T], an F-ordered
+    # array as _outer_inverse gets it from hstack
+    x = np.empty((n_m + n_i, n_m))
+    x[:n_m] = normal_derivative(outer, outer)
+    np.negative(tmi, out=x[n_m:])
+    del tmi
+    xt = x.T
+    xt -= xt.sum(axis=0) / (2 * n_m)
+    # the right-hand sides R2 + X K_im~ of Z's solve, in Z's buffer
+    z = np.empty((n_m + n_i, n_i))
+    z[:n_m] = tim
+    del tim
+    np.negative(normal_derivative(inner, inner, of="modified_double_layer"), out=z[n_m:])
+    z += x @ kim
+    kmi_p = _outer_inverse(double_layer(outer, inner).T).T     # K_mi P
+    schur = modified_double_layer(inner, inner)                 # K_ii~, then S
+    schur += np.eye(n_i)
+    schur += kmi_p @ kim
+    del kim
+    lu, condition = _factorize(schur, "completion trace", _COND_LIMIT)
+    del schur
+    # Z = (R2 + X K_im~) S^-1, as the solve of S^T against its transpose, in place
+    z = la.lu_solve(lu, z.T, trans=1, overwrite_b=True).T
+    del lu
     x -= z @ kmi_p
-    response, completion = -x[:n_m], z[:n_m]
-    inner_response, inner_completion = -x[n_m:], z[n_m:]
+    del kmi_p
+    np.negative(x, out=x)
+    response, completion = x[:n_m], z[:n_m]
+    inner_response, inner_completion = x[n_m:], z[n_m:]
     return CompletionSystem(outer, inner, response, completion,
                             inner_response, inner_completion,
                             SvdFactorization.from_matrix(completion),

@@ -89,7 +89,8 @@ def write_indicator(path, grid: IndicatorGrid, config: dict):
 
     Lines end in CRLF, the row terminator of the :mod:`csv` module.  The
     coordinates are formatted once per grid line, and each grid row is
-    written as one block.
+    written as one block: a template holding the row's coordinates, into
+    which one ``%`` formats all of its values.
     """
     xs = ["%.17g" % x for x in grid.spec.xs]
     ys = ["%.17g" % y for y in grid.spec.ys]
@@ -99,9 +100,12 @@ def write_indicator(path, grid: IndicatorGrid, config: dict):
                  f" ymin={grid.spec.ymin!r} ymax={grid.spec.ymax!r}\n")
         fh.write("x,y,W\r\n")
         for y, mask, values in zip(ys, grid.mask, grid.values):
-            cols = np.flatnonzero(mask).tolist()
-            fh.write("".join("%s,%s,%.17g\r\n" % (xs[j], y, w)
-                             for j, w in zip(cols, values[cols].tolist())))
+            cols = np.flatnonzero(mask)
+            if not len(cols):
+                continue
+            sep = f",{y},%.17g\r\n"
+            fh.write((sep.join([xs[j] for j in cols.tolist()]) + sep)
+                     % tuple(values[cols].tolist()))
 
 
 def read_indicator(path):

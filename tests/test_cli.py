@@ -12,6 +12,7 @@ import eitdisk
 from eitdisk import bie, cli
 from eitdisk.cli import _gamma_values, _parse_reg, main
 from eitdisk.dtn import gap_from_lambda0
+from eitdisk.exceptions import AllModesCutWarning
 from eitdisk.geometry import BoundaryCurve
 from eitdisk.io import read_curve, read_dtn, read_indicator, write_curve
 from eitdisk.regularization import RegStrategy
@@ -429,7 +430,13 @@ def test_impedance_config_hash_tells_node_counts_and_reg_noise_apart(tmp_path, e
     hashes = {}
     for name, extra in runs.items():
         out = tmp_path / f"{name}.csv"
-        assert main([*common, *extra, "--out", str(out)]) == 0
+        if name == "many-nodes":
+            # its cutoff removes every mode of some pairs, each with a warning
+            with pytest.warns(AllModesCutWarning) as caught:
+                assert main([*common, *extra, "--out", str(out)]) == 0
+            assert {w.category for w in caught} == {AllModesCutWarning}
+        else:
+            assert main([*common, *extra, "--out", str(out)]) == 0
         hashes[name] = out.read_text().splitlines()[0]
     assert len(set(hashes.values())) == 3, hashes
 

@@ -1,19 +1,21 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-import scipy.linalg as la
+import scipy.linalg as la  # loaded before any test traces memory
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eitdisk.annulus import (AnnulusConfig, gap_coefficient,
                              inner_flux_coefficient, inner_trace_coefficient)
-from eitdisk.bie import (NystromMesh, double_layer, modified_double_layer,
-                         normal_derivative, solve_forward)
+from eitdisk.bie import (NystromMesh, _factorize, _outer_inverse, double_layer,
+                         modified_double_layer, normal_derivative, solve_forward)
 from eitdisk.completion import (assemble_completion, complete_cauchy,
                                 recover_gamma_averaged, recover_gamma_lsq,
                                 recover_gamma_pointwise)
 from eitdisk.exceptions import AllMasked
 from eitdisk.geometry import BoundaryCurve
-from eitdisk.regularization import RegStrategy, perturb_vector
+from eitdisk.regularization import RegStrategy, SvdFactorization, perturb_vector
 
 N = 64
 
@@ -46,6 +48,73 @@ def annulus_pair(cfg, k, kind=np.cos, n=N):
     trace = inner_trace_coefficient(cfg, k) * kind(k * t_out)
     flux = inner_flux_coefficient(cfg, k) * kind(k * t_out)
     return f, g, trace, flux
+
+
+def frozen_assembly(outer, inner):
+    """The maps, condition estimate and SVD as :func:`assemble_completion`
+    formed them from fresh arrays, every kernel block alive to the end; kept
+    as the bitwise reference for the assembly that drops each block early."""
+    n_m, n_i = outer.n, inner.n
+    kim = modified_double_layer(inner, outer)
+    kmi_p = _outer_inverse(double_layer(outer, inner).T).T     # K_mi P
+    kii = modified_double_layer(inner, inner)
+    schur = np.eye(n_i) + kii + kmi_p @ kim
+    lu, condition = _factorize(schur, "completion trace", 1e8)
+
+    tmm = normal_derivative(outer, outer)
+    tim = normal_derivative(inner, outer, of="modified_double_layer")
+    tmi = normal_derivative(outer, inner)
+    tii = normal_derivative(inner, inner, of="modified_double_layer")
+    x = _outer_inverse(np.hstack([tmm.T, -tmi.T])).T             # R1 P
+    z = la.lu_solve(lu, np.hstack([tim.T, -tii.T]) + kim.T @ x.T, trans=1).T
+    x -= z @ kmi_p
+    svd = SvdFactorization.from_matrix(z[:n_m])
+    return {"response": -x[:n_m], "completion": z[:n_m],
+            "inner_response": -x[n_m:], "inner_completion": z[n_m:],
+            "condition": np.float64(condition),
+            "svd.u": svd.u, "svd.s": svd.s, "svd.vh": svd.vh}
+
+
+class TestLiveArrays:
+    @pytest.mark.parametrize("n", [64, 256])
+    @pytest.mark.parametrize("curve", [BoundaryCurve.ellipse(0.5, 0.3), BoundaryCurve.cardioid()],
+                             ids=["ellipse", "cardioid"])
+    def test_keeps_the_bits_of_the_frozen_assembly(self, curve, n):
+        outer, inner = outer_mesh(n), inner_mesh(curve, n)
+        system = assemble_completion(outer, inner)
+        got = {"response": system.response, "completion": system.completion,
+               "inner_response": system.inner_response,
+               "inner_completion": system.inner_completion,
+               "condition": np.float64(system.condition),
+               "svd.u": system.svd.u, "svd.s": system.svd.s, "svd.vh": system.svd.vh}
+        want = frozen_assembly(outer, inner)
+        for name, ref in want.items():
+            assert got[name].shape == ref.shape, name
+            assert got[name].tobytes() == ref.tobytes(), name
+
+    def test_only_the_four_maps_are_alive_at_the_svd(self, monkeypatch):
+        n = 256
+        outer, inner = outer_mesh(n), inner_mesh(BoundaryCurve.ellipse(0.5, 0.3), n)
+        alive = []
+        real = SvdFactorization.from_matrix
+
+        def traced(cls, a):
+            alive.append(tracemalloc.get_traced_memory()[0])
+            return real(a)
+
+        monkeypatch.setattr(SvdFactorization, "from_matrix", classmethod(traced))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            system = assemble_completion(outer, inner)
+        finally:
+            tracemalloc.stop()
+        assert len(alive) == 1
+        assert alive[0] - start <= 1.05 * 4 * n * n * 8
+        # the outer and inner maps are views into one buffer each: X and Z
+        for outer_map, inner_map in ((system.response, system.inner_response),
+                                     (system.completion, system.inner_completion)):
+            assert outer_map.base is not None and outer_map.base is inner_map.base
 
 
 class TestAssembly:
