@@ -29,6 +29,17 @@ hypersingular block is ``-healthy_collocation_matrix(n) / r``, which
 kernel reads its pair geometry, the target-minus-source ``dx``, ``dy`` and
 ``r2`` as ``(targets, sources)`` arrays, from one helper, ``_pair``.
 
+Every kernel computes in place: each step writes into the buffer of an
+operand that is not read again (augmented assignment, ufuncs with ``out=``),
+and each intermediate is dropped after its last reader, so a kernel holds at
+most five matrices of its result's size, the result included.  The steps are
+the operations of the kernel's formula on fresh arrays, in the same order on
+the same operands, so every entry keeps its bits; ``np.log`` and ``np.sin``
+run on C-contiguous arrays only, as numpy's SIMD and strided loops for them
+may round differently.  Only a self block (``target is source``) has a
+singular diagonal, which it fills with the kernel's limit; any other target
+that lies on a source node raises :class:`CoincidentPoints`.
+
 The outer boundary of every solve is the unit measurement circle.  Its trace
 block ``I - K_mm = I + J/n`` has the inverse ``P = I - J/(2n)``, applied as a
 column-sum correction, so the outer density is eliminated and only the
@@ -148,11 +159,19 @@ def _points(target):
 
 def _pair(source, target):
     """Target-minus-source differences ``dx``, ``dy`` and the squared distance
-    ``r2``, each of shape ``(targets, sources)``."""
+    ``r2``, each of shape ``(targets, sources)``.
+
+    Raises :class:`CoincidentPoints` when a target other than ``source``
+    itself lies on a source node, where every kernel is singular.
+    """
     pts = _points(target)
     dx = pts[:, 0, None] - source.points[:, 0]
     dy = pts[:, 1, None] - source.points[:, 1]
-    return dx, dy, dx * dx + dy * dy
+    r2 = dx * dx
+    r2 += dy * dy
+    if target is not source and np.any(r2 == 0):
+        raise CoincidentPoints("layer target coincides with a source node")
+    return dx, dy, r2
 
 
 def double_layer(source, target):
@@ -162,12 +181,21 @@ def double_layer(source, target):
     kernel limit ``-curvature/(4 pi)``.
     """
     dx, dy, r2 = _pair(source, target)
-    num = dx * source.normals[:, 0] + dy * source.normals[:, 1]
+    # (dx nu_x + dy nu_y) / r2 / (2 pi) in the buffer of dx
+    ker = dx
+    ker *= source.normals[:, 0]
+    dy *= source.normals[:, 1]
+    ker += dy
+    del dy
     with np.errstate(divide="ignore", invalid="ignore"):
-        ker = num / r2 / (2.0 * np.pi)
+        ker /= r2
+    del r2
+    ker /= 2.0 * np.pi
     if target is source:
         np.fill_diagonal(ker, -source.curvature / (4.0 * np.pi))
-    return 2.0 * ker * source.arc_weights()[None, :]
+    ker *= 2.0
+    ker *= source.arc_weights()
+    return ker
 
 
 def modified_double_layer(source, target):
@@ -186,8 +214,11 @@ def modified_double_layer(source, target):
     r = np.sqrt((pts**2).sum(axis=1))
     if np.any(r == 0):
         raise CoincidentPoints("monopole modification evaluated at the origin")
+    mat = double_layer(source, target)
     extra = np.log(r)[:, None] * source.arc_weights()[None, :]
-    return double_layer(source, target) + 2.0 * extra
+    extra *= 2.0
+    mat += extra
+    return mat
 
 
 def single_layer(source, target):
@@ -197,22 +228,39 @@ def single_layer(source, target):
     splits the periodic logarithm and applies the trigonometric log weights.
     """
     if target is source:
-        return _single_layer_log_split(source) * source.jacobians[None, :]
-    _, _, r2 = _pair(source, target)
-    if np.any(r2 == 0):
-        raise CoincidentPoints("single layer target coincides with a source node")
-    return -np.log(r2) / (4.0 * np.pi) * source.arc_weights()[None, :]
+        mat = _single_layer_log_split(source)
+        mat *= source.jacobians
+        return mat
+    # -log(r2) / (4 pi) in the buffer of r2
+    ker = _pair(source, target)[2]
+    np.log(ker, out=ker)
+    np.negative(ker, out=ker)
+    ker /= 4.0 * np.pi
+    ker *= source.arc_weights()
+    return ker
 
 
 def _single_layer_log_split(source):
     """Log-split quadrature of ``Phi(x(t_i), x(s))`` against ``ds`` (no Jacobian)."""
     t = source.theta
-    _, _, r2 = _pair(source, source)
-    s2 = 4.0 * np.sin((t[:, None] - t[None, :]) / 2.0) ** 2
+    smooth = _pair(source, source)[2]
+    # log(r2 / (4 sin^2((t - s)/2))), the diagonal's 0 / 0 filled below
+    s2 = t[:, None] - t[None, :]
+    s2 /= 2.0
+    np.sin(s2, out=s2)
+    s2 **= 2
+    s2 *= 4.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        smooth = np.log(r2 / s2)
+        smooth /= s2
+    del s2
+    np.log(smooth, out=smooth)
     np.fill_diagonal(smooth, 2.0 * np.log(source.jacobians))
-    return -(kress_log_weights(source.n) + source.weight * smooth) / (4.0 * np.pi)
+    # -(log weights + h smooth) / (4 pi)
+    smooth *= source.weight
+    smooth += kress_log_weights(source.n)
+    np.negative(smooth, out=smooth)
+    smooth /= 4.0 * np.pi
+    return smooth
 
 
 def normal_derivative(source, target, of="double_layer"):
@@ -236,28 +284,60 @@ def normal_derivative(source, target, of="double_layer"):
     if same and of != "single_layer":
         if source.curve.kind == "circle":
             # the factor-2 operator sends exp(i m t) to -|m|/r exp(i m t)
-            mat = -healthy_collocation_matrix(source.n) / source.curve.cos_coef[0, 0]
+            mat = healthy_collocation_matrix(source.n)
+            np.negative(mat, out=mat)
+            mat /= source.curve.cos_coef[0, 0]
         else:
-            mat = fac * _hypersingular_maue(source)
+            mat = _hypersingular_maue(source)
+            mat *= fac
     else:
         dx, dy, r2 = _pair(source, target)
         tn, sn = target.normals, source.normals
-        dnx = dx * tn[:, 0, None] + dy * tn[:, 1, None]
         if of == "single_layer":
+            # -(dx t_x + dy t_y) / r2 / (2 pi) in the buffer of dx
+            mat = dx
+            mat *= tn[:, 0, None]
+            dy *= tn[:, 1, None]
+            mat += dy
+            del dy
+            np.negative(mat, out=mat)
             with np.errstate(divide="ignore", invalid="ignore"):
-                ker = -dnx / r2 / (2.0 * np.pi)
+                mat /= r2
+            del r2
+            mat /= 2.0 * np.pi
             if same:
-                np.fill_diagonal(ker, -source.curvature / (4.0 * np.pi))
+                np.fill_diagonal(mat, -source.curvature / (4.0 * np.pi))
         else:
-            nn = tn[:, 0, None] * sn[:, 0] + tn[:, 1, None] * sn[:, 1]
-            dny = dx * sn[:, 0] + dy * sn[:, 1]
-            ker = (nn / r2 - 2.0 * dnx * dny / r2**2) / (2.0 * np.pi)
-        mat = fac * ker * source.arc_weights()[None, :]
+            # dnx = dx t_x + dy t_y, and dny = dx s_x + dy s_y in the buffer of dx
+            dnx = dx * tn[:, 0, None]
+            dny = dy * sn[:, 1]
+            dy *= tn[:, 1, None]
+            dnx += dy
+            del dy
+            dx *= sn[:, 0]
+            dx += dny
+            dny = dx
+            del dx
+            # (nn / r2 - 2 dnx dny / r2^2) / (2 pi), nn = t . s
+            dnx *= 2.0
+            dnx *= dny
+            del dny
+            mat = tn[:, 0, None] * sn[:, 0]
+            mat += tn[:, 1, None] * sn[:, 1]
+            mat /= r2
+            r2 **= 2
+            dnx /= r2
+            del r2
+            mat -= dnx
+            del dnx
+            mat /= 2.0 * np.pi
+        mat *= fac
+        mat *= source.arc_weights()
     if of == "modified_double_layer":
         # d/dnu(x) log|x| = (x . nu(x)) / |x|^2 at the target nodes
         r2 = (target.points**2).sum(axis=1)
         dlog = np.einsum("ik,ik->i", target.points, target.normals) / r2
-        mat = mat + fac * dlog[:, None] * source.arc_weights()[None, :]
+        mat += fac * dlog[:, None] * source.arc_weights()[None, :]
     return mat
 
 
@@ -268,9 +348,12 @@ def _hypersingular_maue(source):
     both parameter derivatives use the spectral differentiation matrix and the
     inner integral the log-split quadrature.
     """
-    dmat = spectral_diff_matrix(source.n)
     w = _single_layer_log_split(source)
-    return (dmat @ w @ dmat) / source.jacobians[:, None]
+    dmat = spectral_diff_matrix(source.n)
+    dw = dmat @ w
+    np.matmul(dw, dmat, out=w)
+    w /= source.jacobians[:, None]
+    return w
 
 
 @dataclass(frozen=True, eq=False)
@@ -297,22 +380,23 @@ class ForwardSolution:
 
     def outer_flux(self):
         """Current ``d u / d nu`` on the outer boundary (outward normal)."""
-        tmm = normal_derivative(self.outer, self.outer, of="double_layer")
-        kim = normal_derivative(self.inner, self.outer, of="single_layer")
-        return tmm @ self.phi + kim @ self.psi
+        flux = normal_derivative(self.outer, self.outer, of="double_layer") @ self.phi
+        flux += normal_derivative(self.inner, self.outer, of="single_layer") @ self.psi
+        return flux
 
     def inner_trace(self):
         """Potential on the inclusion boundary."""
-        kmi = double_layer(self.outer, self.inner)
-        sii = single_layer(self.inner, self.inner)
-        return kmi @ self.phi + sii @ self.psi
+        trace = double_layer(self.outer, self.inner) @ self.phi
+        trace += single_layer(self.inner, self.inner) @ self.psi
+        return trace
 
     def inner_flux(self):
         """Current on the inclusion boundary with the normal into the inclusion."""
-        tmi = normal_derivative(self.outer, self.inner, of="double_layer")
+        flux = normal_derivative(self.outer, self.inner, of="double_layer") @ self.phi
         kpii = normal_derivative(self.inner, self.inner, of="single_layer")
-        half = 0.5 * np.eye(self.inner.n)
-        return -(tmi @ self.phi + (kpii - half) @ self.psi)
+        kpii -= 0.5 * np.eye(self.inner.n)
+        flux += kpii @ self.psi
+        return np.negative(flux, out=flux)
 
 
 def _outer_inverse(x):
@@ -340,16 +424,22 @@ def _forward_blocks(outer, inner, bc, gamma):
             raise ValueError("gamma must be nonnegative")
     elif bc != "dirichlet":
         raise ValueError(f"unknown boundary condition {bc!r}")
-    sim = single_layer(inner, outer)
-    # the grounded condition's blocks; the impedance condition weights them by gamma
-    a21 = double_layer(outer, inner)
-    a22 = single_layer(inner, inner)
     if bc == "impedance":
-        tmi = normal_derivative(outer, inner, of="double_layer")
-        kpii = normal_derivative(inner, inner, of="single_layer")
-        a21 = -tmi + g[:, None] * a21
-        a22 = -kpii + 0.5 * np.eye(n_i) + g[:, None] * a22
-    return sim, a21, a22 + a21 @ _outer_inverse(sim)
+        # -T_mi + g K_mi and (-K'_ii + I/2) + g S_ii, the largest kernel first
+        a21 = normal_derivative(outer, inner, of="double_layer")
+        np.negative(a21, out=a21)
+        a21 += g[:, None] * double_layer(outer, inner)
+        a22 = normal_derivative(inner, inner, of="single_layer")
+        np.negative(a22, out=a22)
+        a22 += 0.5 * np.eye(n_i)    # the whole identity: -0.0 + 0.0 is +0.0
+        a22 += g[:, None] * single_layer(inner, inner)
+    else:
+        # the grounded condition's blocks
+        a21 = double_layer(outer, inner)
+        a22 = single_layer(inner, inner)
+    sim = single_layer(inner, outer)
+    a22 += a21 @ _outer_inverse(sim)
+    return sim, a21, a22
 
 
 def _factorize(a, what, limit):

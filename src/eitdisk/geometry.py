@@ -206,15 +206,18 @@ class BoundaryCurve:
         if np.any(self.jacobian(t) <= _TANGENT_TOL):
             raise ValueError("curve Jacobian is not positive at sample nodes")
         p = self.point(t)
-        d = np.roll(p, -1, axis=0) - p
+        # contiguous coordinate arrays gather faster than rows of p
+        px, py = p[:, 0].copy(), p[:, 1].copy()
+        dx, dy = np.roll(px, -1) - px, np.roll(py, -1) - py
         # chord pairs i < j - 1; chords 0 and n-1 are wrap-around neighbours
         i, j = np.triu_indices(n, 2)
         keep = (i > 0) | (j < n - 1)
         i, j = i[keep], j[keep]
-        r = p[j] - p[i]
-        cross_dd = d[i, 0] * d[j, 1] - d[i, 1] * d[j, 0]
-        cross_rd = r[:, 0] * d[j, 1] - r[:, 1] * d[j, 0]
-        cross_rd2 = r[:, 0] * d[i, 1] - r[:, 1] * d[i, 0]
+        rx, ry = px[j] - px[i], py[j] - py[i]
+        dxi, dyi, dxj, dyj = dx[i], dy[i], dx[j], dy[j]
+        cross_dd = dxi * dyj - dyi * dxj
+        cross_rd = rx * dyj - ry * dxj
+        cross_rd2 = rx * dyi - ry * dxi
         with np.errstate(divide="ignore", invalid="ignore"):
             s = cross_rd / cross_dd
             u = -cross_rd2 / cross_dd

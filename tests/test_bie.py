@@ -1,6 +1,9 @@
+import tracemalloc
+from functools import partial
+
 import numpy as np
 import pytest
-import scipy.linalg as la
+import scipy.linalg as la  # loaded before any test traces memory
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -42,6 +45,24 @@ class TestCoincidentPoints:
     def test_monopole_at_the_origin(self):
         with pytest.raises(CoincidentPoints):
             modified_double_layer(inner_circle(32, 0.5), [[0.0, 0.0]])
+
+    @pytest.mark.parametrize("kernel", [double_layer, modified_double_layer])
+    def test_double_layers_at_source_nodes(self, kernel):
+        mesh = NystromMesh(BoundaryCurve.ellipse(0.5, 0.3), 32)
+        with pytest.raises(CoincidentPoints):
+            kernel(mesh, mesh.points[:2])
+
+    @pytest.mark.parametrize("kernel", [double_layer, modified_double_layer, single_layer])
+    def test_layers_on_a_second_mesh_of_the_same_curve(self, kernel):
+        curve = BoundaryCurve.ellipse(0.5, 0.3)
+        with pytest.raises(CoincidentPoints):
+            kernel(NystromMesh(curve, 32), NystromMesh(curve, 32))
+
+    @pytest.mark.parametrize("of", ["single_layer", "double_layer", "modified_double_layer"])
+    def test_normal_derivative_on_a_second_mesh_of_the_same_curve(self, of):
+        curve = BoundaryCurve.ellipse(0.5, 0.3)
+        with pytest.raises(CoincidentPoints):
+            normal_derivative(NystromMesh(curve, 32), NystromMesh(curve, 32), of=of)
 
 
 def entrywise_spectral_diff_matrix(n):
@@ -291,6 +312,204 @@ class TestClosedFormCircleBlocks:
             outer = NystromMesh(curve, 32)
             with pytest.raises(ValueError, match="unit measurement circle"):
                 solve_forward(outer, inner, "dirichlet", np.ones(32))
+
+
+# the kernels as they were before they computed in place, every intermediate
+# in a new array; kept as the bitwise reference for the in-place kernels
+def frozen_pair(source, target):
+    pts = bie._points(target)
+    dx = pts[:, 0, None] - source.points[:, 0]
+    dy = pts[:, 1, None] - source.points[:, 1]
+    return dx, dy, dx * dx + dy * dy
+
+
+def frozen_double_layer(source, target):
+    dx, dy, r2 = frozen_pair(source, target)
+    num = dx * source.normals[:, 0] + dy * source.normals[:, 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ker = num / r2 / (2.0 * np.pi)
+    if target is source:
+        np.fill_diagonal(ker, -source.curvature / (4.0 * np.pi))
+    return 2.0 * ker * source.arc_weights()[None, :]
+
+
+def frozen_modified_double_layer(source, target):
+    pts = bie._points(target)
+    r = np.sqrt((pts**2).sum(axis=1))
+    extra = np.log(r)[:, None] * source.arc_weights()[None, :]
+    return frozen_double_layer(source, target) + 2.0 * extra
+
+
+def frozen_single_layer(source, target):
+    if target is source:
+        return frozen_log_split(source) * source.jacobians[None, :]
+    _, _, r2 = frozen_pair(source, target)
+    return -np.log(r2) / (4.0 * np.pi) * source.arc_weights()[None, :]
+
+
+def frozen_log_split(source):
+    t = source.theta
+    _, _, r2 = frozen_pair(source, source)
+    s2 = 4.0 * np.sin((t[:, None] - t[None, :]) / 2.0) ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        smooth = np.log(r2 / s2)
+    np.fill_diagonal(smooth, 2.0 * np.log(source.jacobians))
+    return -(bie.kress_log_weights(source.n) + source.weight * smooth) / (4.0 * np.pi)
+
+
+def frozen_normal_derivative(source, target, of="double_layer"):
+    fac = 1.0 if of == "single_layer" else 2.0
+    same = target is source
+    if same and of != "single_layer":
+        if source.curve.kind == "circle":
+            mat = -healthy_collocation_matrix(source.n) / source.curve.cos_coef[0, 0]
+        else:
+            dmat = bie.spectral_diff_matrix(source.n)
+            w = frozen_log_split(source)
+            mat = fac * ((dmat @ w @ dmat) / source.jacobians[:, None])
+    else:
+        dx, dy, r2 = frozen_pair(source, target)
+        tn, sn = target.normals, source.normals
+        dnx = dx * tn[:, 0, None] + dy * tn[:, 1, None]
+        if of == "single_layer":
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ker = -dnx / r2 / (2.0 * np.pi)
+            if same:
+                np.fill_diagonal(ker, -source.curvature / (4.0 * np.pi))
+        else:
+            nn = tn[:, 0, None] * sn[:, 0] + tn[:, 1, None] * sn[:, 1]
+            dny = dx * sn[:, 0] + dy * sn[:, 1]
+            ker = (nn / r2 - 2.0 * dnx * dny / r2**2) / (2.0 * np.pi)
+        mat = fac * ker * source.arc_weights()[None, :]
+    if of == "modified_double_layer":
+        r2 = (target.points**2).sum(axis=1)
+        dlog = np.einsum("ik,ik->i", target.points, target.normals) / r2
+        mat = mat + fac * dlog[:, None] * source.arc_weights()[None, :]
+    return mat
+
+
+def frozen_forward_blocks(outer, inner, bc, g):
+    sim = frozen_single_layer(inner, outer)
+    a21 = frozen_double_layer(outer, inner)
+    a22 = frozen_single_layer(inner, inner)
+    if bc == "impedance":
+        tmi = frozen_normal_derivative(outer, inner, of="double_layer")
+        kpii = frozen_normal_derivative(inner, inner, of="single_layer")
+        a21 = -tmi + g[:, None] * a21
+        a22 = -kpii + 0.5 * np.eye(inner.n) + g[:, None] * a22
+    return sim, a21, a22 + a21 @ bie._outer_inverse(sim)
+
+
+# live and frozen kernel of each kind
+LAYER_KINDS = ("single_layer", "double_layer", "modified_double_layer")
+KERNELS = {"double_layer": (double_layer, frozen_double_layer),
+           "modified_double_layer": (modified_double_layer, frozen_modified_double_layer),
+           "single_layer": (single_layer, frozen_single_layer),
+           **{f"normal_derivative:{of}": (partial(normal_derivative, of=of),
+                                          partial(frozen_normal_derivative, of=of))
+              for of in LAYER_KINDS}}
+# (kernel, source, target): every layer from and to each mesh and at points,
+# every normal derivative between the meshes
+MESH_PAIRS = [("outer", "inner"), ("inner", "outer"), ("inner", "inner"), ("outer", "outer")]
+KERNEL_CASES = ([(layer, s, t) for layer in LAYER_KINDS
+                 for s, t in MESH_PAIRS + [("outer", "points"), ("inner", "points")]]
+                + [(f"normal_derivative:{of}", s, t) for of in LAYER_KINDS for s, t in MESH_PAIRS])
+INCLUSIONS = {"circle": BoundaryCurve.circle(radius=0.5),
+              "ellipse": BoundaryCurve.ellipse(0.5, 0.3),
+              "cardioid": BoundaryCurve.cardioid()}
+
+
+def kernel_operands(outer, inner):
+    # points between the curves and near the origin, inside every inclusion
+    angles = 2 * np.pi * np.arange(17) / 17 + 0.1
+    points = np.vstack([np.outer([0.8, 0.9], np.cos(angles)).ravel(),
+                        np.outer([0.8, 0.9], np.sin(angles)).ravel()]).T
+    return {"outer": outer, "inner": inner,
+            "points": np.vstack([points, [[0.05, 0.02], [-0.03, 0.01]]])}
+
+
+def impedance_with_zeros(inner):
+    """``2 - sin^4`` on the right half of the inclusion, exactly 0 elsewhere."""
+    return np.where(np.cos(inner.theta) > 0, 2.0 - np.sin(inner.theta) ** 4, 0.0)
+
+
+def assert_same_bits(got, want, what):
+    # compared as integers, so -0.0 against 0.0 and NaN payloads count
+    assert got.shape == want.shape, what
+    assert np.array_equal(got.view(np.int64), want.view(np.int64)), what
+
+
+def traced_peak(call):
+    """Peak traced bytes of ``call()`` above the bytes alive at its start,
+    its result included."""
+    call()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+class TestInPlaceKernels:
+    """The in-place kernels against copies of the kernels that formed every
+    intermediate in a new array: the same bits, in a fraction of the memory."""
+
+    @pytest.mark.parametrize("n_outer, n_inner", [(64, 64), (256, 256), (256, 64)])
+    @pytest.mark.parametrize("curve", INCLUSIONS.values(), ids=INCLUSIONS.keys())
+    def test_kernels_keep_the_bits_of_the_frozen_copies(self, curve, n_outer, n_inner):
+        ops = kernel_operands(unit_mesh(n_outer), NystromMesh(curve, n_inner))
+        for kind, source, target in KERNEL_CASES:
+            live, frozen = KERNELS[kind]
+            assert_same_bits(live(ops[source], ops[target]), frozen(ops[source], ops[target]),
+                             (kind, source, target))
+
+    @pytest.mark.parametrize("bc", ["dirichlet", "impedance"])
+    @pytest.mark.parametrize("n", [64, 256])
+    @pytest.mark.parametrize("curve", INCLUSIONS.values(), ids=INCLUSIONS.keys())
+    def test_forward_blocks_keep_the_bits_of_the_frozen_copy(self, curve, n, bc):
+        outer, inner = unit_mesh(n), NystromMesh(curve, n)
+        g = impedance_with_zeros(inner) if bc == "impedance" else None
+        got = bie._forward_blocks(outer, inner, bc, g)
+        want = frozen_forward_blocks(outer, inner, bc, g)
+        for name, a, b in zip(("sim", "a21", "schur"), got, want, strict=True):
+            assert_same_bits(a, b, name)
+
+    @pytest.mark.parametrize("columns", [None, 5])
+    @pytest.mark.parametrize("curve", INCLUSIONS.values(), ids=INCLUSIONS.keys())
+    def test_boundary_data_keep_the_bits_of_the_frozen_copies(self, curve, columns):
+        outer, inner = unit_mesh(64), NystromMesh(curve, 64)
+        f = np.cos(np.outer(outer.theta, np.arange(columns or 1)) + 0.2)
+        sol = solve_forward(outer, inner, "impedance", f if columns else f[:, 0],
+                            impedance_with_zeros(inner))
+        phi, psi = sol.phi, sol.psi
+        tmi = frozen_normal_derivative(outer, inner)
+        kpii = frozen_normal_derivative(inner, inner, of="single_layer")
+        want = {
+            "outer_flux": (frozen_normal_derivative(outer, outer) @ phi
+                           + frozen_normal_derivative(inner, outer, of="single_layer") @ psi),
+            "inner_trace": (frozen_double_layer(outer, inner) @ phi
+                            + frozen_single_layer(inner, inner) @ psi),
+            "inner_flux": -(tmi @ phi + (kpii - 0.5 * np.eye(inner.n)) @ psi),
+        }
+        for name, ref in want.items():
+            assert_same_bits(getattr(sol, name)(), ref, name)
+
+    @pytest.mark.parametrize("case", [c for c in KERNEL_CASES if c[2] != "points"],
+                             ids=lambda c: f"{c[0]}-{c[1]}-{c[2]}")
+    def test_kernel_peak_is_at_most_five_and_a_half_matrices(self, case):
+        n = 256
+        ops = kernel_operands(unit_mesh(n), NystromMesh(BoundaryCurve.ellipse(0.5, 0.3), n))
+        kernel, source, target = KERNELS[case[0]][0], ops[case[1]], ops[case[2]]
+        assert traced_peak(lambda: kernel(source, target)) <= 5.5 * n * n * 8
+
+    @pytest.mark.parametrize("bc", ["dirichlet", "impedance"])
+    def test_forward_blocks_peak_is_at_most_six_and_a_half_matrices(self, bc):
+        n = 256
+        outer, inner = unit_mesh(n), NystromMesh(BoundaryCurve.ellipse(0.5, 0.3), n)
+        g = impedance_with_zeros(inner) if bc == "impedance" else None
+        assert traced_peak(lambda: bie._forward_blocks(outer, inner, bc, g)) <= 6.5 * n * n * 8
 
 
 class TestSchurForward:
