@@ -49,6 +49,17 @@ Schur complement, computed from its factors, not by a separate singular value
 decomposition.  :func:`solve_forward` takes one voltage or a matrix of
 voltage columns and solves them all against one factorization.
 
+The dense products of a solve, ``a21 P sim`` in the forward blocks and the
+two spectral-differentiation products of the Maue block, are split by rows
+(:func:`eitdisk.parallel.by_rows`): contiguous blocks of at least
+``_MIN_ROWS`` rows, one per usable CPU, the first on the calling thread and
+the rest on a pool.  Each block is the same BLAS call on the same rows,
+written into its rows of a buffer the calling thread allocated, so every
+entry keeps its bits on any number of CPUs.  Steps of fewer than twice
+``_MIN_ROWS`` rows, every README and fine-grid product among them, start no
+thread.  A solve split this way gives each block its own copy of the LU
+pivot array, made on the calling thread (see :func:`_factorize`).
+
 scipy serves only that LU, its solves and ``dgecon``.  :func:`_factorize`,
 :func:`solve_forward` and :func:`eitdisk.completion.assemble_completion` import
 it when they run, so ``import eitdisk``, ``sample`` and ``extract`` never load it.
@@ -66,6 +77,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .dtn import DtnOperator, circulant, healthy_collocation_matrix
 from .exceptions import CoincidentPoints, SingularSystem
 from .geometry import BoundaryCurve
+from .parallel import matmul_by_rows
 from .regularization import perturb_vector
 
 __all__ = [
@@ -350,8 +362,8 @@ def _hypersingular_maue(source):
     """
     w = _single_layer_log_split(source)
     dmat = spectral_diff_matrix(source.n)
-    dw = dmat @ w
-    np.matmul(dw, dmat, out=w)
+    dw = matmul_by_rows(dmat, w, np.empty_like(w))
+    matmul_by_rows(dw, dmat, w)
     w /= source.jacobians[:, None]
     return w
 
@@ -438,18 +450,26 @@ def _forward_blocks(outer, inner, bc, gamma):
         a21 = double_layer(outer, inner)
         a22 = single_layer(inner, inner)
     sim = single_layer(inner, outer)
-    a22 += a21 @ _outer_inverse(sim)
+    a22 += matmul_by_rows(a21, _outer_inverse(sim), np.empty_like(a22))
     return sim, a21, a22
 
 
 def _factorize(a, what, limit):
-    """LU factors of ``a`` and LAPACK's 1-norm condition estimate.
+    """LU factors of ``a`` and LAPACK's 1-norm condition estimate, to six
+    significant digits.
 
-    Raises :class:`SingularSystem` when the block is not finite, is exactly
-    singular, or its estimated condition exceeds ``limit``.  Two threads must
-    never solve against one ``(lu, piv)`` at the same time: ``lu_solve``
-    shifts the pivot array in place while it runs, so each thread needs its
-    own copy of ``piv``.
+    The estimate is good to a small factor only, and ``dgecon``'s last digits
+    depend on where the heap places its own work array, so the digits beyond
+    six would make the reported condition depend on call history.  Raises
+    :class:`SingularSystem` when the block is not finite, is exactly
+    singular, or its estimated condition exceeds ``limit``.
+
+    Two threads must never solve against one ``(lu, piv)`` at the same time:
+    ``lu_solve`` shifts the pivot array in place while it runs.  A solve
+    split by rows (:func:`eitdisk.parallel.by_rows`, one block per usable
+    CPU, each of at least ``_MIN_ROWS`` rows, so fewer than twice that many
+    rows stay on the calling thread) therefore gives every block a copy of
+    ``piv``, made on the calling thread before the block is handed over.
     """
     import scipy.linalg as la
 
@@ -462,7 +482,7 @@ def _factorize(a, what, limit):
             lu = la.lu_factor(a, check_finite=False)
         rcond, _ = la.lapack.dgecon(lu[0], anorm, norm="1")
         if rcond > 0:
-            cond = 1.0 / rcond
+            cond = float(f"{1.0 / rcond:.6g}")
     log.debug("%s system condition estimate %.3e", what, cond)
     if not cond <= limit:
         raise SingularSystem(f"{what} system is numerically singular", condition=cond)

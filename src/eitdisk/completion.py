@@ -39,8 +39,9 @@ closed-form circle block of :func:`eitdisk.bie.normal_derivative`.
 order, it forms ``K_im~``; the cross flux blocks ``T_mi`` and ``T_im~``,
 whose kernels peak at five matrices of their own size (the other kernels at
 four); ``X`` in its own buffer, with
-``P`` applied in place; the right-hand sides ``R2 + X K_im~`` in ``Z``'s
-buffer; ``K_mi P``; and ``S``, summed in place on ``K_ii~``.  ``K_im~`` and
+``P`` applied in place; the right-hand sides ``X K_im~ + R2`` in ``Z``'s
+buffer, the product first; ``K_mi P``; and ``S``, summed in place on
+``K_ii~``.  ``K_im~`` and
 ``S`` are dropped once ``S`` is factorized, the LU factors once the
 right-hand sides are solved in place, and ``K_mi P`` once ``X`` is
 composed.  ``X`` is negated in place, so when the SVD of the completion
@@ -49,6 +50,18 @@ them.  The in-place steps are the operations of an assembly on fresh arrays,
 in the same order and memory layout, so every map keeps its bits.  With
 ``n`` nodes on both curves the traced peak is ``10 n^2`` doubles: the kernel
 of ``K_ii~`` at four, while ``X``, ``Z``, ``K_im~`` and ``K_mi P`` hold six.
+
+The dense steps are split by rows (:func:`eitdisk.parallel.by_rows`): the
+products ``X K_im~``, ``K_mi P K_im~`` and ``Z K_mi P``, the Maue block of
+``T_ii~``, and the transposed Schur solve.  Each runs in contiguous blocks of
+at least ``_MIN_ROWS`` rows, one per usable CPU, the first on the calling
+thread; below twice that many rows, as at the README's 64 nodes, it runs on
+the calling thread alone and starts no thread.  A block is the same BLAS or
+LAPACK call on its own rows, written into its rows of ``X``, ``Z`` or a
+buffer the calling thread allocated, so every map keeps its bits on any
+number of CPUs.  ``lu_solve`` shifts the pivot array in place while it runs,
+so every block of the Schur solve gets its own copy of ``piv``, made on the
+calling thread before the block is handed over.
 """
 
 from __future__ import annotations
@@ -62,6 +75,7 @@ from .bie import (NystromMesh, _check_inclusion, _check_outer, _factorize,
                   _outer_inverse, double_layer, modified_double_layer,
                   normal_derivative)
 from .exceptions import AllMasked, RankDeficientWarning, ResidualTooLarge
+from .parallel import by_rows, matmul_by_rows
 from .regularization import (SvdFactorization, expected_noise_norm,
                              regularized_solve)
 
@@ -125,23 +139,25 @@ def assemble_completion(outer, inner, model_error_factor=1.0):
     del tmi
     xt = x.T
     xt -= xt.sum(axis=0) / (2 * n_m)
-    # the right-hand sides R2 + X K_im~ of Z's solve, in Z's buffer
-    z = np.empty((n_m + n_i, n_i))
-    z[:n_m] = tim
+    # the right-hand sides X K_im~ + R2 of Z's solve in Z's buffer, the product
+    # first so that no worker allocates (y + x rounds as x + y)
+    z = matmul_by_rows(x, kim, np.empty((n_m + n_i, n_i)))
+    z[:n_m] += tim
     del tim
-    np.negative(normal_derivative(inner, inner, of="modified_double_layer"), out=z[n_m:])
-    z += x @ kim
+    z[n_m:] -= normal_derivative(inner, inner, of="modified_double_layer")
     kmi_p = _outer_inverse(double_layer(outer, inner).T).T     # K_mi P
     schur = modified_double_layer(inner, inner)                 # K_ii~, then S
     schur += np.eye(n_i)
-    schur += kmi_p @ kim
+    schur += matmul_by_rows(kmi_p, kim, np.empty((n_i, n_i)))
     del kim
-    lu, condition = _factorize(schur, "completion trace", _COND_LIMIT)
+    (lu, piv), condition = _factorize(schur, "completion trace", _COND_LIMIT)
     del schur
-    # Z = (R2 + X K_im~) S^-1, as the solve of S^T against its transpose, in place
-    z = la.lu_solve(lu, z.T, trans=1, overwrite_b=True).T
-    del lu
-    x -= z @ kmi_p
+    # Z = (R2 + X K_im~) S^-1, as the solve of S^T against Z^T, in place on
+    # the F-ordered transpose of each row block, each with its own pivots
+    by_rows(lambda block, piv: la.lu_solve((lu, piv), z[block].T, trans=1, overwrite_b=True),
+            len(z), piv)
+    del lu, piv
+    x -= matmul_by_rows(z, kmi_p, np.empty_like(x))
     del kmi_p
     np.negative(x, out=x)
     response, completion = x[:n_m], z[:n_m]

@@ -33,7 +33,7 @@ calls BLAS keeps a buffer of its own.
 
 from __future__ import annotations
 
-import os
+import os  # noqa: F401  the scan's tests pin the usable CPUs through sampling.os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -44,6 +44,7 @@ from .dtn import DtnOperator
 from .exceptions import (AllModesCutWarning, DegenerateFit, NoContour,
                          NoiseDominates, TooCloseToBoundary)
 from .geometry import BoundaryCurve
+from .parallel import worker_count
 from .regularization import (RegStrategy, SvdFactorization, perturb_matrix,
                              spectral_filter)
 
@@ -157,11 +158,7 @@ def _rhs_columns(gap, pts):
 def _worker_count(columns):
     """Threads for ``columns`` points: the CPUs this process may use, capped
     so that every thread gets at least ``_MIN_SLICE`` columns."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without CPU affinity
-        cpus = os.cpu_count() or 1
-    return max(1, min(cpus, columns // _MIN_SLICE))
+    return worker_count(columns, _MIN_SLICE)
 
 
 def _slice_norms(s, reg, beta2, b2):

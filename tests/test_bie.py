@@ -512,6 +512,53 @@ class TestInPlaceKernels:
         assert traced_peak(lambda: bie._forward_blocks(outer, inner, bc, g)) <= 6.5 * n * n * 8
 
 
+def frozen_solve_forward(outer, inner, bc, f, g):
+    """Densities and boundary data of :func:`solve_forward` from the frozen
+    blocks and kernels, every product on one thread."""
+    sim, a21, schur = frozen_forward_blocks(outer, inner, bc, g)
+    psi = la.lu_solve(la.lu_factor(schur), a21 @ bie._outer_inverse(f))
+    phi = -bie._outer_inverse(f - sim @ psi)
+    kpii = frozen_normal_derivative(inner, inner, of="single_layer")
+    return {
+        "phi": phi, "psi": psi,
+        "outer_flux": (frozen_normal_derivative(outer, outer) @ phi
+                       + frozen_normal_derivative(inner, outer, of="single_layer") @ psi),
+        "inner_trace": (frozen_double_layer(outer, inner) @ phi
+                        + frozen_single_layer(inner, inner) @ psi),
+        "inner_flux": -(frozen_normal_derivative(outer, inner) @ phi
+                        + (kpii - 0.5 * np.eye(inner.n)) @ psi),
+    }
+
+
+class TestRowBlocks:
+    """``a21 P sim`` split by rows over two threads: every forward solve
+    writes the bits of the frozen solve on one thread."""
+
+    @pytest.mark.parametrize("n", [64, 128, 256])
+    @pytest.mark.parametrize("curve", [BoundaryCurve.ellipse(0.5, 0.3), BoundaryCurve.cardioid()],
+                             ids=["ellipse", "cardioid"])
+    def test_split_forward_keeps_the_bits_in_every_run(self, row_blocks, curve, n):
+        outer, inner = unit_mesh(n), NystromMesh(curve, n)
+        g = impedance_with_zeros(inner)
+        f = np.cos(np.outer(outer.theta, np.arange(5)) + 0.2)
+        want = frozen_solve_forward(outer, inner, "impedance", f, g)
+        assert not row_blocks
+        for run in range(20):
+            sol = solve_forward(outer, inner, "impedance", f, g)
+            for name, ref in want.items():
+                got = getattr(sol, name)
+                assert_same_bits(got() if callable(got) else got, ref, (run, name))
+        assert row_blocks == [1] * 20
+
+    def test_readme_forward_starts_no_thread(self, no_row_threads):
+        outer = unit_mesh(64)
+        lam = dtn_matrix(outer, inner_circle(32, 0.5), "dirichlet").matrix
+        assert lam.shape == (64, 64)
+        sol = solve_forward(outer, NystromMesh(BoundaryCurve.ellipse(0.5, 0.3), 32),
+                            "impedance", np.cos(outer.theta), np.full(32, 2.0))
+        assert sol.inner_flux().shape == (32,)
+
+
 class TestSchurForward:
     """The eliminated solve against the full block the test assembles itself."""
 

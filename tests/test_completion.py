@@ -1,3 +1,5 @@
+import os
+import sys
 import tracemalloc
 
 import numpy as np
@@ -6,6 +8,7 @@ import scipy.linalg as la  # loaded before any test traces memory
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eitdisk import parallel
 from eitdisk.annulus import (AnnulusConfig, gap_coefficient,
                              inner_flux_coefficient, inner_trace_coefficient)
 from eitdisk.bie import (NystromMesh, _factorize, _outer_inverse, double_layer,
@@ -117,6 +120,66 @@ class TestLiveArrays:
             assert outer_map.base is not None and outer_map.base is inner_map.base
 
 
+def system_bits(system):
+    return {"response": system.response, "completion": system.completion,
+            "inner_response": system.inner_response,
+            "inner_completion": system.inner_completion,
+            "condition": np.float64(system.condition),
+            "svd.u": system.svd.u, "svd.s": system.svd.s, "svd.vh": system.svd.vh}
+
+
+class TestRowBlocks:
+    """The dense products and the Schur solve split by rows over two threads:
+    every run writes the bits of the frozen assembly on one thread."""
+
+    @pytest.mark.parametrize("n", [64, 128, 256])
+    @pytest.mark.parametrize("curve", [BoundaryCurve.ellipse(0.5, 0.3), BoundaryCurve.cardioid()],
+                             ids=["ellipse", "cardioid"])
+    def test_split_assembly_keeps_the_bits_in_every_run(self, monkeypatch, row_blocks,
+                                                        curve, n):
+        outer, inner = outer_mesh(n), inner_mesh(curve, n)
+        with monkeypatch.context() as one_block:
+            one_block.setattr(parallel, "_MIN_ROWS", 4 * n)
+            want = frozen_assembly(outer, inner)
+        assert not row_blocks
+        for run in range(20):
+            got = system_bits(assemble_completion(outer, inner))
+            for name, ref in want.items():
+                assert got[name].shape == ref.shape, (run, name)
+                assert got[name].tobytes() == ref.tobytes(), (run, name)
+        # X K_im~, the two products of the Maue block T_ii~, K_mi P K_im~,
+        # the Schur solve and Z K_mi P, each on one worker besides this thread
+        assert row_blocks == [1] * 6 * 20
+
+    def test_more_threads_than_cores_keep_the_bits(self, monkeypatch, row_blocks):
+        # eight blocks a step on two cores, the interpreter switching threads
+        # every microsecond, so that blocks overlap in every order
+        outer, inner = outer_mesh(128), inner_mesh(BoundaryCurve.cardioid(), 128)
+        with monkeypatch.context() as one_block:
+            one_block.setattr(parallel, "_MIN_ROWS", 1024)
+            want = frozen_assembly(outer, inner)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for run in range(10):
+                got = system_bits(assemble_completion(outer, inner))
+                for name, ref in want.items():
+                    assert got[name].tobytes() == ref.tobytes(), (run, name)
+        finally:
+            sys.setswitchinterval(interval)
+        assert row_blocks == [7] * 6 * 10
+
+    def test_sixty_four_nodes_start_no_thread(self, no_row_threads):
+        system = assemble_completion(outer_mesh(64), inner_mesh(BoundaryCurve.ellipse(0.5, 0.3)))
+        assert system.completion.shape == (64, 64)
+
+    def test_two_hundred_fifty_six_nodes_reach_the_pool(self, no_row_threads):
+        # the floor test above would pass vacuously if no size reached the pool
+        with pytest.raises(AssertionError, match="started 3 worker"):
+            assemble_completion(outer_mesh(256), inner_mesh(BoundaryCurve.ellipse(0.5, 0.3), 256))
+
+
 class TestAssembly:
     def test_flux_reproduction_from_oracle_trace(self):
         cfg = AnnulusConfig(0.5, "impedance", 2.0)
@@ -170,6 +233,20 @@ class TestAssembly:
         for name, (got, ref) in pieces.items():
             assert got.shape == ref.shape, name
             assert np.abs(got - ref).max() < 1e-10 * np.abs(ref).max(), name
+
+    def test_condition_estimate_does_not_depend_on_the_heap(self):
+        # dgecon allocates its own work array, and its last digits depend on
+        # that array's alignment; allocations in between move it on the heap
+        n = 512
+        outer, inner = outer_mesh(n), inner_mesh(BoundaryCurve.ellipse(0.5, 0.3), n)
+        kim = modified_double_layer(inner, outer)
+        kmi_p = _outer_inverse(double_layer(outer, inner).T).T
+        schur = np.eye(n) + modified_double_layer(inner, inner) + kmi_p @ kim
+        held, estimates = [], set()
+        for size in range(1, 41):
+            held += [np.empty(2 * size + 1000), bytearray(16 * size + 8)]
+            estimates.add(_factorize(schur, "completion trace", 1e8)[1])
+        assert len(estimates) == 1
 
     def test_condition_estimate_three_shapes(self):
         for curve in (BoundaryCurve.circle(radius=0.3),
