@@ -68,6 +68,7 @@ it when they run, so ``import eitdisk``, ``sample`` and ``extract`` never load i
 from __future__ import annotations
 
 import logging
+import threading
 import warnings
 from dataclasses import dataclass, field
 
@@ -97,6 +98,12 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 _COND_LIMIT = 1e14
+# target angles per block of :func:`trig_resample`
+_RESAMPLE_ROWS = 64
+# held around the warnings filter of :func:`_factorize`:
+# ``warnings.catch_warnings`` swaps the process-wide filter list on entry and
+# exit, so two threads inside it at once can restore each other's list
+_FILTERS_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True, eq=False)
@@ -476,7 +483,7 @@ def _factorize(a, what, limit):
     anorm = np.linalg.norm(a, 1)
     lu, cond = None, np.inf
     if np.isfinite(anorm):
-        with warnings.catch_warnings():
+        with _FILTERS_LOCK, warnings.catch_warnings():
             # an exactly zero pivot is reported through the estimate below
             warnings.simplefilter("ignore", la.LinAlgWarning)
             lu = la.lu_factor(a, check_finite=False)
@@ -535,11 +542,18 @@ def trig_resample(values, new_theta):
     """Evaluate the trigonometric interpolant of node values at new angles.
 
     ``values`` holds one column ``(n,)`` or columns ``(n, P)`` of node values.
+    The angles are taken in blocks of ``_RESAMPLE_ROWS``, each the same
+    ``exp`` and product on its own rows, so only one block's ``exp`` matrix
+    is alive at a time.
     """
     n = len(values)
     c = np.fft.fft(values, axis=0) / n
     m = np.fft.fftfreq(n, 1.0 / n).astype(int)
-    return np.exp(1j * np.outer(new_theta, m)) @ c
+    out = np.empty((len(new_theta), *c.shape[1:]), dtype=complex)
+    for a in range(0, len(new_theta), _RESAMPLE_ROWS):
+        rows = slice(a, a + _RESAMPLE_ROWS)
+        np.matmul(np.exp(1j * np.outer(new_theta[rows], m)), c, out=out[rows])
+    return out
 
 
 def dtn_matrix(outer, inner, bc, gamma=None, basis="collocation",

@@ -30,6 +30,7 @@ from .exceptions import EitDiskError
 from .geometry import BoundaryCurve
 from .io import (config_hash, read_dtn, read_curve, read_indicator, write_curve,
                  write_dtn, write_gamma, write_indicator)
+from .parallel import alongside
 from .regularization import RegStrategy, perturb_vector
 from .sampling import GridSpec, extract_level_set, fit_trig_curve, scan
 
@@ -242,13 +243,21 @@ def cmd_impedance(args):
     # a fitted curve outside the unit circle is reported before a bad --reg
     bie._check_inclusion(inner64)
     reg = _parse_reg(args.reg, _reg_noise(args))
-    system = assemble_completion(outer64, inner64, model_error_factor=model_factor)
-
     drives = [(fn, k) for k in range(1, k_max + 1) for fn in (np.cos, np.sin)][:args.pairs]
-    flux = bie.solve_forward(outer, inner_true, "impedance",
-                             np.column_stack([fn(k * outer.theta) for fn, k in drives]),
-                             gamma_true).outer_flux()
-    flux64 = np.real(bie.trig_resample(flux, outer64.theta))
+
+    def simulate():
+        flux = bie.solve_forward(outer, inner_true, "impedance",
+                                 np.column_stack([fn(k * outer.theta) for fn, k in drives]),
+                                 gamma_true).outer_flux()
+        return np.real(bie.trig_resample(flux, outer64.theta))
+
+    # the completion (its SVD included) on the calling thread, the pairs
+    # simulated on a worker meanwhile; below the row floor or on one CPU the
+    # simulation follows on the calling thread.  Noise and recovery run here
+    # once both are done
+    system, flux64 = alongside(
+        lambda: assemble_completion(outer64, inner64, model_error_factor=model_factor),
+        simulate, args.nodes)
     voltages = np.array([fn(k * outer64.theta) for fn, k in drives])
     currents = perturb_vector(flux64, args.noise, args.seed).T
     recon = recover_gamma_averaged(system, voltages, currents, reg,

@@ -10,6 +10,14 @@ a buffer of its own, and every thread's malloc arena keeps its peak, so the
 workers allocate nothing of matrix size.  Steps of fewer than twice
 ``_MIN_ROWS`` rows start no thread, so the README-size solves (32 to 64
 nodes, at most 128 rows) stay on the calling thread.
+
+Two independent jobs run side by side by the same rule (:func:`alongside`):
+the impedance stage simulates its Cauchy pairs on one worker thread while
+the calling thread assembles the completion, when the completion has at
+least twice ``_MIN_ROWS`` nodes and the process may use two or more CPUs.
+Otherwise, as at the README's 64 nodes, both run on the calling thread, one
+after the other, and no thread starts.  Each job splits its own dense steps
+by rows as it would alone.
 """
 
 from __future__ import annotations
@@ -62,3 +70,19 @@ def matmul_by_rows(a, b, out):
     :func:`by_rows`; returns ``out``."""
     by_rows(lambda block: np.matmul(a[block], b, out=out[block]), len(a))
     return out
+
+
+def alongside(main, side, rows):
+    """``(main(), side())``, with ``side`` on a worker thread while ``main``
+    runs on the calling thread.
+
+    ``rows`` is the size of ``main``: below twice ``_MIN_ROWS`` rows, or on
+    one usable CPU, both run on the calling thread in that order.  When
+    ``main`` fails its error is raised, and ``side``'s only when ``main``
+    succeeded; the worker is always joined before this returns or raises.
+    """
+    if worker_count(rows, _MIN_ROWS) < 2:
+        return main(), side()
+    with ThreadPoolExecutor(1) as pool:
+        later = pool.submit(side)
+        return main(), later.result()

@@ -36,7 +36,8 @@ def _use_cpus(monkeypatch, count):
 def row_blocks(monkeypatch):
     """Two usable CPUs and a row floor of 8: every dense step that
     :func:`eitdisk.parallel.by_rows` splits runs as two blocks from 16 rows
-    up.  Returns the worker count of every pool a split step starts, in order."""
+    up, and :func:`eitdisk.parallel.alongside` starts its worker from 16.
+    Returns the worker count of every pool either starts, in order."""
     pools = []
 
     def recording_pool(workers):
@@ -52,9 +53,10 @@ def row_blocks(monkeypatch):
 @pytest.fixture
 def no_row_threads(monkeypatch):
     """Eight usable CPUs, the row floor as it is, and any pool that
-    :func:`eitdisk.parallel.by_rows` starts fails the test."""
+    :func:`eitdisk.parallel.by_rows` or :func:`eitdisk.parallel.alongside`
+    starts fails the test."""
     def forbidden(workers):
-        raise AssertionError(f"a row-split step started {workers} worker thread(s)")
+        raise AssertionError(f"a split step started {workers} worker thread(s)")
 
     _use_cpus(monkeypatch, 8)
     monkeypatch.setattr(parallel, "ThreadPoolExecutor", forbidden)

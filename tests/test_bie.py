@@ -1,4 +1,7 @@
+import sys
+import threading
 import tracemalloc
+import warnings
 from functools import partial
 
 import numpy as np
@@ -738,10 +741,84 @@ class TestFactorization:
             solve_forward(outer, inner_circle(32, 0.5), "dirichlet", np.cos(outer.theta))
         assert not info.value.condition <= bie._COND_LIMIT
 
+    def test_warnings_filter_is_safe_on_two_threads(self):
+        # one thread factorizes an exactly singular block, whose zero pivot
+        # lu_factor reports with a LinAlgWarning, while another factorizes a
+        # regular one; the interpreter switches threads every microsecond so
+        # that the two filter blocks interleave
+        rng = np.random.default_rng(5)
+        regular = 4.0 * np.eye(64) + rng.standard_normal((64, 64)) / 8
+        outcomes = []
+
+        def factorize(a):
+            for _ in range(50):
+                try:
+                    bie._factorize(a, "forward", bie._COND_LIMIT)
+                except SingularSystem:
+                    outcomes.append("singular")
+                else:
+                    outcomes.append("factored")
+
+        interval = sys.getswitchinterval()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            before = list(warnings.filters)
+            threads = [threading.Thread(target=factorize, args=(a,))
+                       for a in (np.ones((64, 64)), regular)]
+            sys.setswitchinterval(1e-6)
+            try:
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+            after = list(warnings.filters)
+        assert not any(thread.is_alive() for thread in threads)
+        assert outcomes.count("singular") == outcomes.count("factored") == 50
+        assert after == before
+        assert [w for w in caught if issubclass(w.category, la.LinAlgWarning)] == []
+
     def test_fourier_basis_factorizes_once(self, lu_factor_calls):
         outer, inner = unit_mesh(64), inner_circle(32, 0.5)
         dtn_matrix(outer, inner, "dirichlet", basis="fourier", modes=np.arange(-10, 11))
         assert lu_factor_calls == [(32, 32)]
+
+
+def frozen_trig_resample(values, new_theta):
+    """:func:`bie.trig_resample` as one block: the whole ``exp`` matrix at once."""
+    n = len(values)
+    c = np.fft.fft(values, axis=0) / n
+    m = np.fft.fftfreq(n, 1.0 / n).astype(int)
+    return np.exp(1j * np.outer(new_theta, m)) @ c
+
+
+class TestTrigResample:
+    """Target angles in blocks of 64 rows: the bits of one block, in a sixth
+    of its memory."""
+
+    @pytest.mark.parametrize("targets", [39, 64, 512, 1000])
+    @pytest.mark.parametrize("shape", [(256,), (256, 16), (33, 5)],
+                             ids=["1-D", "2-D", "odd-n"])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_blocks_keep_the_bits_of_one_block(self, targets, shape, dtype):
+        rng = np.random.default_rng(targets)
+        values = rng.standard_normal(shape)
+        if dtype is complex:
+            values = values + 1j * rng.standard_normal(shape)
+        for theta in (2 * np.pi * np.arange(targets) / targets,
+                      rng.uniform(-1.0, 7.0, targets)):
+            got = bie.trig_resample(values, theta)
+            want = frozen_trig_resample(values, theta)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+    def test_peak_memory_beyond_the_result_stays_under_one_mib(self):
+        # the many-nodes impedance stage: 16 pairs on 256 nodes, at 512 angles
+        values = np.random.default_rng(3).standard_normal((256, 16))
+        theta = 2 * np.pi * np.arange(512) / 512
+        result = 512 * 16 * np.dtype(complex).itemsize
+        assert traced_peak(lambda: bie.trig_resample(values, theta)) - result < 2 ** 20
 
 
 class TestDtnMatrix:

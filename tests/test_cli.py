@@ -2,6 +2,8 @@ import json
 import os
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -9,7 +11,7 @@ import numpy as np
 import pytest
 
 import eitdisk
-from eitdisk import bie, cli
+from eitdisk import bie, cli, parallel
 from eitdisk.cli import _gamma_values, _parse_reg, main
 from eitdisk.dtn import gap_from_lambda0
 from eitdisk.exceptions import AllModesCutWarning
@@ -756,3 +758,71 @@ def test_fourier_forward_rounds_an_odd_sim_nodes_up_to_its_modes(inputs, tmp_pat
     assert main(["forward", "--geometry", str(inputs / "ellipse.json"), "--basis", "fourier:19",
                  "--sim-nodes", "33", "--out", str(out)]) == 0
     assert json.loads(out.read_text())["config"]["sim_nodes"] == 40
+
+
+class TestAlongside:
+    """The impedance stage simulates its pairs on a worker thread while the
+    completion assembles on the calling thread."""
+
+    def test_split_stage_writes_the_bytes_of_one_cpu(self, tmp_path, ellipse_file,
+                                                     monkeypatch, row_blocks):
+        caller, on_caller = threading.get_ident(), []
+        real = bie.solve_forward
+
+        def recording(*args, **kwargs):
+            on_caller.append(threading.get_ident() == caller)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(bie, "solve_forward", recording)
+        argv = ["impedance", "--geometry", ellipse_file, "--gamma", "2 - sin(theta)**4",
+                "--noise", "0.04", "--seed", "3", "--mask-tol", "0.2",
+                "--sim-nodes", "32", "--nodes", "64", "--out"]
+        with monkeypatch.context() as one_cpu:
+            one_cpu.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+            assert main([*argv, str(tmp_path / "one.csv")]) == 0
+        assert on_caller == [True] and not row_blocks
+        assert main([*argv, str(tmp_path / "two.csv")]) == 0
+        assert on_caller == [True, False] and row_blocks
+        assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "two.csv").read_bytes()
+
+    @pytest.mark.parametrize("main_fails", [True, False], ids=["both fail", "side fails"])
+    def test_main_error_wins_and_the_worker_is_joined(self, monkeypatch, main_fails):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        workers = []
+
+        def side():
+            workers.append(threading.current_thread())
+            time.sleep(0.05)    # still running when the calling thread fails
+            raise OSError("side failed")
+
+        def first():
+            if main_fails:
+                raise ValueError("main failed")
+            return "main"
+
+        with pytest.raises(ValueError if main_fails else OSError,
+                           match="main failed" if main_fails else "side failed"):
+            parallel.alongside(first, side, 2 * parallel._MIN_ROWS)
+        assert len(workers) == 1 and workers[0] is not threading.current_thread()
+        assert not workers[0].is_alive()
+
+    def test_below_the_floor_both_run_here_in_order(self, no_row_threads):
+        calls = []
+
+        def job(name):
+            calls.append((name, threading.get_ident()))
+            return name
+
+        here = threading.get_ident()
+        rows = 2 * parallel._MIN_ROWS - 1
+        assert parallel.alongside(lambda: job("main"), lambda: job("side"), rows) == (
+            "main", "side")
+        assert calls == [("main", here), ("side", here)]
+        with pytest.raises(ValueError):
+            parallel.alongside(lambda: int("main"), lambda: job("late"), rows)
+        assert calls[-1][0] == "side"
+
+    def test_readme_stage_starts_no_thread(self, tmp_path, ellipse_file, no_row_threads):
+        assert main(["impedance", "--geometry", ellipse_file, "--gamma", "2 - sin(theta)**4",
+                     "--noise", "0.04", "--mask-tol", "0.2", "--sim-nodes", "64",
+                     "--out", str(tmp_path / "gamma.csv")]) == 0
