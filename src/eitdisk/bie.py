@@ -18,7 +18,9 @@ On-curve quadratures: the double-layer kernel extends continuously to the
 diagonal (value ``-curvature/(4 pi)``), so plain trapezoidal weights are
 spectrally accurate.  The single layer splits off the periodic logarithm
 ``log(4 sin^2((t - s)/2))`` and integrates it with the classical trigonometric
-weights, which are exact on the resolvable trigonometric band.  The
+weights, which are exact on the resolvable trigonometric band; the factor
+``4 sin^2((t_i - t_j)/2)`` depends only on the lag ``i - j`` of equally
+spaced nodes.  The
 hypersingular operator (normal derivative of a double layer on its own curve)
 is reduced to tangential derivatives of the single layer and evaluated with
 the spectral differentiation matrix.  On a circle of radius ``r`` both
@@ -36,7 +38,9 @@ most five matrices of its result's size, the result included.  The steps are
 the operations of the kernel's formula on fresh arrays, in the same order on
 the same operands, so every entry keeps its bits; ``np.log`` and ``np.sin``
 run on C-contiguous arrays only, as numpy's SIMD and strided loops for them
-may round differently.  Only a self block (``target is source``) has a
+may round differently.  That includes the log split's sines, taken on the
+contiguous vector of its ``n/2 + 1`` lags (:func:`_sin2_lags`), not on each
+of the ``n^2`` entries.  Only a self block (``target is source``) has a
 singular diagonal, which it fills with the kernel's limit; any other target
 that lies on a source node raises :class:`CoincidentPoints`.
 
@@ -75,7 +79,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .dtn import DtnOperator, circulant, healthy_collocation_matrix
+from .dtn import DtnOperator, circulant, healthy_collocation_matrix, lag_view
 from .exceptions import CoincidentPoints, SingularSystem
 from .geometry import BoundaryCurve
 from .parallel import matmul_by_rows
@@ -259,19 +263,26 @@ def single_layer(source, target):
     return ker
 
 
+def _sin2_lags(n):
+    """``4 sin^2((t_i - t_j)/2)`` on ``n`` equally spaced nodes, ``n`` even, as
+    a read-only view laid out by lag as :func:`eitdisk.dtn.circulant` is.
+
+    The ``n/2 + 1`` values ``4 sin^2(pi k / n)`` are mirrored, so lags ``k``
+    and ``n - k`` share one value: every sine's argument is at most ``pi/2``
+    and carries no rounding of ``t_i - t_j``.
+    """
+    half = np.sin(np.arange(n // 2 + 1) * (np.pi / n))
+    half *= half
+    half *= 4.0
+    return lag_view(np.concatenate([half, half[-2:0:-1]]))
+
+
 def _single_layer_log_split(source):
     """Log-split quadrature of ``Phi(x(t_i), x(s))`` against ``ds`` (no Jacobian)."""
-    t = source.theta
     smooth = _pair(source, source)[2]
     # log(r2 / (4 sin^2((t - s)/2))), the diagonal's 0 / 0 filled below
-    s2 = t[:, None] - t[None, :]
-    s2 /= 2.0
-    np.sin(s2, out=s2)
-    s2 **= 2
-    s2 *= 4.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        smooth /= s2
-    del s2
+        smooth /= _sin2_lags(source.n)
     np.log(smooth, out=smooth)
     np.fill_diagonal(smooth, 2.0 * np.log(source.jacobians))
     # -(log weights + h smooth) / (4 pi)

@@ -31,6 +31,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 __all__ = [
     "DtnOperator",
     "circulant",
+    "lag_view",
     "healthy_collocation_matrix",
     "healthy_fourier_matrix",
     "gap_from_lambda0",
@@ -71,8 +72,14 @@ class DtnOperator:
 
 def circulant(symbol, n):
     """Symmetric circulant on ``n`` nodes of half symbol ``c_0 .. c_{n//2}``."""
-    col = np.fft.irfft(symbol, n)
-    return sliding_window_view(np.concatenate([col[:0:-1], col]), n)[::-1].copy()
+    return lag_view(np.fft.irfft(symbol, n)).copy()
+
+
+def lag_view(col):
+    """Read-only ``(n, n)`` view holding ``col[|i - j|]`` at ``(i, j)`` for
+    ``n = len(col)``: a symmetric circulant when ``col[k] = col[n - k]``."""
+    n = len(col)
+    return sliding_window_view(np.concatenate([col[:0:-1], col]), n)[::-1]
 
 
 def healthy_collocation_matrix(n):

@@ -108,24 +108,46 @@ def write_indicator(path, grid: IndicatorGrid, config: dict):
                      % tuple(values[cols].tolist()))
 
 
+def _grid_spec(path, header):
+    """The :class:`GridSpec` of an indicator CSV's metadata line; a token
+    that is not ``key=value``, a repeated key, or a missing or invalid grid
+    key raises :class:`ValueError` naming the file and the token or key."""
+    fields = {}
+    for token in header[1:].split():
+        key, eq, value = token.partition("=")
+        if not eq:
+            raise ValueError(f"indicator CSV {path} header token {token!r} is not key=value")
+        if key in fields:
+            raise ValueError(f"indicator CSV {path} header repeats key {key!r}")
+        fields[key] = value
+    values = []
+    for key, kind in (("nx", int), ("ny", int), ("xmin", float), ("xmax", float),
+                      ("ymin", float), ("ymax", float)):
+        if key not in fields:
+            raise ValueError(f"indicator CSV {path} header has no key {key!r}")
+        try:
+            values.append(kind(fields[key]))
+        except ValueError:
+            raise ValueError(f"indicator CSV {path} header key {key!r} holds "
+                             f"{fields[key]!r}, not a {kind.__name__}") from None
+    try:
+        return GridSpec(*values)
+    except ValueError as exc:
+        raise ValueError(f"indicator CSV {path} header: {exc}") from None
+
+
 def read_indicator(path):
     """Rebuild an :class:`IndicatorGrid` from the CSV written above; a header
-    without one of the grid keys raises :class:`ValueError`."""
+    that does not describe a grid raises :class:`ValueError`."""
     with open(path) as fh:
         header = fh.readline()
         if not header.startswith("#"):
             raise ValueError("indicator CSV is missing its metadata line")
-        fields = dict(kv.split("=") for kv in header[1:].split())
-        for key in ("nx", "ny", "xmin", "xmax", "ymin", "ymax"):
-            if key not in fields:
-                raise ValueError(f"indicator CSV {path} header has no key {key!r}")
+        spec = _grid_spec(path, header)
         with warnings.catch_warnings():
             # a grid without unmasked points has no rows below the column names
             warnings.simplefilter("ignore", UserWarning)
             rows = np.loadtxt(fh, delimiter=",", skiprows=1, usecols=(0, 1, 2), ndmin=2)
-    spec = GridSpec(int(fields["nx"]), int(fields["ny"]),
-                    float(fields["xmin"]), float(fields["xmax"]),
-                    float(fields["ymin"]), float(fields["ymax"]))
     values = np.full((spec.ny, spec.nx), np.nan)
     xs, ys = spec.xs, spec.ys
     # rint rounds half to even, as round() does

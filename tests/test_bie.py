@@ -105,6 +105,19 @@ class TestKressLogWeights:
                 assert np.max(np.abs(w @ f + (2 * np.pi / m) * f)) < 1e-12, m
 
 
+class TestLogSplitFactor:
+    @pytest.mark.parametrize("n", [64, 256, 512])
+    def test_factor_is_accurate_to_rounding(self, n):
+        # 4 sin^2((t_i - t_j)/2) against long double with its own pi: no
+        # rounding of t_i - t_j may enter, only that of one sine per lag
+        got = bie._sin2_lags(n)
+        lag = (np.arange(n)[:, None] - np.arange(n)[None, :]).astype(np.longdouble)
+        want = 4 * np.sin(np.longdouble("3.14159265358979323846264338327950288") * lag / n) ** 2
+        off = lag != 0
+        assert not got[~off].any()
+        assert float(np.max(abs(got[off] - want[off]) / want[off])) <= 1e-15
+
+
 class TestDoubleLayer:
     def test_gauss_identity_inside(self):
         mesh = unit_mesh()
@@ -351,9 +364,11 @@ def frozen_single_layer(source, target):
 
 
 def frozen_log_split(source):
-    t = source.theta
+    n = source.n
     _, _, r2 = frozen_pair(source, source)
-    s2 = 4.0 * np.sin((t[:, None] - t[None, :]) / 2.0) ** 2
+    # 4 sin^2(pi k / n) at each entry's lag k, |i - j| or n - |i - j|, whichever is smaller
+    lag = abs(np.arange(n)[:, None] - np.arange(n)[None, :])
+    s2 = (4.0 * np.sin(np.arange(n // 2 + 1) * (np.pi / n)) ** 2)[np.minimum(lag, n - lag)]
     with np.errstate(divide="ignore", invalid="ignore"):
         smooth = np.log(r2 / s2)
     np.fill_diagonal(smooth, 2.0 * np.log(source.jacobians))

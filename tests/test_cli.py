@@ -4,6 +4,7 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -300,6 +301,24 @@ def test_indicator_file_without_a_grid_key_exits_2(tmp_path, capfd):
                  "--out", str(tmp_path / "curve.json")]) == 2
     err = capfd.readouterr().err
     assert "indicator CSV" in err and "'ny'" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("header, key", [
+    ("nx=3 ny=3 xmin=0.5 xmax=0.5 ymin=-0.5 ymax=0.5", "xmax=0.5"),
+    ("nx=3 ny=3 xmin=-0.5 xmax=0.5 ymin=nan ymax=0.5", "ymin=nan"),
+    ("nx=3 ny=3 xmin=-0.5 xmax=inf ymin=-0.5 ymax=0.5", "xmax=inf"),
+    ("nx=3 ny=3 xmin=-0.5 xmax=0.5 ymin=-0.5 ymax=0.5 stray", "'stray'"),
+    ("nx=3 ny=3 xmin=-0.5 xmax=0.5 ymin=-0.5 ymax=0.5 nx=5", "'nx'"),
+], ids=["equal-bounds", "nan-bound", "infinite-bound", "stray-token", "repeated-key"])
+def test_indicator_file_with_an_invalid_header_exits_2(tmp_path, capfd, header, key):
+    indicator = tmp_path / "w.csv"
+    indicator.write_text(f"# config=abc {header}\nx,y,W\r\n0,0,1\r\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["extract", "--indicator", str(indicator),
+                     "--out", str(tmp_path / "curve.json")]) == 2
+    err = capfd.readouterr().err
+    assert str(indicator) in err and key in err and "Traceback" not in err
 
 
 def test_dtn_file_without_a_key_exits_2(tmp_path, circle_file, capfd):

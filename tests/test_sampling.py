@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from eitdisk import regularization, sampling
 from eitdisk.annulus import AnnulusConfig, gap_operator
+from eitdisk.dtn import DtnOperator
 from eitdisk.exceptions import (AllModesCutWarning, DegenerateFit, NoContour,
                                 NoiseDominates, SingularSystem, TooCloseToBoundary)
 from eitdisk.geometry import fourier_analyze
@@ -24,6 +25,18 @@ DIRICHLET = AnnulusConfig(0.5, "dirichlet")
 
 def colloc_gap(rho=0.5, n=64):
     return gap_operator(AnnulusConfig(rho, "dirichlet"), basis="collocation", n=n)
+
+
+LONG_PI = np.longdouble("3.14159265358979323846264338327950288")
+
+
+def accuracy_points():
+    """300 points inside the mask, 60 of them within 1e-3 of its radius."""
+    rng = np.random.Generator(np.random.Philox(123))
+    rad = np.concatenate([0.9 * np.sqrt(rng.uniform(0, 1, 240)),
+                          0.9 - rng.uniform(0, 1e-3, 60)])
+    ang = rng.uniform(-np.pi, np.pi, 300)
+    return rad * np.cos(ang), rad * np.sin(ang)
 
 
 class TestPoissonKernel:
@@ -67,11 +80,42 @@ class TestPoissonKernel:
         rng = np.random.Generator(np.random.Philox(width))
         rad, ang = 0.9 * np.sqrt(rng.uniform(0, 1, width)), rng.uniform(-np.pi, np.pi, width)
         pts = np.column_stack([rad * np.cos(ang), rad * np.sin(ang)])
-        r, tz, theta = np.hypot(pts[:, 0], pts[:, 1]), np.arctan2(pts[:, 1], pts[:, 0]), gap.nodes
-        want = (1.0 - r**2)[None, :] / (
-            2.0 * np.pi * (r**2 + 1.0 - 2.0 * r[None, :] * np.cos(theta[:, None] - tz[None, :])))
+        x, y, theta = pts[:, 0], pts[:, 1], gap.nodes
+        want = (1.0 - (x * x + y * y))[None, :] / (
+            2.0 * np.pi * ((np.cos(theta)[:, None] - x[None, :]) ** 2
+                           + (np.sin(theta)[:, None] - y[None, :]) ** 2))
         got = sampling._rhs_columns(gap, pts)
         assert got.shape == (gap.n, width) and got.tobytes() == want.tobytes()
+
+    def test_collocation_rhs_is_accurate_near_the_mask(self):
+        # a fifth of the points lie within 1e-3 of the mask radius, where the
+        # kernel's denominator falls to about 1e-2 and can lose digits
+        x, y = accuracy_points()
+        gap = colloc_gap()
+        got = sampling._rhs_columns(gap, np.column_stack([x, y]))
+        theta, x, y = (v.astype(np.longdouble) for v in (gap.nodes, x, y))
+        want = (1 - (x * x + y * y))[None, :] / (
+            2 * LONG_PI * ((np.cos(theta)[:, None] - x) ** 2 + (np.sin(theta)[:, None] - y) ** 2))
+        assert float(np.max(abs(got - want) / want)) <= 3e-15
+
+    @pytest.mark.parametrize("modes", [np.arange(-19, 20), np.arange(20),
+                                       np.array([3, -7, 0, 19, -19, 1, 12, -2])],
+                             ids=["symmetric", "one-sided", "unsorted"])
+    def test_fourier_rhs_is_accurate(self, modes):
+        # after the accuracy points: z = 0, then three points on the mask radius
+        x, y = accuracy_points()
+        x = np.concatenate([x, [0.0, 0.9, 0.0, -0.9 * np.sqrt(0.5)]])
+        y = np.concatenate([y, [0.0, 0.0, -0.9, 0.9 * np.sqrt(0.5)]])
+        gap = DtnOperator("fourier", np.eye(len(modes)), modes)
+        got = sampling._rhs_columns(gap, np.column_stack([x, y]))
+        assert got[:, -4].tolist() == [1 / (2 * np.pi) if m == 0 else 0 for m in modes]
+        # |z|^|m| exp(-i m arg z) / (2 pi) with the long-double pi
+        got, x, y = np.delete(got, -4, axis=1), np.delete(x, -4), np.delete(y, -4)
+        x, y, m = x.astype(np.longdouble), y.astype(np.longdouble), modes.astype(np.longdouble)
+        size = np.sqrt(x * x + y * y)[None, :] ** abs(m)[:, None] / (2 * LONG_PI)
+        phase = -m[:, None] * np.arctan2(y, x)[None, :]
+        err = np.hypot(got.real - size * np.cos(phase), got.imag - size * np.sin(phase))
+        assert float(np.max(err / size)) <= 1.5e-15
 
 
 class TestCurrentGap:
@@ -139,6 +183,16 @@ class TestScan:
         out = scan(gap, grid, reg)
         want = indicator(gap, (0.1, 0.0), reg)
         assert abs(out.values[0, 0] - want) < 1e-12
+
+    @pytest.mark.parametrize("bounds, named", [
+        ((0.5, 0.5, -0.5, 0.5), "xmin=0.5 and xmax=0.5"),
+        ((0.5, -0.5, -0.5, 0.5), "xmin=0.5 and xmax=-0.5"),
+        ((-0.5, 0.5, np.nan, 0.5), "ymin=nan"),
+        ((-0.5, 0.5, -0.5, np.inf), "ymax=inf"),
+    ])
+    def test_grid_bounds_must_be_finite_and_increasing(self, bounds, named):
+        with pytest.raises(ValueError, match=named):
+            GridSpec(3, 3, *bounds)
 
     def test_grid_without_unmasked_points_rejected(self):
         # all four corners of the default square lie beyond the mask radius
