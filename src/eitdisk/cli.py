@@ -251,10 +251,10 @@ def cmd_impedance(args):
                                  gamma_true).outer_flux()
         return np.real(bie.trig_resample(flux, outer64.theta))
 
-    # the completion (its SVD included) on the calling thread, the pairs
-    # simulated on a worker meanwhile; below the row floor or on one CPU the
-    # simulation follows on the calling thread.  Noise and recovery run here
-    # once both are done
+    # the completion (its factorization included) on the calling thread, the
+    # pairs simulated on a worker meanwhile; below the row floor or on one CPU
+    # the simulation follows on the calling thread.  Noise and recovery run
+    # here once both are done
     system, flux64 = alongside(
         lambda: assemble_completion(outer64, inner64, model_error_factor=model_factor),
         simulate, args.nodes)

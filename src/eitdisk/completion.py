@@ -44,9 +44,10 @@ buffer, the product first; ``K_mi P``; and ``S``, summed in place on
 ``K_ii~``.  ``K_im~`` and
 ``S`` are dropped once ``S`` is factorized, the LU factors once the
 right-hand sides are solved in place, and ``K_mi P`` once ``X`` is
-composed.  ``X`` is negated in place, so when the SVD of the completion
-operator runs, only ``X`` and ``Z`` are alive: the four maps are views into
-them.  The in-place steps are the operations of an assembly on fresh arrays,
+composed.  ``X`` is negated in place, so when the completion operator is
+factorized, only ``X`` and ``Z`` are alive: the four maps are views into
+them.  From 256 nodes its factorization is a range finder, which keeps one
+copy of the operator as its residual.  The in-place steps are the operations of an assembly on fresh arrays,
 in the same order and memory layout, so every map keeps its bits.  With
 ``n`` nodes on both curves the traced peak is ``10 n^2`` doubles: the kernel
 of ``K_ii~`` at four, while ``X``, ``Z``, ``K_im~`` and ``K_mi P`` hold six.

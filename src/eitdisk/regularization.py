@@ -19,6 +19,16 @@ the residual:
   column, and zero elsewhere.
 - None: the plain inverse ``F_i = 1/s_i`` of a nonsingular system.
 
+Every caller factorizes through :meth:`SvdFactorization.from_matrix`.  A
+matrix with fewer than 256 rows or columns gets numpy's thin SVD.  A larger
+one gets a residual-checked Gaussian range finder, which truncates only at
+rounding, ``|A - U diag(s) Vh|_F <= max(m, n) eps s_1``: every singular value
+it drops lies below numpy's ``matrix_rank`` tolerance.  Where it finds no
+such truncation, as on a matrix of full numerical rank, the thin SVD follows.
+The filters act on the kept values alone, the part of ``b`` outside the kept
+``U`` counts as residual, and ``none`` treats a truncated factorization as
+singular.
+
 :func:`regularized_solve` applies the kernel to one vector or a matrix of
 columns; :func:`tikhonov_solve` and :func:`discrepancy_alpha` are
 one-strategy calls of it, and the sampling scan runs the kernel over column
@@ -60,11 +70,22 @@ _ALPHA_FLOOR = 1e-14  # bottom of the discrepancy bracket, relative to s1^2
 # to a factor 1e14**(1/256) < 1.14, from where Newton takes about six steps
 _COARSE_STEPS = 8
 _NEWTON_STEPS = 30  # cap on the Newton steps of a column
+# the range finder of SvdFactorization.from_matrix: matrices with a shorter
+# side take the full SVD; columns added per sketch step; the sketch's seed
+_SKETCH_FLOOR = 256
+_SKETCH_BLOCK = 32
+_SKETCH_SEED = 0
 
 
 @dataclass(frozen=True, eq=False)
 class SvdFactorization:
-    """Thin SVD ``A = U diag(s) Vh`` with nonincreasing singular values."""
+    """SVD ``A ~ U diag(s) Vh`` with nonincreasing singular values, truncated
+    only at rounding.
+
+    ``s`` has ``k <= min(m, n)`` values.  When ``k < min(m, n)``, the dropped
+    part satisfies ``|A - U diag(s) Vh|_F <= max(m, n) eps s_1``, so every
+    dropped singular value lies under numpy's ``matrix_rank`` tolerance.
+    """
 
     u: np.ndarray
     s: np.ndarray
@@ -72,12 +93,68 @@ class SvdFactorization:
 
     @classmethod
     def from_matrix(cls, a):
-        u, s, vh = np.linalg.svd(np.asarray(a), full_matrices=False)
-        return cls(u, s, vh)
+        """Factorize ``a``: by :func:`_range_svd` when both of its sides have
+        at least ``_SKETCH_FLOOR`` entries and it finds a numerical rank up to
+        half of the shorter one, and otherwise by the thin
+        ``np.linalg.svd``."""
+        a = np.asarray(a)
+        factors = None
+        if a.ndim == 2 and min(a.shape) >= _SKETCH_FLOOR:
+            factors = _range_svd(a)
+        if factors is None:
+            factors = np.linalg.svd(a, full_matrices=False)
+        return cls(*factors)
 
     def project(self, b):
         """Coefficients of ``b`` in the left singular basis."""
         return self.u.conj().T @ np.asarray(b)
+
+
+def _range_svd(a):
+    """Truncated SVD ``(u, s, vh)`` of an ``(m, n)`` matrix by a blocked
+    Gaussian range finder, or None when the matrix is not numerically low-rank.
+
+    Each step sketches the residual ``R = A - Q B`` with ``_SKETCH_BLOCK``
+    Gaussian columns, orthonormalizes the sketch, re-orthogonalizes it against
+    the earlier blocks, and deflates its rows ``B_i = Q_i^H R`` from ``R``,
+    which is a copy of ``A`` from the first step on (Halko, Martinsson & Tropp,
+    2011, Alg. 4.2; Yu, Gu & Li, 2018, for the fixed-precision stop).  It
+    stops once ``|R|_F <= max(m, n) eps s_1``, with ``s_1`` that of the first
+    block's rows, a lower bound of ``|B|_2``; since ``s_{k+1}(A) <= |R|_2``,
+    every singular value dropped then lies below that bound.  The SVD of the
+    small ``B`` completes the factorization.  A step that would not halve
+    ``|R|_F``, or a rank past ``min(m, n) / 2``, gives None, so that a matrix
+    of full numerical rank costs about one step before the full SVD.  The
+    sketch comes from a fixed seed, and every step is one BLAS or LAPACK call
+    on fixed shapes, so the result does not depend on the call history.
+    """
+    m, n = a.shape
+    rng = np.random.Generator(np.random.Philox(_SKETCH_SEED))
+    tol = max(m, n) * np.finfo(float).eps
+    r, qs, bs = a, [], []
+    res2 = np.vdot(a, a).real
+    while _SKETCH_BLOCK * (len(qs) + 1) <= min(m, n) // 2:
+        q = np.linalg.qr(r @ rng.standard_normal((n, _SKETCH_BLOCK)))[0]
+        if qs:
+            for p in qs:
+                q -= p @ (p.conj().T @ q)
+            q = np.linalg.qr(q)[0]
+        b = q.conj().T @ r
+        # |R - q b|_F^2 = |R|_F^2 - |b|_F^2: give up before deflating
+        if 4 * (res2 - np.vdot(b, b).real) > res2:
+            return None
+        if r is a:
+            r = a - q @ b
+            s1 = np.linalg.norm(b, 2)
+        else:
+            r -= q @ b
+        qs.append(q)
+        bs.append(b)
+        res2 = np.vdot(r, r).real
+        if np.sqrt(res2) <= tol * s1:
+            ub, s, vh = np.linalg.svd(np.vstack(bs), full_matrices=False)
+            return np.hstack(qs) @ ub, s, vh
+    return None
 
 
 @dataclass(frozen=True)
@@ -140,21 +217,26 @@ class RegStrategy:
         return self.kind in ("tikhonov", "cutoff") and self.alpha is None and self.tau is None
 
 
-def spectral_filter(s, beta2, b2, reg, delta_abs=None):
+def spectral_filter(svd, beta2, b2, reg, delta_abs=None):
     """Filter factors of one strategy for right-hand-side columns.
 
-    ``s`` are the singular values, ``beta2 = |U^H b|^2`` the squared
-    coefficients of the columns ``b`` (shape ``(k, P)``; only read), ``b2``
-    their squared norms and ``delta_abs`` the absolute noise per column
-    (default ``reg.noise_level * |b|``).  Returns the real filter ``F``, with
+    ``svd`` is the :class:`SvdFactorization` with singular values ``s``,
+    ``beta2 = |U^H b|^2`` the squared coefficients of the columns ``b``
+    (shape ``(k, P)``; only read), ``b2`` their squared norms and
+    ``delta_abs`` the absolute noise per column (default
+    ``reg.noise_level * |b|``).  Returns the real filter ``F``, with
     solutions ``x = Vh^H (F * beta)``, and per-column arrays ``alpha`` and/or
     ``rank`` and ``residual = |A x - b|``.  A column whose cutoff removes every
     mode gets rank 0 and a zero filter; the caller warns, once per solve.
+    Raises :class:`SingularSystem` for ``none`` on a system whose smallest
+    singular value is at most ``1e-14 s_1``, or was dropped as rounding.
     It only reads its inputs, so callers may run it on column slices in threads.
     """
+    s = svd.s
     b_perp2 = b2 - beta2.sum(axis=0)
-    # below the rounding of that difference the orthogonal part is noise
-    b_perp2 = np.where(b_perp2 > len(s) * np.finfo(float).eps * b2, b_perp2, 0.0)
+    # below the rounding of that difference, a sum over the rows of b, the
+    # orthogonal part is noise
+    b_perp2 = np.where(b_perp2 > len(svd.u) * np.finfo(float).eps * b2, b_perp2, 0.0)
     s_col = s[:, None]
     target = None
     if reg.noise_tied:
@@ -174,7 +256,8 @@ def spectral_filter(s, beta2, b2, reg, delta_abs=None):
         if reg.kind == "cutoff":
             thr = reg.tau * s[0] if target is None else target
         elif reg.kind == "none":
-            if not len(s) or s[-1] <= s[0] * 1e-14:
+            truncated = len(s) < min(len(svd.u), svd.vh.shape[1])
+            if truncated or not len(s) or s[-1] <= s[0] * 1e-14:
                 raise SingularSystem("unregularized solve of a singular system",
                                      condition=np.inf)
             thr = 0.0
@@ -279,7 +362,7 @@ def regularized_solve(svd, b, reg, delta_abs=None):
     b = np.asarray(b)
     cols = b.reshape(len(b), -1)
     beta = svd.project(cols)
-    filt, info = spectral_filter(svd.s, np.abs(beta) ** 2,
+    filt, info = spectral_filter(svd, np.abs(beta) ** 2,
                                  np.sum(np.abs(cols) ** 2, axis=0), reg, delta_abs)
     if "rank" in info and np.any(info["rank"] == 0):
         warnings.warn("cutoff removed every singular mode", AllModesCutWarning)

@@ -1,4 +1,5 @@
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -6,7 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eitdisk import regularization
+from eitdisk.annulus import AnnulusConfig, gap_operator
+from eitdisk.bie import NystromMesh
+from eitdisk.completion import assemble_completion
 from eitdisk.exceptions import AllModesCutWarning, NoiseDominates, SingularSystem
+from eitdisk.geometry import BoundaryCurve
 from eitdisk.regularization import (RegStrategy, SvdFactorization,
                                     discrepancy_alpha, expected_noise_norm,
                                     perturb_matrix, perturb_vector,
@@ -32,6 +37,75 @@ class TestSvd:
         a, _ = random_system(12, 4)
         svd = SvdFactorization.from_matrix(a)
         assert np.all(np.diff(svd.s) <= 0) and svd.s[-1] >= 0
+
+
+def low_rank(n, rank, seed, dtype=float):
+    """``(n, n)`` matrix of numerical rank ``rank``, singular values 1 .. 0.1."""
+    rng = np.random.Generator(np.random.Philox(seed))
+
+    def orthonormal():
+        q = rng.normal(size=(n, rank))
+        if dtype is complex:
+            q = q + 1j * rng.normal(size=(n, rank))
+        return np.linalg.qr(q)[0]
+
+    return (orthonormal() * np.geomspace(1.0, 0.1, rank)) @ orthonormal().conj().T
+
+
+@pytest.fixture(scope="module", params=[256, 512])
+def completion_operator(request):
+    """The completion operator from the unit circle to the ellipse 0.5 x 0.3,
+    both on ``n`` nodes, with its factorization."""
+    n = request.param
+    system = assemble_completion(NystromMesh(BoundaryCurve.circle(radius=1.0), n),
+                                 NystromMesh(BoundaryCurve.ellipse(0.5, 0.3), n))
+    return system.completion, system.svd
+
+
+def svd_bits(svd):
+    return tuple(x.tobytes() for x in (svd.u, svd.s, svd.vh))
+
+
+def assert_truncated_at_rounding(a, svd):
+    """The factorization contract: a residual at rounding of ``s_1``, and the
+    kept values those of the full SVD to that tolerance."""
+    tol = max(a.shape) * np.finfo(float).eps * svd.s[0]
+    full = np.linalg.svd(a, compute_uv=False)
+    assert len(svd.s) < min(a.shape)
+    assert np.linalg.norm(a - (svd.u * svd.s) @ svd.vh) <= tol
+    assert np.max(np.abs(svd.s - full[:len(svd.s)])) <= tol
+    assert np.allclose(svd.u.conj().T @ svd.u, np.eye(len(svd.s)), rtol=0, atol=1e-13)
+    assert np.allclose(svd.vh @ svd.vh.conj().T, np.eye(len(svd.s)), rtol=0, atol=1e-13)
+
+
+class TestTruncatedSvd:
+    def test_completion_operator_drops_only_rounding(self, completion_operator):
+        assert_truncated_at_rounding(*completion_operator)
+
+    def test_complex_low_rank_matrix_has_the_same_contract(self):
+        a = low_rank(256, 40, 1, complex)
+        svd = SvdFactorization.from_matrix(a)
+        assert svd.u.dtype == complex and svd.vh.dtype == complex
+        assert_truncated_at_rounding(a, svd)
+
+    @pytest.mark.parametrize("make", [
+        lambda: low_rank(255, 20, 2),
+        lambda: low_rank(300, 20, 3)[:, :255],
+        lambda: perturb_matrix(gap_operator(AnnulusConfig(0.5, "dirichlet"),
+                                            basis="collocation", n=64).matrix, 0.05, 3),
+        lambda: np.random.Generator(np.random.Philox(4)).normal(size=(512, 512)),
+    ], ids=["below-floor", "short-side-below-floor", "perturbed-gap-64", "full-rank-512"])
+    def test_full_svd_bits_below_the_floor_and_at_full_rank(self, make):
+        a = make()
+        svd = SvdFactorization.from_matrix(a)
+        assert svd_bits(svd) == tuple(x.tobytes() for x in np.linalg.svd(a, full_matrices=False))
+
+    def test_same_bits_on_every_call_and_thread(self, completion_operator):
+        a, svd = completion_operator
+        with ThreadPoolExecutor(1) as pool:
+            threaded = pool.submit(SvdFactorization.from_matrix, a).result()
+        assert svd_bits(SvdFactorization.from_matrix(a)) == svd_bits(svd)
+        assert svd_bits(threaded) == svd_bits(svd)
 
 
 class TestTikhonov:
@@ -139,6 +213,30 @@ class TestRegularizedSolve:
         svd = SvdFactorization.from_matrix(a)
         with pytest.raises(SingularSystem):
             regularized_solve(svd, np.ones(2), RegStrategy.none())
+
+    def test_none_on_truncated_factorization_raises(self):
+        # every kept value is at least 0.1 s_1, so only the truncation is singular
+        svd = SvdFactorization.from_matrix(low_rank(256, 32, 5))
+        assert len(svd.s) < 256 and svd.s[-1] > 0.09 * svd.s[0]
+        with pytest.raises(SingularSystem):
+            regularized_solve(svd, np.ones(256), RegStrategy.none())
+
+    def test_range_of_truncated_factorization_has_zero_residual(self):
+        a = low_rank(256, 32, 6)
+        svd = SvdFactorization.from_matrix(a)
+        b = a @ np.random.Generator(np.random.Philox(7)).normal(size=(256, 8))
+        _, info = regularized_solve(svd, b, RegStrategy.spectral_cutoff(1e-3))
+        assert len(svd.s) < 256 and np.all(info["rank"] == len(svd.s))
+        assert np.all(info["residual"] == 0)
+
+    def test_orthogonal_part_floor_scales_with_the_rows_of_b(self):
+        # |b|^2 - |U^H b|^2 of 100 eps |b|^2 is rounding of a sum over 256
+        # rows, though the factorization kept only 32 values
+        svd = SvdFactorization(np.eye(256, 32), np.geomspace(1.0, 0.1, 32), np.eye(32, 256))
+        beta2 = np.full((32, 1), 1.0 / 32)
+        b2 = np.array([1.0 + 100 * np.finfo(float).eps])
+        _, info = spectral_filter(svd, beta2, b2, RegStrategy.spectral_cutoff(1e-3))
+        assert info["residual"][0] == 0
 
     def test_dispatch_matches_direct_calls(self):
         a, b = random_system(9, 14)
@@ -473,7 +571,7 @@ class TestDiscrepancyRoot:
 
         def alpha_of_first(neighbours, order=np.arange(16)):
             targets = np.r_[fraction * norm, neighbours][order]
-            _, info = spectral_filter(svd.s, np.repeat(beta2, 16, axis=1),
+            _, info = spectral_filter(svd, np.repeat(beta2, 16, axis=1),
                                       np.repeat(b2, 16),
                                       RegStrategy("tikhonov", safety=1.0), targets)
             return info["alpha"][np.argsort(order)[0]]
