@@ -1,72 +1,45 @@
-"""Nystrom discretization of Laplace layer potentials on closed curves.
+"""Nystrom discretization of Laplace layer potentials, and the forward solver.
 
 All kernels derive from the free-space fundamental solution
-``Phi(x, y) = -log|x - y| / (2 pi)``.  Sign conventions, fixed once here and
-verified against the concentric-circle series in the test suite:
+``Phi(x, y) = -log|x - y| / (2 pi)``.  Sign conventions, verified against
+the concentric-circle series in the test suite:
 
-- Layer kernels always use the *source curve's own outward* normal (the
-  counterclockwise convention), regardless of which physical boundary the
-  curve plays.  Physical currents on an inner boundary are obtained by
-  negating the assembled normal derivative.
-- Double layers carry the factor-2 kernel by default, so the trace jump is
-  ``+-1`` times the density: approaching the curve from the side the normal
-  points into gives ``K phi + phi``, from the other side ``K phi - phi``.
+- Layer kernels use the *source curve's own outward* normal (the
+  counterclockwise convention).  Physical currents on an inner boundary are
+  obtained by negating the assembled normal derivative.
+- Double layers carry the factor-2 kernel, so the trace jump is ``+-1``
+  times the density: approaching the curve from the side the normal points
+  into gives ``K phi + phi``, from the other side ``K phi - phi``.
 - The single layer is kept at factor one; its normal derivative jumps by
   ``-+ phi/2``.
 
 On-curve quadratures: the double-layer kernel extends continuously to the
-diagonal (value ``-curvature/(4 pi)``), so plain trapezoidal weights are
+diagonal (value ``-curvature/(4 pi)``), so trapezoidal weights are
 spectrally accurate.  The single layer splits off the periodic logarithm
-``log(4 sin^2((t - s)/2))`` and integrates it with the classical trigonometric
-weights, which are exact on the resolvable trigonometric band; the factor
-``4 sin^2((t_i - t_j)/2)`` depends only on the lag ``i - j`` of equally
-spaced nodes.  The
-hypersingular operator (normal derivative of a double layer on its own curve)
-is reduced to tangential derivatives of the single layer and evaluated with
-the spectral differentiation matrix.  On a circle of radius ``r`` both
-self-blocks have closed forms (Kress, *Linear Integral Equations*, 3rd ed.,
-2014): the double layer is ``-J/n``, with ``J`` the all-ones matrix, and the
-hypersingular block is ``-healthy_collocation_matrix(n) / r``, which
-:func:`normal_derivative` returns instead of the tangential reduction.  Every
-kernel reads its pair geometry, the target-minus-source ``dx``, ``dy`` and
-``r2`` as ``(targets, sources)`` arrays, from one helper, ``_pair``.
+``log(4 sin^2((t - s)/2))`` and integrates it with the trigonometric weights
+of Kress (*Linear Integral Equations*, 3rd ed., 2014); the factor depends
+only on the lag of equally spaced nodes (:func:`_sin2_lags`).  The
+hypersingular operator is reduced to tangential derivatives of the single
+layer (Maue), whose two spectral-differentiation products are split by rows
+(:func:`eitdisk.parallel.by_rows`), with the same bits on any number of
+CPUs; on a circle of radius ``r`` it is ``-healthy_collocation_matrix(n) /
+r`` in closed form.  Every kernel computes in place, in the operations and
+order of its formula on fresh arrays, so it keeps their bits and holds at
+most five matrices of its result's size.  Only a self block has a singular
+diagonal; any other target on a source node raises :class:`CoincidentPoints`.
 
-Every kernel computes in place: each step writes into the buffer of an
-operand that is not read again (augmented assignment, ufuncs with ``out=``),
-and each intermediate is dropped after its last reader, so a kernel holds at
-most five matrices of its result's size, the result included.  The steps are
-the operations of the kernel's formula on fresh arrays, in the same order on
-the same operands, so every entry keeps its bits; ``np.log`` and ``np.sin``
-run on C-contiguous arrays only, as numpy's SIMD and strided loops for them
-may round differently.  That includes the log split's sines, taken on the
-contiguous vector of its ``n/2 + 1`` lags (:func:`_sin2_lags`), not on each
-of the ``n^2`` entries.  Only a self block (``target is source``) has a
-singular diagonal, which it fills with the kernel's limit; any other target
-that lies on a source node raises :class:`CoincidentPoints`.
-
-The outer boundary of every solve is the unit measurement circle.  Its trace
-block ``I - K_mm = I + J/n`` has the inverse ``P = I - J/(2n)``, applied as a
-column-sum correction, so the outer density is eliminated and only the
-inclusion-sized Schur complement is LU-factorized, once per solve.  Its
-conditioning is guarded by LAPACK's 1-norm estimate (``dgecon``) of that
-Schur complement, computed from its factors, not by a separate singular value
-decomposition.  :func:`solve_forward` takes one voltage or a matrix of
-voltage columns and solves them all against one factorization.
-
-The dense products of a solve, ``a21 P sim`` in the forward blocks and the
-two spectral-differentiation products of the Maue block, are split by rows
-(:func:`eitdisk.parallel.by_rows`): contiguous blocks of at least
-``_MIN_ROWS`` rows, one per usable CPU, the first on the calling thread and
-the rest on a pool.  Each block is the same BLAS call on the same rows,
-written into its rows of a buffer the calling thread allocated, so every
-entry keeps its bits on any number of CPUs.  Steps of fewer than twice
-``_MIN_ROWS`` rows, every README and fine-grid product among them, start no
-thread.  A solve split this way gives each block its own copy of the LU
-pivot array, made on the calling thread (see :func:`_factorize`).
-
-scipy serves only that LU, its solves and ``dgecon``.  :func:`_factorize`,
-:func:`solve_forward` and :func:`eitdisk.completion.assemble_completion` import
-it when they run, so ``import eitdisk``, ``sample`` and ``extract`` never load it.
+The measurement boundary is the unit circle, whose Dirichlet Green's
+function ``G = Phi + H`` has the smooth image part ``H(x, y) = log(|x|^2
+|y|^2 - 2 x.y + 1) / (4 pi)`` (:func:`_image`).  The forward solver
+represents ``u = P[f] + S_G phi``: the voltage's harmonic extension plus a
+single layer of ``G`` on the inclusion, which vanishes on the circle.  Only
+the inclusion is discretized; ``P[f]`` at its nodes comes from running
+powers of the node positions (:func:`_harmonic_extension`), and no kernel is
+evaluated between the two curves.  One LU of the inclusion-sized matrix
+serves every voltage column, guarded by LAPACK's 1-norm condition estimate
+(``dgecon``) from its factors.  scipy serves only that LU, its solves and
+``dgecon``, and is imported when they run, so ``import eitdisk``, ``sample``
+and ``extract`` never load it.
 """
 
 from __future__ import annotations
@@ -112,12 +85,9 @@ _FILTERS_LOCK = threading.Lock()
 
 @dataclass(frozen=True, eq=False)
 class NystromMesh:
-    """Equally spaced quadrature nodes on a boundary curve.
-
-    The same mesh type serves the outer measurement circle and an inclusion;
-    which one it is follows from where the caller passes it.  ``normals`` are
-    the curve-outward unit normals used by every kernel, also on an
-    inclusion, where the annular region's outward normal is their negative.
+    """Equally spaced quadrature nodes on a boundary curve: the measurement
+    nodes on the unit circle, or an inclusion's.  ``normals`` are the
+    curve-outward unit normals every kernel uses.
     """
 
     curve: BoundaryCurve
@@ -294,79 +264,47 @@ def _single_layer_log_split(source):
 
 
 def normal_derivative(source, target, of="double_layer"):
-    """Normal derivative of a layer potential at target-mesh nodes.
+    """Normal derivative of a layer potential on its own curve, at its nodes,
+    along the outward normal; ``target`` must be ``source`` itself.
 
-    The derivative direction is the *target curve's outward* normal.  For
-    separated curves the kernels are differentiated directly.  Same-curve
-    requests are supported for ``single_layer`` (continuous part only, the
-    ``-+ phi/2`` jump is left to the caller) and for the double layers, where
-    the hypersingular kernel is reduced to tangential derivatives of the
-    single layer (Maue's identity), or taken in closed form on a circle.  The
-    factors follow the layers: two for the double layers, one for the single
-    layer.
+    For ``single_layer`` this is the continuous part (the ``-+ phi/2`` jump
+    is left to the caller), the diagonal filled by the kernel's limit
+    ``-curvature/(4 pi)``; the double layers' hypersingular kernel is reduced
+    by Maue's identity, or taken in closed form on a circle.  The factors
+    follow the layers: two for the double layers, one for the single layer.
     """
     if of not in ("single_layer", "double_layer", "modified_double_layer"):
         raise ValueError(f"unknown layer kind {of!r}")
     if not isinstance(target, NystromMesh):
         raise TypeError("normal derivatives are assembled on a target mesh")
+    if target is not source:
+        raise ValueError("normal derivatives are assembled on their source mesh only")
     fac = 1.0 if of == "single_layer" else 2.0
-    same = target is source
-    if same and of != "single_layer":
-        if source.curve.kind == "circle":
-            # the factor-2 operator sends exp(i m t) to -|m|/r exp(i m t)
-            mat = healthy_collocation_matrix(source.n)
-            np.negative(mat, out=mat)
-            mat /= source.curve.cos_coef[0, 0]
-        else:
-            mat = _hypersingular_maue(source)
-            mat *= fac
-    else:
-        dx, dy, r2 = _pair(source, target)
-        tn, sn = target.normals, source.normals
-        if of == "single_layer":
-            # -(dx t_x + dy t_y) / r2 / (2 pi) in the buffer of dx
-            mat = dx
-            mat *= tn[:, 0, None]
-            dy *= tn[:, 1, None]
-            mat += dy
-            del dy
-            np.negative(mat, out=mat)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                mat /= r2
-            del r2
-            mat /= 2.0 * np.pi
-            if same:
-                np.fill_diagonal(mat, -source.curvature / (4.0 * np.pi))
-        else:
-            # dnx = dx t_x + dy t_y, and dny = dx s_x + dy s_y in the buffer of dx
-            dnx = dx * tn[:, 0, None]
-            dny = dy * sn[:, 1]
-            dy *= tn[:, 1, None]
-            dnx += dy
-            del dy
-            dx *= sn[:, 0]
-            dx += dny
-            dny = dx
-            del dx
-            # (nn / r2 - 2 dnx dny / r2^2) / (2 pi), nn = t . s
-            dnx *= 2.0
-            dnx *= dny
-            del dny
-            mat = tn[:, 0, None] * sn[:, 0]
-            mat += tn[:, 1, None] * sn[:, 1]
+    if of == "single_layer":
+        # -(dx nu_x + dy nu_y) / r2 / (2 pi) in the buffer of dx
+        dx, dy, r2 = _pair(source, source)
+        mat = dx
+        mat *= source.normals[:, 0, None]
+        dy *= source.normals[:, 1, None]
+        mat += dy
+        np.negative(mat, out=mat)
+        with np.errstate(divide="ignore", invalid="ignore"):
             mat /= r2
-            r2 **= 2
-            dnx /= r2
-            del r2
-            mat -= dnx
-            del dnx
-            mat /= 2.0 * np.pi
-        mat *= fac
+        mat /= 2.0 * np.pi
+        np.fill_diagonal(mat, -source.curvature / (4.0 * np.pi))
         mat *= source.arc_weights()
+    elif source.curve.kind == "circle":
+        # the factor-2 operator sends exp(i m t) to -|m|/r exp(i m t)
+        mat = healthy_collocation_matrix(source.n)
+        np.negative(mat, out=mat)
+        mat /= source.curve.cos_coef[0, 0]
+    else:
+        mat = _hypersingular_maue(source)
+        mat *= fac
     if of == "modified_double_layer":
-        # d/dnu(x) log|x| = (x . nu(x)) / |x|^2 at the target nodes
-        r2 = (target.points**2).sum(axis=1)
-        dlog = np.einsum("ik,ik->i", target.points, target.normals) / r2
+        # d/dnu(x) log|x| = (x . nu(x)) / |x|^2 at the nodes
+        r2 = (source.points**2).sum(axis=1)
+        dlog = np.einsum("ik,ik->i", source.points, source.normals) / r2
         mat += fac * dlog[:, None] * source.arc_weights()[None, :]
     return mat
 
@@ -386,90 +324,179 @@ def _hypersingular_maue(source):
     return w
 
 
+def _image(source, target, kind):
+    """The image part of a layer of the unit disk's Green's function, times
+    the source arc weights, to be added to the free-space layer.
+
+    ``G = Phi + H`` with ``H(x, y) = log(q) / (4 pi)``, ``q = |x|^2 |y|^2 -
+    2 x.y + 1 = (1 - |x|^2)(1 - |y|^2) + |x - y|^2``, formed by the latter,
+    which does not cancel.  ``kind`` is ``single_layer`` (``H``) or
+    ``double_layer`` (``2 dH/dnu(y)``, that is ``b / pi``), or on a self block
+    their ``nu(x)`` derivatives ``single_flux`` (``a / (2 pi)``) and
+    ``double_flux`` (``((2 x.nu(x) y.nu(y) - nu(x).nu(y)) / q - 2 a b) / pi``),
+    with ``a = (d.nu(x) - (1 - |y|^2) x.nu(x)) / q``, ``b = -(d.nu(y) + (1 -
+    |x|^2) y.nu(y)) / q`` and ``d = x - y``.
+    """
+    pts, sn, w = _points(target), source.normals, source.arc_weights()
+    dx, dy, q = _pair(source, target)
+    rest_x = 1.0 - (pts**2).sum(axis=1)
+    q += np.outer(rest_x, 1.0 - (source.points**2).sum(axis=1))
+    if kind == "single_layer":
+        np.log(q, out=q)
+        q /= 4.0 * np.pi
+        q *= w
+        return q
+    yn = np.einsum("ik,ik->i", source.points, sn)       # y . nu(y) at each node
+    if kind != "double_layer":
+        # a, where x . nu(x) is y . nu(y) and 1 - |y|^2 is 1 - |x|^2 at the node
+        a = dx * sn[:, 0, None]
+        a += dy * sn[:, 1, None]
+        a -= np.outer(yn, rest_x)
+        a /= q
+        if kind == "single_flux":
+            a /= 2.0 * np.pi
+            a *= w
+            return a
+    # the numerator of -b in the buffer of dx
+    b = dx
+    b *= sn[:, 0]
+    dy *= sn[:, 1]
+    b += dy
+    del dy
+    b += np.outer(rest_x, yn)
+    b /= q
+    if kind == "double_layer":
+        b /= -np.pi
+        b *= w
+        return b
+    np.negative(b, out=b)
+    a *= b
+    a *= 2.0
+    del b
+    mat = np.outer(2.0 * yn, yn)
+    mat -= sn[:, 0, None] * sn[:, 0]
+    mat -= sn[:, 1, None] * sn[:, 1]
+    mat /= q
+    mat -= a
+    mat /= np.pi
+    mat *= w
+    return mat
+
+
+def _harmonic_extension(n, points, normals):
+    """Harmonic extension ``P[f]`` at ``points`` per node value of ``f`` on
+    the ``n`` measurement nodes, shape ``(len(points), n)``; with ``normals``
+    not None, its derivative along them.
+
+    ``f`` is its trigonometric interpolant, the Nyquist mode a cosine, and
+    ``P`` sends ``exp(i k t)`` to ``z^k``: row ``j`` is the ``irfft`` of the
+    running powers ``conj(z_j)^k``, ``k <= n/2``, or of ``conj(k z^(k-1) nu)``.
+    """
+    z = points[:, 0] + 1j * points[:, 1]
+    powers = np.empty((n // 2 + 1, len(z)), dtype=complex)
+    powers[0] = 1.0
+    for k in range(1, n // 2 + 1):
+        np.multiply(powers[k - 1], z, out=powers[k])
+    if normals is not None:
+        powers[1:] = powers[:-1] * np.arange(1, n // 2 + 1)[:, None]
+        powers[1:] *= normals[:, 0] + 1j * normals[:, 1]
+        powers[0] = 0.0
+    np.conjugate(powers, out=powers)
+    return np.fft.irfft(powers, n, axis=0).T
+
+
+def _check_gamma(inner, bc, gamma):
+    """The impedance at the inner nodes, or None for the grounded condition."""
+    if bc == "dirichlet":
+        return None
+    if bc != "impedance":
+        raise ValueError(f"unknown boundary condition {bc!r}")
+    if gamma is None:
+        raise ValueError("impedance condition needs gamma values at inner nodes")
+    g = np.asarray(gamma, dtype=float)
+    if g.shape != (inner.n,):
+        raise ValueError("gamma must be sampled at the inner mesh nodes")
+    if not np.all(np.isfinite(g)):
+        raise ValueError("gamma must be finite at every inner node")
+    if np.any(g < 0):
+        raise ValueError("gamma must be nonnegative")
+    return g
+
+
+def _green_single_layer(inner, target):
+    """``S_G`` from the inner nodes to ``target``."""
+    mat = single_layer(inner, target)
+    mat += _image(inner, target, "single_layer")
+    return mat
+
+
+def _green_adjoint(inner):
+    """``K'_G - I/2``: the outward normal derivative of ``S_G`` on the inner
+    nodes, from the side the normals point into."""
+    mat = normal_derivative(inner, inner, of="single_layer")
+    mat += _image(inner, inner, "single_flux")
+    mat -= 0.5 * np.eye(inner.n)
+    return mat
+
+
+def _forward_matrix(inner, g):
+    """``S_G`` for the grounded condition (``g`` None), else
+    ``I/2 - K'_G + g S_G``, with the impedance ``g`` at the inner nodes."""
+    if g is None:
+        return _green_single_layer(inner, inner)
+    mat = _green_adjoint(inner)
+    np.negative(mat, out=mat)
+    s_g = _green_single_layer(inner, inner)
+    s_g *= g[:, None]
+    mat += s_g
+    return mat
+
+
 @dataclass(frozen=True, eq=False)
 class ForwardSolution:
-    """Densities of the simulation ansatz and derived boundary data.
-
-    The potential is represented as a factor-2 double layer on the outer
-    boundary plus a factor-1 single layer on the inclusion boundary.  For a
-    matrix of voltage columns the densities are matrices with one column per
-    voltage, and so is every derived quantity.
+    """The voltage ``f`` and the density ``phi`` of the simulation ansatz
+    ``u = P[f] + S_G phi``, and derived boundary data.  For a matrix of
+    voltage columns the density has one column per voltage, and so has every
+    derived quantity.
     """
 
     outer: NystromMesh
     inner: NystromMesh
+    voltage: np.ndarray
     phi: np.ndarray
-    psi: np.ndarray
 
     def potential(self, points):
-        """Evaluate the represented potential at interior points."""
+        """Evaluate the represented potential at points strictly inside the
+        unit circle, where the extension's moments stay bounded."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        dm = double_layer(self.outer, pts)
-        si = single_layer(self.inner, pts)
-        return dm @ self.phi + si @ self.psi
+        if np.any((pts**2).sum(axis=1) >= 1.0):
+            raise ValueError("the potential is evaluated strictly inside the unit "
+                             "measurement circle")
+        return (_harmonic_extension(self.outer.n, pts, None) @ self.voltage
+                + _green_single_layer(self.inner, pts) @ self.phi)
 
     def outer_flux(self):
-        """Current ``d u / d nu`` on the outer boundary (outward normal)."""
-        flux = normal_derivative(self.outer, self.outer, of="double_layer") @ self.phi
-        flux += normal_derivative(self.inner, self.outer, of="single_layer") @ self.psi
+        """Current ``d u / d nu`` on the outer boundary (outward normal):
+        ``Lambda0 f`` less the Poisson integral of the density's weights,
+        whose node values are ``n/(2 pi)`` times the extension's transpose."""
+        n = self.outer.n
+        weighted = (self.phi.T * self.inner.arc_weights()).T
+        flux = healthy_collocation_matrix(n) @ self.voltage
+        flux -= (n / (2.0 * np.pi)) * (_harmonic_extension(n, self.inner.points, None).T @ weighted)
         return flux
 
     def inner_trace(self):
         """Potential on the inclusion boundary."""
-        trace = double_layer(self.outer, self.inner) @ self.phi
-        trace += single_layer(self.inner, self.inner) @ self.psi
+        trace = _harmonic_extension(self.outer.n, self.inner.points, None) @ self.voltage
+        trace += _green_single_layer(self.inner, self.inner) @ self.phi
         return trace
 
     def inner_flux(self):
         """Current on the inclusion boundary with the normal into the inclusion."""
-        flux = normal_derivative(self.outer, self.inner, of="double_layer") @ self.phi
-        kpii = normal_derivative(self.inner, self.inner, of="single_layer")
-        kpii -= 0.5 * np.eye(self.inner.n)
-        flux += kpii @ self.psi
+        inner = self.inner
+        flux = _harmonic_extension(self.outer.n, inner.points, inner.normals) @ self.voltage
+        flux += _green_adjoint(inner) @ self.phi
         return np.negative(flux, out=flux)
-
-
-def _outer_inverse(x):
-    """``P x`` with ``P = (I + J/n)^-1 = I - J/(2n)``, the inverse of the unit
-    circle's trace block ``I - K_mm``, for the ``n`` rows of ``x``."""
-    return x - x.sum(axis=0) / (2 * len(x))
-
-
-def _forward_blocks(outer, inner, bc, gamma):
-    """``sim``, ``a21`` and the Schur complement ``a22 + a21 P sim``.
-
-    The forward block is ``[[K_mm - I, sim], [a21, a22]]``, and
-    ``(K_mm - I)^-1 = -P`` on the unit circle.
-    """
-    n_i = inner.n
-    if bc == "impedance":
-        if gamma is None:
-            raise ValueError("impedance condition needs gamma values at inner nodes")
-        g = np.asarray(gamma, dtype=float)
-        if g.shape != (n_i,):
-            raise ValueError("gamma must be sampled at the inner mesh nodes")
-        if not np.all(np.isfinite(g)):
-            raise ValueError("gamma must be finite at every inner node")
-        if np.any(g < 0):
-            raise ValueError("gamma must be nonnegative")
-    elif bc != "dirichlet":
-        raise ValueError(f"unknown boundary condition {bc!r}")
-    if bc == "impedance":
-        # -T_mi + g K_mi and (-K'_ii + I/2) + g S_ii, the largest kernel first
-        a21 = normal_derivative(outer, inner, of="double_layer")
-        np.negative(a21, out=a21)
-        a21 += g[:, None] * double_layer(outer, inner)
-        a22 = normal_derivative(inner, inner, of="single_layer")
-        np.negative(a22, out=a22)
-        a22 += 0.5 * np.eye(n_i)    # the whole identity: -0.0 + 0.0 is +0.0
-        a22 += g[:, None] * single_layer(inner, inner)
-    else:
-        # the grounded condition's blocks
-        a21 = double_layer(outer, inner)
-        a22 = single_layer(inner, inner)
-    sim = single_layer(inner, outer)
-    a22 += matmul_by_rows(a21, _outer_inverse(sim), np.empty_like(a22))
-    return sim, a21, a22
 
 
 def _factorize(a, what, limit):
@@ -482,12 +509,9 @@ def _factorize(a, what, limit):
     :class:`SingularSystem` when the block is not finite, is exactly
     singular, or its estimated condition exceeds ``limit``.
 
-    Two threads must never solve against one ``(lu, piv)`` at the same time:
-    ``lu_solve`` shifts the pivot array in place while it runs.  A solve
-    split by rows (:func:`eitdisk.parallel.by_rows`, one block per usable
-    CPU, each of at least ``_MIN_ROWS`` rows, so fewer than twice that many
-    rows stay on the calling thread) therefore gives every block a copy of
-    ``piv``, made on the calling thread before the block is handed over.
+    Two threads must never solve against one ``(lu, piv)`` at once:
+    ``lu_solve`` shifts the pivot array in place, so a solve split by rows
+    (:func:`eitdisk.parallel.by_rows`) gives every block its own copy.
     """
     import scipy.linalg as la
 
@@ -528,13 +552,12 @@ def solve_forward(outer, inner, bc, f, gamma=None):
     """Solve the simulation ansatz for outer voltages ``f`` (node values).
 
     ``f`` is one voltage of shape ``(outer.n,)`` or ``k`` voltage columns of
-    shape ``(outer.n, k)``; all columns share one factorization.  Imposes the
-    voltage on the outer boundary and either a grounded or an impedance
-    condition (normal into the inclusion) on the inner boundary.  The outer
-    density is eliminated: ``psi = S^-1 a21 P f`` with the Schur complement
-    ``S = a22 + a21 P sim``, then ``phi = -P (f - sim psi)``.  Returns a
-    :class:`ForwardSolution`; raises :class:`ValueError` when ``outer`` is not
-    the unit circle or the inner curve reaches it.
+    shape ``(outer.n, k)``; all columns share one factorization.  With ``u =
+    P[f] + S_G phi`` the voltage holds by construction, and the density solves
+    ``S_G phi = -P[f]`` (grounded inclusion) or ``(I/2 - K'_G + gamma S_G) phi
+    = dP[f]/dnu - gamma P[f]`` (impedance, ``nu`` the inclusion's outward
+    normal).  Raises :class:`ValueError` when ``outer`` is not the unit
+    circle or the inner curve reaches it.
     """
     import scipy.linalg as la
 
@@ -543,10 +566,16 @@ def solve_forward(outer, inner, bc, f, gamma=None):
         raise ValueError("voltage must be sampled at the outer mesh nodes")
     _check_outer(outer)
     _check_inclusion(inner)
-    sim, a21, schur = _forward_blocks(outer, inner, bc, gamma)
-    lu, _ = _factorize(schur, "forward", _COND_LIMIT)
-    psi = la.lu_solve(lu, a21 @ _outer_inverse(f))
-    return ForwardSolution(outer, inner, -_outer_inverse(f - sim @ psi), psi)
+    g = _check_gamma(inner, bc, gamma)
+    lu, _ = _factorize(_forward_matrix(inner, g), "forward", _COND_LIMIT)
+    rhs = _harmonic_extension(outer.n, inner.points, None) @ f
+    if g is None:
+        np.negative(rhs, out=rhs)
+    else:
+        rhs = (rhs.T * g).T
+        np.subtract(_harmonic_extension(outer.n, inner.points, inner.normals) @ f, rhs,
+                    out=rhs)
+    return ForwardSolution(outer, inner, f, la.lu_solve(lu, rhs, overwrite_b=True))
 
 
 def trig_resample(values, new_theta):

@@ -1,68 +1,32 @@
 """Recovery of interior Cauchy data and the boundary impedance coefficient.
 
 The potential between the measurement circle and a known (or reconstructed)
-inclusion boundary is represented by two double layers,
+inclusion boundary is represented as ``u0 = P[f] + D_G~ psi``: the harmonic
+extension of the applied voltage ``f`` plus a double layer of the disk's
+Green's function on the inclusion, with the monopole ``2 log|x|`` so that it
+carries net flux through the inclusion (see
+:func:`eitdisk.bie.modified_double_layer`).  Both vanish on the circle, so
+only the inclusion is discretized.  Its trace ``u_i = B f + A psi``, with
+``A = I + K~ + K_H`` (``K_H`` the image part, :func:`eitdisk.bie._image`),
+and the outer current ``g = Lambda0 f + F psi``, with ``F = -(n/pi) D^T
+diag(w) + 2 w`` the Poisson integral of the layer's normal derivative, give
+``g = R f + S u_i`` with ``S = F A^-1`` and ``R = Lambda0 - S B``.  ``B``
+and ``D`` hold ``P[f]`` and its normal derivative at the inclusion nodes
+per outer node value (:func:`eitdisk.bie._harmonic_extension`).  The
+completion step solves the severely ill-posed ``S u_i = g - R f`` with
+regularization.  The current on the inclusion, ``R_i f + S_i u_i`` with
+``S_i = -(T~ + T_H) A^-1`` and ``R_i = -D - S_i B``, gives the pointwise
+impedance quotient ``gamma = -(d u0/d nu) / u0``.
 
-    u0 = D_outer phi + D_inner~ psi,
-
-where the inner layer carries the monopole modification so the representation
-spans harmonic functions with net flux through the inclusion (see
-:func:`eitdisk.bie.modified_double_layer`).  The trace jump relations turn the
-two Dirichlet conditions into a block system for the densities,
-
-    [ I - K_mm   -K_im~ ] [phi]   [ -f  ]
-    [   K_mi    I + K_ii~] [psi] = [ u_i ],
-
-with ``f`` the applied voltage and ``u_i`` the unknown inclusion trace.
-Eliminating the densities against the measured current ``g`` on the outer
-boundary yields an affine relation ``g = R f + S u_i``; the completion step
-solves the severely ill-posed system ``S u_i = g - R f`` with regularization.
-The current on the inclusion is affine in the same data,
-``R_i f + S_i u_i``, and gives the pointwise impedance quotient
-``gamma = -(d u0/d nu) / u0`` on the inclusion.
-
-On the unit circle ``I - K_mm = I + J/n`` (``J`` the all-ones matrix) has
-the inverse ``P = I - J/(2n)``, so the outer density is eliminated and only
-the inclusion-sized Schur complement ``S = I + K_ii~ + K_mi P K_im~`` is
-LU-factorized; its condition is guarded by LAPACK's 1-norm estimate from those
-factors (see :func:`eitdisk.bie._factorize`).  Like ``_factorize``,
-:func:`assemble_completion` imports ``scipy.linalg`` only when it runs, so
-scipy loads on the first LU and never with the module.  The four maps ``R``,
-``S``, ``R_i`` and ``S_i`` are the outer flux rows ``[T_mm T_im~]`` and the
-inner current rows ``-[T_mi T_ii~]``, written ``[R1 R2]``, composed with the
-block inverse: with ``X = R1 P`` and ``Z = (R2 + X K_im~) S^-1``, formed by one
-transposed solve against the Schur factors, the composition is
-``[X - Z K_mi P, Z]``.  The outer hypersingular block ``T_mm`` is the
-closed-form circle block of :func:`eitdisk.bie.normal_derivative`.
-
-:func:`assemble_completion` keeps only the arrays still to be read.  In
-order, it forms ``K_im~``; the cross flux blocks ``T_mi`` and ``T_im~``,
-whose kernels peak at five matrices of their own size (the other kernels at
-four); ``X`` in its own buffer, with
-``P`` applied in place; the right-hand sides ``X K_im~ + R2`` in ``Z``'s
-buffer, the product first; ``K_mi P``; and ``S``, summed in place on
-``K_ii~``.  ``K_im~`` and
-``S`` are dropped once ``S`` is factorized, the LU factors once the
-right-hand sides are solved in place, and ``K_mi P`` once ``X`` is
-composed.  ``X`` is negated in place, so when the completion operator is
-factorized, only ``X`` and ``Z`` are alive: the four maps are views into
-them.  From 256 nodes its factorization is a range finder, which keeps one
-copy of the operator as its residual.  The in-place steps are the operations of an assembly on fresh arrays,
-in the same order and memory layout, so every map keeps its bits.  With
-``n`` nodes on both curves the traced peak is ``10 n^2`` doubles: the kernel
-of ``K_ii~`` at four, while ``X``, ``Z``, ``K_im~`` and ``K_mi P`` hold six.
-
-The dense steps are split by rows (:func:`eitdisk.parallel.by_rows`): the
-products ``X K_im~``, ``K_mi P K_im~`` and ``Z K_mi P``, the Maue block of
-``T_ii~``, and the transposed Schur solve.  Each runs in contiguous blocks of
-at least ``_MIN_ROWS`` rows, one per usable CPU, the first on the calling
-thread; below twice that many rows, as at the README's 64 nodes, it runs on
-the calling thread alone and starts no thread.  A block is the same BLAS or
-LAPACK call on its own rows, written into its rows of ``X``, ``Z`` or a
-buffer the calling thread allocated, so every map keeps its bits on any
-number of CPUs.  ``lu_solve`` shifts the pivot array in place while it runs,
-so every block of the Schur solve gets its own copy of ``piv``, made on the
-calling thread before the block is handed over.
+:func:`assemble_completion` LU-factorizes ``A`` once, its condition guarded
+by LAPACK's 1-norm estimate from the factors (:func:`eitdisk.bie._factorize`),
+and forms ``[S; S_i]`` by one transposed solve of the rows ``[F; -(T~ +
+T_H)]`` in place.  When the completion operator is factorized, only ``[R;
+R_i]`` and ``[S; S_i]`` are alive, and the four maps are views into them.
+The Maue block of ``T~``, the solve and the product ``[S; S_i] B`` are split
+by rows (:func:`eitdisk.parallel.by_rows`), each block the same BLAS or
+LAPACK call on its rows with its own copy of the pivots, so every map keeps
+its bits on any number of CPUs.  scipy is imported when the assembly runs.
 """
 
 from __future__ import annotations
@@ -73,8 +37,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bie import (NystromMesh, _check_inclusion, _check_outer, _factorize,
-                  _outer_inverse, double_layer, modified_double_layer,
+                  _harmonic_extension, _image, modified_double_layer,
                   normal_derivative)
+from .dtn import healthy_collocation_matrix
 from .exceptions import AllMasked, RankDeficientWarning, ResidualTooLarge
 from .parallel import by_rows, matmul_by_rows
 from .regularization import (SvdFactorization, expected_noise_norm,
@@ -127,40 +92,33 @@ def assemble_completion(outer, inner, model_error_factor=1.0):
     _check_outer(outer)
     _check_inclusion(inner)
     n_m, n_i = outer.n, inner.n
-    kim = modified_double_layer(inner, outer)
-    # the two cross flux kernels peak highest (five blocks); they are formed
-    # before the buffers of X and Z, and each block is dropped once read
-    tmi = normal_derivative(outer, inner)
-    tim = normal_derivative(inner, outer, of="modified_double_layer")
-    # X = R1 P: P applied in place to X^T = [T_mm^T  -T_mi^T], an F-ordered
-    # array as _outer_inverse gets it from hstack
-    x = np.empty((n_m + n_i, n_m))
-    x[:n_m] = normal_derivative(outer, outer)
-    np.negative(tmi, out=x[n_m:])
-    del tmi
-    xt = x.T
-    xt -= xt.sum(axis=0) / (2 * n_m)
-    # the right-hand sides X K_im~ + R2 of Z's solve in Z's buffer, the product
-    # first so that no worker allocates (y + x rounds as x + y)
-    z = matmul_by_rows(x, kim, np.empty((n_m + n_i, n_i)))
-    z[:n_m] += tim
-    del tim
-    z[n_m:] -= normal_derivative(inner, inner, of="modified_double_layer")
-    kmi_p = _outer_inverse(double_layer(outer, inner).T).T     # K_mi P
-    schur = modified_double_layer(inner, inner)                 # K_ii~, then S
-    schur += np.eye(n_i)
-    schur += matmul_by_rows(kmi_p, kim, np.empty((n_i, n_i)))
-    del kim
-    (lu, piv), condition = _factorize(schur, "completion trace", _COND_LIMIT)
-    del schur
-    # Z = (R2 + X K_im~) S^-1, as the solve of S^T against Z^T, in place on
-    # the F-ordered transpose of each row block, each with its own pivots
+    trace = modified_double_layer(inner, inner)                 # K~, then A
+    trace += _image(inner, inner, "double_layer")
+    trace += np.eye(n_i)
+    (lu, piv), condition = _factorize(trace, "completion trace", _COND_LIMIT)
+    del trace
+    # the rows [F; -(T~ + T_H)] in Z's buffer, F = -(n/pi) D^T diag(w) + 2 w
+    deriv = _harmonic_extension(n_m, inner.points, inner.normals)     # D
+    w = inner.arc_weights()
+    z = np.empty((n_m + n_i, n_i))
+    np.multiply(deriv.T, w, out=z[:n_m])
+    z[:n_m] *= -n_m / np.pi
+    z[:n_m] += 2.0 * w
+    z[n_m:] = normal_derivative(inner, inner, of="modified_double_layer")
+    z[n_m:] += _image(inner, inner, "double_flux")
+    np.negative(z[n_m:], out=z[n_m:])
+    # Z = [S; S_i], the rows times A^-1, as the solve of A^T against Z^T, in
+    # place on the F-ordered transpose of each row block, each with its own pivots
     by_rows(lambda block, piv: la.lu_solve((lu, piv), z[block].T, trans=1, overwrite_b=True),
             len(z), piv)
     del lu, piv
-    x -= matmul_by_rows(z, kmi_p, np.empty_like(x))
-    del kmi_p
+    # X = [R; R_i] = [Lambda0; -D] - Z B
+    x = matmul_by_rows(z, _harmonic_extension(n_m, inner.points, None),
+                       np.empty((n_m + n_i, n_m)))
     np.negative(x, out=x)
+    x[:n_m] += healthy_collocation_matrix(n_m)
+    x[n_m:] -= deriv
+    del deriv
     response, completion = x[:n_m], z[:n_m]
     inner_response, inner_completion = x[n_m:], z[n_m:]
     return CompletionSystem(outer, inner, response, completion,

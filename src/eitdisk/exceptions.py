@@ -63,3 +63,7 @@ class RankDeficientWarning(UserWarning):
 
 class AllModesCutWarning(UserWarning):
     """Spectral cutoff removed every mode; solution is identically zero."""
+
+
+class SeveralLoopsWarning(UserWarning):
+    """The level set has several closed loops; only the largest was kept."""

@@ -1,8 +1,8 @@
 """Thread counts and row blocks for the dense steps of the package.
 
 The scan filters its points in column slices on one thread per usable CPU
-(:func:`worker_count`).  The forward and completion solves split their dense
-products and Schur solve into contiguous row blocks by the same rule
+(:func:`worker_count`).  The completion splits its dense products and its
+transposed solve into contiguous row blocks by the same rule
 (:func:`by_rows`), each block the same BLAS or LAPACK call on its own rows,
 so every entry keeps its bits on any number of CPUs.  Blocks write into rows
 of a buffer the calling thread allocated: every thread that calls BLAS keeps
@@ -16,8 +16,8 @@ the impedance stage simulates its Cauchy pairs on one worker thread while
 the calling thread assembles the completion, when the completion has at
 least twice ``_MIN_ROWS`` nodes and the process may use two or more CPUs.
 Otherwise, as at the README's 64 nodes, both run on the calling thread, one
-after the other, and no thread starts.  Each job splits its own dense steps
-by rows as it would alone.
+after the other, and no thread starts.  The completion splits its own
+dense steps by rows as it would alone.
 """
 
 from __future__ import annotations

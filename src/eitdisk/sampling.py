@@ -54,7 +54,7 @@ import numpy as np
 
 from .dtn import DtnOperator
 from .exceptions import (AllModesCutWarning, DegenerateFit, NoContour,
-                         NoiseDominates, TooCloseToBoundary)
+                         NoiseDominates, SeveralLoopsWarning, TooCloseToBoundary)
 from .geometry import BoundaryCurve
 from .parallel import worker_count
 from .regularization import (RegStrategy, SvdFactorization, perturb_matrix,
@@ -357,7 +357,8 @@ def extract_level_set(grid: IndicatorGrid, threshold_rel=0.2):
     The level is ``threshold_rel`` times the largest indicator value.  Cells
     touching masked points are skipped, so a contour escaping the mask cannot
     close and is rejected.  The returned points are ordered counterclockwise
-    by polar angle about their centroid.
+    by polar angle about their centroid.  When the level set has two or more
+    closed loops, a :class:`SeveralLoopsWarning` gives their count.
     """
     if not 0 < threshold_rel < 1:
         raise NoContour(f"relative threshold {threshold_rel} admits no level set")
@@ -406,6 +407,9 @@ def extract_level_set(grid: IndicatorGrid, threshold_rel=0.2):
         x, y = p[:, 0], p[:, 1]
         return 0.5 * abs(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
+    if len(loops) > 1:
+        warnings.warn(f"the level set has {len(loops)} closed loops; only the largest "
+                      "is kept", SeveralLoopsWarning, stacklevel=2)
     best = max(loops, key=loop_area)
     pts = np.array([coords[k] for k in best])
     center = pts.mean(axis=0)

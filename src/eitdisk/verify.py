@@ -5,8 +5,8 @@ independent route (closed-form series, normal equations, Gauss identities)
 and reports the measured error next to its tolerance.  The command-line
 ``verify`` subcommand runs them all and exits nonzero on any failure.
 The suites call the package's kernels themselves, so a fault there shows:
-a double layer of the wrong sign fails the Gauss, forward-solver and
-constant-mode suites.
+a double layer of the wrong sign fails the Gauss suite, and a single layer
+off by a thousandth fails the forward-solver and constant-mode suites.
 """
 
 from __future__ import annotations

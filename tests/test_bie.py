@@ -10,7 +10,7 @@ import scipy.linalg as la  # loaded before any test traces memory
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from eitdisk.annulus import (AnnulusConfig, gap_coefficient,
+from eitdisk.annulus import (AnnulusConfig, gap_coefficient, gap_operator,
                              inner_trace_coefficient)
 from eitdisk import bie
 from eitdisk.bie import (NystromMesh, double_layer, dtn_matrix,
@@ -61,11 +61,11 @@ class TestCoincidentPoints:
         with pytest.raises(CoincidentPoints):
             kernel(NystromMesh(curve, 32), NystromMesh(curve, 32))
 
-    @pytest.mark.parametrize("of", ["single_layer", "double_layer", "modified_double_layer"])
-    def test_normal_derivative_on_a_second_mesh_of_the_same_curve(self, of):
-        curve = BoundaryCurve.ellipse(0.5, 0.3)
+    @pytest.mark.parametrize("of", ["single_layer", "double_layer"])
+    def test_image_layers_at_source_nodes(self, of):
+        mesh = NystromMesh(BoundaryCurve.ellipse(0.5, 0.3), 32)
         with pytest.raises(CoincidentPoints):
-            normal_derivative(NystromMesh(curve, 32), NystromMesh(curve, 32), of=of)
+            bie._image(mesh, mesh.points[:2], of)
 
 
 def entrywise_spectral_diff_matrix(n):
@@ -213,26 +213,13 @@ class TestSingleLayer:
 
 
 class TestNormalDerivative:
-    def test_double_layer_constant_from_inner_source(self):
-        # the double layer of a constant is constant off the curve, so its
-        # gradient on the other boundary vanishes
-        src = inner_circle(64, 0.5)
-        tgt = unit_mesh(64)
-        val = normal_derivative(src, tgt, of="double_layer") @ np.ones(64)
-        assert np.max(np.abs(val)) < 1e-12
-
-    def test_single_layer_entries(self):
-        src = inner_circle(32, 0.5)
-        tgt = unit_mesh(16)
-        mat = normal_derivative(src, tgt, of="single_layer")
-        rng = np.random.Generator(np.random.Philox(4))
-        for _ in range(5):
-            i = int(rng.integers(16))
-            j = int(rng.integers(32))
-            d = tgt.points[i] - src.points[j]
-            ker = -(d @ tgt.normals[i]) / (d @ d) / (2 * np.pi)
-            want = ker * src.jacobians[j] * src.weight
-            assert abs(mat[i, j] - want) < 1e-14
+    @pytest.mark.parametrize("of", ["single_layer", "double_layer", "modified_double_layer"])
+    @pytest.mark.parametrize("target", ["second mesh", "other curve"])
+    def test_target_other_than_its_source_rejected(self, of, target):
+        curve = BoundaryCurve.ellipse(0.5, 0.3)
+        other = (NystromMesh(curve, 32) if target == "second mesh" else unit_mesh(32))
+        with pytest.raises(ValueError, match="source mesh only"):
+            normal_derivative(NystromMesh(curve, 32), other, of=of)
 
     def test_same_curve_single_layer_entries(self):
         # off the diagonal the kernel itself, on it the limit -curvature/(4 pi)
@@ -246,20 +233,6 @@ class TestNormalDerivative:
             want = -(d @ mesh.normals[i]) / (d @ d) / (2 * np.pi) * w[j]
             assert abs(mat[i, j] - want) < 1e-14
         assert np.max(np.abs(np.diag(mat) + mesh.curvature / (4 * np.pi) * w)) < 1e-15
-
-    def test_separated_hypersingular_entries(self):
-        src = NystromMesh(BoundaryCurve.ellipse(0.5, 0.3), 32)
-        tgt = unit_mesh(16)
-        mat = normal_derivative(src, tgt, of="double_layer")
-        rng = np.random.Generator(np.random.Philox(7))
-        for _ in range(5):
-            i = int(rng.integers(16))
-            j = int(rng.integers(32))
-            d = tgt.points[i] - src.points[j]
-            nx, ny = tgt.normals[i], src.normals[j]
-            ker = (nx @ ny / (d @ d) - 2 * (d @ nx) * (d @ ny) / (d @ d) ** 2) / (2 * np.pi)
-            want = 2.0 * ker * src.jacobians[j] * src.weight
-            assert abs(mat[i, j] - want) < 1e-14
 
     @pytest.mark.parametrize("of", ["single_layer", "double_layer", "modified_double_layer"])
     def test_point_targets_rejected(self, of):
@@ -292,8 +265,7 @@ class TestNormalDerivative:
     def test_monopole_flux_on_unit_circle(self):
         # d/dnu log|x| = 1 on the unit circle: the monopole term adds
         # 2 * (integral of psi) to every flux value there
-        src = inner_circle(32, 0.5)
-        tgt = unit_mesh(32)
+        src = tgt = unit_mesh(32)
         plain = normal_derivative(src, tgt, of="double_layer")
         mono = normal_derivative(src, tgt, of="modified_double_layer")
         psi = np.ones(32)
@@ -376,62 +348,79 @@ def frozen_log_split(source):
 
 
 def frozen_normal_derivative(source, target, of="double_layer"):
+    assert target is source
     fac = 1.0 if of == "single_layer" else 2.0
-    same = target is source
-    if same and of != "single_layer":
-        if source.curve.kind == "circle":
-            mat = -healthy_collocation_matrix(source.n) / source.curve.cos_coef[0, 0]
-        else:
-            dmat = bie.spectral_diff_matrix(source.n)
-            w = frozen_log_split(source)
-            mat = fac * ((dmat @ w @ dmat) / source.jacobians[:, None])
-    else:
-        dx, dy, r2 = frozen_pair(source, target)
-        tn, sn = target.normals, source.normals
+    if of == "single_layer":
+        dx, dy, r2 = frozen_pair(source, source)
+        tn = source.normals
         dnx = dx * tn[:, 0, None] + dy * tn[:, 1, None]
-        if of == "single_layer":
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ker = -dnx / r2 / (2.0 * np.pi)
-            if same:
-                np.fill_diagonal(ker, -source.curvature / (4.0 * np.pi))
-        else:
-            nn = tn[:, 0, None] * sn[:, 0] + tn[:, 1, None] * sn[:, 1]
-            dny = dx * sn[:, 0] + dy * sn[:, 1]
-            ker = (nn / r2 - 2.0 * dnx * dny / r2**2) / (2.0 * np.pi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ker = -dnx / r2 / (2.0 * np.pi)
+        np.fill_diagonal(ker, -source.curvature / (4.0 * np.pi))
         mat = fac * ker * source.arc_weights()[None, :]
+    elif source.curve.kind == "circle":
+        mat = -healthy_collocation_matrix(source.n) / source.curve.cos_coef[0, 0]
+    else:
+        dmat = bie.spectral_diff_matrix(source.n)
+        w = frozen_log_split(source)
+        mat = fac * ((dmat @ w @ dmat) / source.jacobians[:, None])
     if of == "modified_double_layer":
-        r2 = (target.points**2).sum(axis=1)
-        dlog = np.einsum("ik,ik->i", target.points, target.normals) / r2
+        r2 = (source.points**2).sum(axis=1)
+        dlog = np.einsum("ik,ik->i", source.points, source.normals) / r2
         mat = mat + fac * dlog[:, None] * source.arc_weights()[None, :]
     return mat
 
 
-def frozen_forward_blocks(outer, inner, bc, g):
-    sim = frozen_single_layer(inner, outer)
-    a21 = frozen_double_layer(outer, inner)
-    a22 = frozen_single_layer(inner, inner)
-    if bc == "impedance":
-        tmi = frozen_normal_derivative(outer, inner, of="double_layer")
-        kpii = frozen_normal_derivative(inner, inner, of="single_layer")
-        a21 = -tmi + g[:, None] * a21
-        a22 = -kpii + 0.5 * np.eye(inner.n) + g[:, None] * a22
-    return sim, a21, a22 + a21 @ bie._outer_inverse(sim)
+def frozen_image(source, target, kind):
+    pts, sn, w = bie._points(target), source.normals, source.arc_weights()
+    dx, dy, r2 = frozen_pair(source, target)
+    rest_x = 1.0 - (pts**2).sum(axis=1)
+    q = r2 + np.outer(rest_x, 1.0 - (source.points**2).sum(axis=1))
+    if kind == "single_layer":
+        return np.log(q) / (4.0 * np.pi) * w
+    yn = np.einsum("ik,ik->i", source.points, sn)
+    b = (dx * sn[:, 0] + dy * sn[:, 1] + np.outer(rest_x, yn)) / q
+    if kind == "double_layer":
+        return b / -np.pi * w
+    assert target is source
+    a = (dx * sn[:, 0, None] + dy * sn[:, 1, None] - np.outer(yn, rest_x)) / q
+    if kind == "single_flux":
+        return a / (2.0 * np.pi) * w
+    nn = np.outer(2.0 * yn, yn) - sn[:, 0, None] * sn[:, 0] - sn[:, 1, None] * sn[:, 1]
+    return (nn / q - a * -b * 2.0) / np.pi * w
+
+
+def frozen_forward_matrix(inner, g):
+    s_g = frozen_single_layer(inner, inner) + frozen_image(inner, inner, "single_layer")
+    if g is None:
+        return s_g
+    kp = (frozen_normal_derivative(inner, inner, of="single_layer")
+          + frozen_image(inner, inner, "single_flux") - 0.5 * np.eye(inner.n))
+    return -kp + g[:, None] * s_g
 
 
 # live and frozen kernel of each kind
 LAYER_KINDS = ("single_layer", "double_layer", "modified_double_layer")
+IMAGE_KINDS = ("single_layer", "double_layer", "single_flux", "double_flux")
 KERNELS = {"double_layer": (double_layer, frozen_double_layer),
            "modified_double_layer": (modified_double_layer, frozen_modified_double_layer),
            "single_layer": (single_layer, frozen_single_layer),
            **{f"normal_derivative:{of}": (partial(normal_derivative, of=of),
                                           partial(frozen_normal_derivative, of=of))
-              for of in LAYER_KINDS}}
+              for of in LAYER_KINDS},
+           **{f"image:{kind}": (partial(bie._image, kind=kind), partial(frozen_image, kind=kind))
+              for kind in IMAGE_KINDS}}
 # (kernel, source, target): every layer from and to each mesh and at points,
-# every normal derivative between the meshes
+# every normal derivative on each mesh, and the image parts on the inclusion
+# and from it to the points
 MESH_PAIRS = [("outer", "inner"), ("inner", "outer"), ("inner", "inner"), ("outer", "outer")]
 KERNEL_CASES = ([(layer, s, t) for layer in LAYER_KINDS
                  for s, t in MESH_PAIRS + [("outer", "points"), ("inner", "points")]]
-                + [(f"normal_derivative:{of}", s, t) for of in LAYER_KINDS for s, t in MESH_PAIRS])
+                + [(f"normal_derivative:{of}", s, s) for of in LAYER_KINDS
+                   for s in ("inner", "outer")]
+                + [(f"image:{kind}", "inner", t) for kind in IMAGE_KINDS[:2]
+                   for t in ("inner", "points")]
+                + [(f"image:{kind}", "inner", "inner") for kind in IMAGE_KINDS[2:]])
 INCLUSIONS = {"circle": BoundaryCurve.circle(radius=0.5),
               "ellipse": BoundaryCurve.ellipse(0.5, 0.3),
               "cardioid": BoundaryCurve.cardioid()}
@@ -470,6 +459,28 @@ def traced_peak(call):
         tracemalloc.stop()
 
 
+def frozen_solve_forward(outer, inner, bc, f, g):
+    """Density and boundary data of :func:`solve_forward` from the frozen
+    kernels, every intermediate in a new array."""
+    ext = bie._harmonic_extension(outer.n, inner.points, None)
+    dext = bie._harmonic_extension(outer.n, inner.points, inner.normals)
+    if bc == "dirichlet":
+        rhs = -(ext @ f)
+    else:
+        rhs = dext @ f - ((ext @ f).T * g).T
+    phi = la.lu_solve(la.lu_factor(frozen_forward_matrix(inner, g)), rhs)
+    adjoint = (frozen_normal_derivative(inner, inner, of="single_layer")
+               + frozen_image(inner, inner, "single_flux") - 0.5 * np.eye(inner.n))
+    weighted = (phi.T * inner.arc_weights()).T
+    return {
+        "phi": phi,
+        "outer_flux": (healthy_collocation_matrix(outer.n) @ f
+                       - (outer.n / (2.0 * np.pi)) * (ext.T @ weighted)),
+        "inner_trace": ext @ f + frozen_forward_matrix(inner, None) @ phi,
+        "inner_flux": -(dext @ f + adjoint @ phi),
+    }
+
+
 class TestInPlaceKernels:
     """The in-place kernels against copies of the kernels that formed every
     intermediate in a new array: the same bits, in a fraction of the memory."""
@@ -486,33 +497,24 @@ class TestInPlaceKernels:
     @pytest.mark.parametrize("bc", ["dirichlet", "impedance"])
     @pytest.mark.parametrize("n", [64, 256])
     @pytest.mark.parametrize("curve", INCLUSIONS.values(), ids=INCLUSIONS.keys())
-    def test_forward_blocks_keep_the_bits_of_the_frozen_copy(self, curve, n, bc):
-        outer, inner = unit_mesh(n), NystromMesh(curve, n)
+    def test_forward_matrix_keeps_the_bits_of_the_frozen_copy(self, curve, n, bc):
+        inner = NystromMesh(curve, n)
         g = impedance_with_zeros(inner) if bc == "impedance" else None
-        got = bie._forward_blocks(outer, inner, bc, g)
-        want = frozen_forward_blocks(outer, inner, bc, g)
-        for name, a, b in zip(("sim", "a21", "schur"), got, want, strict=True):
-            assert_same_bits(a, b, name)
+        assert_same_bits(bie._forward_matrix(inner, g), frozen_forward_matrix(inner, g), bc)
 
+    @pytest.mark.parametrize("bc", ["dirichlet", "impedance"])
     @pytest.mark.parametrize("columns", [None, 5])
     @pytest.mark.parametrize("curve", INCLUSIONS.values(), ids=INCLUSIONS.keys())
-    def test_boundary_data_keep_the_bits_of_the_frozen_copies(self, curve, columns):
-        outer, inner = unit_mesh(64), NystromMesh(curve, 64)
+    def test_boundary_data_keep_the_bits_of_the_frozen_copies(self, curve, columns, bc):
+        outer, inner = unit_mesh(64), NystromMesh(curve, 48)
+        g = impedance_with_zeros(inner) if bc == "impedance" else None
         f = np.cos(np.outer(outer.theta, np.arange(columns or 1)) + 0.2)
-        sol = solve_forward(outer, inner, "impedance", f if columns else f[:, 0],
-                            impedance_with_zeros(inner))
-        phi, psi = sol.phi, sol.psi
-        tmi = frozen_normal_derivative(outer, inner)
-        kpii = frozen_normal_derivative(inner, inner, of="single_layer")
-        want = {
-            "outer_flux": (frozen_normal_derivative(outer, outer) @ phi
-                           + frozen_normal_derivative(inner, outer, of="single_layer") @ psi),
-            "inner_trace": (frozen_double_layer(outer, inner) @ phi
-                            + frozen_single_layer(inner, inner) @ psi),
-            "inner_flux": -(tmi @ phi + (kpii - 0.5 * np.eye(inner.n)) @ psi),
-        }
-        for name, ref in want.items():
-            assert_same_bits(getattr(sol, name)(), ref, name)
+        if not columns:
+            f = f[:, 0]
+        sol = solve_forward(outer, inner, bc, f, g)
+        for name, ref in frozen_solve_forward(outer, inner, bc, f, g).items():
+            got = getattr(sol, name)
+            assert_same_bits(got() if callable(got) else got, ref, name)
 
     @pytest.mark.parametrize("case", [c for c in KERNEL_CASES if c[2] != "points"],
                              ids=lambda c: f"{c[0]}-{c[1]}-{c[2]}")
@@ -523,50 +525,31 @@ class TestInPlaceKernels:
         assert traced_peak(lambda: kernel(source, target)) <= 5.5 * n * n * 8
 
     @pytest.mark.parametrize("bc", ["dirichlet", "impedance"])
-    def test_forward_blocks_peak_is_at_most_six_and_a_half_matrices(self, bc):
+    def test_forward_matrix_peak_is_at_most_six_and_a_half_matrices(self, bc):
         n = 256
-        outer, inner = unit_mesh(n), NystromMesh(BoundaryCurve.ellipse(0.5, 0.3), n)
+        inner = NystromMesh(BoundaryCurve.ellipse(0.5, 0.3), n)
         g = impedance_with_zeros(inner) if bc == "impedance" else None
-        assert traced_peak(lambda: bie._forward_blocks(outer, inner, bc, g)) <= 6.5 * n * n * 8
+        assert traced_peak(lambda: bie._forward_matrix(inner, g)) <= 6.5 * n * n * 8
 
 
-def frozen_solve_forward(outer, inner, bc, f, g):
-    """Densities and boundary data of :func:`solve_forward` from the frozen
-    blocks and kernels, every product on one thread."""
-    sim, a21, schur = frozen_forward_blocks(outer, inner, bc, g)
-    psi = la.lu_solve(la.lu_factor(schur), a21 @ bie._outer_inverse(f))
-    phi = -bie._outer_inverse(f - sim @ psi)
-    kpii = frozen_normal_derivative(inner, inner, of="single_layer")
-    return {
-        "phi": phi, "psi": psi,
-        "outer_flux": (frozen_normal_derivative(outer, outer) @ phi
-                       + frozen_normal_derivative(inner, outer, of="single_layer") @ psi),
-        "inner_trace": (frozen_double_layer(outer, inner) @ phi
-                        + frozen_single_layer(inner, inner) @ psi),
-        "inner_flux": -(frozen_normal_derivative(outer, inner) @ phi
-                        + (kpii - 0.5 * np.eye(inner.n)) @ psi),
-    }
-
-
-class TestRowBlocks:
-    """``a21 P sim`` split by rows over two threads: every forward solve
-    writes the bits of the frozen solve on one thread."""
+class TestNoThreads:
+    """The forward solve splits no step by rows: on two CPUs it starts no
+    thread, and every solve writes the bits of the frozen solve."""
 
     @pytest.mark.parametrize("n", [64, 128, 256])
     @pytest.mark.parametrize("curve", [BoundaryCurve.ellipse(0.5, 0.3), BoundaryCurve.cardioid()],
                              ids=["ellipse", "cardioid"])
-    def test_split_forward_keeps_the_bits_in_every_run(self, row_blocks, curve, n):
+    def test_forward_keeps_the_bits_in_every_run(self, row_blocks, curve, n):
         outer, inner = unit_mesh(n), NystromMesh(curve, n)
         g = impedance_with_zeros(inner)
         f = np.cos(np.outer(outer.theta, np.arange(5)) + 0.2)
         want = frozen_solve_forward(outer, inner, "impedance", f, g)
-        assert not row_blocks
         for run in range(20):
             sol = solve_forward(outer, inner, "impedance", f, g)
             for name, ref in want.items():
                 got = getattr(sol, name)
                 assert_same_bits(got() if callable(got) else got, ref, (run, name))
-        assert row_blocks == [1] * 20
+        assert row_blocks == []
 
     def test_readme_forward_starts_no_thread(self, no_row_threads):
         outer = unit_mesh(64)
@@ -576,31 +559,120 @@ class TestRowBlocks:
                             "impedance", np.cos(outer.theta), np.full(32, 2.0))
         assert sol.inner_flux().shape == (32,)
 
+    def test_many_nodes_forward_starts_no_thread(self, no_row_threads):
+        outer, inner = unit_mesh(256), NystromMesh(BoundaryCurve.ellipse(0.5, 0.3), 256)
+        lam = dtn_matrix(outer, inner, "impedance", impedance_with_zeros(inner),
+                         basis="fourier", modes=np.arange(-19, 20)).matrix
+        assert lam.shape == (39, 39)
 
-class TestSchurForward:
-    """The eliminated solve against the full block the test assembles itself."""
+
+def disk_green(x, y):
+    """The unit disk's Dirichlet Green's function, entry by entry."""
+    d = x[:, None, :] - y[None, :, :]
+    r2 = (d**2).sum(axis=2)
+    q = (np.outer((x**2).sum(axis=1), (y**2).sum(axis=1)) - 2.0 * x @ y.T + 1.0)
+    return (np.log(q) - np.log(r2)) / (4.0 * np.pi)
+
+
+class TestGreensFunction:
+    """The image parts against the closed form and its derivatives."""
+
+    @pytest.mark.parametrize("curve", INCLUSIONS.values(), ids=INCLUSIONS.keys())
+    def test_layers_vanish_on_the_unit_circle(self, curve):
+        inner = NystromMesh(curve, 64)
+        circle = unit_mesh(48).points
+        for free, of in ((single_layer, "single_layer"),
+                         (modified_double_layer, "double_layer")):
+            green = free(inner, circle) + bie._image(inner, circle, of)
+            assert np.abs(green).max() < 1e-14, of
+
+    def test_single_layer_entries(self):
+        inner = NystromMesh(BoundaryCurve.ellipse(0.5, 0.3), 32)
+        pts = kernel_operands(unit_mesh(16), inner)["points"]
+        green = single_layer(inner, pts) + bie._image(inner, pts, "single_layer")
+        want = disk_green(pts, inner.points) * inner.arc_weights()
+        assert np.abs(green - want).max() < 1e-14
+
+    @pytest.mark.parametrize("of", ["single_layer", "double_layer"])
+    def test_derivatives_match_central_differences(self, of):
+        # dH/dnu(x), 2 dH/dnu(y) and 2 d2H/dnu(x)dnu(y) by central differences
+        # of the closed form along the normals, step h, error O(h^2)
+        inner = NystromMesh(BoundaryCurve.ellipse(0.5, 0.3), 24)
+        x, nu, w, h = inner.points, inner.normals, inner.arc_weights(), 1e-4
+
+        def image(a, b):
+            q = np.outer((a**2).sum(axis=1), (b**2).sum(axis=1)) - 2.0 * a @ b.T + 1.0
+            return np.log(q) / (4.0 * np.pi)
+
+        def along_y(a):
+            return (image(a, x + h * nu) - image(a, x - h * nu)) / (2 * h)
+
+        if of == "single_layer":
+            want = (image(x + h * nu, x) - image(x - h * nu, x)) / (2 * h) * w
+        else:
+            want = 2 * (along_y(x + h * nu) - along_y(x - h * nu)) / (2 * h) * w
+            layer = 2 * along_y(x) * w
+            assert np.abs(bie._image(inner, inner, of) - layer).max() < 1e-7
+        assert np.abs(bie._image(inner, inner, of.replace("layer", "flux")) - want).max() < 1e-6
+
+
+class TestGreenForward:
+    """The solve against the boundary equations the test assembles itself:
+    the closed-form image part entry by entry, ``P[f]`` of trigonometric
+    voltages as ``Re(z^k)``, and the current through the Poisson kernel."""
 
     @pytest.mark.parametrize("bc", ["dirichlet", "impedance"])
     @pytest.mark.parametrize("curve", [BoundaryCurve.ellipse(0.5, 0.3), BoundaryCurve.cardioid()],
                              ids=["ellipse", "cardioid"])
-    def test_densities_match_dense_block_solve(self, curve, bc):
+    def test_density_and_current_match_a_dense_solve(self, curve, bc):
         outer, inner = unit_mesh(64), NystromMesh(curve, 48)
-        f = np.cos(np.outer(outer.theta, np.arange(5))) + 0.3
-        sim = single_layer(inner, outer)
+        x, w = inner.points, inner.arc_weights()
+        z = x[:, 0] + 1j * x[:, 1]
+        nu = inner.normals[:, 0] + 1j * inner.normals[:, 1]
+        k = np.arange(5)
+        f = np.cos(np.outer(outer.theta, k)) + 0.3
+        ext = np.real(z[:, None] ** k) + 0.3
+        dext = np.real(k * z[:, None] ** np.maximum(k - 1, 0) * nu[:, None])
+        xx = (x**2).sum(axis=1)
+        q = np.outer(xx, xx) - 2.0 * x @ x.T + 1.0
+        s_g = single_layer(inner, inner) + np.log(q) / (4 * np.pi) * w
         if bc == "dirichlet":
-            gamma = None
-            a21, a22 = double_layer(outer, inner), single_layer(inner, inner)
+            gamma, block, rhs = None, s_g, -ext
         else:
             gamma = 2.0 - np.sin(inner.theta) ** 4
-            a21 = (-normal_derivative(outer, inner)
-                   + gamma[:, None] * double_layer(outer, inner))
-            a22 = (-normal_derivative(inner, inner, of="single_layer") + 0.5 * np.eye(48)
-                   + gamma[:, None] * single_layer(inner, inner))
-        block = np.block([[double_layer(outer, outer) - np.eye(64), sim], [a21, a22]])
-        want = la.solve(block, np.vstack([f, np.zeros((48, 5))]))
+            # dH/dnu(x) = (|y|^2 x . nu(x) - y . nu(x)) / (2 pi q)
+            xn = np.einsum("ik,ik->i", x, inner.normals)
+            dh = (np.outer(xn, xx) - inner.normals @ x.T) / (2 * np.pi * q) * w
+            kp = normal_derivative(inner, inner, of="single_layer") + dh
+            block = 0.5 * np.eye(48) - kp + gamma[:, None] * s_g
+            rhs = dext - gamma[:, None] * ext
+        phi = la.solve(block, rhs)
         sol = solve_forward(outer, inner, bc, f, gamma)
-        got = np.vstack([sol.phi, sol.psi])
-        assert np.abs(got - want).max() < 1e-10 * np.abs(want).max()
+        assert np.abs(sol.phi - phi).max() < 1e-10 * np.abs(phi).max()
+        d = outer.points[:, None, :] - x[None, :, :]
+        poisson = (1.0 - xx) / (2 * np.pi * (d**2).sum(axis=2))
+        current = k * (f - 0.3) - poisson @ (w[:, None] * phi)
+        assert np.abs(sol.outer_flux() - current).max() < 1e-9 * np.abs(current).max()
+
+
+class TestHarmonicExtension:
+    """``P[f]`` and its normal derivative of every resolved mode, the Nyquist
+    mode as a cosine, against ``Re(z^k)``, ``Im(z^k)`` and their derivatives."""
+
+    @pytest.mark.parametrize("n", [16, 64, 512])
+    def test_modes_extend_to_powers(self, n):
+        mesh = NystromMesh(BoundaryCurve.ellipse(0.6, 0.45), 40)
+        z = mesh.points[:, 0] + 1j * mesh.points[:, 1]
+        nu = mesh.normals[:, 0] + 1j * mesh.normals[:, 1]
+        t = 2 * np.pi * np.arange(n) / n
+        ext = bie._harmonic_extension(n, mesh.points, None)
+        dext = bie._harmonic_extension(n, mesh.points, mesh.normals)
+        for k in range(n // 2 + 1):
+            kinds = [(np.cos, np.real)] + ([(np.sin, np.imag)] if 0 < k < n // 2 else [])
+            for fn, part in kinds:
+                f = fn(k * t)
+                assert np.abs(ext @ f - part(z**k)).max() < 1e-13, (k, fn)
+                assert np.abs(dext @ f - part(k * z ** max(k - 1, 0) * nu)).max() < 1e-13 * max(k, 1)
 
 
 class TestForwardSolver:
@@ -676,7 +748,8 @@ class TestForwardSolver:
         cfg = AnnulusConfig(0.5, "dirichlet")
         want_coef = 2.0 - gap_coefficient(cfg, 2)
         errors = []
-        for n in (16, 32, 64):
+        # the error reaches rounding (about 4e-15) from 24 nodes on
+        for n in (8, 12, 16):
             outer = unit_mesh(n)
             inner = inner_circle(n, 0.5)
             f = np.cos(2 * outer.theta)
@@ -693,12 +766,31 @@ class TestForwardSolver:
         f = np.column_stack([np.cos(k * outer.theta) for k in range(1, 6)]
                             + [np.sin(k * outer.theta) for k in range(1, 6)])
         sol = solve_forward(outer, inner, "impedance", f, gamma)
-        assert sol.phi.shape == (64, 10) and sol.psi.shape == (48, 10)
+        assert sol.voltage.shape == (64, 10) and sol.phi.shape == (48, 10)
         flux, trace = sol.outer_flux(), sol.inner_trace()
         for j in range(f.shape[1]):
             one = solve_forward(outer, inner, "impedance", f[:, j], gamma)
             assert np.max(np.abs(flux[:, j] - one.outer_flux())) < 1e-12
             assert np.max(np.abs(trace[:, j] - one.inner_trace())) < 1e-12
+
+    @pytest.mark.parametrize("point", [[1.0, 0.0], [0.6, 0.8], [0.9, 0.5]])
+    def test_potential_outside_the_disk_rejected(self, point):
+        outer, inner = unit_mesh(), inner_circle(32, 0.5)
+        sol = solve_forward(outer, inner, "dirichlet", np.cos(outer.theta))
+        with pytest.raises(ValueError, match="strictly inside the unit measurement circle"):
+            sol.potential([[0.0, 0.7], point])
+
+    # (rho, bound) for the 64/64 collocation gap of concentric circles: the
+    # largest entry error over the largest entry, against the order-31 series
+    @pytest.mark.parametrize("rho, bound", [(0.5, 1e-12), (0.8, 2e-5), (0.9, 5e-3)])
+    @pytest.mark.parametrize("bc, gamma", [("dirichlet", None), ("impedance", 0.1),
+                                           ("impedance", 2.0)])
+    def test_gap_near_the_circle_against_series(self, rho, bound, bc, gamma):
+        outer, inner = unit_mesh(64), inner_circle(64, rho)
+        gvals = None if gamma is None else np.full(64, gamma)
+        gap = gap_from_lambda0(dtn_matrix(outer, inner, bc, gvals)).matrix
+        want = gap_operator(AnnulusConfig(rho, bc, gamma, order=31), "collocation", 64).matrix
+        assert np.abs(gap - want).max() <= bound * np.abs(want).max()
 
     def test_voltage_shape_rejected(self):
         outer, inner = unit_mesh(), inner_circle(32, 0.5)
@@ -723,15 +815,13 @@ class TestForwardSolver:
 
 class TestFactorization:
     @staticmethod
-    def readme_schur():
-        # the forward Schur complement of the README example: 64 outer, 32
-        # inner nodes, so the factorized block is inclusion-sized
-        _, _, schur = bie._forward_blocks(unit_mesh(64), inner_circle(32, 0.5),
-                                          "dirichlet", None)
-        return schur
+    def readme_matrix():
+        # the forward matrix S_G of the README example: 64 outer, 32 inner
+        # nodes, so the factorized block is inclusion-sized
+        return bie._forward_matrix(inner_circle(32, 0.5), None)
 
     def test_condition_estimate_brackets_two_norm_condition(self):
-        a = self.readme_schur()
+        a = self.readme_matrix()
         assert a.shape == (32, 32)
         _, estimate = bie._factorize(a, "forward", bie._COND_LIMIT)
         k2 = np.linalg.cond(a)
@@ -740,17 +830,17 @@ class TestFactorization:
 
     @pytest.mark.parametrize("damage", ["repeat_row", "nan_entry"])
     def test_singular_block_raises_with_condition(self, monkeypatch, damage):
-        real = bie._forward_blocks
+        real = bie._forward_matrix
 
         def damaged(*args):
-            sim, a21, schur = real(*args)
+            mat = real(*args)
             if damage == "repeat_row":
-                schur[3] = schur[7]
+                mat[3] = mat[7]
             else:
-                schur[3, 7] = np.nan
-            return sim, a21, schur
+                mat[3, 7] = np.nan
+            return mat
 
-        monkeypatch.setattr(bie, "_forward_blocks", damaged)
+        monkeypatch.setattr(bie, "_forward_matrix", damaged)
         outer = unit_mesh(64)
         with pytest.raises(SingularSystem) as info:
             solve_forward(outer, inner_circle(32, 0.5), "dirichlet", np.cos(outer.theta))

@@ -11,12 +11,14 @@ from hypothesis import strategies as st
 from eitdisk import parallel
 from eitdisk.annulus import (AnnulusConfig, gap_coefficient,
                              inner_flux_coefficient, inner_trace_coefficient)
-from eitdisk.bie import (NystromMesh, _factorize, _outer_inverse, double_layer,
-                         modified_double_layer, normal_derivative, solve_forward)
+from eitdisk import bie
+from eitdisk.bie import (NystromMesh, _factorize, modified_double_layer, normal_derivative,
+                         solve_forward)
 from eitdisk.completion import (assemble_completion, complete_cauchy,
                                 recover_gamma_averaged, recover_gamma_lsq,
                                 recover_gamma_pointwise)
 from eitdisk.exceptions import AllMasked
+from eitdisk.dtn import healthy_collocation_matrix
 from eitdisk.geometry import BoundaryCurve
 from eitdisk.regularization import RegStrategy, SvdFactorization, perturb_vector
 
@@ -35,12 +37,22 @@ def concentric_system(rho=0.5):
     return assemble_completion(outer_mesh(), inner_mesh(BoundaryCurve.circle(radius=rho)))
 
 
-def trace_block(outer, inner):
-    """The completion's trace system: double-layer densities to the outer
-    voltage (negated) and the inner trace."""
-    return np.block([
-        [np.eye(outer.n) - double_layer(outer, outer), -modified_double_layer(inner, outer)],
-        [double_layer(outer, inner), np.eye(inner.n) + modified_double_layer(inner, inner)]])
+def trace_matrix(inner):
+    """``A = I + K~ + K_H``: the trace on the inclusion of the Green's double
+    layer with the monopole, from the side the normals point into."""
+    return (modified_double_layer(inner, inner)
+            + bie._image(inner, inner, "double_layer") + np.eye(inner.n))
+
+
+def flux_rows(outer, inner):
+    """``[F; -(T~ + T_H)]``: the outer current of the Green's double layer and
+    the inclusion current, normal into the inclusion, per density value."""
+    w = inner.arc_weights()
+    deriv = bie._harmonic_extension(outer.n, inner.points, inner.normals)
+    outer_rows = (deriv.T * w) * (-outer.n / np.pi) + 2.0 * w
+    inner_rows = -(normal_derivative(inner, inner, of="modified_double_layer")
+                   + bie._image(inner, inner, "double_flux"))
+    return np.vstack([outer_rows, inner_rows])
 
 
 def annulus_pair(cfg, k, kind=np.cos, n=N):
@@ -55,25 +67,17 @@ def annulus_pair(cfg, k, kind=np.cos, n=N):
 
 def frozen_assembly(outer, inner):
     """The maps, condition estimate and SVD as :func:`assemble_completion`
-    formed them from fresh arrays, every kernel block alive to the end; kept
-    as the bitwise reference for the assembly that drops each block early."""
-    n_m, n_i = outer.n, inner.n
-    kim = modified_double_layer(inner, outer)
-    kmi_p = _outer_inverse(double_layer(outer, inner).T).T     # K_mi P
-    kii = modified_double_layer(inner, inner)
-    schur = np.eye(n_i) + kii + kmi_p @ kim
-    lu, condition = _factorize(schur, "completion trace", 1e8)
-
-    tmm = normal_derivative(outer, outer)
-    tim = normal_derivative(inner, outer, of="modified_double_layer")
-    tmi = normal_derivative(outer, inner)
-    tii = normal_derivative(inner, inner, of="modified_double_layer")
-    x = _outer_inverse(np.hstack([tmm.T, -tmi.T])).T             # R1 P
-    z = la.lu_solve(lu, np.hstack([tim.T, -tii.T]) + kim.T @ x.T, trans=1).T
-    x -= z @ kmi_p
+    forms them, from fresh arrays, every block alive to the end; kept as the
+    bitwise reference for the assembly that drops each block early."""
+    n_m = outer.n
+    lu, condition = _factorize(trace_matrix(inner), "completion trace", 1e8)
+    z = la.lu_solve(lu, flux_rows(outer, inner).T, trans=1).T
+    x = -(z @ bie._harmonic_extension(n_m, inner.points, None))
+    x[:n_m] += healthy_collocation_matrix(n_m)
+    x[n_m:] -= bie._harmonic_extension(n_m, inner.points, inner.normals)
     svd = SvdFactorization.from_matrix(z[:n_m])
-    return {"response": -x[:n_m], "completion": z[:n_m],
-            "inner_response": -x[n_m:], "inner_completion": z[n_m:],
+    return {"response": x[:n_m], "completion": z[:n_m],
+            "inner_response": x[n_m:], "inner_completion": z[n_m:],
             "condition": np.float64(condition),
             "svd.u": svd.u, "svd.s": svd.s, "svd.vh": svd.vh}
 
@@ -147,9 +151,9 @@ class TestRowBlocks:
             for name, ref in want.items():
                 assert got[name].shape == ref.shape, (run, name)
                 assert got[name].tobytes() == ref.tobytes(), (run, name)
-        # X K_im~, the two products of the Maue block T_ii~, K_mi P K_im~,
-        # the Schur solve and Z K_mi P, each on one worker besides this thread
-        assert row_blocks == [1] * 6 * 20
+        # the two products of the Maue block T~, the transposed solve and
+        # Z B, each on one worker besides this thread
+        assert row_blocks == [1] * 4 * 20
 
     def test_more_threads_than_cores_keep_the_bits(self, monkeypatch, row_blocks):
         # eight blocks a step on two cores, the interpreter switching threads
@@ -168,15 +172,16 @@ class TestRowBlocks:
                     assert got[name].tobytes() == ref.tobytes(), (run, name)
         finally:
             sys.setswitchinterval(interval)
-        assert row_blocks == [7] * 6 * 10
+        assert row_blocks == [7] * 4 * 10
 
     def test_sixty_four_nodes_start_no_thread(self, no_row_threads):
         system = assemble_completion(outer_mesh(64), inner_mesh(BoundaryCurve.ellipse(0.5, 0.3)))
         assert system.completion.shape == (64, 64)
 
     def test_two_hundred_fifty_six_nodes_reach_the_pool(self, no_row_threads):
-        # the floor test above would pass vacuously if no size reached the pool
-        with pytest.raises(AssertionError, match="started 3 worker"):
+        # the floor test above would pass vacuously if no size reached the
+        # pool; the first split step is the Maue block's 256 rows, two blocks
+        with pytest.raises(AssertionError, match="started 1 worker"):
             assemble_completion(outer_mesh(256), inner_mesh(BoundaryCurve.ellipse(0.5, 0.3), 256))
 
 
@@ -200,52 +205,59 @@ class TestAssembly:
             assert np.max(np.abs(current - flux)) < 1e-6, k
 
     def test_maps_equal_rows_times_block_inverse(self):
+        # [S; S_i] = [F; -(T~ + T_H)] A^-1 and [R; R_i] = [Lambda0; -D] - [S; S_i] B
         outer = outer_mesh()
         inner = inner_mesh(BoundaryCurve.ellipse(0.5, 0.3))
         system = assemble_completion(outer, inner)
-        block = trace_block(outer, inner)
-        rows = np.block([
-            [normal_derivative(outer, outer),
-             normal_derivative(inner, outer, of="modified_double_layer")],
-            [-normal_derivative(outer, inner),
-             -normal_derivative(inner, inner, of="modified_double_layer")]])
-        want = rows @ np.linalg.solve(block, np.eye(2 * N))
-        got = np.block([[-system.response, system.completion],
-                        [-system.inner_response, system.inner_completion]])
+        z = flux_rows(outer, inner) @ np.linalg.solve(trace_matrix(inner), np.eye(N))
+        x = (np.vstack([healthy_collocation_matrix(N),
+                        -bie._harmonic_extension(N, inner.points, inner.normals)])
+             - z @ bie._harmonic_extension(N, inner.points, None))
+        want = np.hstack([x, z])
+        got = np.block([[system.response, system.completion],
+                        [system.inner_response, system.inner_completion]])
         assert np.abs(got - want).max() < 1e-10 * np.abs(want).max()
 
     @pytest.mark.parametrize("curve", [BoundaryCurve.ellipse(0.5, 0.3), BoundaryCurve.cardioid()],
                              ids=["ellipse", "cardioid"])
-    def test_schur_maps_match_dense_block_solve(self, curve):
+    def test_maps_match_dense_solve_on_unequal_meshes(self, curve):
         # unequal node counts, so a transposed block cannot pass
         outer, inner = outer_mesh(64), inner_mesh(curve, 48)
         system = assemble_completion(outer, inner)
-        rows = np.block([
-            [normal_derivative(outer, outer),
-             normal_derivative(inner, outer, of="modified_double_layer")],
-            [-normal_derivative(outer, inner),
-             -normal_derivative(inner, inner, of="modified_double_layer")]])
-        want = la.solve(trace_block(outer, inner).T, rows.T).T
-        pieces = {"R": (system.response, -want[:64, :64]),
-                  "S": (system.completion, want[:64, 64:]),
-                  "R_i": (system.inner_response, -want[64:, :64]),
-                  "S_i": (system.inner_completion, want[64:, 64:])}
+        z = la.solve(trace_matrix(inner).T, flux_rows(outer, inner).T).T
+        x = (np.vstack([healthy_collocation_matrix(64),
+                        -bie._harmonic_extension(64, inner.points, inner.normals)])
+             - z @ bie._harmonic_extension(64, inner.points, None))
+        pieces = {"R": (system.response, x[:64]),
+                  "S": (system.completion, z[:64]),
+                  "R_i": (system.inner_response, x[64:]),
+                  "S_i": (system.inner_completion, z[64:])}
         for name, (got, ref) in pieces.items():
             assert got.shape == ref.shape, name
             assert np.abs(got - ref).max() < 1e-10 * np.abs(ref).max(), name
 
+    # (rho, bc, gamma) of concentric circles near the measurement circle
+    @pytest.mark.parametrize("rho", [0.7, 0.8])
+    @pytest.mark.parametrize("bc, gamma", [("dirichlet", None), ("impedance", 2.0)])
+    def test_maps_reproduce_the_series_near_the_circle(self, rho, bc, gamma):
+        cfg = AnnulusConfig(rho, bc, gamma)
+        system = concentric_system(rho)
+        for k in range(1, 9):
+            for kind in (np.cos, np.sin):
+                f, g, trace, flux = annulus_pair(cfg, k, kind)
+                outer_current = system.response @ f + system.completion @ trace
+                inner_current = system.inner_response @ f + system.inner_completion @ trace
+                assert np.abs(outer_current - g).max() <= 1e-10 * np.abs(g).max(), (k, kind)
+                assert np.abs(inner_current - flux).max() <= 1e-8 * np.abs(flux).max(), (k, kind)
+
     def test_condition_estimate_does_not_depend_on_the_heap(self):
         # dgecon allocates its own work array, and its last digits depend on
         # that array's alignment; allocations in between move it on the heap
-        n = 512
-        outer, inner = outer_mesh(n), inner_mesh(BoundaryCurve.ellipse(0.5, 0.3), n)
-        kim = modified_double_layer(inner, outer)
-        kmi_p = _outer_inverse(double_layer(outer, inner).T).T
-        schur = np.eye(n) + modified_double_layer(inner, inner) + kmi_p @ kim
+        trace = trace_matrix(inner_mesh(BoundaryCurve.ellipse(0.5, 0.3), 512))
         held, estimates = [], set()
         for size in range(1, 41):
             held += [np.empty(2 * size + 1000), bytearray(16 * size + 8)]
-            estimates.add(_factorize(schur, "completion trace", 1e8)[1])
+            estimates.add(_factorize(trace, "completion trace", 1e8)[1])
         assert len(estimates) == 1
 
     def test_condition_estimate_three_shapes(self):
@@ -267,9 +279,12 @@ class TestAssembly:
         f, _, trace, _ = annulus_pair(cfg, k)
         sol = solve_forward(outer, inner, "impedance", f, np.full(N, 2.0))
         pts = np.array([[0.72, 0.1], [-0.2, 0.68], [0.0, -0.8]])
-        densities = np.linalg.solve(trace_block(outer, inner), np.concatenate([-f, trace]))
-        u_completed = (double_layer(outer, pts) @ densities[:N]
-                       + modified_double_layer(inner, pts) @ densities[N:])
+        # u = P[f] + D_G~ psi with A psi = u_i - B f
+        ext = bie._harmonic_extension(N, inner.points, None)
+        psi = np.linalg.solve(trace_matrix(inner), trace - ext @ f)
+        green = (modified_double_layer(inner, pts)
+                 + bie._image(inner, pts, "double_layer"))
+        u_completed = bie._harmonic_extension(N, pts, None) @ f + green @ psi
         u_forward = sol.potential(pts)
         assert np.max(np.abs(u_completed - u_forward)) < 1e-6
 

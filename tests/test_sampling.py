@@ -12,7 +12,8 @@ from eitdisk import regularization, sampling
 from eitdisk.annulus import AnnulusConfig, gap_operator
 from eitdisk.dtn import DtnOperator
 from eitdisk.exceptions import (AllModesCutWarning, DegenerateFit, NoContour,
-                                NoiseDominates, SingularSystem, TooCloseToBoundary)
+                                NoiseDominates, SeveralLoopsWarning, SingularSystem,
+                                TooCloseToBoundary)
 from eitdisk.geometry import fourier_analyze
 from eitdisk.regularization import RegStrategy, SvdFactorization, regularized_solve
 from eitdisk.sampling import (GridSpec, IndicatorGrid, extract_level_set,
@@ -508,8 +509,25 @@ class TestLevelSet:
                 + np.exp(-((pts[:, 0] + 0.4) ** 2 + pts[:, 1] ** 2) / 0.002))
         vals = np.where(np.hypot(pts[:, 0], pts[:, 1]) <= 0.9, bump, np.nan)
         ig = IndicatorGrid(grid, vals.reshape(81, 81), ~np.isnan(vals).reshape(81, 81))
-        sel = extract_level_set(ig, 0.3)
+        with pytest.warns(SeveralLoopsWarning, match="2 closed loops"):
+            sel = extract_level_set(ig, 0.3)
         assert np.all(sel[:, 0] > 0)  # the wide right-hand bump wins
+
+    def test_two_bumps_warn_with_the_loop_count(self):
+        grid = GridSpec.square(61)
+        pts = grid.points()
+        bumps = sum(np.exp(-((pts[:, 0] - cx) ** 2 + pts[:, 1] ** 2) / 0.01)
+                    for cx in (-0.4, 0.4))
+        vals = np.where(np.hypot(pts[:, 0], pts[:, 1]) <= 0.9, bumps, np.nan).reshape(61, 61)
+        with pytest.warns(SeveralLoopsWarning) as caught:
+            extract_level_set(IndicatorGrid(grid, vals, ~np.isnan(vals)), 0.5)
+        assert [str(w.message) for w in caught] == [
+            "the level set has 2 closed loops; only the largest is kept"]
+
+    def test_one_bump_does_not_warn(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", SeveralLoopsWarning)
+            extract_level_set(self.gaussian_grid(), 0.5)
 
 
 def per_cell_segments(values, xs, ys, level):
