@@ -457,13 +457,17 @@ class ForwardSolution:
     """The voltage ``f`` and the density ``phi`` of the simulation ansatz
     ``u = P[f] + S_G phi``, and derived boundary data.  For a matrix of
     voltage columns the density has one column per voltage, and so has every
-    derived quantity.
+    derived quantity.  The solve keeps the harmonic extension ``P`` at the
+    inner nodes per outer node value, and an impedance solve its normal
+    derivative, which it formed for its right-hand side.
     """
 
     outer: NystromMesh
     inner: NystromMesh
     voltage: np.ndarray
     phi: np.ndarray
+    extension: np.ndarray
+    extension_flux: np.ndarray | None = None
 
     def potential(self, points):
         """Evaluate the represented potential at points strictly inside the
@@ -482,19 +486,22 @@ class ForwardSolution:
         n = self.outer.n
         weighted = (self.phi.T * self.inner.arc_weights()).T
         flux = healthy_collocation_matrix(n) @ self.voltage
-        flux -= (n / (2.0 * np.pi)) * (_harmonic_extension(n, self.inner.points, None).T @ weighted)
+        flux -= (n / (2.0 * np.pi)) * (self.extension.T @ weighted)
         return flux
 
     def inner_trace(self):
         """Potential on the inclusion boundary."""
-        trace = _harmonic_extension(self.outer.n, self.inner.points, None) @ self.voltage
+        trace = self.extension @ self.voltage
         trace += _green_single_layer(self.inner, self.inner) @ self.phi
         return trace
 
     def inner_flux(self):
         """Current on the inclusion boundary with the normal into the inclusion."""
         inner = self.inner
-        flux = _harmonic_extension(self.outer.n, inner.points, inner.normals) @ self.voltage
+        ext_flux = self.extension_flux
+        if ext_flux is None:
+            ext_flux = _harmonic_extension(self.outer.n, inner.points, inner.normals)
+        flux = ext_flux @ self.voltage
         flux += _green_adjoint(inner) @ self.phi
         return np.negative(flux, out=flux)
 
@@ -568,14 +575,17 @@ def solve_forward(outer, inner, bc, f, gamma=None):
     _check_inclusion(inner)
     g = _check_gamma(inner, bc, gamma)
     lu, _ = _factorize(_forward_matrix(inner, g), "forward", _COND_LIMIT)
-    rhs = _harmonic_extension(outer.n, inner.points, None) @ f
+    ext = _harmonic_extension(outer.n, inner.points, None)
+    rhs = ext @ f
+    ext_flux = None
     if g is None:
         np.negative(rhs, out=rhs)
     else:
         rhs = (rhs.T * g).T
-        np.subtract(_harmonic_extension(outer.n, inner.points, inner.normals) @ f, rhs,
-                    out=rhs)
-    return ForwardSolution(outer, inner, f, la.lu_solve(lu, rhs, overwrite_b=True))
+        ext_flux = _harmonic_extension(outer.n, inner.points, inner.normals)
+        np.subtract(ext_flux @ f, rhs, out=rhs)
+    return ForwardSolution(outer, inner, f, la.lu_solve(lu, rhs, overwrite_b=True),
+                           ext, ext_flux)
 
 
 def trig_resample(values, new_theta):

@@ -10,10 +10,11 @@ the residual:
   ``|A x - b|^2 + alpha |x|^2``, also on rank-deficient systems.  ``alpha`` is
   explicit or chosen per column by the Morozov discrepancy principle, the
   root of ``|A x_alpha - b| = target``.  That residual increases with
-  ``alpha``: bisection on ``log alpha`` over ``[1e-14 s1^2, s1^2]`` brackets
-  it, then Newton in ``mu = 1/alpha``, where its square is convex, resolves it
-  to rounding per column (Engl, Hanke & Neubauer, 1996, ch. 4).  Newton's
-  last steps run only on the columns that have not settled.
+  ``alpha``: one matrix product tabulates its square at 29 alphas over
+  ``[1e-14 s1^2, s1^2]``, which brackets the root and gives a start, then
+  Newton in ``mu = 1/alpha``, where the square is convex, resolves it to
+  rounding per column (Engl, Hanke & Neubauer, 1996, ch. 4).  Newton's last
+  steps run only on the columns that have not settled.
 - Spectral cutoff: ``F_i = 1/s_i`` on the singular triplets with
   ``s_i >= tau * s_1``, or above an absolute, noise-tied threshold per
   column, and zero elsewhere.
@@ -35,9 +36,13 @@ one-strategy calls of it, and the sampling scan runs the kernel over column
 slices of blocks of grid points, on threads.  The kernel is elementwise work
 plus sums over the modes of each column.  numpy adds up each column of a sum
 over two or more columns in the same order, whatever its neighbours, but a
-contiguous one-column array in another; so a slice of two or more adjacent
-columns of a block filters to the same bits as the block, and the
-discrepancy root never narrows a sum to a single column.
+contiguous one-column array in another; so the discrepancy root never
+narrows a sum to a single column.  Only the root's table is a matrix
+product, whose rounding depends on how many columns it spans: a caller that
+filters column slices forms the :func:`discrepancy_bracket` of the whole
+block once and hands each slice its part, which then filters to the same
+bits as the block.  :func:`regularized_solve` alone forms the residual
+``|A x - b|``, which the scan does not read.
 
 Noise models: multiplicative entrywise perturbations ``A (1 + delta E)`` with
 a zero-mean uniform matrix scaled to unit spectral norm, and the vector
@@ -48,6 +53,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,6 +63,8 @@ __all__ = [
     "SvdFactorization",
     "RegStrategy",
     "spectral_filter",
+    "DiscrepancyBracket",
+    "discrepancy_bracket",
     "tikhonov_solve",
     "discrepancy_alpha",
     "regularized_solve",
@@ -66,10 +74,12 @@ __all__ = [
 ]
 
 _ALPHA_FLOOR = 1e-14  # bottom of the discrepancy bracket, relative to s1^2
-# halvings of the 1e14-wide log bracket before Newton: each root is then known
-# to a factor 1e14**(1/256) < 1.14, from where Newton takes about six steps
-_COARSE_STEPS = 8
+# alphas of the table that brackets each discrepancy root, a factor
+# 1e14**(1/28) < 3.2 apart; from its interpolated start Newton takes about
+# four steps
+_TABLE_SIZE = 29
 _NEWTON_STEPS = 30  # cap on the Newton steps of a column
+_NEWTON_COLUMNS = 1024  # most columns Newton steps at once: its two work arrays stay small
 # the range finder of SvdFactorization.from_matrix: matrices with a shorter
 # side take the full SVD; columns added per sketch step; the sketch's seed
 _SKETCH_FLOOR = 256
@@ -217,110 +227,180 @@ class RegStrategy:
         return self.kind in ("tikhonov", "cutoff") and self.alpha is None and self.tau is None
 
 
-def spectral_filter(svd, beta2, b2, reg, delta_abs=None):
+def _orthogonal_part(svd, beta2, b2):
+    """``|b|^2`` outside the kept ``U`` per column, zero below the rounding of
+    that difference, a sum over the rows of ``b``."""
+    b_perp2 = b2 - beta2.sum(axis=0)
+    return np.where(b_perp2 > len(svd.u) * np.finfo(float).eps * b2, b_perp2, 0.0)
+
+
+def _target(reg, b2, delta_abs):
+    """Per column, the residual a noise-tied strategy aims at, ``safety``
+    times the absolute noise (default ``reg.noise_level * |b|``)."""
+    if delta_abs is None:
+        delta_abs = reg.noise_level * np.sqrt(b2)
+    return reg.safety * np.broadcast_to(delta_abs, b2.shape)
+
+
+def spectral_filter(svd, beta2, b2, reg, delta_abs=None, bracket=None):
     """Filter factors of one strategy for right-hand-side columns.
 
     ``svd`` is the :class:`SvdFactorization` with singular values ``s``,
     ``beta2 = |U^H b|^2`` the squared coefficients of the columns ``b``
     (shape ``(k, P)``; only read), ``b2`` their squared norms and
     ``delta_abs`` the absolute noise per column (default
-    ``reg.noise_level * |b|``).  Returns the real filter ``F``, with
-    solutions ``x = Vh^H (F * beta)``, and per-column arrays ``alpha`` and/or
-    ``rank`` and ``residual = |A x - b|``.  A column whose cutoff removes every
-    mode gets rank 0 and a zero filter; the caller warns, once per solve.
-    Raises :class:`SingularSystem` for ``none`` on a system whose smallest
-    singular value is at most ``1e-14 s_1``, or was dropped as rounding.
-    It only reads its inputs, so callers may run it on column slices in threads.
+    ``reg.noise_level * |b|``).  ``bracket`` is the
+    :func:`discrepancy_bracket` of these columns, formed here when None.
+    Returns the real filter ``F``, with solutions ``x = Vh^H (F * beta)``, and
+    per-column arrays ``alpha`` and/or ``rank``.  A column whose cutoff
+    removes every mode gets rank 0 and a zero filter; the caller warns, once
+    per solve.  Raises :class:`SingularSystem` for ``none`` on a system whose
+    smallest singular value is at most ``1e-14 s_1``, or was dropped as
+    rounding.  It only reads its inputs, so callers may run it on column
+    slices in threads.
     """
     s = svd.s
-    b_perp2 = b2 - beta2.sum(axis=0)
-    # below the rounding of that difference, a sum over the rows of b, the
-    # orthogonal part is noise
-    b_perp2 = np.where(b_perp2 > len(svd.u) * np.finfo(float).eps * b2, b_perp2, 0.0)
     s_col = s[:, None]
-    target = None
-    if reg.noise_tied:
-        if delta_abs is None:
-            delta_abs = reg.noise_level * np.sqrt(b2)
-        target = reg.safety * np.broadcast_to(delta_abs, b2.shape)
+    target = _target(reg, b2, delta_abs) if reg.noise_tied else None
     if reg.kind == "tikhonov":
         if target is None:
             alpha = np.full(b2.shape, float(reg.alpha))
         else:
-            alpha = _discrepancy_root(s_col**2, beta2, b_perp2, b2, target**2)
-        comp = alpha + s_col**2  # turned into 1 - s F, the residual's filter
-        filt = s_col / comp
-        np.divide(alpha, comp, out=comp)
-        info = {"alpha": alpha}
+            alpha = _discrepancy_root(s_col**2, beta2, _orthogonal_part(svd, beta2, b2),
+                                      b2, target**2, bracket)
+        filt = alpha + s_col**2
+        return np.divide(s_col, filt, out=filt), {"alpha": alpha}
+    if reg.kind == "cutoff":
+        thr = reg.tau * s[0] if target is None else target
+    elif reg.kind == "none":
+        truncated = len(s) < min(len(svd.u), svd.vh.shape[1])
+        if truncated or not len(s) or s[-1] <= s[0] * 1e-14:
+            raise SingularSystem("unregularized solve of a singular system",
+                                 condition=np.inf)
+        thr = 0.0
     else:
-        if reg.kind == "cutoff":
-            thr = reg.tau * s[0] if target is None else target
-        elif reg.kind == "none":
-            truncated = len(s) < min(len(svd.u), svd.vh.shape[1])
-            if truncated or not len(s) or s[-1] <= s[0] * 1e-14:
-                raise SingularSystem("unregularized solve of a singular system",
-                                     condition=np.inf)
-            thr = 0.0
-        else:
-            raise ValueError(f"unknown strategy kind {reg.kind!r}")
-        keep = s_col >= np.broadcast_to(thr, b2.shape)
-        filt = keep * np.divide(1.0, s_col, out=np.zeros_like(s_col), where=s_col > 0)
-        comp = 1.0 - keep
-        info = {"rank": keep.sum(axis=0)}
-        if reg.kind == "none":
-            info["alpha"] = np.zeros(b2.shape)
-    comp *= comp  # in place: few (k, P) buffers live at once
-    comp *= beta2
-    info["residual"] = np.sqrt(comp.sum(axis=0) + b_perp2)
+        raise ValueError(f"unknown strategy kind {reg.kind!r}")
+    keep = s_col >= np.broadcast_to(thr, b2.shape)
+    filt = keep * np.divide(1.0, s_col, out=np.zeros_like(s_col), where=s_col > 0)
+    info = {"rank": keep.sum(axis=0)}
+    if reg.kind == "none":
+        info["alpha"] = np.zeros(b2.shape)
     return filt, info
 
 
-def _discrepancy_root(s2, beta2, b_perp2, b2, t2):
+def _residual(s, beta2, b_perp2, info):
+    """``|A x - b|`` per column from the filter's kept rank or its alpha: the
+    residual's filter ``1 - s F`` is 0 on a kept mode and 1 on a cut one, or
+    ``alpha / (alpha + s^2)``."""
+    s_col = s[:, None]
+    if "rank" in info:  # the kept modes are the leading ones
+        comp = 1.0 - (np.arange(len(s))[:, None] < info["rank"])
+    else:
+        comp = info["alpha"] + s_col**2
+        np.divide(info["alpha"], comp, out=comp)
+    comp *= comp  # in place: few (k, P) buffers live at once
+    comp *= beta2
+    return np.sqrt(comp.sum(axis=0) + b_perp2)
+
+
+class DiscrepancyBracket(NamedTuple):
+    """Per column, what the discrepancy root's table gives Newton: its
+    ``start`` and the ``floor`` of its first step in ``mu = 1/alpha``,
+    whether the root is ``bracketed`` by ``[1e-14 s1^2, s1^2]``, and the
+    ``endpoint`` alpha of a column whose root is not."""
+
+    start: np.ndarray
+    floor: np.ndarray
+    bracketed: np.ndarray
+    endpoint: np.ndarray
+
+    def columns(self, cols):
+        """The bracket of the columns ``cols`` (a slice gives views)."""
+        return DiscrepancyBracket(*(v[cols] for v in self))
+
+
+def discrepancy_bracket(svd, beta2, b2, reg, delta_abs=None):
+    """The :class:`DiscrepancyBracket` that :func:`spectral_filter` forms for
+    these columns under a discrepancy-principle Tikhonov ``reg``, or None for
+    any other strategy.  Its one matrix product rounds by the number of
+    columns, so a caller that filters column slices forms it once for all."""
+    if reg.kind != "tikhonov" or not reg.noise_tied:
+        return None
+    return _bracket(svd.s[:, None]**2, beta2, _orthogonal_part(svd, beta2, b2),
+                    _target(reg, b2, delta_abs)**2)
+
+
+def _bracket(s2, beta2, b_perp2, t2):
+    """Bracket each root of ``|A x_alpha - b|^2 = t2`` on a table.
+
+    One matrix product forms the squared residual of every column at
+    ``_TABLE_SIZE`` alphas, geometrically spaced over ``[1e-14 s1^2,
+    s1^2]``: ``q^2 beta2 + b_perp2`` with ``q = alpha / (alpha + s^2)``.  A
+    column whose target lies between the two ends starts Newton where ``log
+    res2``, linear in ``log alpha`` between the pair of table alphas around
+    its target, meets it, and the top alpha of that pair floors the first
+    step in ``mu``; any other column gets the nearer end.
+    """
+    lo, hi = _ALPHA_FLOOR * s2[0, 0], s2[0, 0]
+    alphas = np.geomspace(lo, hi, _TABLE_SIZE)
+    q = alphas / (s2 + alphas)
+    table = (q * q).T @ beta2
+    table += b_perp2
+    below = table < t2
+    bracketed = below[0] & (table[-1] > t2)
+    endpoint = np.where(below[0], hi, lo)
+    start = np.full(len(t2), 1.0 / hi)
+    floor = start.copy()
+    cols = np.flatnonzero(bracketed)
+    # the last table alpha whose residual lies below the target
+    j = _TABLE_SIZE - 1 - np.argmax(below[::-1, cols], axis=0)
+    r0, r1 = table[j, cols], table[j + 1, cols]
+    frac = np.log(t2[cols] / r0) / np.log(r1 / r0)
+    start[cols] = 1.0 / (alphas[j] * (alphas[j + 1] / alphas[j]) ** frac)
+    floor[cols] = 1.0 / alphas[j + 1]
+    return DiscrepancyBracket(start, floor, bracketed, endpoint)
+
+
+def _discrepancy_root(s2, beta2, b_perp2, b2, t2, bracket=None):
     """Per-column root of ``|A x_alpha - b|^2 = t2`` on ``[1e-14 s1^2, s1^2]``.
 
-    Bisection on ``log alpha`` brackets each root, then Newton in
-    ``mu = 1/alpha`` rises to it from the bracket's upper ``alpha``.  A column
-    stops for good once its step falls to rounding, so its result does not
-    depend on the other columns.  A column whose target is not reached inside
-    the bracket gets the nearer endpoint.  Raises :class:`NoiseDominates` when
-    a target reaches the data norm, where no fit is meaningful.
+    The table of :func:`_bracket` (formed here when ``bracket`` is None)
+    gives each column Newton's start in ``mu = 1/alpha``, where the squared
+    residual is decreasing and convex.  The first step may land on either
+    side of the root, so it is raised to the floor the table gives, the
+    bracket's top alpha; by convexity it is then at or below the root, and
+    the steps after it rise to the root.  A column stops for good once its
+    step falls to rounding, so its result does not depend on the other
+    columns.  A column whose target is not reached inside the bracket gets
+    the nearer endpoint.  Raises :class:`NoiseDominates` when a target
+    reaches the data norm, where no fit is meaningful.
 
-    The bracket ends and the first midpoint are one ``alpha`` for every
-    column, so their ``q = alpha / (alpha + s^2)`` is formed on one column.
-    Bisection sums ``q^2 beta2`` in one pass; the sum of two or more columns
-    rounds as ``w = q^2`` and a second pass do, that of a single column does
-    not, so a one-column slice keeps the two passes.  Once at most half of
-    the columns Newton carries are still stepping, it gathers those and
-    carries only them; a lone one takes a neighbour along, so that no
-    gathered sum runs over a single column.
+    Newton steps at most ``_NEWTON_COLUMNS`` columns at a time, in parts of
+    two or more, so that its two work arrays stay small.  Once at most half
+    of the columns it carries are still stepping, it gathers those and
+    carries only them; a lone one takes a neighbour
+    along, so that no gathered sum runs over a single column, which numpy
+    would add up in another order.
     """
     if np.any(t2 >= b2):
         raise NoiseDominates(int(np.sum(t2 >= b2)), len(b2))
-    q = np.empty(beta2.shape)  # reused by every bisection step
+    if bracket is None:
+        bracket = _bracket(s2, beta2, b_perp2, t2)
+    alpha = np.empty(len(b2))
+    edges = np.linspace(0, len(b2), -(-len(b2) // _NEWTON_COLUMNS) + 1).astype(int)
+    for a, z in zip(edges[:-1], edges[1:]):
+        alpha[a:z] = _newton(s2, beta2[:, a:z], b_perp2[a:z], t2[a:z],
+                             bracket.columns(slice(a, z)))
+    return alpha
 
-    def res2(alpha):  # q = alpha / (alpha + s^2) = 1 / (1 + mu s^2)
-        if np.ndim(alpha):
-            np.add(s2, alpha, out=q)
-            qa = np.divide(alpha, q, out=q)
-        else:
-            qa = np.broadcast_to(alpha / (s2 + alpha), beta2.shape)
-        if beta2.shape[1] == 1:
-            return np.einsum("ij,ij->j", qa * qa, beta2) + b_perp2
-        return np.einsum("ij,ij,ij->j", qa, qa, beta2) + b_perp2
 
-    lo, hi = _ALPHA_FLOOR * s2[0, 0], s2[0, 0]
-    r_lo, r_hi = res2(lo), res2(hi)
-    bracketed = (r_lo < t2) & (r_hi > t2)
-    outside = np.where(r_lo >= t2, lo, hi)
-    for _ in range(_COARSE_STEPS):
-        mid = np.sqrt(lo * hi)
-        below = res2(mid) < t2
-        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+def _newton(s2, beta2, b_perp2, t2, bracket):
+    """The discrepancy alphas of a few columns from their bracket."""
     # g(mu) = res2 - t^2 is decreasing and convex, g' = -2 sum q^3 s^2 beta^2
-    mu_all, carried = 1.0 / hi, np.arange(len(b2))
-    mu, active, beta2_c, b_perp2_c, t2_c = mu_all, bracketed, beta2, b_perp2, t2
-    w = np.empty(beta2.shape)
-    for _ in range(_NEWTON_STEPS):
+    mu_all, carried = bracket.start.copy(), np.arange(len(t2))
+    mu, active, beta2_c, b_perp2_c, t2_c = mu_all, bracket.bracketed, beta2, b_perp2, t2
+    q, w = np.empty(beta2.shape), np.empty(beta2.shape)
+    for k in range(_NEWTON_STEPS):
         live = np.flatnonzero(active)
         if not len(live):
             break
@@ -342,10 +422,13 @@ def _discrepancy_root(s2, beta2, b_perp2, b2, t2):
         w *= s2
         step = np.divide(g, 2.0 * np.einsum("ij,ij->j", w, beta2_c),
                          out=np.zeros_like(g), where=active)
+        if k == 0:
+            np.maximum(mu + step, bracket.floor[carried], out=mu, where=active)
+            continue
         active = active & (step > 4.0 * np.finfo(float).eps * mu)
         mu[active] += step[active]
     mu_all[carried] = mu
-    return np.where(bracketed, 1.0 / mu_all, outside)
+    return np.where(bracket.bracketed, 1.0 / mu_all, bracket.endpoint)
 
 
 def regularized_solve(svd, b, reg, delta_abs=None):
@@ -362,8 +445,9 @@ def regularized_solve(svd, b, reg, delta_abs=None):
     b = np.asarray(b)
     cols = b.reshape(len(b), -1)
     beta = svd.project(cols)
-    filt, info = spectral_filter(svd, np.abs(beta) ** 2,
-                                 np.sum(np.abs(cols) ** 2, axis=0), reg, delta_abs)
+    beta2, b2 = np.abs(beta) ** 2, np.sum(np.abs(cols) ** 2, axis=0)
+    filt, info = spectral_filter(svd, beta2, b2, reg, delta_abs)
+    info["residual"] = _residual(svd.s, beta2, _orthogonal_part(svd, beta2, b2), info)
     if "rank" in info and np.any(info["rank"] == 0):
         warnings.warn("cutoff removed every singular mode", AllModesCutWarning)
     x = svd.vh.conj().T @ (filt * beta)

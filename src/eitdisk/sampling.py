@@ -38,9 +38,11 @@ The per-point solves are independent and numpy releases the GIL in them, so
 each block is filtered in column slices on a pool of one thread per usable
 CPU (one thread for a single point), with the same bits as on one thread.
 While the workers filter one block, the calling thread forms the next: its
-right-hand sides, on one buffer, and their projection.  The projection is a
-block's only BLAS call, and it stays on the calling thread: each thread that
-calls BLAS keeps a buffer of its own.
+right-hand sides, on one buffer, their projection and, for the discrepancy
+principle, the bracket of each point's root.  The projection and the
+bracket's table are a block's only BLAS calls, and they stay on the calling
+thread: each thread that calls BLAS keeps a buffer of its own.  The workers
+get the bracket as a few numbers per point, not the table.
 """
 
 from __future__ import annotations
@@ -57,8 +59,8 @@ from .exceptions import (AllModesCutWarning, DegenerateFit, NoContour,
                          NoiseDominates, SeveralLoopsWarning, TooCloseToBoundary)
 from .geometry import BoundaryCurve
 from .parallel import worker_count
-from .regularization import (RegStrategy, SvdFactorization, perturb_matrix,
-                             spectral_filter)
+from .regularization import (RegStrategy, SvdFactorization, discrepancy_bracket,
+                             perturb_matrix, spectral_filter)
 
 __all__ = [
     "RADIUS_MASK",
@@ -75,8 +77,9 @@ __all__ = [
 # points with |z| beyond this radius are never sampled (near-singular data)
 RADIUS_MASK = 0.9
 # grid points per block: keeps each (modes x points) work array to a few MB.
-# The projection and the column sums of |b|^2 round differently in other
-# sizes; each right-hand side entry is formed on its own and does not.
+# The projection, the column sums of |b|^2 and the discrepancy bracket's table
+# round differently in other sizes; each right-hand side entry is formed on
+# its own and does not.
 _CHUNK = 8192
 # fewest columns a thread filters.  numpy adds up each column of a sum over
 # two or more columns in the same order, whatever its neighbours, but a
@@ -201,9 +204,9 @@ def _worker_count(columns):
     return worker_count(columns, _MIN_SLICE)
 
 
-def _slice_norms(svd, reg, beta2, b2):
+def _slice_norms(svd, reg, beta2, b2, bracket):
     """l2 norms of one column slice's solutions, ``sqrt(sum F^2 |beta|^2)``."""
-    filt, _ = spectral_filter(svd, beta2, b2, reg)
+    filt, _ = spectral_filter(svd, beta2, b2, reg, bracket=bracket)
     return np.sqrt(np.einsum("ij,ij,ij->j", filt, filt, beta2))
 
 
@@ -226,28 +229,32 @@ def _abs2(a):
 
 
 def _submit_block(pool, svd, gap, pts, reg):
-    """Form one block's squared projections and norms on this thread, hand its
-    column slices to the pool, and return their futures."""
+    """Form one block's squared projections, norms and discrepancy bracket on
+    this thread, hand its column slices to the pool, and return their
+    futures."""
     b = _rhs_columns(gap, pts)
     beta2 = _abs2(svd.project(b))
     b2 = _abs2(b).sum(axis=0)
+    del b  # freed before the bracket's table is formed
+    bracket = discrepancy_bracket(svd, beta2, b2, reg)
     edges = np.linspace(0, len(b2), _worker_count(len(b2)) + 1).astype(int)
-    return [pool.submit(_slice_norms, svd, reg, beta2[:, a:z], b2[a:z])
+    return [pool.submit(_slice_norms, svd, reg, beta2[:, a:z], b2[a:z],
+                        None if bracket is None else bracket.columns(slice(a, z)))
             for a, z in zip(edges[:-1], edges[1:])]
 
 
 def _indicator_values(svd, gap, pts, reg):
     """Indicator at points ``(P, 2)``, evaluated in blocks of ``_CHUNK`` columns.
 
-    The calling thread forms each block's right-hand sides, their projection
-    and squared norms, whose rounding depends on the block width.  Worker
-    threads filter one contiguous column slice each and take its l2 norms.
-    The two overlap: the calling thread forms the next block while the
-    workers filter this one, and gathers a block only once the next is
-    handed over, so at most one formed block waits.  The projection stays on
-    the calling thread: each thread that calls BLAS gets a buffer of its own,
-    a few MB that outlive the pool and raise the peak memory of whatever the
-    process runs next.  A point whose cutoff removes every mode gets NaN, and
+    The calling thread forms each block's right-hand sides, their projection,
+    squared norms and discrepancy bracket, whose rounding depends on the
+    block width.  Worker threads filter one contiguous column slice each and
+    take its l2 norms.  The two overlap: the calling thread forms the next
+    block while the workers filter this one, and gathers a block only once
+    the next is handed over, so at most one formed block waits.  The
+    projection and the bracket's table stay on the calling thread: each
+    thread that calls BLAS gets a buffer of its own, a few MB that outlive
+    the pool and raise the peak memory of whatever the process runs next.  A point whose cutoff removes every mode gets NaN, and
     one :class:`AllModesCutWarning` reports any such point.
     """
     values = np.empty(len(pts))

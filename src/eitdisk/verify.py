@@ -3,7 +3,8 @@
 Each suite checks one pillar of the numerical machinery against an
 independent route (closed-form series, normal equations, Gauss identities)
 and reports the measured error next to its tolerance.  The command-line
-``verify`` subcommand runs them all and exits nonzero on any failure.
+``verify`` subcommand runs them all and exits nonzero on any failure; a
+suite that raises fails with its error, and the others still run.
 The suites call the package's kernels themselves, so a fault there shows:
 a double layer of the wrong sign fails the Gauss suite, and a single layer
 off by a thousandth fails the forward-solver and constant-mode suites.
@@ -36,7 +37,7 @@ class SuiteResult:
         return out + (f" {self.detail}" if self.detail else "")
 
 
-def suite_forward_oracle():
+def suite_forward_oracle(name):
     """Nystrom currents against the concentric-circle series."""
     worst = 0.0
     outer = bie.NystromMesh(BoundaryCurve.circle(radius=1.0), 64)
@@ -52,10 +53,10 @@ def suite_forward_oracle():
                 want = (k - annulus.gap_coefficient(cfg, k)) * f
                 err = np.linalg.norm(flux - want) / np.linalg.norm(want)
                 worst = max(worst, float(err))
-    return SuiteResult("forward solver vs series", worst < 1e-6, worst, 1e-6)
+    return SuiteResult(name, worst < 1e-6, worst, 1e-6)
 
 
-def suite_tikhonov():
+def suite_tikhonov(name):
     """SVD Tikhonov against the normal equations, plus the discrepancy root."""
     rng = np.random.Generator(np.random.Philox(42))
     a = rng.normal(size=(8, 8))
@@ -70,10 +71,10 @@ def suite_tikhonov():
     res = np.linalg.norm(a @ tikhonov_solve(svd, b, al) - b)
     err2 = abs(res - target) / target
     worst = max(float(err), float(err2))
-    return SuiteResult("tikhonov vs normal equations", worst < 1e-8, worst, 1e-8)
+    return SuiteResult(name, worst < 1e-8, worst, 1e-8)
 
 
-def suite_gauss():
+def suite_gauss(name):
     """Interior, exterior and on-curve Gauss identities of the double layer."""
     mesh = bie.NystromMesh(BoundaryCurve.circle(radius=1.0), 64)
     ones = np.ones(64)
@@ -82,10 +83,10 @@ def suite_gauss():
     on_curve = bie.double_layer(mesh, mesh) @ ones
     worst = max(float(abs(inside[0] + 2.0)), float(abs(outside[0])),
                 float(np.max(np.abs(on_curve + 1.0))))
-    return SuiteResult("gauss identities", worst < 1e-10, worst, 1e-10)
+    return SuiteResult(name, worst < 1e-10, worst, 1e-10)
 
 
-def suite_truncation():
+def suite_truncation(name):
     """Geometric decay rate of the series truncation error."""
     cfg = annulus.AnnulusConfig(0.5, "dirichlet", order=30)
     worst = 0.0
@@ -94,11 +95,11 @@ def suite_truncation():
              / annulus.truncation_error(cfg, k + 1, k + 2))
         worst = max(worst, float(abs(np.log(r * cfg.rho**2))))
     # worst log-deviation from the ideal ratio 1/rho^2; factor 2 tolerance
-    return SuiteResult("truncation decay rate", worst < np.log(2.0), worst,
+    return SuiteResult(name, worst < np.log(2.0), worst,
                        float(np.log(2.0)))
 
 
-def suite_sigma0():
+def suite_sigma0(name):
     """Adjudicate the constant-mode impedance coefficient against the solver."""
     rho, gamma = 0.5, 2.0
     outer = bie.NystromMesh(BoundaryCurve.circle(radius=1.0), 64)
@@ -113,15 +114,27 @@ def suite_sigma0():
     ok = err_derived < 1e-6 and err_printed > 1e-5
     detail = (f"derived sigma0 {derived:.6f} err {err_derived:.2e}; "
               f"printed variant {printed:.6f} err {err_printed:.2e}")
-    return SuiteResult("constant-mode impedance coefficient", ok,
+    return SuiteResult(name, ok,
                        err_derived, 1e-6, detail)
 
 
+# every suite with the name it reports under, also when it raises
+_SUITES = (
+    ("gauss identities", suite_gauss),
+    ("forward solver vs series", suite_forward_oracle),
+    ("tikhonov vs normal equations", suite_tikhonov),
+    ("truncation decay rate", suite_truncation),
+    ("constant-mode impedance coefficient", suite_sigma0),
+)
+
+
 def run_all():
-    return [
-        suite_gauss(),
-        suite_forward_oracle(),
-        suite_tikhonov(),
-        suite_truncation(),
-        suite_sigma0(),
-    ]
+    """Run every suite; one that raises fails with its error as the detail."""
+    results = []
+    for name, suite in _SUITES:
+        try:
+            results.append(suite(name))
+        except Exception as exc:  # a faulty kernel may fail in any way
+            results.append(SuiteResult(name, False, np.nan, np.nan,
+                                       f"raised {type(exc).__name__}: {exc}"))
+    return results

@@ -956,6 +956,24 @@ class TestDtnMatrix:
         gap = gap_from_lambda0(lam)
         assert np.linalg.norm(gap.matrix @ np.ones(64)) > 1e-2
 
+    @pytest.mark.parametrize("basis", ["collocation", "fourier"])
+    @pytest.mark.parametrize("bc, formed", [("dirichlet", 1), ("impedance", 2)])
+    def test_solve_forms_the_harmonic_extension_once(self, monkeypatch, basis, bc, formed):
+        # the solve keeps P, and dP/dnu for impedance, for the currents and traces
+        calls = []
+        extension = bie._harmonic_extension
+        monkeypatch.setattr(bie, "_harmonic_extension",
+                            lambda *args: calls.append(args) or extension(*args))
+        outer, inner = unit_mesh(64), NystromMesh(BoundaryCurve.ellipse(0.5, 0.3), 32)
+        gamma = np.full(32, 2.0) if bc == "impedance" else None
+        dtn_matrix(outer, inner, bc, gamma, basis=basis, modes=np.arange(-5, 6))
+        assert len(calls) == formed
+        if bc == "impedance":
+            sol = bie.solve_forward(outer, inner, bc, np.eye(64), gamma)
+            sol.inner_trace()
+            sol.inner_flux()
+            assert len(calls) == 2 * formed
+
     def test_fourier_needs_a_mode_list(self):
         with pytest.raises(ValueError, match="mode list"):
             dtn_matrix(unit_mesh(64), inner_circle(32, 0.5), "dirichlet", basis="fourier")

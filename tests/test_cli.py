@@ -390,8 +390,7 @@ def test_verify_passes_and_a_negated_double_layer_fails(capsys, monkeypatch):
 
 
 def test_verify_fails_with_a_single_layer_off_by_a_thousandth(capsys, monkeypatch):
-    # the forward solver's Green's single layer starts from bie.single_layer;
-    # negated, it leaves the forward system singular, and verify exits 2
+    # the forward solver's Green's single layer starts from bie.single_layer
     single_layer = bie.single_layer
     monkeypatch.setattr(bie, "single_layer", lambda *args: 1.001 * single_layer(*args))
     assert main(["verify"]) != 0
@@ -401,6 +400,21 @@ def test_verify_fails_with_a_single_layer_off_by_a_thousandth(capsys, monkeypatc
     for name in ("forward solver vs series", "constant-mode impedance coefficient"):
         assert any(name in line for line in failed), failed
 
+
+
+def test_verify_reports_every_suite_when_one_raises(capsys, monkeypatch):
+    # negated, the single layer leaves the forward system singular: the two
+    # suites that solve it raise, and the three others still run and pass
+    single_layer = bie.single_layer
+    monkeypatch.setattr(bie, "single_layer", lambda *args: -single_layer(*args))
+    assert main(["verify"]) == 1
+    lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("[")]
+    status = {line.split("] ")[1].split(":")[0]: line[1:5] for line in lines}
+    assert status == {"gauss identities": "PASS", "forward solver vs series": "FAIL",
+                      "tikhonov vs normal equations": "PASS",
+                      "truncation decay rate": "PASS",
+                      "constant-mode impedance coefficient": "FAIL"}
+    assert all("raised SingularSystem" in line for line in lines if "FAIL" in line)
 
 THETA = 2 * np.pi * np.arange(32) / 32
 

@@ -235,8 +235,7 @@ class TestRegularizedSolve:
         svd = SvdFactorization(np.eye(256, 32), np.geomspace(1.0, 0.1, 32), np.eye(32, 256))
         beta2 = np.full((32, 1), 1.0 / 32)
         b2 = np.array([1.0 + 100 * np.finfo(float).eps])
-        _, info = spectral_filter(svd, beta2, b2, RegStrategy.spectral_cutoff(1e-3))
-        assert info["residual"][0] == 0
+        assert regularization._orthogonal_part(svd, beta2, b2)[0] == 0
 
     def test_dispatch_matches_direct_calls(self):
         a, b = random_system(9, 14)
@@ -416,9 +415,10 @@ def projected(svd, b):
 
 
 def frozen_discrepancy_root(s2, beta2, b_perp2, b2, t2):
-    """The discrepancy root as it was before it formed shared alphas on one
-    column, fused its squared sums and compacted Newton's tail: every step
-    runs on every column.  The kernel's root must keep its bits."""
+    """The discrepancy root as it was when 8 bisection steps bracketed it,
+    before it formed shared alphas on one column, fused its squared sums and
+    compacted Newton's tail: every step runs on every column.  The kernel's
+    root must agree with it to rounding."""
     if np.any(t2 >= b2):
         raise NoiseDominates(int(np.sum(t2 >= b2)), len(b2))
     q, w = np.empty(beta2.shape), np.empty(beta2.shape)
@@ -452,6 +452,52 @@ def frozen_discrepancy_root(s2, beta2, b_perp2, b2, t2):
     return np.where(bracketed, 1.0 / mu, outside)
 
 
+def table_residual2(s2, beta2, b_perp2):
+    """The squared residual of each column at the 29 alphas of the root's
+    table, geometrically spaced over ``[1e-14 s1^2, s1^2]``, formed as the
+    root forms it: rows are alphas, columns are columns."""
+    alphas = np.geomspace(1e-14 * s2[0, 0], s2[0, 0], 29)
+    q = alphas / (s2 + alphas)
+    return alphas, (q * q).T @ beta2 + b_perp2
+
+
+def frozen_table_root(s2, beta2, b_perp2, b2, t2):
+    """The table-bracketed discrepancy root with every Newton step on every
+    column; the kernel's root, which carries only the columns still stepping
+    once few are, must keep its bits."""
+    if np.any(t2 >= b2):
+        raise NoiseDominates(int(np.sum(t2 >= b2)), len(b2))
+    alphas, table = table_residual2(s2, beta2, b_perp2)
+    bracketed = (table[0] < t2) & (table[-1] > t2)
+    # the last table alpha below the target; the bracket's top is the next one
+    j = np.minimum(28 - np.argmax((table < t2)[::-1], axis=0), 27)
+    r0, r1 = table[j, np.arange(len(t2))], table[j + 1, np.arange(len(t2))]
+    with np.errstate(all="ignore"):  # the columns outside the bracket
+        frac = np.log(t2 / r0) / np.log(r1 / r0)
+        start = 1.0 / (alphas[j] * (alphas[j + 1] / alphas[j]) ** frac)
+    mu = np.where(bracketed, start, 1.0 / alphas[-1])
+    q, w = np.empty(beta2.shape), np.empty(beta2.shape)
+    active = bracketed
+    for k in range(30):
+        if not active.any():
+            break
+        alpha = 1.0 / mu
+        np.add(s2, alpha, out=q)
+        np.divide(alpha, q, out=q)
+        np.multiply(q, q, out=w)
+        g = np.einsum("ij,ij->j", w, beta2) + b_perp2 - t2
+        w *= q
+        w *= s2
+        step = np.divide(g, 2.0 * np.einsum("ij,ij->j", w, beta2),
+                         out=np.zeros_like(g), where=active)
+        if k == 0:  # from either side of the root, floored at the bracket's top
+            mu = np.where(active, np.maximum(mu + step, 1.0 / alphas[j + 1]), mu)
+            continue
+        active = active & (step > 4.0 * np.finfo(float).eps * mu)
+        mu[active] += step[active]
+    return np.where(bracketed, 1.0 / mu, np.where(table[0] >= t2, alphas[0], alphas[-1]))
+
+
 def root_inputs(width, seed, fractions=None):
     """Arguments of the discrepancy root for ``width`` columns of a 64-mode
     system, as the kernel forms them; targets are ``fractions`` of ``|b|``,
@@ -476,8 +522,16 @@ def residual2_at(alpha, s2, beta2, b_perp2):
 
 def same_root_bits(s2, beta2, b_perp2, b2, t2):
     got = regularization._discrepancy_root(s2, beta2, b_perp2, b2, t2)
-    want = frozen_discrepancy_root(s2, beta2, b_perp2, b2, t2)
+    want = frozen_table_root(s2, beta2, b_perp2, b2, t2)
     return got.tobytes() == want.tobytes()
+
+
+def right_starts(s2, beta2, b_perp2, t2):
+    """The bracketed columns whose Newton starts above the root in ``mu``
+    (below it in alpha), where the first step is negative."""
+    bracket = regularization._bracket(s2, beta2, b_perp2, t2)
+    at_start = residual2_at(1.0 / bracket.start, s2, beta2, b_perp2)
+    return bracket.bracketed & (at_start < t2)
 
 
 def newton_widths(*args):
@@ -586,6 +640,36 @@ class TestDiscrepancyRoot:
     def test_root_keeps_the_bits_of_the_frozen_root(self, width):
         assert same_root_bits(*root_inputs(width, width))
 
+    @pytest.mark.parametrize("width", [1, 2, 3, 17, 301, 4096])
+    def test_root_agrees_with_the_bisection_bracketed_root(self, width):
+        args = root_inputs(width, width)
+        got = regularization._discrepancy_root(*args)
+        want = frozen_discrepancy_root(*args)
+        assert np.all(np.abs(got - want) <= 1e-14 * want)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(1, 64), st.integers(0, 10**6))
+    def test_residual_at_the_root_is_the_target(self, width, seed):
+        s2, beta2, b_perp2, b2, t2 = root_inputs(width, seed)
+        alpha = regularization._discrepancy_root(s2, beta2, b_perp2, b2, t2)
+        inside = regularization._bracket(s2, beta2, b_perp2, t2).bracketed
+        residual = np.sqrt(residual2_at(alpha, s2, beta2, b_perp2))
+        target = np.sqrt(t2)
+        assert np.all(np.abs(residual - target)[inside] <= 1e-12 * target[inside])
+
+    @pytest.mark.parametrize("seed", [4, 11])
+    def test_start_above_the_root_still_converges(self, seed):
+        # where log res2 is not concave in log alpha between the table's pair,
+        # the interpolated start lies past the root, and the first Newton
+        # step falls below it and is floored at the bracket's top
+        args = root_inputs(301, seed)
+        s2, beta2, b_perp2, b2, t2 = args
+        right = right_starts(s2, beta2, b_perp2, t2)
+        assert right.sum() >= 3
+        alpha = regularization._discrepancy_root(*args)
+        want = bisection_alpha(np.sqrt(s2[:, 0]), beta2, b2, t2)
+        assert np.all(np.abs(alpha - want)[right] <= 1e-14 * want[right])
+
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_root_on_column_views_keeps_the_bits(self, workers):
         # the slices _submit_block hands its workers, and narrow views
@@ -606,23 +690,22 @@ class TestDiscrepancyRoot:
         assert np.sum(alpha != alpha[lone - 1]) == 1
         assert widths and set(widths) == {2}
 
-    @pytest.mark.parametrize("at", ["floor", "midpoint", "top"])
-    def test_lone_column_on_a_target_at_a_shared_alpha_keeps_its_bits(self, at):
-        # the target is the residual at a bracket end or the first midpoint,
-        # summed as the frozen root sums it: a sum that rounded otherwise
-        # would flip the comparison with the target there
+    @pytest.mark.parametrize("row", [0, 14, 28])
+    def test_lone_column_on_a_target_in_the_table_keeps_its_bits(self, row):
+        # the target is the table's residual at its floor, a middle alpha or
+        # its top: a table that rounded otherwise would flip the comparison
+        # with the target there
         s2, beta2, b_perp2, b2, _ = root_inputs(1, 21)
-        floor, top = 1e-14 * s2[0, 0], s2[0, 0]
-        alpha = {"floor": floor, "midpoint": np.sqrt(floor * top), "top": top}[at]
-        t2 = residual2_at(alpha, s2, beta2, b_perp2)
+        t2 = table_residual2(s2, beta2, b_perp2)[1][row]
         assert same_root_bits(s2, beta2, b_perp2, b2, t2)
 
     def test_newton_tail_runs_on_fewer_columns(self):
         fractions = 10 ** np.random.Generator(np.random.Philox(11)).uniform(-3, -0.5, 4096)
         _, widths = newton_widths(*root_inputs(4096, 11, fractions))
-        assert widths[0] == 4096
+        # Newton steps the columns in four parts of 1024
+        assert widths[0] == regularization._NEWTON_COLUMNS == 1024
         assert min(widths) >= 2
-        assert widths[-1] < 4096 // 2
+        assert widths[-1] < 1024 // 2
 
     @pytest.mark.parametrize("width", [1, 2, 17])
     def test_all_targets_outside_the_bracket_keep_their_bits(self, width):
@@ -633,19 +716,19 @@ class TestDiscrepancyRoot:
         t2 = np.where(np.arange(width) % 2, (r_hi + b2) / 2, r_lo / 2)
         args = s2, beta2, b_perp2, b2, t2
         assert same_root_bits(*args)
-        if width > 1:  # a lone column's bisection keeps the two-operand sum
-            assert newton_widths(*args)[1] == []
+        assert newton_widths(*args)[1] == []
 
     @pytest.mark.parametrize("width", [1, 3, 17])
     def test_noise_dominates_like_the_frozen_root(self, width):
         fractions = np.resize([1.3, 0.2, 1.01], width)
         args = root_inputs(width, 13, fractions)
         errors = []
-        for root in (regularization._discrepancy_root, frozen_discrepancy_root):
+        for root in (regularization._discrepancy_root, frozen_table_root,
+                     frozen_discrepancy_root):
             with pytest.raises(NoiseDominates) as caught:
                 root(*args)
             errors.append((caught.value.columns, caught.value.total))
-        assert errors[0] == errors[1] == (np.sum(fractions >= 1), width)
+        assert errors == [(np.sum(fractions >= 1), width)] * 3
 
 
 class TestNoiseModels:

@@ -19,7 +19,8 @@ from eitdisk.regularization import RegStrategy, SvdFactorization, regularized_so
 from eitdisk.sampling import (GridSpec, IndicatorGrid, extract_level_set,
                               fit_trig_curve, indicator, poisson_kernel,
                               poisson_rhs, scan)
-from test_regularization import frozen_discrepancy_root
+from test_regularization import (bisection_alpha, frozen_discrepancy_root,
+                                 frozen_table_root, right_starts)
 
 DIRICHLET = AnnulusConfig(0.5, "dirichlet")
 
@@ -381,9 +382,35 @@ class TestScanThreads:
         reg, grid = RegStrategy.tikhonov_discrepancy(0.05, 1.5), GridSpec.square(size)
         out = scan(colloc_gap(), grid, reg, noise=(0.05, 1))
         assert (out.mask.sum() <= chunk) == (size == 101)
-        monkeypatch.setattr(regularization, "_discrepancy_root", frozen_discrepancy_root)
+        # on one CPU the frozen root's own table spans the whole block, as the
+        # table the calling thread forms for the workers does
+        use_cpus(monkeypatch, 1)
+        monkeypatch.setattr(regularization, "_discrepancy_root",
+                            lambda *args: frozen_table_root(*args[:5]))
         want = scan(colloc_gap(), grid, reg, noise=(0.05, 1))
         assert out.values.tobytes() == want.values.tobytes()
+
+    def test_root_on_the_fine_grid_scan_agrees_with_bisection(self):
+        # the 401x401 scan of the README's circle: its roots against a 60-step
+        # bisection and against the root that 8 bisection steps bracketed
+        gap, reg = colloc_gap(), RegStrategy.tikhonov_discrepancy(0.05, 1.5)
+        svd = SvdFactorization.from_matrix(regularization.perturb_matrix(gap.matrix, 0.05, 3))
+        s2 = svd.s[:, None] ** 2
+        pts = GridSpec.square(401).points()
+        pts = pts[np.hypot(*pts.T) <= sampling.RADIUS_MASK]
+        right = 0
+        for a in range(0, len(pts), sampling._CHUNK):
+            b = sampling._rhs_columns(gap, pts[a:a + sampling._CHUNK])
+            beta2 = sampling._abs2(svd.project(b))
+            b2 = sampling._abs2(b).sum(axis=0)
+            b_perp2 = regularization._orthogonal_part(svd, beta2, b2)
+            t2 = regularization._target(reg, b2, None) ** 2
+            alpha = regularization._discrepancy_root(s2, beta2, b_perp2, b2, t2)
+            for want in (bisection_alpha(svd.s, beta2, b2, t2),
+                         frozen_discrepancy_root(s2, beta2, b_perp2, b2, t2)):
+                assert np.all(np.abs(alpha - want) <= 1e-14 * want)
+            right += right_starts(s2, beta2, b_perp2, t2).sum()
+        assert right > 0
 
     def test_worker_count_follows_usable_cpus(self, monkeypatch):
         use_cpus(monkeypatch, 3)
@@ -412,7 +439,7 @@ class TestScanThreads:
         assert isinstance(threaded.value.__cause__, NoiseDominates)
         assert threaded.value.__cause__.total < threaded.value.total
 
-    def test_rhs_and_projection_stay_on_the_calling_thread(self, monkeypatch):
+    def test_rhs_projection_and_bracket_stay_on_the_calling_thread(self, monkeypatch):
         # each thread that calls BLAS keeps a buffer of its own; the workers only filter
         calls = []
 
@@ -425,14 +452,14 @@ class TestScanThreads:
         use_cpus(monkeypatch, 3)
         monkeypatch.setattr(sampling, "_CHUNK", 64)
         for owner, name in ((sampling, "_rhs_columns"), (SvdFactorization, "project"),
-                            (sampling, "_slice_norms")):
+                            (sampling, "discrepancy_bracket"), (sampling, "_slice_norms")):
             monkeypatch.setattr(owner, name, on_thread(name, getattr(owner, name)))
         out = scan(colloc_gap(), GridSpec.square(23), RegStrategy.tikhonov_discrepancy(0.05))
         widths = [min(64, out.mask.sum() - a) for a in range(0, out.mask.sum(), 64)]
         assert len(widths) >= 4
         me = threading.get_ident()
         assert sorted(c for c in calls if c[0] != "_slice_norms") == sorted(
-            [("_rhs_columns", me), ("project", me)] * len(widths))
+            [("_rhs_columns", me), ("project", me), ("discrepancy_bracket", me)] * len(widths))
         filtered = [t for name, t in calls if name == "_slice_norms"]
         assert len(filtered) == sum(map(sampling._worker_count, widths)) > len(widths)
         assert me not in filtered
