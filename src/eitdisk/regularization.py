@@ -13,8 +13,10 @@ the residual:
   ``alpha``: one matrix product tabulates its square at 29 alphas over
   ``[1e-14 s1^2, s1^2]``, which brackets the root and gives a start, then
   Newton in ``mu = 1/alpha``, where the square is convex, resolves it to
-  rounding per column (Engl, Hanke & Neubauer, 1996, ch. 4).  Newton's last
-  steps run only on the columns that have not settled.
+  rounding per column (Engl, Hanke & Neubauer, 1996, ch. 4).  Its quadratic
+  convergence is bounded, so a column stops once a step leaves an error
+  below rounding.  Newton's last steps run only on the columns that have not
+  settled.
 - Spectral cutoff: ``F_i = 1/s_i`` on the singular triplets with
   ``s_i >= tau * s_1``, or above an absolute, noise-tied threshold per
   column, and zero elsewhere.
@@ -76,10 +78,14 @@ __all__ = [
 _ALPHA_FLOOR = 1e-14  # bottom of the discrepancy bracket, relative to s1^2
 # alphas of the table that brackets each discrepancy root, a factor
 # 1e14**(1/28) < 3.2 apart; from its interpolated start Newton takes about
-# four steps
+# three and a half steps
 _TABLE_SIZE = 29
 _NEWTON_STEPS = 30  # cap on the Newton steps of a column
-_NEWTON_COLUMNS = 1024  # most columns Newton steps at once: its two work arrays stay small
+# a Newton step of h mu, taken below the root, leaves an error under
+# 1.5 h^2 mu, which is below rounding for h <= sqrt(eps / 3)
+_SETTLED = np.sqrt(np.finfo(float).eps / 3.0)
+# most columns Newton steps at once, so that its two work arrays stay small
+_NEWTON_COLUMNS = 1024
 # the range finder of SvdFactorization.from_matrix: matrices with a shorter
 # side take the full SVD; columns added per sketch step; the sketch's seed
 _SKETCH_FLOOR = 256
@@ -365,22 +371,27 @@ def _discrepancy_root(s2, beta2, b_perp2, b2, t2, bracket=None):
     """Per-column root of ``|A x_alpha - b|^2 = t2`` on ``[1e-14 s1^2, s1^2]``.
 
     The table of :func:`_bracket` (formed here when ``bracket`` is None)
-    gives each column Newton's start in ``mu = 1/alpha``, where the squared
-    residual is decreasing and convex.  The first step may land on either
-    side of the root, so it is raised to the floor the table gives, the
-    bracket's top alpha; by convexity it is then at or below the root, and
-    the steps after it rise to the root.  A column stops for good once its
-    step falls to rounding, so its result does not depend on the other
-    columns.  A column whose target is not reached inside the bracket gets
-    the nearer endpoint.  Raises :class:`NoiseDominates` when a target
+    gives each column Newton's start in ``mu = 1/alpha``, where ``g(mu) =
+    |A x - b|^2 - t2`` is decreasing and convex.  The first step may land on
+    either side of the root, so it is raised to the floor the table gives,
+    the bracket's top alpha; by convexity it is then at or below the root,
+    and the steps after it rise to the root.  A column stops for good on a
+    step of at most ``4 eps mu``, which it does not take.  There ``mu
+    g''/(2|g'|) < 1.5``, so a step of ``h mu`` leaves an error below ``1.5
+    h^2 mu``, under rounding for ``h <= sqrt(eps/3)``; the next step then
+    only follows rounding in ``g``, which moves the root by about ``eps
+    t2/|g'|``.  A column where that is under ``4 eps mu``, ``t2 <= 4 mu
+    |g'|``, stops after such a step without taking the next; any other
+    steps on to the ``4 eps mu`` stop.  Its result does not depend on the
+    other columns.  A column whose target is not reached inside the bracket
+    gets the nearer endpoint.  Raises :class:`NoiseDominates` when a target
     reaches the data norm, where no fit is meaningful.
 
-    Newton steps at most ``_NEWTON_COLUMNS`` columns at a time, in parts of
-    two or more, so that its two work arrays stay small.  Once at most half
-    of the columns it carries are still stepping, it gathers those and
-    carries only them; a lone one takes a neighbour
-    along, so that no gathered sum runs over a single column, which numpy
-    would add up in another order.
+    Newton steps the columns in even parts of at most ``_NEWTON_COLUMNS``,
+    so that its two work arrays stay small.  Once at most half of the
+    columns it carries are still stepping, it gathers those and carries
+    only them; a lone one takes a neighbour along, so that no gathered sum
+    runs over a single column, which numpy would add up in another order.
     """
     if np.any(t2 >= b2):
         raise NoiseDominates(int(np.sum(t2 >= b2)), len(b2))
@@ -420,13 +431,15 @@ def _newton(s2, beta2, b_perp2, t2, bracket):
         g = np.einsum("ij,ij->j", w, beta2_c) + b_perp2_c - t2_c
         w *= q
         w *= s2
-        step = np.divide(g, 2.0 * np.einsum("ij,ij->j", w, beta2_c),
-                         out=np.zeros_like(g), where=active)
+        slope = 2.0 * np.einsum("ij,ij->j", w, beta2_c)  # -g'
+        step = np.divide(g, slope, out=np.zeros_like(g), where=active)
         if k == 0:
             np.maximum(mu + step, bracket.floor[carried], out=mu, where=active)
             continue
-        active = active & (step > 4.0 * np.finfo(float).eps * mu)
-        mu[active] += step[active]
+        moves = active & (step > 4.0 * np.finfo(float).eps * mu)
+        # rounding in g moves the root by about eps t^2 / slope
+        active = moves & ((step > _SETTLED * mu) | (t2_c > 4.0 * mu * slope))
+        mu[moves] += step[moves]
     mu_all[carried] = mu
     return np.where(bracket.bracketed, 1.0 / mu_all, bracket.endpoint)
 

@@ -254,8 +254,9 @@ def _indicator_values(svd, gap, pts, reg):
     the next is handed over, so at most one formed block waits.  The
     projection and the bracket's table stay on the calling thread: each
     thread that calls BLAS gets a buffer of its own, a few MB that outlive
-    the pool and raise the peak memory of whatever the process runs next.  A point whose cutoff removes every mode gets NaN, and
-    one :class:`AllModesCutWarning` reports any such point.
+    the pool and raise the peak memory of whatever the process runs next.
+    A point whose cutoff removes every mode gets NaN, and one
+    :class:`AllModesCutWarning` reports any such point.
     """
     values = np.empty(len(pts))
     pool = ThreadPoolExecutor(_worker_count(len(pts)))

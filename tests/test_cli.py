@@ -401,7 +401,6 @@ def test_verify_fails_with_a_single_layer_off_by_a_thousandth(capsys, monkeypatc
         assert any(name in line for line in failed), failed
 
 
-
 def test_verify_reports_every_suite_when_one_raises(capsys, monkeypatch):
     # negated, the single layer leaves the forward system singular: the two
     # suites that solve it raise, and the three others still run and pass
@@ -415,6 +414,7 @@ def test_verify_reports_every_suite_when_one_raises(capsys, monkeypatch):
                       "truncation decay rate": "PASS",
                       "constant-mode impedance coefficient": "FAIL"}
     assert all("raised SingularSystem" in line for line in lines if "FAIL" in line)
+
 
 THETA = 2 * np.pi * np.arange(32) / 32
 

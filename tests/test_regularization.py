@@ -488,13 +488,18 @@ def frozen_table_root(s2, beta2, b_perp2, b2, t2):
         g = np.einsum("ij,ij->j", w, beta2) + b_perp2 - t2
         w *= q
         w *= s2
-        step = np.divide(g, 2.0 * np.einsum("ij,ij->j", w, beta2),
-                         out=np.zeros_like(g), where=active)
+        slope = 2.0 * np.einsum("ij,ij->j", w, beta2)
+        step = np.divide(g, slope, out=np.zeros_like(g), where=active)
         if k == 0:  # from either side of the root, floored at the bracket's top
             mu = np.where(active, np.maximum(mu + step, 1.0 / alphas[j + 1]), mu)
             continue
-        active = active & (step > 4.0 * np.finfo(float).eps * mu)
-        mu[active] += step[active]
+        # a step of rounding size is not taken; after one of at most
+        # sqrt(eps / 3) mu, a column whose root rounding moves by less than
+        # 4 eps mu has settled
+        moves = active & (step > 4.0 * np.finfo(float).eps * mu)
+        settled = (step <= np.sqrt(np.finfo(float).eps / 3.0) * mu) & (t2 <= 4.0 * mu * slope)
+        active = moves & ~settled
+        mu[moves] += step[moves]
     return np.where(bracketed, 1.0 / mu, np.where(table[0] >= t2, alphas[0], alphas[-1]))
 
 
@@ -639,6 +644,17 @@ class TestDiscrepancyRoot:
     @pytest.mark.parametrize("width", [1, 2, 3, 17, 4096])
     def test_root_keeps_the_bits_of_the_frozen_root(self, width):
         assert same_root_bits(*root_inputs(width, width))
+
+    def test_settled_columns_skip_the_confirming_step(self, monkeypatch):
+        # a step that leaves a well-posed column at rounding is its last;
+        # without that stop, every column takes one more to confirm it
+        fractions = 10 ** np.random.Generator(np.random.Philox(11)).uniform(-3, -0.5, 4096)
+        args = root_inputs(4096, 11, fractions)
+        alpha, widths = newton_widths(*args)
+        monkeypatch.setattr(regularization, "_SETTLED", 0.0)
+        confirmed, confirming = newton_widths(*args)
+        assert sum(widths) < 0.8 * sum(confirming)
+        assert np.all(np.abs(alpha - confirmed) <= 1e-14 * confirmed)
 
     @pytest.mark.parametrize("width", [1, 2, 3, 17, 301, 4096])
     def test_root_agrees_with_the_bisection_bracketed_root(self, width):
