@@ -263,9 +263,9 @@ def _single_layer_log_split(source):
     return smooth
 
 
-def normal_derivative(source, target, of="double_layer"):
-    """Normal derivative of a layer potential on its own curve, at its nodes,
-    along the outward normal; ``target`` must be ``source`` itself.
+def normal_derivative(mesh, of="double_layer"):
+    """Normal derivative of a layer potential on its own curve, at the nodes
+    of its ``mesh``, along the outward normal.
 
     For ``single_layer`` this is the continuous part (the ``-+ phi/2`` jump
     is left to the caller), the diagonal filled by the kernel's limit
@@ -275,37 +275,33 @@ def normal_derivative(source, target, of="double_layer"):
     """
     if of not in ("single_layer", "double_layer", "modified_double_layer"):
         raise ValueError(f"unknown layer kind {of!r}")
-    if not isinstance(target, NystromMesh):
-        raise TypeError("normal derivatives are assembled on a target mesh")
-    if target is not source:
-        raise ValueError("normal derivatives are assembled on their source mesh only")
     fac = 1.0 if of == "single_layer" else 2.0
     if of == "single_layer":
         # -(dx nu_x + dy nu_y) / r2 / (2 pi) in the buffer of dx
-        dx, dy, r2 = _pair(source, source)
+        dx, dy, r2 = _pair(mesh, mesh)
         mat = dx
-        mat *= source.normals[:, 0, None]
-        dy *= source.normals[:, 1, None]
+        mat *= mesh.normals[:, 0, None]
+        dy *= mesh.normals[:, 1, None]
         mat += dy
         np.negative(mat, out=mat)
         with np.errstate(divide="ignore", invalid="ignore"):
             mat /= r2
         mat /= 2.0 * np.pi
-        np.fill_diagonal(mat, -source.curvature / (4.0 * np.pi))
-        mat *= source.arc_weights()
-    elif source.curve.kind == "circle":
+        np.fill_diagonal(mat, -mesh.curvature / (4.0 * np.pi))
+        mat *= mesh.arc_weights()
+    elif mesh.curve.kind == "circle":
         # the factor-2 operator sends exp(i m t) to -|m|/r exp(i m t)
-        mat = healthy_collocation_matrix(source.n)
+        mat = healthy_collocation_matrix(mesh.n)
         np.negative(mat, out=mat)
-        mat /= source.curve.cos_coef[0, 0]
+        mat /= mesh.curve.cos_coef[0, 0]
     else:
-        mat = _hypersingular_maue(source)
+        mat = _hypersingular_maue(mesh)
         mat *= fac
     if of == "modified_double_layer":
         # d/dnu(x) log|x| = (x . nu(x)) / |x|^2 at the nodes
-        r2 = (source.points**2).sum(axis=1)
-        dlog = np.einsum("ik,ik->i", source.points, source.normals) / r2
-        mat += fac * dlog[:, None] * source.arc_weights()[None, :]
+        r2 = (mesh.points**2).sum(axis=1)
+        dlog = np.einsum("ik,ik->i", mesh.points, mesh.normals) / r2
+        mat += fac * dlog[:, None] * mesh.arc_weights()[None, :]
     return mat
 
 
@@ -433,7 +429,7 @@ def _green_single_layer(inner, target):
 def _green_adjoint(inner):
     """``K'_G - I/2``: the outward normal derivative of ``S_G`` on the inner
     nodes, from the side the normals point into."""
-    mat = normal_derivative(inner, inner, of="single_layer")
+    mat = normal_derivative(inner, of="single_layer")
     mat += _image(inner, inner, "single_flux")
     mat -= 0.5 * np.eye(inner.n)
     return mat

@@ -104,7 +104,7 @@ def assemble_completion(outer, inner, model_error_factor=1.0):
     np.multiply(deriv.T, w, out=z[:n_m])
     z[:n_m] *= -n_m / np.pi
     z[:n_m] += 2.0 * w
-    z[n_m:] = normal_derivative(inner, inner, of="modified_double_layer")
+    z[n_m:] = normal_derivative(inner, of="modified_double_layer")
     z[n_m:] += _image(inner, inner, "double_flux")
     np.negative(z[n_m:], out=z[n_m:])
     # Z = [S; S_i], the rows times A^-1, as the solve of A^T against Z^T, in

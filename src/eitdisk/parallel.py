@@ -1,7 +1,7 @@
 """Thread counts and row blocks for the dense steps of the package.
 
-The scan filters its points in column slices on one thread per usable CPU
-(:func:`worker_count`).  The completion splits its dense products and its
+The scan filters its points in slices of a fixed width on at most one thread
+per usable CPU and per slice (:func:`worker_count`).  The completion splits its dense products and its
 transposed solve into contiguous row blocks by the same rule
 (:func:`by_rows`), each block the same BLAS or LAPACK call on its own rows,
 so every entry keeps its bits on any number of CPUs.  Blocks write into rows

@@ -40,11 +40,11 @@ plus sums over the modes of each column.  numpy adds up each column of a sum
 over two or more columns in the same order, whatever its neighbours, but a
 contiguous one-column array in another; so the discrepancy root never
 narrows a sum to a single column.  Only the root's table is a matrix
-product, whose rounding depends on how many columns it spans: a caller that
-filters column slices forms the :func:`discrepancy_bracket` of the whole
-block once and hands each slice its part, which then filters to the same
-bits as the block.  :func:`regularized_solve` alone forms the residual
-``|A x - b|``, which the scan does not read.
+product, whose rounding depends on how many columns it spans: the kernel
+forms it for exactly the columns it is given, so a caller that filters
+column slices keeps its bits by cutting the same slices every time.
+:func:`regularized_solve` alone forms the residual ``|A x - b|``, which the
+scan does not read.
 
 Noise models: multiplicative entrywise perturbations ``A (1 + delta E)`` with
 a zero-mean uniform matrix scaled to unit spectral norm, and the vector
@@ -55,7 +55,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -65,8 +64,6 @@ __all__ = [
     "SvdFactorization",
     "RegStrategy",
     "spectral_filter",
-    "DiscrepancyBracket",
-    "discrepancy_bracket",
     "tikhonov_solve",
     "discrepancy_alpha",
     "regularized_solve",
@@ -84,8 +81,6 @@ _NEWTON_STEPS = 30  # cap on the Newton steps of a column
 # a Newton step of h mu, taken below the root, leaves an error under
 # 1.5 h^2 mu, which is below rounding for h <= sqrt(eps / 3)
 _SETTLED = np.sqrt(np.finfo(float).eps / 3.0)
-# most columns Newton steps at once, so that its two work arrays stay small
-_NEWTON_COLUMNS = 1024
 # the range finder of SvdFactorization.from_matrix: matrices with a shorter
 # side take the full SVD; columns added per sketch step; the sketch's seed
 _SKETCH_FLOOR = 256
@@ -248,22 +243,20 @@ def _target(reg, b2, delta_abs):
     return reg.safety * np.broadcast_to(delta_abs, b2.shape)
 
 
-def spectral_filter(svd, beta2, b2, reg, delta_abs=None, bracket=None):
+def spectral_filter(svd, beta2, b2, reg, delta_abs=None):
     """Filter factors of one strategy for right-hand-side columns.
 
     ``svd`` is the :class:`SvdFactorization` with singular values ``s``,
     ``beta2 = |U^H b|^2`` the squared coefficients of the columns ``b``
     (shape ``(k, P)``; only read), ``b2`` their squared norms and
     ``delta_abs`` the absolute noise per column (default
-    ``reg.noise_level * |b|``).  ``bracket`` is the
-    :func:`discrepancy_bracket` of these columns, formed here when None.
-    Returns the real filter ``F``, with solutions ``x = Vh^H (F * beta)``, and
-    per-column arrays ``alpha`` and/or ``rank``.  A column whose cutoff
-    removes every mode gets rank 0 and a zero filter; the caller warns, once
-    per solve.  Raises :class:`SingularSystem` for ``none`` on a system whose
-    smallest singular value is at most ``1e-14 s_1``, or was dropped as
-    rounding.  It only reads its inputs, so callers may run it on column
-    slices in threads.
+    ``reg.noise_level * |b|``).  Returns the real filter ``F``, with
+    solutions ``x = Vh^H (F * beta)``, and per-column arrays ``alpha``
+    and/or ``rank``.  A column whose cutoff removes every mode gets rank 0
+    and a zero filter; the caller warns, once per solve.  Raises
+    :class:`SingularSystem` for ``none`` on a system whose smallest singular
+    value is at most ``1e-14 s_1``, or was dropped as rounding.  It only
+    reads its inputs, so callers may run it on column slices in threads.
     """
     s = svd.s
     s_col = s[:, None]
@@ -273,7 +266,7 @@ def spectral_filter(svd, beta2, b2, reg, delta_abs=None, bracket=None):
             alpha = np.full(b2.shape, float(reg.alpha))
         else:
             alpha = _discrepancy_root(s_col**2, beta2, _orthogonal_part(svd, beta2, b2),
-                                      b2, target**2, bracket)
+                                      b2, target**2)
         filt = alpha + s_col**2
         return np.divide(s_col, filt, out=filt), {"alpha": alpha}
     if reg.kind == "cutoff":
@@ -309,33 +302,6 @@ def _residual(s, beta2, b_perp2, info):
     return np.sqrt(comp.sum(axis=0) + b_perp2)
 
 
-class DiscrepancyBracket(NamedTuple):
-    """Per column, what the discrepancy root's table gives Newton: its
-    ``start`` and the ``floor`` of its first step in ``mu = 1/alpha``,
-    whether the root is ``bracketed`` by ``[1e-14 s1^2, s1^2]``, and the
-    ``endpoint`` alpha of a column whose root is not."""
-
-    start: np.ndarray
-    floor: np.ndarray
-    bracketed: np.ndarray
-    endpoint: np.ndarray
-
-    def columns(self, cols):
-        """The bracket of the columns ``cols`` (a slice gives views)."""
-        return DiscrepancyBracket(*(v[cols] for v in self))
-
-
-def discrepancy_bracket(svd, beta2, b2, reg, delta_abs=None):
-    """The :class:`DiscrepancyBracket` that :func:`spectral_filter` forms for
-    these columns under a discrepancy-principle Tikhonov ``reg``, or None for
-    any other strategy.  Its one matrix product rounds by the number of
-    columns, so a caller that filters column slices forms it once for all."""
-    if reg.kind != "tikhonov" or not reg.noise_tied:
-        return None
-    return _bracket(svd.s[:, None]**2, beta2, _orthogonal_part(svd, beta2, b2),
-                    _target(reg, b2, delta_abs)**2)
-
-
 def _bracket(s2, beta2, b_perp2, t2):
     """Bracket each root of ``|A x_alpha - b|^2 = t2`` on a table.
 
@@ -345,7 +311,9 @@ def _bracket(s2, beta2, b_perp2, t2):
     column whose target lies between the two ends starts Newton where ``log
     res2``, linear in ``log alpha`` between the pair of table alphas around
     its target, meets it, and the top alpha of that pair floors the first
-    step in ``mu``; any other column gets the nearer end.
+    step in ``mu``; any other column gets the nearer end.  Returns per
+    column that start and floor in ``mu``, whether the root is bracketed,
+    and the endpoint alpha of a column whose root is not.
     """
     lo, hi = _ALPHA_FLOOR * s2[0, 0], s2[0, 0]
     alphas = np.geomspace(lo, hi, _TABLE_SIZE)
@@ -364,52 +332,40 @@ def _bracket(s2, beta2, b_perp2, t2):
     frac = np.log(t2[cols] / r0) / np.log(r1 / r0)
     start[cols] = 1.0 / (alphas[j] * (alphas[j + 1] / alphas[j]) ** frac)
     floor[cols] = 1.0 / alphas[j + 1]
-    return DiscrepancyBracket(start, floor, bracketed, endpoint)
+    return start, floor, bracketed, endpoint
 
 
-def _discrepancy_root(s2, beta2, b_perp2, b2, t2, bracket=None):
+def _discrepancy_root(s2, beta2, b_perp2, b2, t2):
     """Per-column root of ``|A x_alpha - b|^2 = t2`` on ``[1e-14 s1^2, s1^2]``.
 
-    The table of :func:`_bracket` (formed here when ``bracket`` is None)
-    gives each column Newton's start in ``mu = 1/alpha``, where ``g(mu) =
-    |A x - b|^2 - t2`` is decreasing and convex.  The first step may land on
-    either side of the root, so it is raised to the floor the table gives,
-    the bracket's top alpha; by convexity it is then at or below the root,
-    and the steps after it rise to the root.  A column stops for good on a
-    step of at most ``4 eps mu``, which it does not take.  There ``mu
-    g''/(2|g'|) < 1.5``, so a step of ``h mu`` leaves an error below ``1.5
-    h^2 mu``, under rounding for ``h <= sqrt(eps/3)``; the next step then
-    only follows rounding in ``g``, which moves the root by about ``eps
-    t2/|g'|``.  A column where that is under ``4 eps mu``, ``t2 <= 4 mu
-    |g'|``, stops after such a step without taking the next; any other
-    steps on to the ``4 eps mu`` stop.  Its result does not depend on the
-    other columns.  A column whose target is not reached inside the bracket
-    gets the nearer endpoint.  Raises :class:`NoiseDominates` when a target
-    reaches the data norm, where no fit is meaningful.
+    The table of :func:`_bracket` gives each column Newton's start in ``mu =
+    1/alpha``, where ``g(mu) = |A x - b|^2 - t2`` is decreasing and convex.
+    The first step may land on either side of the root, so it is raised to
+    the floor the table gives, the bracket's top alpha; by convexity it is
+    then at or below the root, and the steps after it rise to the root.  A
+    column stops for good on a step of at most ``4 eps mu``, which it does
+    not take.  There ``mu g''/(2|g'|) < 1.5``, so a step of ``h mu`` leaves
+    an error below ``1.5 h^2 mu``, under rounding for ``h <= sqrt(eps/3)``;
+    the next step then only follows rounding in ``g``, which moves the root
+    by about ``eps t2/|g'|``.  A column where that is under ``4 eps mu``,
+    ``t2 <= 4 mu |g'|``, stops after such a step without taking the next;
+    any other steps on to the ``4 eps mu`` stop.  Its Newton steps do not
+    depend on the other columns.  A column whose target is not reached
+    inside the bracket gets the nearer endpoint.  Raises
+    :class:`NoiseDominates` when a target reaches the data norm, where no
+    fit is meaningful.
 
-    Newton steps the columns in even parts of at most ``_NEWTON_COLUMNS``,
-    so that its two work arrays stay small.  Once at most half of the
-    columns it carries are still stepping, it gathers those and carries
-    only them; a lone one takes a neighbour along, so that no gathered sum
-    runs over a single column, which numpy would add up in another order.
+    Once at most half of the columns Newton carries are still stepping, it
+    gathers those and carries only them; a lone one takes a neighbour along,
+    so that no gathered sum runs over a single column, which numpy would add
+    up in another order.
     """
     if np.any(t2 >= b2):
         raise NoiseDominates(int(np.sum(t2 >= b2)), len(b2))
-    if bracket is None:
-        bracket = _bracket(s2, beta2, b_perp2, t2)
-    alpha = np.empty(len(b2))
-    edges = np.linspace(0, len(b2), -(-len(b2) // _NEWTON_COLUMNS) + 1).astype(int)
-    for a, z in zip(edges[:-1], edges[1:]):
-        alpha[a:z] = _newton(s2, beta2[:, a:z], b_perp2[a:z], t2[a:z],
-                             bracket.columns(slice(a, z)))
-    return alpha
-
-
-def _newton(s2, beta2, b_perp2, t2, bracket):
-    """The discrepancy alphas of a few columns from their bracket."""
+    mu_all, floor, bracketed, endpoint = _bracket(s2, beta2, b_perp2, t2)
     # g(mu) = res2 - t^2 is decreasing and convex, g' = -2 sum q^3 s^2 beta^2
-    mu_all, carried = bracket.start.copy(), np.arange(len(t2))
-    mu, active, beta2_c, b_perp2_c, t2_c = mu_all, bracket.bracketed, beta2, b_perp2, t2
+    carried = np.arange(len(t2))
+    mu, active, beta2_c, b_perp2_c, t2_c = mu_all, bracketed, beta2, b_perp2, t2
     q, w = np.empty(beta2.shape), np.empty(beta2.shape)
     for k in range(_NEWTON_STEPS):
         live = np.flatnonzero(active)
@@ -434,14 +390,14 @@ def _newton(s2, beta2, b_perp2, t2, bracket):
         slope = 2.0 * np.einsum("ij,ij->j", w, beta2_c)  # -g'
         step = np.divide(g, slope, out=np.zeros_like(g), where=active)
         if k == 0:
-            np.maximum(mu + step, bracket.floor[carried], out=mu, where=active)
+            np.maximum(mu + step, floor[carried], out=mu, where=active)
             continue
         moves = active & (step > 4.0 * np.finfo(float).eps * mu)
         # rounding in g moves the root by about eps t^2 / slope
         active = moves & ((step > _SETTLED * mu) | (t2_c > 4.0 * mu * slope))
         mu[moves] += step[moves]
     mu_all[carried] = mu
-    return np.where(bracket.bracketed, 1.0 / mu_all, bracket.endpoint)
+    return np.where(bracketed, 1.0 / mu_all, endpoint)
 
 
 def regularized_solve(svd, b, reg, delta_abs=None):

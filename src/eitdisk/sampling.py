@@ -35,19 +35,17 @@ operator's basis; ``Vh`` is unitary, so it comes from the real filter and
 same for one point.
 
 The per-point solves are independent and numpy releases the GIL in them, so
-each block is filtered in column slices on a pool of one thread per usable
-CPU (one thread for a single point), with the same bits as on one thread.
-While the workers filter one block, the calling thread forms the next: its
-right-hand sides, on one buffer, their projection and, for the discrepancy
-principle, the bracket of each point's root.  The projection and the
-bracket's table are a block's only BLAS calls, and they stay on the calling
-thread: each thread that calls BLAS keeps a buffer of its own.  The workers
-get the bracket as a few numbers per point, not the table.
+each block is filtered in slices of ``_SLICE`` columns on a pool of threads,
+at most one per usable CPU and one per slice.  Each slice forms the table of
+its discrepancy roots on its worker, a matrix product that rounds by its
+width; the slices are cut at fixed columns, whatever the number of CPUs, so
+the scan has the same bits on any number of them.  While the workers filter
+one block, the calling thread forms the next: its right-hand sides, on one
+buffer, and their projection, the block's one large BLAS call.
 """
 
 from __future__ import annotations
 
-import os  # noqa: F401  the scan's tests pin the usable CPUs through sampling.os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -59,8 +57,7 @@ from .exceptions import (AllModesCutWarning, DegenerateFit, NoContour,
                          NoiseDominates, SeveralLoopsWarning, TooCloseToBoundary)
 from .geometry import BoundaryCurve
 from .parallel import worker_count
-from .regularization import (RegStrategy, SvdFactorization, discrepancy_bracket,
-                             perturb_matrix, spectral_filter)
+from .regularization import RegStrategy, SvdFactorization, perturb_matrix, spectral_filter
 
 __all__ = [
     "RADIUS_MASK",
@@ -77,17 +74,15 @@ __all__ = [
 # points with |z| beyond this radius are never sampled (near-singular data)
 RADIUS_MASK = 0.9
 # grid points per block: keeps each (modes x points) work array to a few MB.
-# The projection, the column sums of |b|^2 and the discrepancy bracket's table
-# round differently in other sizes; each right-hand side entry is formed on
-# its own and does not.
+# The projection and the column sums of |b|^2 round differently in other
+# sizes; each right-hand side entry is formed on its own and does not.
 _CHUNK = 8192
-# fewest columns a thread filters.  numpy adds up each column of a sum over
-# two or more columns in the same order, whatever its neighbours, but a
-# contiguous one-column array pairwise, which rounds unlike a block; narrow
-# views happen not to, but the bits should not rest on that (the discrepancy
-# root keeps its gathered Newton sums two columns wide for the same reason),
-# and tiny slices gain nothing.
-_MIN_SLICE = 16
+# columns a worker filters at once, cut from each block at fixed offsets, so
+# that no bit depends on the number of CPUs: the discrepancy root's table is
+# a matrix product that rounds by its width.  A multiple of 8, OpenBLAS's
+# column tile, keeps every slice but a block's last clear of a partial tile,
+# whose columns round unlike the others and by the BLAS thread count.
+_SLICE = 1024
 
 
 @dataclass(frozen=True)
@@ -198,15 +193,9 @@ def _rhs_columns(gap, pts):
     return np.conjugate(out, out=out, where=(gap.modes < 0)[:, None])
 
 
-def _worker_count(columns):
-    """Threads for ``columns`` points: the CPUs this process may use, capped
-    so that every thread gets at least ``_MIN_SLICE`` columns."""
-    return worker_count(columns, _MIN_SLICE)
-
-
-def _slice_norms(svd, reg, beta2, b2, bracket):
+def _slice_norms(svd, reg, beta2, b2):
     """l2 norms of one column slice's solutions, ``sqrt(sum F^2 |beta|^2)``."""
-    filt, _ = spectral_filter(svd, beta2, b2, reg, bracket=bracket)
+    filt, _ = spectral_filter(svd, beta2, b2, reg)
     return np.sqrt(np.einsum("ij,ij,ij->j", filt, filt, beta2))
 
 
@@ -229,37 +218,33 @@ def _abs2(a):
 
 
 def _submit_block(pool, svd, gap, pts, reg):
-    """Form one block's squared projections, norms and discrepancy bracket on
-    this thread, hand its column slices to the pool, and return their
-    futures."""
+    """Form one block's squared projections and norms on this thread, hand
+    its slices of ``_SLICE`` columns to the pool, and return their futures."""
     b = _rhs_columns(gap, pts)
     beta2 = _abs2(svd.project(b))
     b2 = _abs2(b).sum(axis=0)
-    del b  # freed before the bracket's table is formed
-    bracket = discrepancy_bracket(svd, beta2, b2, reg)
-    edges = np.linspace(0, len(b2), _worker_count(len(b2)) + 1).astype(int)
-    return [pool.submit(_slice_norms, svd, reg, beta2[:, a:z], b2[a:z],
-                        None if bracket is None else bracket.columns(slice(a, z)))
-            for a, z in zip(edges[:-1], edges[1:])]
+    return [pool.submit(_slice_norms, svd, reg, beta2[:, a:a + _SLICE], b2[a:a + _SLICE])
+            for a in range(0, len(b2), _SLICE)]
 
 
 def _indicator_values(svd, gap, pts, reg):
     """Indicator at points ``(P, 2)``, evaluated in blocks of ``_CHUNK`` columns.
 
-    The calling thread forms each block's right-hand sides, their projection,
-    squared norms and discrepancy bracket, whose rounding depends on the
-    block width.  Worker threads filter one contiguous column slice each and
-    take its l2 norms.  The two overlap: the calling thread forms the next
-    block while the workers filter this one, and gathers a block only once
-    the next is handed over, so at most one formed block waits.  The
-    projection and the bracket's table stay on the calling thread: each
-    thread that calls BLAS gets a buffer of its own, a few MB that outlive
-    the pool and raise the peak memory of whatever the process runs next.
-    A point whose cutoff removes every mode gets NaN, and one
-    :class:`AllModesCutWarning` reports any such point.
+    The calling thread forms each block's right-hand sides, their projection
+    and squared norms, whose rounding depends on the block width.  Worker
+    threads filter its slices of ``_SLICE`` columns and take their l2 norms.
+    The two overlap: the calling thread forms the next block while the
+    workers filter this one, and gathers a block only once the next is
+    handed over, so at most one formed block waits.  The projection stays on
+    the calling thread: each thread that calls BLAS gets a buffer of its own,
+    and the few MB a large product touches in it outlive the pool and raise
+    the peak memory of whatever the process runs next.  A point whose cutoff
+    removes every mode gets NaN, and one :class:`AllModesCutWarning` reports
+    any such point.
     """
     values = np.empty(len(pts))
-    pool = ThreadPoolExecutor(_worker_count(len(pts)))
+    # one thread per usable CPU, and at most one per slice
+    pool = ThreadPoolExecutor(worker_count(-(-len(pts) // _SLICE), 1))
     try:
         waiting = None
         for start in range(0, len(pts), _CHUNK):
@@ -295,9 +280,10 @@ def scan(gap: DtnOperator, grid: GridSpec, reg: RegStrategy,
     point then reuses that decomposition, so a fixed seed reproduces the scan
     exactly.  The points go through the regularization kernel in blocks of
     ``_CHUNK`` columns, so memory stays bounded on fine grids; other block
-    sizes agree to rounding.  Each block is filtered on one thread per usable
-    CPU, and the result is the same bit for bit on any number of CPUs.  A
-    grid with no point within ``RADIUS_MASK`` raises :class:`ValueError`.
+    sizes agree to rounding.  Each block is filtered in slices of ``_SLICE``
+    columns on at most one thread per usable CPU; the slices do not depend on
+    the number of CPUs, so neither does any bit of the result.  A grid with
+    no point within ``RADIUS_MASK`` raises :class:`ValueError`.
     """
     pts = grid.points()
     inside = np.hypot(pts[:, 0], pts[:, 1]) <= RADIUS_MASK

@@ -213,18 +213,10 @@ class TestSingleLayer:
 
 
 class TestNormalDerivative:
-    @pytest.mark.parametrize("of", ["single_layer", "double_layer", "modified_double_layer"])
-    @pytest.mark.parametrize("target", ["second mesh", "other curve"])
-    def test_target_other_than_its_source_rejected(self, of, target):
-        curve = BoundaryCurve.ellipse(0.5, 0.3)
-        other = (NystromMesh(curve, 32) if target == "second mesh" else unit_mesh(32))
-        with pytest.raises(ValueError, match="source mesh only"):
-            normal_derivative(NystromMesh(curve, 32), other, of=of)
-
     def test_same_curve_single_layer_entries(self):
         # off the diagonal the kernel itself, on it the limit -curvature/(4 pi)
         mesh = NystromMesh(BoundaryCurve.ellipse(0.5, 0.3), 32)
-        mat = normal_derivative(mesh, mesh, of="single_layer")
+        mat = normal_derivative(mesh, of="single_layer")
         w = mesh.jacobians * mesh.weight
         rng = np.random.Generator(np.random.Philox(6))
         for _ in range(5):
@@ -234,40 +226,34 @@ class TestNormalDerivative:
             assert abs(mat[i, j] - want) < 1e-14
         assert np.max(np.abs(np.diag(mat) + mesh.curvature / (4 * np.pi) * w)) < 1e-15
 
-    @pytest.mark.parametrize("of", ["single_layer", "double_layer", "modified_double_layer"])
-    def test_point_targets_rejected(self, of):
-        with pytest.raises(TypeError, match="target mesh"):
-            normal_derivative(unit_mesh(16), np.array([[0.1, 0.2]]), of=of)
-
-    @pytest.mark.parametrize("pair", ["circle", "ellipse", "separated"])
-    def test_unknown_layer_kind_rejected(self, pair):
-        ellipse = NystromMesh(BoundaryCurve.ellipse(0.5, 0.3), 16)
-        source, target = {"circle": (unit_mesh(16),) * 2, "ellipse": (ellipse, ellipse),
-                          "separated": (ellipse, unit_mesh(16))}[pair]
+    @pytest.mark.parametrize("curve", ["circle", "ellipse"])
+    def test_unknown_layer_kind_rejected(self, curve):
+        mesh = {"circle": unit_mesh(16),
+                "ellipse": NystromMesh(BoundaryCurve.ellipse(0.5, 0.3), 16)}[curve]
         with pytest.raises(ValueError, match="unknown layer kind 'triple_layer'"):
-            normal_derivative(source, target, of="triple_layer")
+            normal_derivative(mesh, of="triple_layer")
 
     def test_hypersingular_circle_symbol(self):
         # factor-2 normal derivative of the double layer on the unit circle
         # multiplies cos(k t) by -k
         mesh = unit_mesh(64)
         t = mesh.theta
-        mat = normal_derivative(mesh, mesh, of="double_layer")
+        mat = normal_derivative(mesh, of="double_layer")
         for k in range(1, 5):
             got = mat @ np.cos(k * t)
             assert np.max(np.abs(got + k * np.cos(k * t))) < 1e-6
 
     def test_hypersingular_annihilates_constants(self):
         mesh = NystromMesh(BoundaryCurve.ellipse(0.5, 0.3), 64)
-        mat = normal_derivative(mesh, mesh, of="double_layer")
+        mat = normal_derivative(mesh, of="double_layer")
         assert np.max(np.abs(mat @ np.ones(64))) < 1e-10
 
     def test_monopole_flux_on_unit_circle(self):
         # d/dnu log|x| = 1 on the unit circle: the monopole term adds
         # 2 * (integral of psi) to every flux value there
-        src = tgt = unit_mesh(32)
-        plain = normal_derivative(src, tgt, of="double_layer")
-        mono = normal_derivative(src, tgt, of="modified_double_layer")
+        src = unit_mesh(32)
+        plain = normal_derivative(src, of="double_layer")
+        mono = normal_derivative(src, of="modified_double_layer")
         psi = np.ones(32)
         diff = (mono - plain) @ psi
         want = 2.0 * np.sum(src.arc_weights())
@@ -291,7 +277,7 @@ class TestClosedFormCircleBlocks:
         want = -healthy_collocation_matrix(n) / curve.cos_coef[0, 0]
         maue = 2.0 * bie._hypersingular_maue(mesh)
         assert np.abs(maue - want).max() < 1e-13 + 1e-10 * np.abs(want).max()
-        assert np.array_equal(normal_derivative(mesh, mesh), want)
+        assert np.array_equal(normal_derivative(mesh), want)
 
     def test_non_circular_outer_boundary_rejected(self):
         inner = inner_circle(32, 0.3)
@@ -347,8 +333,7 @@ def frozen_log_split(source):
     return -(bie.kress_log_weights(source.n) + source.weight * smooth) / (4.0 * np.pi)
 
 
-def frozen_normal_derivative(source, target, of="double_layer"):
-    assert target is source
+def frozen_normal_derivative(source, of="double_layer"):
     fac = 1.0 if of == "single_layer" else 2.0
     if of == "single_layer":
         dx, dy, r2 = frozen_pair(source, source)
@@ -394,9 +379,17 @@ def frozen_forward_matrix(inner, g):
     s_g = frozen_single_layer(inner, inner) + frozen_image(inner, inner, "single_layer")
     if g is None:
         return s_g
-    kp = (frozen_normal_derivative(inner, inner, of="single_layer")
+    kp = (frozen_normal_derivative(inner, of="single_layer")
           + frozen_image(inner, inner, "single_flux") - 0.5 * np.eye(inner.n))
     return -kp + g[:, None] * s_g
+
+
+def self_block(kernel, of):
+    """``kernel(mesh, of=of)``, called as a kernel from a mesh to itself."""
+    def block(source, target):
+        assert target is source
+        return kernel(source, of=of)
+    return block
 
 
 # live and frozen kernel of each kind
@@ -405,8 +398,8 @@ IMAGE_KINDS = ("single_layer", "double_layer", "single_flux", "double_flux")
 KERNELS = {"double_layer": (double_layer, frozen_double_layer),
            "modified_double_layer": (modified_double_layer, frozen_modified_double_layer),
            "single_layer": (single_layer, frozen_single_layer),
-           **{f"normal_derivative:{of}": (partial(normal_derivative, of=of),
-                                          partial(frozen_normal_derivative, of=of))
+           **{f"normal_derivative:{of}": (self_block(normal_derivative, of),
+                                          self_block(frozen_normal_derivative, of))
               for of in LAYER_KINDS},
            **{f"image:{kind}": (partial(bie._image, kind=kind), partial(frozen_image, kind=kind))
               for kind in IMAGE_KINDS}}
@@ -469,7 +462,7 @@ def frozen_solve_forward(outer, inner, bc, f, g):
     else:
         rhs = dext @ f - ((ext @ f).T * g).T
     phi = la.lu_solve(la.lu_factor(frozen_forward_matrix(inner, g)), rhs)
-    adjoint = (frozen_normal_derivative(inner, inner, of="single_layer")
+    adjoint = (frozen_normal_derivative(inner, of="single_layer")
                + frozen_image(inner, inner, "single_flux") - 0.5 * np.eye(inner.n))
     weighted = (phi.T * inner.arc_weights()).T
     return {
@@ -643,7 +636,7 @@ class TestGreenForward:
             # dH/dnu(x) = (|y|^2 x . nu(x) - y . nu(x)) / (2 pi q)
             xn = np.einsum("ik,ik->i", x, inner.normals)
             dh = (np.outer(xn, xx) - inner.normals @ x.T) / (2 * np.pi * q) * w
-            kp = normal_derivative(inner, inner, of="single_layer") + dh
+            kp = normal_derivative(inner, of="single_layer") + dh
             block = 0.5 * np.eye(48) - kp + gamma[:, None] * s_g
             rhs = dext - gamma[:, None] * ext
         phi = la.solve(block, rhs)

@@ -50,7 +50,7 @@ def flux_rows(outer, inner):
     w = inner.arc_weights()
     deriv = bie._harmonic_extension(outer.n, inner.points, inner.normals)
     outer_rows = (deriv.T * w) * (-outer.n / np.pi) + 2.0 * w
-    inner_rows = -(normal_derivative(inner, inner, of="modified_double_layer")
+    inner_rows = -(normal_derivative(inner, of="modified_double_layer")
                    + bie._image(inner, inner, "double_flux"))
     return np.vstack([outer_rows, inner_rows])
 

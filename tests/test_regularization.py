@@ -534,9 +534,9 @@ def same_root_bits(s2, beta2, b_perp2, b2, t2):
 def right_starts(s2, beta2, b_perp2, t2):
     """The bracketed columns whose Newton starts above the root in ``mu``
     (below it in alpha), where the first step is negative."""
-    bracket = regularization._bracket(s2, beta2, b_perp2, t2)
-    at_start = residual2_at(1.0 / bracket.start, s2, beta2, b_perp2)
-    return bracket.bracketed & (at_start < t2)
+    start, _, bracketed, _ = regularization._bracket(s2, beta2, b_perp2, t2)
+    at_start = residual2_at(1.0 / start, s2, beta2, b_perp2)
+    return bracketed & (at_start < t2)
 
 
 def newton_widths(*args):
@@ -668,7 +668,7 @@ class TestDiscrepancyRoot:
     def test_residual_at_the_root_is_the_target(self, width, seed):
         s2, beta2, b_perp2, b2, t2 = root_inputs(width, seed)
         alpha = regularization._discrepancy_root(s2, beta2, b_perp2, b2, t2)
-        inside = regularization._bracket(s2, beta2, b_perp2, t2).bracketed
+        inside = regularization._bracket(s2, beta2, b_perp2, t2)[2]
         residual = np.sqrt(residual2_at(alpha, s2, beta2, b_perp2))
         target = np.sqrt(t2)
         assert np.all(np.abs(residual - target)[inside] <= 1e-12 * target[inside])
@@ -686,12 +686,13 @@ class TestDiscrepancyRoot:
         want = bisection_alpha(np.sqrt(s2[:, 0]), beta2, b2, t2)
         assert np.all(np.abs(alpha - want)[right] <= 1e-14 * want[right])
 
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_root_on_column_views_keeps_the_bits(self, workers):
-        # the slices _submit_block hands its workers, and narrow views
+    @pytest.mark.parametrize("width", [301, 128, 16])
+    def test_root_on_column_views_keeps_the_bits(self, width):
+        # slices of a block cut at fixed columns, as the scan cuts them, and
+        # narrow views
         s2, beta2, b_perp2, b2, t2 = root_inputs(301, 4)
-        edges = np.linspace(0, len(b2), workers + 1).astype(int)
-        for a, z in [*zip(edges[:-1], edges[1:]), (5, 6), (7, 9), (100, 103)]:
+        for a, z in [*((a, a + width) for a in range(0, len(b2), width)),
+                     (5, 6), (7, 9), (100, 103)]:
             assert same_root_bits(s2, beta2[:, a:z], b_perp2[a:z], b2[a:z], t2[a:z])
 
     @pytest.mark.parametrize("lone", [0, 7, 15])
@@ -716,10 +717,10 @@ class TestDiscrepancyRoot:
         assert same_root_bits(s2, beta2, b_perp2, b2, t2)
 
     def test_newton_tail_runs_on_fewer_columns(self):
-        fractions = 10 ** np.random.Generator(np.random.Philox(11)).uniform(-3, -0.5, 4096)
-        _, widths = newton_widths(*root_inputs(4096, 11, fractions))
-        # Newton steps the columns in four parts of 1024
-        assert widths[0] == regularization._NEWTON_COLUMNS == 1024
+        # the root of one slice of the scan steps all its columns at first
+        fractions = 10 ** np.random.Generator(np.random.Philox(11)).uniform(-3, -0.5, 1024)
+        _, widths = newton_widths(*root_inputs(1024, 11, fractions))
+        assert widths[0] == 1024
         assert min(widths) >= 2
         assert widths[-1] < 1024 // 2
 

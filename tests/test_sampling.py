@@ -1,3 +1,4 @@
+import os
 import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -19,6 +20,7 @@ from eitdisk.regularization import RegStrategy, SvdFactorization, regularized_so
 from eitdisk.sampling import (GridSpec, IndicatorGrid, extract_level_set,
                               fit_trig_curve, indicator, poisson_kernel,
                               poisson_rhs, scan)
+from conftest import _use_cpus
 from test_regularization import (bisection_alpha, frozen_discrepancy_root,
                                  frozen_table_root, right_starts)
 
@@ -336,10 +338,39 @@ class TestScanMatchesIndicator:
                            equal_nan=True)
 
 
-def use_cpus(monkeypatch, count):
-    """Make the scan see ``count`` usable CPUs."""
-    monkeypatch.setattr(sampling.os, "sched_getaffinity", lambda pid: set(range(count)),
-                        raising=False)
+def record_slices(monkeypatch, meet=False):
+    """Record the thread and width of every ``_slice_norms`` call, in call
+    order.  With ``meet``, the first two calls wait up to 10 s for each
+    other, so a scan whose slices do not run on two threads at once fails."""
+    calls, lock, barrier = [], threading.Lock(), threading.Barrier(2, timeout=10)
+    real = sampling._slice_norms
+
+    def recorded(svd, reg, beta2, b2):
+        with lock:
+            calls.append((threading.get_ident(), len(b2)))
+            first_two = len(calls) <= 2
+        if meet and first_two:
+            barrier.wait()
+        return real(svd, reg, beta2, b2)
+
+    monkeypatch.setattr(sampling, "_slice_norms", recorded)
+    return calls
+
+
+def record_pools(monkeypatch):
+    """The worker count of every pool the scan starts, in order."""
+    pools = []
+
+    def recording_pool(workers):
+        pools.append(workers)
+        return ThreadPoolExecutor(workers)
+
+    monkeypatch.setattr(sampling, "ThreadPoolExecutor", recording_pool)
+    return pools
+
+
+def inside_count(grid):
+    return int(np.sum(np.hypot(*grid.points().T) <= sampling.RADIUS_MASK))
 
 
 class TestScanThreads:
@@ -352,6 +383,7 @@ class TestScanThreads:
         reg = SCAN_STRATEGIES[name]
         grid = GridSpec.square(23)
         monkeypatch.setattr(sampling, "_CHUNK", chunk)
+        monkeypatch.setattr(sampling, "_SLICE", 16)
         # only the noise-tied cutoff on the collocation gap cuts every mode
         # at some points, and then each scan warns once
         cuts = (name, basis) == ("cutoff_by_noise", "collocation")
@@ -368,25 +400,26 @@ class TestScanThreads:
 
         default = checked_scan()
         for cpus in (1, 3):
-            use_cpus(monkeypatch, cpus)
-            assert sampling._worker_count(default.mask.sum()) == cpus
-            out = checked_scan()
+            with pytest.MonkeyPatch.context() as patch:
+                _use_cpus(patch, cpus)
+                slices = record_slices(patch, meet=cpus > 1)
+                out = checked_scan()
             assert np.array_equal(out.values, default.values, equal_nan=True)
+            assert len(slices) > 2 * len(range(0, inside_count(grid), chunk))
+            assert (len({thread for thread, _ in slices}) > 1) == (cpus > 1)
 
     @pytest.mark.parametrize("cpus", [1, 2])
     # the README's 101x101 sample on its circle's gap (one block), and blocks of 200
     @pytest.mark.parametrize("size, chunk", [(101, sampling._CHUNK), (41, 200)])
     def test_scan_keeps_the_bits_of_the_frozen_root(self, monkeypatch, cpus, size, chunk):
-        use_cpus(monkeypatch, cpus)
+        _use_cpus(monkeypatch, cpus)
         monkeypatch.setattr(sampling, "_CHUNK", chunk)
         reg, grid = RegStrategy.tikhonov_discrepancy(0.05, 1.5), GridSpec.square(size)
         out = scan(colloc_gap(), grid, reg, noise=(0.05, 1))
         assert (out.mask.sum() <= chunk) == (size == 101)
-        # on one CPU the frozen root's own table spans the whole block, as the
-        # table the calling thread forms for the workers does
-        use_cpus(monkeypatch, 1)
-        monkeypatch.setattr(regularization, "_discrepancy_root",
-                            lambda *args: frozen_table_root(*args[:5]))
+        # the frozen root forms its own table on each slice, as the kernel does
+        _use_cpus(monkeypatch, 1)
+        monkeypatch.setattr(regularization, "_discrepancy_root", frozen_table_root)
         want = scan(colloc_gap(), grid, reg, noise=(0.05, 1))
         assert out.values.tobytes() == want.values.tobytes()
 
@@ -413,34 +446,42 @@ class TestScanThreads:
         assert right > 0
 
     def test_worker_count_follows_usable_cpus(self, monkeypatch):
-        use_cpus(monkeypatch, 3)
-        assert sampling._worker_count(10_000) == 3
-        # each thread gets at least _MIN_SLICE columns; one point gets none
-        assert sampling._worker_count(2 * sampling._MIN_SLICE + 1) == 2
-        assert sampling._worker_count(1) == 1
-        monkeypatch.delattr(sampling.os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(sampling.os, "cpu_count", lambda: None)
-        assert sampling._worker_count(10_000) == 1
+        # one thread per usable CPU, at most one per slice
+        pools = record_pools(monkeypatch)
+        gap, reg, grid = colloc_gap(), RegStrategy.tikhonov_discrepancy(0.05), GridSpec.square(15)
+        _use_cpus(monkeypatch, 3)
+        monkeypatch.setattr(sampling, "_SLICE", 16)
+        scan(gap, grid, reg)
+        monkeypatch.setattr(sampling, "_SLICE", inside_count(grid) - 1)
+        scan(gap, grid, reg)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        monkeypatch.setattr(sampling, "_SLICE", 16)
+        scan(gap, grid, reg)
+        assert pools == [3, 2, 1]
 
     def test_noise_dominates_from_worker_has_one_worker_message(self, monkeypatch):
         gap = colloc_gap()
         reg = RegStrategy.tikhonov_discrepancy(0.9)  # target 1.35 |b|
         grid = GridSpec.square(15)
-        use_cpus(monkeypatch, 1)
+        monkeypatch.setattr(sampling, "_SLICE", 16)
+        _use_cpus(monkeypatch, 1)
         with pytest.raises(NoiseDominates) as single:
             scan(gap, grid, reg)
-        use_cpus(monkeypatch, 3)
+        _use_cpus(monkeypatch, 3)
+        slices = record_slices(monkeypatch, meet=True)
         with pytest.raises(NoiseDominates) as threaded:
             scan(gap, grid, reg)
+        assert len(slices) > 2 and len({thread for thread, _ in slices}) > 1
         assert str(threaded.value) == str(single.value)
-        pts = grid.points()
-        assert threaded.value.total == np.sum(np.hypot(*pts.T) <= sampling.RADIUS_MASK)
+        assert threaded.value.total == inside_count(grid)
         # raised by one worker's slice, reported for the whole block
         assert isinstance(threaded.value.__cause__, NoiseDominates)
-        assert threaded.value.__cause__.total < threaded.value.total
+        assert threaded.value.__cause__.total == 16
 
-    def test_rhs_projection_and_bracket_stay_on_the_calling_thread(self, monkeypatch):
-        # each thread that calls BLAS keeps a buffer of its own; the workers only filter
+    def test_rhs_and_projection_stay_on_the_calling_thread(self, monkeypatch):
+        # each thread that calls BLAS on large operands keeps a buffer of its
+        # own; the workers filter slices of at most _SLICE columns
         calls = []
 
         def on_thread(name, fn):
@@ -449,40 +490,53 @@ class TestScanThreads:
                 return fn(*args)
             return recorded
 
-        use_cpus(monkeypatch, 3)
+        _use_cpus(monkeypatch, 3)
         monkeypatch.setattr(sampling, "_CHUNK", 64)
-        for owner, name in ((sampling, "_rhs_columns"), (SvdFactorization, "project"),
-                            (sampling, "discrepancy_bracket"), (sampling, "_slice_norms")):
+        monkeypatch.setattr(sampling, "_SLICE", 16)
+        for owner, name in ((sampling, "_rhs_columns"), (SvdFactorization, "project")):
             monkeypatch.setattr(owner, name, on_thread(name, getattr(owner, name)))
-        out = scan(colloc_gap(), GridSpec.square(23), RegStrategy.tikhonov_discrepancy(0.05))
-        widths = [min(64, out.mask.sum() - a) for a in range(0, out.mask.sum(), 64)]
-        assert len(widths) >= 4
+        slices = record_slices(monkeypatch, meet=True)
+        scan(colloc_gap(), GridSpec.square(23), RegStrategy.tikhonov_discrepancy(0.05))
+        blocks = len(range(0, inside_count(GridSpec.square(23)), 64))
+        assert blocks >= 4
         me = threading.get_ident()
-        assert sorted(c for c in calls if c[0] != "_slice_norms") == sorted(
-            [("_rhs_columns", me), ("project", me), ("discrepancy_bracket", me)] * len(widths))
-        filtered = [t for name, t in calls if name == "_slice_norms"]
-        assert len(filtered) == sum(map(sampling._worker_count, widths)) > len(widths)
-        assert me not in filtered
+        assert sorted(calls) == sorted([("_rhs_columns", me), ("project", me)] * blocks)
+        assert len(slices) > 4 * (blocks - 1)
+        assert all(thread != me and width <= 16 for thread, width in slices)
+
+    def test_slices_are_cut_at_fixed_columns(self, monkeypatch):
+        # the widths at 1 CPU, in order, and at 3, in any order
+        monkeypatch.setattr(sampling, "_CHUNK", 100)
+        monkeypatch.setattr(sampling, "_SLICE", 16)
+        grid, widths = GridSpec.square(23), {}
+        for cpus in (1, 3):
+            with pytest.MonkeyPatch.context() as patch:
+                _use_cpus(patch, cpus)
+                slices = record_slices(patch)
+                scan(colloc_gap(), grid, RegStrategy.tikhonov_discrepancy(0.05))
+            widths[cpus] = [width for _, width in slices]
+        total = inside_count(grid)
+        want = [min(16, block - a) for block in (min(100, total - b) for b in range(0, total, 100))
+                for a in range(0, block, 16)]
+        assert total > 200 and want[:14] == ([16] * 6 + [4]) * 2
+        assert widths[1] == want
+        assert sorted(widths[3]) == sorted(want)
 
     @pytest.mark.parametrize("cpus", [1, 3])
     def test_noise_dominated_first_block_reports_its_width(self, monkeypatch, cpus):
-        use_cpus(monkeypatch, cpus)
+        _use_cpus(monkeypatch, cpus)
         monkeypatch.setattr(sampling, "_CHUNK", 64)
+        monkeypatch.setattr(sampling, "_SLICE", 16)
         grid = GridSpec.square(15)
-        assert np.sum(np.hypot(*grid.points().T) <= sampling.RADIUS_MASK) > 2 * 64
+        assert inside_count(grid) > 2 * 64
         with pytest.raises(NoiseDominates) as caught:
             scan(colloc_gap(), grid, RegStrategy.tikhonov_discrepancy(0.9))
         assert (caught.value.columns, caught.value.total) == (64, 64)
 
     def test_indicator_runs_on_one_worker(self, monkeypatch):
-        pools = []
-
-        def recording_pool(workers):
-            pools.append(workers)
-            return ThreadPoolExecutor(workers)
-
-        use_cpus(monkeypatch, 4)
-        monkeypatch.setattr(sampling, "ThreadPoolExecutor", recording_pool)
+        pools = record_pools(monkeypatch)
+        _use_cpus(monkeypatch, 4)
+        monkeypatch.setattr(sampling, "_SLICE", 16)
         gap = colloc_gap()
         reg = RegStrategy.tikhonov_discrepancy(0.05)
         assert indicator(gap, (0.2, 0.1), reg) > 0
