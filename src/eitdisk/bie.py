@@ -263,7 +263,7 @@ def _single_layer_log_split(source):
     return smooth
 
 
-def normal_derivative(mesh, of="double_layer"):
+def normal_derivative(mesh, *, of="double_layer"):
     """Normal derivative of a layer potential on its own curve, at the nodes
     of its ``mesh``, along the outward normal.
 

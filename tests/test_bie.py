@@ -213,6 +213,21 @@ class TestSingleLayer:
 
 
 class TestNormalDerivative:
+    # the derivative is taken on its own mesh only: a second mesh or points
+    # passed as a target are refused, not read as the layer kind
+    @pytest.mark.parametrize("of", ["single_layer", "double_layer", "modified_double_layer"])
+    @pytest.mark.parametrize("target", ["second mesh", "other curve"])
+    def test_target_other_than_its_source_rejected(self, of, target):
+        curve = BoundaryCurve.ellipse(0.5, 0.3)
+        other = (NystromMesh(curve, 32) if target == "second mesh" else unit_mesh(32))
+        with pytest.raises(TypeError, match="1 positional argument"):
+            normal_derivative(NystromMesh(curve, 32), other, of=of)
+
+    @pytest.mark.parametrize("of", ["single_layer", "double_layer", "modified_double_layer"])
+    def test_point_targets_rejected(self, of):
+        with pytest.raises(TypeError, match="1 positional argument"):
+            normal_derivative(unit_mesh(16), np.array([[0.1, 0.2]]), of=of)
+
     def test_same_curve_single_layer_entries(self):
         # off the diagonal the kernel itself, on it the limit -curvature/(4 pi)
         mesh = NystromMesh(BoundaryCurve.ellipse(0.5, 0.3), 32)

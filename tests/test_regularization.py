@@ -686,13 +686,20 @@ class TestDiscrepancyRoot:
         want = bisection_alpha(np.sqrt(s2[:, 0]), beta2, b2, t2)
         assert np.all(np.abs(alpha - want)[right] <= 1e-14 * want[right])
 
-    @pytest.mark.parametrize("width", [301, 128, 16])
-    def test_root_on_column_views_keeps_the_bits(self, width):
-        # slices of a block cut at fixed columns, as the scan cuts them, and
-        # narrow views
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_root_on_column_views_keeps_the_bits(self, workers):
+        # a block split evenly into parts of odd widths, and narrow views
         s2, beta2, b_perp2, b2, t2 = root_inputs(301, 4)
-        for a, z in [*((a, a + width) for a in range(0, len(b2), width)),
-                     (5, 6), (7, 9), (100, 103)]:
+        edges = np.linspace(0, len(b2), workers + 1).astype(int)
+        for a, z in [*zip(edges[:-1], edges[1:]), (5, 6), (7, 9), (100, 103)]:
+            assert same_root_bits(s2, beta2[:, a:z], b_perp2[a:z], b2[a:z], t2[a:z])
+
+    @pytest.mark.parametrize("width", [301, 128, 16])
+    def test_root_on_fixed_slices_keeps_the_bits(self, width):
+        # slices of a block cut at fixed columns, as the scan cuts them
+        s2, beta2, b_perp2, b2, t2 = root_inputs(301, 4)
+        for a in range(0, len(b2), width):
+            z = a + width
             assert same_root_bits(s2, beta2[:, a:z], b_perp2[a:z], b2[a:z], t2[a:z])
 
     @pytest.mark.parametrize("lone", [0, 7, 15])
