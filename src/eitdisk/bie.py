@@ -75,8 +75,6 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 _COND_LIMIT = 1e14
-# target angles per block of :func:`trig_resample`
-_RESAMPLE_ROWS = 64
 # held around the warnings filter of :func:`_factorize`:
 # ``warnings.catch_warnings`` swaps the process-wide filter list on entry and
 # exit, so two threads inside it at once can restore each other's list
@@ -454,8 +452,7 @@ class ForwardSolution:
     ``u = P[f] + S_G phi``, and derived boundary data.  For a matrix of
     voltage columns the density has one column per voltage, and so has every
     derived quantity.  The solve keeps the harmonic extension ``P`` at the
-    inner nodes per outer node value, and an impedance solve its normal
-    derivative, which it formed for its right-hand side.
+    inner nodes per outer node value, which it formed for its right-hand side.
     """
 
     outer: NystromMesh
@@ -463,7 +460,6 @@ class ForwardSolution:
     voltage: np.ndarray
     phi: np.ndarray
     extension: np.ndarray
-    extension_flux: np.ndarray | None = None
 
     def potential(self, points):
         """Evaluate the represented potential at points strictly inside the
@@ -494,10 +490,7 @@ class ForwardSolution:
     def inner_flux(self):
         """Current on the inclusion boundary with the normal into the inclusion."""
         inner = self.inner
-        ext_flux = self.extension_flux
-        if ext_flux is None:
-            ext_flux = _harmonic_extension(self.outer.n, inner.points, inner.normals)
-        flux = ext_flux @ self.voltage
+        flux = _harmonic_extension(self.outer.n, inner.points, inner.normals) @ self.voltage
         flux += _green_adjoint(inner) @ self.phi
         return np.negative(flux, out=flux)
 
@@ -573,33 +566,31 @@ def solve_forward(outer, inner, bc, f, gamma=None):
     lu, _ = _factorize(_forward_matrix(inner, g), "forward", _COND_LIMIT)
     ext = _harmonic_extension(outer.n, inner.points, None)
     rhs = ext @ f
-    ext_flux = None
     if g is None:
         np.negative(rhs, out=rhs)
     else:
         rhs = (rhs.T * g).T
         ext_flux = _harmonic_extension(outer.n, inner.points, inner.normals)
         np.subtract(ext_flux @ f, rhs, out=rhs)
-    return ForwardSolution(outer, inner, f, la.lu_solve(lu, rhs, overwrite_b=True),
-                           ext, ext_flux)
+    return ForwardSolution(outer, inner, f, la.lu_solve(lu, rhs, overwrite_b=True), ext)
 
 
-def trig_resample(values, new_theta):
-    """Evaluate the trigonometric interpolant of node values at new angles.
+def trig_resample(values, n):
+    """Values of the trigonometric interpolant of real node values at ``n``
+    equally spaced angles ``2 pi k / n``.
 
-    ``values`` holds one column ``(n,)`` or columns ``(n, P)`` of node values.
-    The angles are taken in blocks of ``_RESAMPLE_ROWS``, each the same
-    ``exp`` and product on its own rows, so only one block's ``exp`` matrix
-    is alive at a time.
+    ``values`` holds one column ``(m,)`` or columns ``(m, P)`` at ``m``
+    equally spaced angles.  Mode ``k`` of their transform (``fftfreq``
+    order, the Nyquist mode as ``-m/2``) is added into slot ``k mod n``,
+    where ``exp(i k t)`` takes the node values of ``exp(i (k mod n) t)``, and
+    one inverse transform gives the interpolant's value at each new node: the
+    real part of the sum of every mode at those angles.
     """
-    n = len(values)
-    c = np.fft.fft(values, axis=0) / n
-    m = np.fft.fftfreq(n, 1.0 / n).astype(int)
-    out = np.empty((len(new_theta), *c.shape[1:]), dtype=complex)
-    for a in range(0, len(new_theta), _RESAMPLE_ROWS):
-        rows = slice(a, a + _RESAMPLE_ROWS)
-        np.matmul(np.exp(1j * np.outer(new_theta[rows], m)), c, out=out[rows])
-    return out
+    m = len(values)
+    folded = np.zeros((n, *np.shape(values)[1:]), dtype=complex)
+    np.add.at(folded, np.fft.fftfreq(m, 1.0 / m).astype(int) % n,
+              np.fft.fft(values, axis=0))
+    return np.fft.ifft(folded, axis=0).real * (n / m)
 
 
 def dtn_matrix(outer, inner, bc, gamma=None, basis="collocation",
@@ -611,10 +602,12 @@ def dtn_matrix(outer, inner, bc, gamma=None, basis="collocation",
     drives the solver with ``cos/sin`` of every ``|mode|`` and returns the
     coefficient-to-coefficient matrix over ``modes`` (one-sided ``0..N`` or
     symmetric ``-N..N``), which the caller must give; the outer mesh must
-    resolve the largest driven mode.
+    resolve the largest driven mode.  Each coefficient is the discrete
+    transform of a current on the outer mesh's nodes, where it was simulated.
 
     ``flux_noise=(delta, seed)`` applies the multiplicative vector noise model
-    to every simulated current column (the measured data) before assembly.
+    to every simulated current column (the measured data) before assembly:
+    at the simulation nodes, so Fourier coefficients carry its projection.
     """
     if basis == "collocation":
         lam = solve_forward(outer, inner, bc, np.eye(outer.n), gamma).outer_flux()
@@ -640,9 +633,6 @@ def dtn_matrix(outer, inner, bc, gamma=None, basis="collocation",
     cur = np.stack([flux[:, m], np.sign(modes) * flux[:, top + 1 + m]], 2).reshape(outer.n, -1)
     if flux_noise is not None:
         cur = perturb_vector(cur, *flux_noise)
-    n_eval = len(modes)
-    vals = trig_resample(cur[:, 0::2] + 1j * cur[:, 1::2],
-                         2.0 * np.pi * np.arange(n_eval) / n_eval)
-    # coefficient form: discrete transform of the node values, mode m in slot m mod n_eval
-    mat = np.fft.fft(vals, axis=0)[modes % n_eval] / n_eval
+    # coefficient form: the transform on the simulation nodes, mode m in slot m mod outer.n
+    mat = np.fft.fft(cur[:, 0::2] + 1j * cur[:, 1::2], axis=0)[modes % outer.n] / outer.n
     return DtnOperator("fourier", mat, modes)

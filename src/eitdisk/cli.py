@@ -249,7 +249,7 @@ def cmd_impedance(args):
         flux = bie.solve_forward(outer, inner_true, "impedance",
                                  np.column_stack([fn(k * outer.theta) for fn, k in drives]),
                                  gamma_true).outer_flux()
-        return np.real(bie.trig_resample(flux, outer64.theta))
+        return bie.trig_resample(flux, args.nodes)
 
     # the completion (its factorization included) on the calling thread, the
     # pairs simulated on a worker meanwhile; below the row floor or on one CPU

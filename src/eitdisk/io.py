@@ -138,7 +138,11 @@ def _grid_spec(path, header):
 
 def read_indicator(path):
     """Rebuild an :class:`IndicatorGrid` from the CSV written above; a header
-    that does not describe a grid raises :class:`ValueError`."""
+    that does not describe a grid, or a row that is not on one of its points
+    or repeats one, raises :class:`ValueError`.
+
+    The writer's ``%.17g`` round-trips every coordinate, so each row's ``x``
+    and ``y`` equal a grid coordinate exactly."""
     with open(path) as fh:
         header = fh.readline()
         if not header.startswith("#"):
@@ -154,11 +158,15 @@ def read_indicator(path):
     j = np.rint((rows[:, 0] - spec.xmin) / (xs[1] - xs[0])).astype(int)
     i = np.rint((rows[:, 1] - spec.ymin) / (ys[1] - ys[0])).astype(int)
     if np.any((i < 0) | (i >= spec.ny) | (j < 0) | (j >= spec.nx)):
-        raise ValueError("indicator CSV has a row outside its grid")
+        raise ValueError(f"indicator CSV {path} has a row outside its grid")
+    if np.any(xs[j] != rows[:, 0]) or np.any(ys[i] != rows[:, 1]):
+        raise ValueError(f"indicator CSV {path} has a row off its grid's coordinates")
     values[i, j] = rows[:, 2]
     # the rows present are the mask: an evaluated point may hold NaN
     mask = np.zeros((spec.ny, spec.nx), dtype=bool)
     mask[i, j] = True
+    if np.count_nonzero(mask) != len(rows):
+        raise ValueError(f"indicator CSV {path} repeats a grid point")
     return IndicatorGrid(spec, values, mask)
 
 

@@ -899,7 +899,8 @@ class TestFactorization:
 
 
 def frozen_trig_resample(values, new_theta):
-    """:func:`bie.trig_resample` as one block: the whole ``exp`` matrix at once."""
+    """The interpolant at arbitrary angles: the whole ``exp`` matrix of every
+    transform mode at once, complex."""
     n = len(values)
     c = np.fft.fft(values, axis=0) / n
     m = np.fft.fftfreq(n, 1.0 / n).astype(int)
@@ -907,31 +908,42 @@ def frozen_trig_resample(values, new_theta):
 
 
 class TestTrigResample:
-    """Target angles in blocks of 64 rows: the bits of one block, in a sixth
-    of its memory."""
+    """One folded spectrum and one inverse transform: the interpolant's value
+    at each new node, in a fraction of the exp matrix's memory."""
 
-    @pytest.mark.parametrize("targets", [39, 64, 512, 1000])
-    @pytest.mark.parametrize("shape", [(256,), (256, 16), (33, 5)],
-                             ids=["1-D", "2-D", "odd-n"])
-    @pytest.mark.parametrize("dtype", [float, complex])
-    def test_blocks_keep_the_bits_of_one_block(self, targets, shape, dtype):
-        rng = np.random.default_rng(targets)
-        values = rng.standard_normal(shape)
-        if dtype is complex:
-            values = values + 1j * rng.standard_normal(shape)
-        for theta in (2 * np.pi * np.arange(targets) / targets,
-                      rng.uniform(-1.0, 7.0, targets)):
-            got = bie.trig_resample(values, theta)
-            want = frozen_trig_resample(values, theta)
-            assert got.shape == want.shape and got.dtype == want.dtype
-            assert got.tobytes() == want.tobytes()
+    @pytest.mark.parametrize("targets", [18, 33, 64, 512])
+    @pytest.mark.parametrize("shape", [(64,), (64, 16), (33, 5)],
+                             ids=["1-D", "2-D", "odd-m"])
+    def test_matches_the_interpolant_at_the_new_nodes(self, targets, shape):
+        values = np.random.default_rng(targets).standard_normal(shape)
+        got = bie.trig_resample(values, targets)
+        want = np.real(frozen_trig_resample(values, 2 * np.pi * np.arange(targets) / targets))
+        assert got.shape == want.shape and got.dtype == float
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("extra", [7, 64])
+    @pytest.mark.parametrize("shape", [(64,), (64, 16), (33, 5)],
+                             ids=["1-D", "2-D", "odd-m"])
+    def test_up_and_back_down_returns_the_node_values(self, extra, shape):
+        # no mode folds on the way up, and the Nyquist mode's two halves
+        # fold back onto one slot on the way down
+        values = np.random.default_rng(extra).standard_normal(shape)
+        back = bie.trig_resample(bie.trig_resample(values, shape[0] + extra), shape[0])
+        assert np.max(np.abs(back - values)) <= 1e-13 * np.max(np.abs(values))
+
+    @pytest.mark.parametrize("m, step", [(64, 1), (64, 2), (64, 4), (64, 64), (33, 3), (33, 33)])
+    def test_every_step_th_node_keeps_its_value(self, m, step):
+        # m // step new nodes are every step-th old node, where the
+        # interpolant takes the node values
+        values = np.random.default_rng(m + step).standard_normal((m, 5))
+        got = bie.trig_resample(values, m // step)
+        assert np.max(np.abs(got - values[::step])) <= 1e-13 * np.max(np.abs(values))
 
     def test_peak_memory_beyond_the_result_stays_under_one_mib(self):
-        # the many-nodes impedance stage: 16 pairs on 256 nodes, at 512 angles
+        # the many-nodes impedance stage: 16 pairs on 256 nodes, at 512 nodes
         values = np.random.default_rng(3).standard_normal((256, 16))
-        theta = 2 * np.pi * np.arange(512) / 512
-        result = 512 * 16 * np.dtype(complex).itemsize
-        assert traced_peak(lambda: bie.trig_resample(values, theta)) - result < 2 ** 20
+        result = 512 * 16 * np.dtype(float).itemsize
+        assert traced_peak(lambda: bie.trig_resample(values, 512)) - result < 2 ** 20
 
 
 class TestDtnMatrix:
@@ -967,7 +979,9 @@ class TestDtnMatrix:
     @pytest.mark.parametrize("basis", ["collocation", "fourier"])
     @pytest.mark.parametrize("bc, formed", [("dirichlet", 1), ("impedance", 2)])
     def test_solve_forms_the_harmonic_extension_once(self, monkeypatch, basis, bc, formed):
-        # the solve keeps P, and dP/dnu for impedance, for the currents and traces
+        # the solve keeps P for the currents and traces; dP/dnu, which an
+        # impedance solve forms for its right-hand side, is formed again by
+        # inner_flux alone
         calls = []
         extension = bie._harmonic_extension
         monkeypatch.setattr(bie, "_harmonic_extension",
@@ -979,8 +993,9 @@ class TestDtnMatrix:
         if bc == "impedance":
             sol = bie.solve_forward(outer, inner, bc, np.eye(64), gamma)
             sol.inner_trace()
-            sol.inner_flux()
             assert len(calls) == 2 * formed
+            sol.inner_flux()
+            assert len(calls) == 2 * formed + 1
 
     def test_fourier_needs_a_mode_list(self):
         with pytest.raises(ValueError, match="mode list"):
@@ -1025,25 +1040,35 @@ class TestDtnMatrix:
             ratio = s[k + 2] / s[k]
             assert rho2 / 3 < ratio < rho2 * 3
 
+    @pytest.mark.parametrize("modes", [np.arange(0, 8), np.arange(-19, 20)],
+                             ids=["one-sided", "symmetric"])
+    def test_fourier_map_is_the_exact_projection_of_the_collocation_map(self, modes):
+        # the current of exp(i m t) is the collocation map applied to its node
+        # values; its coefficients are their transform on the same 64 nodes
+        outer = unit_mesh(64)
+        inner = NystromMesh(BoundaryCurve.ellipse(0.5, 0.3), 64)
+        lam_c = dtn_matrix(outer, inner, "dirichlet", basis="collocation").matrix
+        currents = lam_c @ np.exp(1j * np.outer(outer.theta, modes))
+        want = np.fft.fft(currents, axis=0)[modes % outer.n] / outer.n
+        got = dtn_matrix(outer, inner, "dirichlet", basis="fourier", modes=modes).matrix
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
     @pytest.mark.parametrize("modes", [np.arange(-5, 6), np.arange(0, 8)],
                              ids=["symmetric", "one-sided"])
     def test_fourier_flux_noise_matches_the_per_mode_reference(self, modes):
         # mode j's cos and sin currents take the noise draws (seed, 2j) and
-        # (seed, 2j + 1), are resampled at len(modes) nodes and transformed
+        # (seed, 2j + 1), and are transformed on the simulation nodes
         outer = unit_mesh(64)
         inner = NystromMesh(BoundaryCurve.ellipse(0.5, 0.3), 32)
         delta, seed = 0.04, 11
-        n_eval = len(modes)
-        theta_eval = 2 * np.pi * np.arange(n_eval) / n_eval
-        dft = np.exp(-1j * np.outer(modes, theta_eval)) / n_eval
-        want = np.zeros((n_eval, n_eval), dtype=complex)
+        dft = np.exp(-1j * np.outer(modes, outer.theta)) / outer.n
+        want = np.zeros((len(modes), len(modes)), dtype=complex)
         for j, m in enumerate(modes):
             drive = np.column_stack([np.cos(abs(m) * outer.theta), np.sin(abs(m) * outer.theta)])
             flux = solve_forward(outer, inner, "dirichlet", drive).outer_flux()
             re = perturb_vector(flux[:, 0], delta, (seed, 2 * j))
             im = perturb_vector(np.sign(m) * flux[:, 1], delta, (seed, 2 * j + 1))
-            want[:, j] = dft @ (bie.trig_resample(re, theta_eval)
-                                + 1j * bie.trig_resample(im, theta_eval))
+            want[:, j] = dft @ (re + 1j * im)
         got = dtn_matrix(outer, inner, "dirichlet", basis="fourier", modes=modes,
                          flux_noise=(delta, seed)).matrix
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))

@@ -4,6 +4,7 @@ import copy
 import csv
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -188,6 +189,35 @@ class TestIndicatorFile:
         with pytest.raises(ValueError, match="outside its grid"):
             read_indicator(path)
 
+    @staticmethod
+    def full_grid_file(tmp_path):
+        """A 21 x 21 grid file of every point, and its lines."""
+        spec = GridSpec.square(21)
+        values = np.arange(21.0 * 21).reshape(21, 21)
+        path = tmp_path / "w.csv"
+        write_indicator(path, IndicatorGrid(spec, values, np.ones((21, 21), bool)), {})
+        return path, path.read_bytes().split(b"\r\n")
+
+    @pytest.mark.parametrize("column", [0, 1], ids=["x", "y"])
+    def test_row_off_the_grid_coordinates_rejected(self, tmp_path, column):
+        # a coordinate moved by a third of a cell would round onto the grid point
+        path, lines = self.full_grid_file(tmp_path)
+        row = lines[100].split(b",")
+        row[column] = b"%.17g" % (float(row[column]) + 0.03)
+        lines[100] = b",".join(row)
+        path.write_bytes(b"\r\n".join(lines))
+        with pytest.raises(ValueError, match=re.escape(str(path)) + ".*off its grid's coordinates"):
+            read_indicator(path)
+
+    def test_repeated_grid_point_rejected(self, tmp_path):
+        # the repeat would replace the point's value and leave no point masked
+        path, lines = self.full_grid_file(tmp_path)
+        x, y, _ = lines[100].split(b",")
+        lines[-1] = b",".join([x, y, b"123.0"]) + b"\r\n"
+        path.write_bytes(b"\r\n".join(lines))
+        with pytest.raises(ValueError, match=re.escape(str(path)) + ".*repeats a grid point"):
+            read_indicator(path)
+
 
 class TestModeSystemEquivalence:
     def test_onesided_coefficient_and_node_systems_share_spectrum(self):
@@ -248,18 +278,19 @@ class TestTrigResample:
         n = 32
         t = 2 * np.pi * np.arange(n) / n
         vals = 1.0 + np.cos(3 * t) - 0.5 * np.sin(7 * t)
-        new_t = np.linspace(0.1, 6.0, 13)
-        got = trig_resample(vals, new_t)
-        want = 1.0 + np.cos(3 * new_t) - 0.5 * np.sin(7 * new_t)
-        assert np.max(np.abs(got - want)) < 1e-12
+        # below 15 nodes the modes fold, yet the values at the new nodes stay exact
+        for count in (13, 32, 50):
+            new_t = 2 * np.pi * np.arange(count) / count
+            got = trig_resample(vals, count)
+            want = 1.0 + np.cos(3 * new_t) - 0.5 * np.sin(7 * new_t)
+            assert np.max(np.abs(got - want)) < 1e-12
 
     def test_columns_match_single_calls(self):
         vals = np.random.Generator(np.random.Philox(4)).normal(size=(24, 5))
-        new_t = np.linspace(0.1, 6.0, 11)
-        got = trig_resample(vals, new_t)
+        got = trig_resample(vals, 11)
         assert got.shape == (11, 5)
         for j in range(5):
-            assert np.max(np.abs(got[:, j] - trig_resample(vals[:, j], new_t))) < 1e-12
+            assert np.max(np.abs(got[:, j] - trig_resample(vals[:, j], 11))) < 1e-12
 
 
 class TestDiagnosticPaths:
