@@ -87,7 +87,7 @@ def _gamma_values(expr, theta):
             values = _evaluate(tree.body, theta)
     except SyntaxError as exc:
         raise ValueError(f"--gamma {expr!r}: cannot parse: {exc.msg}") from None
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # an int constant past the float range
         raise ValueError(f"--gamma {expr!r}: {exc}") from None
     values = np.broadcast_to(np.asarray(values, dtype=float), theta.shape).copy()
     if not np.all((values >= 0) & (values < np.inf)):

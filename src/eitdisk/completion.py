@@ -14,24 +14,24 @@ diag(w) + 2 w`` the Poisson integral of the layer's normal derivative, give
 and ``D`` hold ``P[f]`` and its normal derivative at the inclusion nodes
 per outer node value (:func:`eitdisk.bie._harmonic_extension`).  The
 completion step solves the severely ill-posed ``S u_i = g - R f`` with
-regularization.  The current on the inclusion, ``R_i f + S_i u_i`` with
-``S_i = -(T~ + T_H) A^-1`` and ``R_i = -D - S_i B``, gives the pointwise
-impedance quotient ``gamma = -(d u0/d nu) / u0``.
+regularization.  The current on the inclusion, ``-(D f + (T~ + T_H) psi)``
+with ``psi = A^-1 (u_i - B f)``, gives the pointwise impedance quotient
+``gamma = -(d u0/d nu) / u0``.
 
 :func:`assemble_completion` LU-factorizes ``A`` once, its condition guarded
 by LAPACK's 1-norm estimate from the factors (:func:`eitdisk.bie._factorize`),
-and forms ``[S; S_i]`` by one transposed solve of the rows ``[F; -(T~ +
-T_H)]`` in place.  When the completion operator is factorized, only ``[R;
-R_i]`` and ``[S; S_i]`` are alive, and the four maps are views into them.
-The Maue block of ``T~``, the solve and the product ``[S; S_i] B`` are split
-by rows (:func:`eitdisk.parallel.by_rows`), each block the same BLAS or
-LAPACK call on its rows with its own copy of the pivots, so every map keeps
-its bits on any number of CPUs.  scipy is imported when the assembly runs.
+and forms only ``S``, which its SVD factorizes, by a transposed solve in
+place; ``R f`` and the inclusion current of each pair are applied through
+the factors, ``B``, ``D`` and ``T~ + T_H``.  The Maue block of ``T~`` and the
+solve are split by rows (:func:`eitdisk.parallel.by_rows`), each block the
+same BLAS or LAPACK call on its rows with its own pivots, so ``S`` keeps its
+bits on any number of CPUs.  scipy is imported when the assembly runs.
 """
 
 from __future__ import annotations
 
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,7 +41,7 @@ from .bie import (NystromMesh, _check_inclusion, _check_outer, _factorize,
                   normal_derivative)
 from .dtn import healthy_collocation_matrix
 from .exceptions import AllMasked, RankDeficientWarning, ResidualTooLarge
-from .parallel import by_rows, matmul_by_rows
+from .parallel import by_rows
 from .regularization import (SvdFactorization, expected_noise_norm,
                              regularized_solve)
 
@@ -62,21 +62,32 @@ _RESIDUAL_GUARD = 10.0
 
 @dataclass(frozen=True, eq=False)
 class CompletionSystem:
-    """Assembled data-completion operators for one geometry."""
+    """Assembled data-completion operator for one geometry."""
 
     outer: NystromMesh
     inner: NystromMesh
-    response: np.ndarray               # R: current due to f with zero inner trace
     completion: np.ndarray             # S: current due to the inner trace
-    inner_response: np.ndarray         # R_i: inclusion current due to f
-    inner_completion: np.ndarray       # S_i: inclusion current due to the trace
     svd: SvdFactorization = field(repr=False)
+    _solve_trace: Callable = field(repr=False)       # u -> A^-1 u by A's LU factors
+    _extension: np.ndarray = field(repr=False)       # B
+    _extension_flux: np.ndarray = field(repr=False)  # D
+    _layer_flux: np.ndarray = field(repr=False)      # T~ + T_H
     condition: float = 0.0
     model_error_factor: float = 1.0
 
+    def response(self, f):
+        """``R f = Lambda0 f - S B f``: the outer current of ``f`` under zero trace."""
+        return healthy_collocation_matrix(len(f)) @ f - self.completion @ (self._extension @ f)
+
+    def inner_current(self, f, trace):
+        """``R_i f + S_i u = -(D f + (T~ + T_H) A^-1 (u - B f))``: the inclusion
+        current, normal into it, of the voltage ``f`` and the trace ``u``."""
+        psi = self._solve_trace(trace - self._extension @ f)
+        return -(self._extension_flux @ f + self._layer_flux @ psi)
+
 
 def assemble_completion(outer, inner, model_error_factor=1.0):
-    """Build and factorize the completion operators.
+    """Build and factorize the completion operator.
 
     ``model_error_factor`` scales the noise level used by noise-tied
     regularization inside :func:`complete_cauchy`; set it above one when the
@@ -91,40 +102,27 @@ def assemble_completion(outer, inner, model_error_factor=1.0):
                          f"not {model_error_factor}")
     _check_outer(outer)
     _check_inclusion(inner)
-    n_m, n_i = outer.n, inner.n
     trace = modified_double_layer(inner, inner)                 # K~, then A
     trace += _image(inner, inner, "double_layer")
-    trace += np.eye(n_i)
+    trace += np.eye(inner.n)
     (lu, piv), condition = _factorize(trace, "completion trace", _COND_LIMIT)
     del trace
-    # the rows [F; -(T~ + T_H)] in Z's buffer, F = -(n/pi) D^T diag(w) + 2 w
-    deriv = _harmonic_extension(n_m, inner.points, inner.normals)     # D
+    layer_flux = normal_derivative(inner, of="modified_double_layer")
+    layer_flux += _image(inner, inner, "double_flux")                 # T~ + T_H
+    deriv = _harmonic_extension(outer.n, inner.points, inner.normals)     # D
     w = inner.arc_weights()
-    z = np.empty((n_m + n_i, n_i))
-    np.multiply(deriv.T, w, out=z[:n_m])
-    z[:n_m] *= -n_m / np.pi
-    z[:n_m] += 2.0 * w
-    z[n_m:] = normal_derivative(inner, of="modified_double_layer")
-    z[n_m:] += _image(inner, inner, "double_flux")
-    np.negative(z[n_m:], out=z[n_m:])
-    # Z = [S; S_i], the rows times A^-1, as the solve of A^T against Z^T, in
-    # place on the F-ordered transpose of each row block, each with its own pivots
-    by_rows(lambda block, piv: la.lu_solve((lu, piv), z[block].T, trans=1, overwrite_b=True),
-            len(z), piv)
-    del lu, piv
-    # X = [R; R_i] = [Lambda0; -D] - Z B
-    x = matmul_by_rows(z, _harmonic_extension(n_m, inner.points, None),
-                       np.empty((n_m + n_i, n_m)))
-    np.negative(x, out=x)
-    x[:n_m] += healthy_collocation_matrix(n_m)
-    x[n_m:] -= deriv
-    del deriv
-    response, completion = x[:n_m], z[:n_m]
-    inner_response, inner_completion = x[n_m:], z[n_m:]
-    return CompletionSystem(outer, inner, response, completion,
-                            inner_response, inner_completion,
-                            SvdFactorization.from_matrix(completion),
-                            condition, model_error_factor)
+    # S = F A^-1, F = -(n/pi) D^T diag(w) + 2 w C-ordered, by the solve of A^T against
+    # F^T in place on the F-ordered transpose of each row block, with its own pivots
+    completion = np.multiply(deriv.T, w, order="C")
+    completion *= -outer.n / np.pi
+    completion += 2.0 * w
+    by_rows(lambda block, piv: la.lu_solve((lu, piv), completion[block].T, trans=1,
+                                           overwrite_b=True), outer.n, piv)
+    # B is formed after the SVD, where A's factors, T~ + T_H, D and S are alive
+    return CompletionSystem(outer, inner, completion, SvdFactorization.from_matrix(completion),
+                            lambda u: la.lu_solve((lu, piv.copy()), u),  # pivots shift in place
+                            _harmonic_extension(outer.n, inner.points, None), deriv,
+                            layer_flux, condition, model_error_factor)
 
 
 def complete_cauchy(system, f, g, reg, noise_level=0.0):
@@ -149,7 +147,7 @@ def complete_cauchy(system, f, g, reg, noise_level=0.0):
     g = np.asarray(g, dtype=float)
     if f.shape != (system.outer.n,) or g.shape != f.shape:
         raise ValueError("voltage and current must be vectors on the outer mesh nodes")
-    b = g - system.response @ f
+    b = g - system.response(f)
 
     delta_abs = None
     level = reg.noise_level if reg.noise_level is not None else noise_level
@@ -168,7 +166,7 @@ def complete_cauchy(system, f, g, reg, noise_level=0.0):
             raise ResidualTooLarge(
                 f"completion residual {residual:.3e} exceeds "
                 f"{_RESIDUAL_GUARD} x noise {delta_abs:.3e}")
-    current = system.inner_response @ f + system.inner_completion @ trace
+    current = system.inner_current(f, trace)
     info["noise_dominated"] = False
     return trace, current, info
 

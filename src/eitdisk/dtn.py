@@ -53,9 +53,10 @@ class DtnOperator:
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("operator matrix must be square")
         if self.basis == "fourier":
-            if self.modes is None or len(self.modes) != m.shape[0]:
-                raise ValueError("fourier basis requires a matching mode list")
-            object.__setattr__(self, "modes", np.asarray(self.modes, dtype=int))
+            modes = np.asarray(self.modes)
+            if modes.dtype.kind not in "iu" or not modes.shape == np.unique(modes).shape == (len(m),):
+                raise ValueError(f"fourier modes must be {len(m)} distinct integers, not {self.modes}")
+            object.__setattr__(self, "modes", modes.astype(int))
         elif self.basis != "collocation":
             raise ValueError(f"unknown basis {self.basis!r}")
         object.__setattr__(self, "matrix", m)

@@ -80,8 +80,8 @@ def _read_json(path, what, *keys):
 def read_dtn(path):
     """The simulated current map of a file written by :func:`write_dtn`."""
     doc = _read_json(path, "DtN file", "basis", "modes", "complex", "lambda0")
-    modes = None if doc["modes"] is None else np.asarray(doc["modes"], dtype=int)
-    return DtnOperator(doc["basis"], _matrix_from_pairs(doc["lambda0"], doc["complex"]), modes)
+    matrix = _matrix_from_pairs(doc["lambda0"], doc["complex"])
+    return DtnOperator(doc["basis"], matrix, doc["modes"])
 
 
 def write_indicator(path, grid: IndicatorGrid, config: dict):

@@ -1,15 +1,15 @@
 """Thread counts and row blocks for the dense steps of the package.
 
 The scan filters its points in slices of a fixed width on at most one thread
-per usable CPU and per slice (:func:`worker_count`).  The completion splits its dense products and its
-transposed solve into contiguous row blocks by the same rule
-(:func:`by_rows`), each block the same BLAS or LAPACK call on its own rows,
-so every entry keeps its bits on any number of CPUs.  Blocks write into rows
-of a buffer the calling thread allocated: every thread that calls BLAS keeps
-a buffer of its own, and every thread's malloc arena keeps its peak, so the
-workers allocate nothing of matrix size.  Steps of fewer than twice
-``_MIN_ROWS`` rows start no thread, so the README-size solves (32 to 64
-nodes, at most 128 rows) stay on the calling thread.
+per usable CPU and per slice (:func:`worker_count`).  The Maue block's two
+dense products and the completion's transposed solve are split into
+contiguous row blocks by the same rule (:func:`by_rows`), each block the same
+BLAS or LAPACK call on its own rows, so every entry keeps its bits on any
+number of CPUs.  Blocks write into rows of a buffer the calling thread
+allocated: every thread that calls BLAS keeps a buffer of its own, and every
+thread's malloc arena keeps its peak, so the workers allocate nothing of
+matrix size.  Steps of fewer than twice ``_MIN_ROWS`` rows start no thread,
+so the README-size steps (32 to 64 rows) stay on the calling thread.
 
 Two independent jobs run side by side by the same rule (:func:`alongside`):
 the impedance stage simulates its Cauchy pairs on one worker thread while

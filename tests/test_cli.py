@@ -335,6 +335,26 @@ def test_dtn_file_without_a_key_exits_2(tmp_path, circle_file, capfd):
     assert "DtN file" in err and "'modes'" in err
 
 
+@pytest.mark.parametrize("edit", [lambda modes: [m + 0.5 for m in modes],
+                                  lambda modes: [0] * len(modes)],
+                         ids=["shifted-by-half", "all-zero"])
+def test_dtn_file_with_non_integer_or_repeated_modes_exits_2(tmp_path, circle_file, capfd,
+                                                             edit):
+    # a cast to int would truncate the first and the scan would run on both
+    dtn = tmp_path / "dtn.json"
+    assert main(["forward", "--geometry", circle_file, "--basis", "fourier:3",
+                 "--out", str(dtn)]) == 0
+    doc = json.loads(dtn.read_text())
+    doc["modes"] = edit(doc["modes"])
+    dtn.write_text(json.dumps(doc))
+    capfd.readouterr()
+    assert main(["sample", "--data", str(dtn), "--grid", "11", "--reg", "cutoff:0.0001",
+                 "--out", str(tmp_path / "w.csv")]) == 2
+    err = capfd.readouterr().err
+    assert "distinct integers" in err and str(doc["modes"]) in err
+    assert not (tmp_path / "w.csv").exists()
+
+
 def test_curve_file_without_a_key_exits_2(tmp_path, ellipse_file, capfd):
     curve = tmp_path / "curve.json"
     curve.write_text(json.dumps({"M": 1, "b": [[0.0], [0.4]], "smoothing": 0.0}))
@@ -456,6 +476,16 @@ def test_non_finite_gamma_exits_with_message(tmp_path, circle_file, capfd, expr,
     assert rc == 2
     err = capfd.readouterr().err
     assert "gamma" in err and "DLASCL" not in err
+
+
+@pytest.mark.parametrize("stage", ["forward", "impedance"])
+def test_gamma_integer_past_the_float_range_exits_2(tmp_path, ellipse_file, capfd, stage):
+    # 10**400 written out has no float64 value; the expression 10**400 is inf
+    rc = main([stage, "--geometry", ellipse_file, "--gamma", str(10**400),
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capfd.readouterr().err
+    assert "--gamma" in err and "too large" in err
 
 
 def test_impedance_factorizes_simulation_and_completion_once(

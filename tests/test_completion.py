@@ -66,9 +66,9 @@ def annulus_pair(cfg, k, kind=np.cos, n=N):
 
 
 def frozen_assembly(outer, inner):
-    """The maps, condition estimate and SVD as :func:`assemble_completion`
-    forms them, from fresh arrays, every block alive to the end; kept as the
-    bitwise reference for the assembly that drops each block early."""
+    """The four maps as formed arrays, the condition estimate and the SVD of
+    ``S``, from fresh arrays on one thread: the bitwise reference for ``S``,
+    the estimate and the SVD, and the formed reference of the applied maps."""
     n_m = outer.n
     lu, condition = _factorize(trace_matrix(inner), "completion trace", 1e8)
     z = la.lu_solve(lu, flux_rows(outer, inner).T, trans=1).T
@@ -82,6 +82,42 @@ def frozen_assembly(outer, inner):
             "svd.u": svd.u, "svd.s": svd.s, "svd.vh": svd.vh}
 
 
+def system_bits(system):
+    return {"completion": system.completion, "condition": np.float64(system.condition),
+            "svd.u": system.svd.u, "svd.s": system.svd.s, "svd.vh": system.svd.vh}
+
+
+def applied_maps(system):
+    """``R``, ``S``, ``R_i`` and ``S_i`` as the system applies them to the
+    identity: ``R`` and ``R_i`` per outer node value with zero trace, ``S_i``
+    per inclusion node value with zero voltage."""
+    n_m, n_i = system.outer.n, system.inner.n
+    return {"response": system.response(np.eye(n_m)), "completion": system.completion,
+            "inner_response": system.inner_current(np.eye(n_m), np.zeros((n_i, n_m))),
+            "inner_completion": system.inner_current(np.zeros((n_m, n_i)), np.eye(n_i))}
+
+
+# largest difference of an applied map from the formed one, over the formed
+# map's largest entry; S is formed and kept bit for bit
+MAP_TOL = {"response": 1e-13, "completion": 0.0, "inner_response": 1e-10,
+           "inner_completion": 1e-12}
+
+
+def assert_bits_equal(got, want, where=()):
+    for name, ref in want.items():
+        assert got[name].shape == ref.shape, (*where, name)
+        assert got[name].tobytes() == ref.tobytes(), (*where, name)
+
+
+def one_thread_bits(outer, inner):
+    """``S``, the estimate and the SVD of the frozen assembly, and the applied
+    maps of an assembly made with one block a step: the bits of every split
+    run."""
+    frozen = frozen_assembly(outer, inner)
+    system = assemble_completion(outer, inner)
+    return {**{name: frozen[name] for name in system_bits(system)}, **applied_maps(system)}
+
+
 class TestLiveArrays:
     @pytest.mark.parametrize("n", [64, 256])
     @pytest.mark.parametrize("curve", [BoundaryCurve.ellipse(0.5, 0.3), BoundaryCurve.cardioid()],
@@ -89,17 +125,16 @@ class TestLiveArrays:
     def test_keeps_the_bits_of_the_frozen_assembly(self, curve, n):
         outer, inner = outer_mesh(n), inner_mesh(curve, n)
         system = assemble_completion(outer, inner)
-        got = {"response": system.response, "completion": system.completion,
-               "inner_response": system.inner_response,
-               "inner_completion": system.inner_completion,
-               "condition": np.float64(system.condition),
-               "svd.u": system.svd.u, "svd.s": system.svd.s, "svd.vh": system.svd.vh}
         want = frozen_assembly(outer, inner)
-        for name, ref in want.items():
-            assert got[name].shape == ref.shape, name
-            assert got[name].tobytes() == ref.tobytes(), name
+        got = system_bits(system)
+        assert_bits_equal(got, {name: want[name] for name in got})
+        for name, got_map in applied_maps(system).items():
+            ref = want[name]
+            assert got_map.shape == ref.shape, name
+            assert np.abs(got_map - ref).max() <= MAP_TOL[name] * np.abs(ref).max(), name
 
     def test_only_the_four_maps_are_alive_at_the_svd(self, monkeypatch):
+        # A's factors, T~ + T_H, D and S; B is formed after the SVD
         n = 256
         outer, inner = outer_mesh(n), inner_mesh(BoundaryCurve.ellipse(0.5, 0.3), n)
         alive = []
@@ -113,28 +148,17 @@ class TestLiveArrays:
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            system = assemble_completion(outer, inner)
+            assemble_completion(outer, inner)
         finally:
             tracemalloc.stop()
         assert len(alive) == 1
         assert alive[0] - start <= 1.05 * 4 * n * n * 8
-        # the outer and inner maps are views into one buffer each: X and Z
-        for outer_map, inner_map in ((system.response, system.inner_response),
-                                     (system.completion, system.inner_completion)):
-            assert outer_map.base is not None and outer_map.base is inner_map.base
-
-
-def system_bits(system):
-    return {"response": system.response, "completion": system.completion,
-            "inner_response": system.inner_response,
-            "inner_completion": system.inner_completion,
-            "condition": np.float64(system.condition),
-            "svd.u": system.svd.u, "svd.s": system.svd.s, "svd.vh": system.svd.vh}
 
 
 class TestRowBlocks:
-    """The dense products and the Schur solve split by rows over two threads:
-    every run writes the bits of the frozen assembly on one thread."""
+    """The Maue block and the transposed solve split by rows over two
+    threads: every run writes the bits of ``S``, its SVD and the applied maps
+    of the assembly on one thread."""
 
     @pytest.mark.parametrize("n", [64, 128, 256])
     @pytest.mark.parametrize("curve", [BoundaryCurve.ellipse(0.5, 0.3), BoundaryCurve.cardioid()],
@@ -144,16 +168,14 @@ class TestRowBlocks:
         outer, inner = outer_mesh(n), inner_mesh(curve, n)
         with monkeypatch.context() as one_block:
             one_block.setattr(parallel, "_MIN_ROWS", 4 * n)
-            want = frozen_assembly(outer, inner)
+            want = one_thread_bits(outer, inner)
         assert not row_blocks
         for run in range(20):
-            got = system_bits(assemble_completion(outer, inner))
-            for name, ref in want.items():
-                assert got[name].shape == ref.shape, (run, name)
-                assert got[name].tobytes() == ref.tobytes(), (run, name)
-        # the two products of the Maue block T~, the transposed solve and
-        # Z B, each on one worker besides this thread
-        assert row_blocks == [1] * 4 * 20
+            system = assemble_completion(outer, inner)
+            assert_bits_equal({**system_bits(system), **applied_maps(system)}, want, (run,))
+        # the two products of the Maue block T~ and the transposed solve,
+        # each on one worker besides this thread
+        assert row_blocks == [1] * 3 * 20
 
     def test_more_threads_than_cores_keep_the_bits(self, monkeypatch, row_blocks):
         # eight blocks a step on two cores, the interpreter switching threads
@@ -161,18 +183,17 @@ class TestRowBlocks:
         outer, inner = outer_mesh(128), inner_mesh(BoundaryCurve.cardioid(), 128)
         with monkeypatch.context() as one_block:
             one_block.setattr(parallel, "_MIN_ROWS", 1024)
-            want = frozen_assembly(outer, inner)
+            want = one_thread_bits(outer, inner)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for run in range(10):
-                got = system_bits(assemble_completion(outer, inner))
-                for name, ref in want.items():
-                    assert got[name].tobytes() == ref.tobytes(), (run, name)
+                system = assemble_completion(outer, inner)
+                assert_bits_equal({**system_bits(system), **applied_maps(system)}, want, (run,))
         finally:
             sys.setswitchinterval(interval)
-        assert row_blocks == [7] * 4 * 10
+        assert row_blocks == [7] * 3 * 10
 
     def test_sixty_four_nodes_start_no_thread(self, no_row_threads):
         system = assemble_completion(outer_mesh(64), inner_mesh(BoundaryCurve.ellipse(0.5, 0.3)))
@@ -191,7 +212,7 @@ class TestAssembly:
         system = concentric_system(0.5)
         for k in (1, 2, 3, 5):
             f, g, trace, _ = annulus_pair(cfg, k)
-            g_pred = system.response @ f + system.completion @ trace
+            g_pred = system.response(f) + system.completion @ trace
             assert np.max(np.abs(g_pred - g)) < 1e-7, k
 
     def test_inner_current_maps_from_oracle_trace(self):
@@ -201,7 +222,7 @@ class TestAssembly:
         system = concentric_system(0.5)
         for k in (1, 2, 3, 5):
             f, _, trace, flux = annulus_pair(cfg, k)
-            current = system.inner_response @ f + system.inner_completion @ trace
+            current = system.inner_current(f, trace)
             assert np.max(np.abs(current - flux)) < 1e-6, k
 
     def test_maps_equal_rows_times_block_inverse(self):
@@ -214,8 +235,9 @@ class TestAssembly:
                         -bie._harmonic_extension(N, inner.points, inner.normals)])
              - z @ bie._harmonic_extension(N, inner.points, None))
         want = np.hstack([x, z])
-        got = np.block([[system.response, system.completion],
-                        [system.inner_response, system.inner_completion]])
+        maps = applied_maps(system)
+        got = np.block([[maps["response"], maps["completion"]],
+                        [maps["inner_response"], maps["inner_completion"]]])
         assert np.abs(got - want).max() < 1e-10 * np.abs(want).max()
 
     @pytest.mark.parametrize("curve", [BoundaryCurve.ellipse(0.5, 0.3), BoundaryCurve.cardioid()],
@@ -228,10 +250,11 @@ class TestAssembly:
         x = (np.vstack([healthy_collocation_matrix(64),
                         -bie._harmonic_extension(64, inner.points, inner.normals)])
              - z @ bie._harmonic_extension(64, inner.points, None))
-        pieces = {"R": (system.response, x[:64]),
-                  "S": (system.completion, z[:64]),
-                  "R_i": (system.inner_response, x[64:]),
-                  "S_i": (system.inner_completion, z[64:])}
+        maps = applied_maps(system)
+        pieces = {"R": (maps["response"], x[:64]),
+                  "S": (maps["completion"], z[:64]),
+                  "R_i": (maps["inner_response"], x[64:]),
+                  "S_i": (maps["inner_completion"], z[64:])}
         for name, (got, ref) in pieces.items():
             assert got.shape == ref.shape, name
             assert np.abs(got - ref).max() < 1e-10 * np.abs(ref).max(), name
@@ -245,8 +268,8 @@ class TestAssembly:
         for k in range(1, 9):
             for kind in (np.cos, np.sin):
                 f, g, trace, flux = annulus_pair(cfg, k, kind)
-                outer_current = system.response @ f + system.completion @ trace
-                inner_current = system.inner_response @ f + system.inner_completion @ trace
+                outer_current = system.response(f) + system.completion @ trace
+                inner_current = system.inner_current(f, trace)
                 assert np.abs(outer_current - g).max() <= 1e-10 * np.abs(g).max(), (k, kind)
                 assert np.abs(inner_current - flux).max() <= 1e-8 * np.abs(flux).max(), (k, kind)
 
@@ -516,7 +539,7 @@ class TestGammaAveraged:
         g = perturb_vector(g, 0.04, 99)
         trace, _, info = complete_cauchy(system, f, g, reg, noise_level=0.04)
         assert not info["noise_dominated"]
-        b = g - system.response @ f
+        b = g - system.response(f)
         residual = np.linalg.norm(system.completion @ trace - b)
         assert residual <= 10.0 * expected_noise_norm(g, 0.04)
 
