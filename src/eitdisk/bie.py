@@ -55,7 +55,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .dtn import DtnOperator, circulant, healthy_collocation_matrix, lag_view
 from .exceptions import CoincidentPoints, SingularSystem
 from .geometry import BoundaryCurve
-from .parallel import matmul_by_rows
+from .parallel import by_rows
 from .regularization import perturb_vector
 
 __all__ = [
@@ -312,8 +312,9 @@ def _hypersingular_maue(source):
     """
     w = _single_layer_log_split(source)
     dmat = spectral_diff_matrix(source.n)
-    dw = matmul_by_rows(dmat, w, np.empty_like(w))
-    matmul_by_rows(dw, dmat, w)
+    dw = np.empty_like(w)
+    by_rows(lambda block: np.matmul(dmat[block], w, out=dw[block]), len(w))
+    by_rows(lambda block: np.matmul(dw[block], dmat, out=w[block]), len(w))
     w /= source.jacobians[:, None]
     return w
 

@@ -41,8 +41,9 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class DtnOperator:
-    """A dense voltage-to-current matrix in a declared basis; the geometry and
-    boundary condition behind it are arguments of :func:`eitdisk.io.write_dtn`."""
+    """A dense voltage-to-current matrix of finite entries in a declared basis;
+    the geometry and boundary condition behind it are arguments of
+    :func:`eitdisk.io.write_dtn`."""
 
     basis: str                       # "collocation" | "fourier"
     matrix: np.ndarray
@@ -52,6 +53,8 @@ class DtnOperator:
         m = np.asarray(self.matrix)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("operator matrix must be square")
+        if not np.all(np.isfinite(m)):
+            raise ValueError("operator matrix must be finite")
         if self.basis == "fourier":
             modes = np.asarray(self.modes)
             if modes.dtype.kind not in "iu" or not modes.shape == np.unique(modes).shape == (len(m),):

@@ -47,7 +47,11 @@ def _matrix_from_pairs(rows, is_complex):
     if not valid:
         raise ValueError("lambda0 must hold one [re, im] pair of numbers per entry")
     m = pairs.astype(float, copy=False).view(complex)[..., 0]  # the same bits, -0.0 included
-    return m if is_complex else m.real
+    if is_complex:
+        return m
+    if np.any(m.imag):
+        raise ValueError("lambda0 has a nonzero imaginary part but 'complex' is false")
+    return m.real
 
 
 def write_dtn(path, lambda0: DtnOperator, config: dict, geometry: dict, bc: dict):
@@ -78,10 +82,18 @@ def _read_json(path, what, *keys):
 
 
 def read_dtn(path):
-    """The simulated current map of a file written by :func:`write_dtn`."""
+    """The simulated current map of a file written by :func:`write_dtn`; an
+    entry or key its writer never writes raises :class:`ValueError` naming
+    the file."""
     doc = _read_json(path, "DtN file", "basis", "modes", "complex", "lambda0")
-    matrix = _matrix_from_pairs(doc["lambda0"], doc["complex"])
-    return DtnOperator(doc["basis"], matrix, doc["modes"])
+    if not isinstance(doc["complex"], bool):
+        raise ValueError(f"DtN file {path}: 'complex' must be true or false, "
+                         f"not {doc['complex']!r}")
+    try:
+        matrix = _matrix_from_pairs(doc["lambda0"], doc["complex"])
+        return DtnOperator(doc["basis"], matrix, doc["modes"])
+    except ValueError as exc:
+        raise ValueError(f"DtN file {path}: {exc}") from None
 
 
 def write_indicator(path, grid: IndicatorGrid, config: dict):
@@ -138,8 +150,10 @@ def _grid_spec(path, header):
 
 def read_indicator(path):
     """Rebuild an :class:`IndicatorGrid` from the CSV written above; a header
-    that does not describe a grid, or a row that is not on one of its points
-    or repeats one, raises :class:`ValueError`.
+    that does not describe a grid, a row that is not on one of its points or
+    repeats one, or a ``W`` that is negative or infinite raises
+    :class:`ValueError`.  A NaN ``W`` marks an evaluated point whose cutoff
+    removed every mode.
 
     The writer's ``%.17g`` round-trips every coordinate, so each row's ``x``
     and ``y`` equal a grid coordinate exactly."""
@@ -161,6 +175,8 @@ def read_indicator(path):
         raise ValueError(f"indicator CSV {path} has a row outside its grid")
     if np.any(xs[j] != rows[:, 0]) or np.any(ys[i] != rows[:, 1]):
         raise ValueError(f"indicator CSV {path} has a row off its grid's coordinates")
+    if np.any((rows[:, 2] < 0) | np.isinf(rows[:, 2])):
+        raise ValueError(f"indicator CSV {path} has a W that is negative or infinite")
     values[i, j] = rows[:, 2]
     # the rows present are the mask: an evaluated point may hold NaN
     mask = np.zeros((spec.ny, spec.nx), dtype=bool)

@@ -65,13 +65,6 @@ def by_rows(step, rows, *owned):
             future.result()
 
 
-def matmul_by_rows(a, b, out):
-    """``a @ b`` written into ``out``, a C-contiguous array of its shape, by
-    :func:`by_rows`; returns ``out``."""
-    by_rows(lambda block: np.matmul(a[block], b, out=out[block]), len(a))
-    return out
-
-
 def alongside(main, side, rows):
     """``(main(), side())``, with ``side`` on a worker thread while ``main``
     runs on the calling thread.

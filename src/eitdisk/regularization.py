@@ -15,8 +15,7 @@ the residual:
   Newton in ``mu = 1/alpha``, where the square is convex, resolves it to
   rounding per column (Engl, Hanke & Neubauer, 1996, ch. 4).  Its quadratic
   convergence is bounded, so a column stops once a step leaves an error
-  below rounding.  Newton's last steps run only on the columns that have not
-  settled.
+  below rounding.
 - Spectral cutoff: ``F_i = 1/s_i`` on the singular triplets with
   ``s_i >= tau * s_1``, or above an absolute, noise-tied threshold per
   column, and zero elsewhere.
@@ -38,11 +37,12 @@ one-strategy calls of it, and the sampling scan runs the kernel over column
 slices of blocks of grid points, on threads.  The kernel is elementwise work
 plus sums over the modes of each column.  numpy adds up each column of a sum
 over two or more columns in the same order, whatever its neighbours, but a
-contiguous one-column array in another; so the discrepancy root never
-narrows a sum to a single column.  Only the root's table is a matrix
-product, whose rounding depends on how many columns it spans: the kernel
-forms it for exactly the columns it is given, so a caller that filters
-column slices keeps its bits by cutting the same slices every time.
+contiguous one-column array in another, so a one-point call may differ from
+a block in the last bits; every sum of the discrepancy root spans all the
+columns it is given.  Only the root's table is a matrix product, whose
+rounding depends on how many columns it spans: the kernel forms it for
+exactly the columns it is given, so a caller that filters column slices
+keeps its bits by cutting the same slices every time.
 :func:`regularized_solve` alone forms the residual ``|A x - b|``, which the
 scan does not read.
 
@@ -355,49 +355,35 @@ def _discrepancy_root(s2, beta2, b_perp2, b2, t2):
     :class:`NoiseDominates` when a target reaches the data norm, where no
     fit is meaningful.
 
-    Once at most half of the columns Newton carries are still stepping, it
-    gathers those and carries only them; a lone one takes a neighbour along,
-    so that no gathered sum runs over a single column, which numpy would add
-    up in another order.
+    Every pass steps all the columns it is given, with ``active`` choosing
+    which of them move, until none does.
     """
     if np.any(t2 >= b2):
         raise NoiseDominates(int(np.sum(t2 >= b2)), len(b2))
-    mu_all, floor, bracketed, endpoint = _bracket(s2, beta2, b_perp2, t2)
+    mu, floor, bracketed, endpoint = _bracket(s2, beta2, b_perp2, t2)
     # g(mu) = res2 - t^2 is decreasing and convex, g' = -2 sum q^3 s^2 beta^2
-    carried = np.arange(len(t2))
-    mu, active, beta2_c, b_perp2_c, t2_c = mu_all, bracketed, beta2, b_perp2, t2
+    active = bracketed
     q, w = np.empty(beta2.shape), np.empty(beta2.shape)
     for k in range(_NEWTON_STEPS):
-        live = np.flatnonzero(active)
-        if not len(live):
+        if not active.any():
             break
-        if 2 * len(live) <= len(active) and len(active) > 2:
-            if len(live) == 1:
-                live = np.r_[live, 1 if live[0] == 0 else live[0] - 1]
-            mu_all[carried] = mu
-            q = w = None  # freed before the gathered copies are made
-            carried = carried[live]
-            mu, active = mu_all[carried], active[live]
-            beta2_c, b_perp2_c, t2_c = beta2[:, carried], b_perp2[carried], t2[carried]
-            q, w = np.empty(beta2_c.shape), np.empty(beta2_c.shape)
         alpha = 1.0 / mu
         np.add(s2, alpha, out=q)
         np.divide(alpha, q, out=q)
         np.multiply(q, q, out=w)
-        g = np.einsum("ij,ij->j", w, beta2_c) + b_perp2_c - t2_c
+        g = np.einsum("ij,ij->j", w, beta2) + b_perp2 - t2
         w *= q
         w *= s2
-        slope = 2.0 * np.einsum("ij,ij->j", w, beta2_c)  # -g'
+        slope = 2.0 * np.einsum("ij,ij->j", w, beta2)  # -g'
         step = np.divide(g, slope, out=np.zeros_like(g), where=active)
         if k == 0:
-            np.maximum(mu + step, floor[carried], out=mu, where=active)
+            np.maximum(mu + step, floor, out=mu, where=active)
             continue
         moves = active & (step > 4.0 * np.finfo(float).eps * mu)
         # rounding in g moves the root by about eps t^2 / slope
-        active = moves & ((step > _SETTLED * mu) | (t2_c > 4.0 * mu * slope))
+        active = moves & ((step > _SETTLED * mu) | (t2 > 4.0 * mu * slope))
         mu[moves] += step[moves]
-    mu_all[carried] = mu
-    return np.where(bracketed, 1.0 / mu_all, endpoint)
+    return np.where(bracketed, 1.0 / mu, endpoint)
 
 
 def regularized_solve(svd, b, reg, delta_abs=None):

@@ -355,6 +355,51 @@ def test_dtn_file_with_non_integer_or_repeated_modes_exits_2(tmp_path, circle_fi
     assert not (tmp_path / "w.csv").exists()
 
 
+@pytest.mark.parametrize("where, value, named", [
+    (("lambda0", 3, 5, 0), float("inf"), "must be finite"),
+    (("lambda0", 3, 5, 0), float("nan"), "must be finite"),
+    (("complex",), "no", "'complex' must be true or false, not 'no'"),
+    (("lambda0", 3, 5, 1), 1e-3, "nonzero imaginary part"),
+], ids=["infinite-entry", "nan-entry", "complex-a-string", "real-with-an-imaginary-part"])
+def test_dtn_file_with_a_value_its_writer_never_writes_exits_2(inputs, tmp_path, capfd,
+                                                               where, value, named):
+    # json.load takes NaN and Infinity, and a string is truthy: each edit
+    # would otherwise scan a wrong map or fail in the SVD without a file name
+    doc = json.loads((inputs / "dtn.json").read_text())
+    assert doc["complex"] is False
+    *keys, last = where
+    entry = doc
+    for key in keys:
+        entry = entry[key]
+    entry[last] = value
+    dtn, out = tmp_path / "dtn.json", tmp_path / "w.csv"
+    dtn.write_text(json.dumps(doc))
+    capfd.readouterr()
+    assert main(["sample", "--data", str(dtn), "--grid", "21", "--noise", "0.05",
+                 "--seed", "1", "--out", str(out)]) == 2
+    err = capfd.readouterr().err
+    assert str(dtn) in err and named in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("w", ["-0.5", "inf"])
+def test_indicator_file_with_a_negative_or_infinite_w_exits_2(inputs, tmp_path, capfd, w):
+    # NaN marks an evaluated point, but the scan never writes these: a
+    # negative W drew a spurious loop, an infinite one emptied the level set
+    indicator, curve = tmp_path / "w.csv", tmp_path / "curve.json"
+    assert main(["sample", "--data", str(inputs / "dtn.json"), "--grid", "21",
+                 "--noise", "0.05", "--seed", "1", "--out", str(indicator)]) == 0
+    lines = indicator.read_text().splitlines()
+    x, y, _ = lines[len(lines) // 2].split(",")
+    lines[len(lines) // 2] = f"{x},{y},{w}"
+    indicator.write_text("\n".join(lines) + "\n")
+    capfd.readouterr()
+    assert main(["extract", "--indicator", str(indicator), "--out", str(curve)]) == 2
+    err = capfd.readouterr().err
+    assert str(indicator) in err and "negative or infinite" in err and "Traceback" not in err
+    assert not curve.exists()
+
+
 def test_curve_file_without_a_key_exits_2(tmp_path, ellipse_file, capfd):
     curve = tmp_path / "curve.json"
     curve.write_text(json.dumps({"M": 1, "b": [[0.0], [0.4]], "smoothing": 0.0}))

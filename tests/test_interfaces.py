@@ -153,7 +153,8 @@ class TestIndicatorFile:
         spec = GridSpec(5, 4, -0.9, 0.7, -0.8, 0.6)
         rng = np.random.Generator(np.random.Philox(7))
         mask = rng.random((4, 5)) < 0.7
-        values = rng.normal(size=(4, 5)) * 10.0 ** rng.integers(-300, 300, size=(4, 5))
+        # the reader takes no negative W; -0.0 still renders a sign
+        values = np.abs(rng.normal(size=(4, 5))) * 10.0 ** rng.integers(-300, 300, size=(4, 5))
         values[0, :3] = [np.nan, -0.0, 0.1]
         mask[0, :3] = True
         mask[1] = False  # a fully masked grid row

@@ -302,7 +302,7 @@ class TestScanMatchesIndicator:
                 if np.isnan(want):
                     assert np.isnan(w)
                 else:
-                    assert abs(w - want) <= 1e-9 * want
+                    assert abs(w - want) <= 1e-12 * want
 
     def test_indicator_all_modes_cut_is_nan(self):
         with pytest.warns(AllModesCutWarning) as caught:
